@@ -1,0 +1,59 @@
+"""Pinned pipeline outputs: a refactor that keeps behaviour keeps these.
+
+Each run compares the learned edges, the partition and the merge sequence
+exactly against ``golden_outputs.json``.  A change that moves them on
+purpose re-pins with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+and names the re-pin and its reason in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from bnsl.pipeline import PipelineConfig, run_pipeline
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden_outputs.json"
+NETWORKS_DIR = HERE.parent / "networks"
+
+RUNS = [("alarm", seed, learner) for seed in (0, 1, 2)
+        for learner in ("modelavg", "greedy")] + [("insurance", 0, "modelavg")]
+
+
+def run_id(network: str, seed: int, learner: str) -> str:
+    return f"{network}-seed{seed}-{learner}"
+
+
+def pinned_outputs(network: str, seed: int, learner: str) -> dict:
+    result = run_pipeline(PipelineConfig(
+        network=str(NETWORKS_DIR / f"{network}.net"), n_samples=20000,
+        seed=seed, learner=learner))
+    return {"edges": [list(e) for e in result.structure.edges],
+            "communities": [list(c) for c in result.partition.communities],
+            "merge_sequence": result.run_report["merge_sequence"]}
+
+
+@pytest.mark.parametrize("network,seed,learner", RUNS,
+                         ids=[run_id(*r) for r in RUNS])
+def test_pipeline_matches_pinned_outputs(network, seed, learner):
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))[run_id(network, seed, learner)]
+    got = pinned_outputs(network, seed, learner)
+    assert got["communities"] == want["communities"]
+    assert got["edges"] == want["edges"]
+    assert got["merge_sequence"] == want["merge_sequence"]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    pins = {run_id(*r): pinned_outputs(*r) for r in RUNS}
+    lines = [f" {json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
+             for k, v in pins.items()]
+    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
