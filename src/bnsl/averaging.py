@@ -10,6 +10,11 @@ with U ranging over predecessor subsets up to ``max_parents``.  The order
 itself is integrated out by Metropolis-Hastings over transpositions (or
 exactly, for small node sets, by enumerating every order weighted by its
 marginal likelihood).
+
+One ``_OrderScorer`` per learning window serves all of these: it memoizes,
+by (child, predecessor set), the log normalizer of the sum above and the
+child's row of edge posteriors, so the per-order, exact and sampled
+posteriors and the order marginal are sums or column fills of shared terms.
 """
 
 from __future__ import annotations
@@ -137,37 +142,56 @@ def bdeu_family_score(data: DiscreteDataset, child: int, parents,
     return float(score)
 
 
-def _child_stats(cache: ScoreCache, child: int, preds: frozenset[int],
-                 max_parents: int, budget: int,
-                 memo: dict | None = None) -> tuple[float, dict[int, float]]:
-    """Log normalizer and per-parent inclusion log-sums for one child.
+class _OrderScorer:
+    """Order scores of one learning window, memoized by (child, predecessors).
 
-    Enumerates every predecessor subset up to ``max_parents`` once; results
-    are memoized by (child, predecessor set) when ``memo`` is given.
+    ``child(c, P)`` enumerates the subsets of P up to ``max_parents`` once,
+    through the score cache, and keeps log Z = log sum_U exp(score(c, U))
+    with the row P(j -> c | P) over the window's sorted nodes.  The order
+    functions below are all sums or column fills of these memoized terms.
     """
-    key = (child, preds)
-    if memo is not None and key in memo:
-        return memo[key]
-    ps = sorted(preds)
-    total = sum(math.comb(len(ps), s) for s in range(0, max_parents + 1)
-                if s <= len(ps))
-    if total > budget:
-        raise BudgetExceeded(
-            f"child {child}: {total} parent sets exceed the budget of {budget}")
-    scores = []
-    incl: dict[int, list[float]] = {j: [] for j in ps}
-    for size in range(0, min(max_parents, len(ps)) + 1):
-        for u in itertools.combinations(ps, size):
-            s = cache.family_score(child, u)
-            scores.append(s)
-            for j in u:
-                incl[j].append(s)
-    logz = float(logsumexp(scores))
-    by_parent = {j: float(logsumexp(v)) if v else -np.inf for j, v in incl.items()}
-    out = (logz, by_parent)
-    if memo is not None:
-        memo[key] = out
-    return out
+
+    def __init__(self, cache: ScoreCache, nodes, max_parents: int, budget: int):
+        self.cache = cache
+        self.nodes = tuple(sorted(nodes))
+        self.pos = {v: a for a, v in enumerate(self.nodes)}
+        self.max_parents = max_parents
+        self.budget = budget
+        self._memo: dict[tuple[int, frozenset[int]], tuple[float, np.ndarray]] = {}
+
+    def child(self, c: int, preds: frozenset[int]) -> tuple[float, np.ndarray]:
+        key = (c, preds)
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = self._enumerate(c, sorted(preds))
+        return got
+
+    def _enumerate(self, c: int, ps: list[int]) -> tuple[float, np.ndarray]:
+        top = min(self.max_parents, len(ps))
+        total = sum(math.comb(len(ps), s) for s in range(top + 1))
+        if total > self.budget:
+            raise BudgetExceeded(
+                f"child {c}: {total} parent sets exceed the budget of {self.budget}")
+        sets = [u for size in range(top + 1) for u in itertools.combinations(ps, size)]
+        scores = [self.cache.family_score(c, u) for u in sets]
+        logz = float(logsumexp(scores))
+        members = np.array([self.pos[j] for u in sets for j in u], dtype=np.intp)
+        weights = np.repeat(np.exp(np.array(scores) - logz), [len(u) for u in sets])
+        return logz, np.bincount(members, weights, minlength=len(self.nodes))
+
+    def log_marginal(self, order) -> float:
+        """log P(D | order), the per-child log Z added from first to last."""
+        total = 0.0
+        for p, c in enumerate(order):
+            total += self.child(c, frozenset(order[:p]))[0]
+        return total
+
+    def posterior(self, order) -> np.ndarray:
+        """Edge posteriors given the order; column of c is P(. -> c)."""
+        mat = np.zeros((len(self.nodes), len(self.nodes)))
+        for p, c in enumerate(order):
+            mat[:, self.pos[c]] = self.child(c, frozenset(order[:p]))[1]
+        return mat
 
 
 def _resolve(data, nodes, ess, cache) -> tuple[tuple[int, ...], ScoreCache]:
@@ -195,15 +219,8 @@ def feature_posterior_given_order(data: DiscreteDataset, order,
     """
     order = tuple(int(v) for v in order)
     _, cache = _resolve(data, order, ess, cache)
-    nodes = tuple(sorted(order))
-    pos = {v: a for a, v in enumerate(nodes)}
-    mat = np.zeros((len(nodes), len(nodes)))
-    for p, child in enumerate(order):
-        preds = frozenset(order[:p])
-        logz, by_parent = _child_stats(cache, child, preds, max_parents, budget)
-        for j, lj in by_parent.items():
-            mat[pos[j], pos[child]] = math.exp(lj - logz)
-    return EdgePosterior(nodes, mat)
+    scorer = _OrderScorer(cache, order, max_parents, budget)
+    return EdgePosterior(scorer.nodes, scorer.posterior(order))
 
 
 def order_log_marginal(data: DiscreteDataset, order, max_parents: int = 3,
@@ -212,11 +229,7 @@ def order_log_marginal(data: DiscreteDataset, order, max_parents: int = 3,
     """log P(D | order): per-child log-sum over admissible parent sets."""
     order = tuple(int(v) for v in order)
     _, cache = _resolve(data, order, ess, cache)
-    total = 0.0
-    for p, child in enumerate(order):
-        logz, _ = _child_stats(cache, child, frozenset(order[:p]), max_parents, budget)
-        total += logz
-    return total
+    return _OrderScorer(cache, order, max_parents, budget).log_marginal(order)
 
 
 def exact_order_average(data: DiscreteDataset, nodes=None, max_parents: int = 3,
@@ -229,25 +242,12 @@ def exact_order_average(data: DiscreteDataset, nodes=None, max_parents: int = 3,
     nodes, cache = _resolve(data, nodes, ess, cache)
     if len(nodes) > 8:
         raise InvalidInput("exact averaging is limited to 8 nodes")
-    memo: dict = {}
-    logw = []
-    mats = []
-    for perm in itertools.permutations(sorted(nodes)):
-        total = 0.0
-        mat = np.zeros((len(nodes), len(nodes)))
-        pos = {v: a for a, v in enumerate(sorted(nodes))}
-        for p, child in enumerate(perm):
-            logz, by_parent = _child_stats(cache, child, frozenset(perm[:p]),
-                                           max_parents, budget, memo)
-            total += logz
-            for j, lj in by_parent.items():
-                mat[pos[j], pos[child]] = math.exp(lj - logz)
-        logw.append(total)
-        mats.append(mat)
-    logw = np.array(logw)
+    scorer = _OrderScorer(cache, nodes, max_parents, budget)
+    perms = list(itertools.permutations(scorer.nodes))
+    logw = np.array([scorer.log_marginal(o) for o in perms])
     w = np.exp(logw - logsumexp(logw))
-    avg = np.tensordot(w, np.stack(mats), axes=1)
-    return EdgePosterior(tuple(sorted(nodes)), avg)
+    avg = np.tensordot(w, np.stack([scorer.posterior(o) for o in perms]), axes=1)
+    return EdgePosterior(scorer.nodes, avg)
 
 
 def order_mcmc(data: DiscreteDataset, T: int = 100, burn_in: int | None = None,
@@ -264,45 +264,30 @@ def order_mcmc(data: DiscreteDataset, T: int = 100, burn_in: int | None = None,
     m = len(nodes)
     if T < 1:
         raise InvalidInput("T must be >= 1")
-    sorted_nodes = tuple(sorted(nodes))
+    scorer = _OrderScorer(cache, nodes, max_parents, budget)
     if m == 1:
-        return EdgePosterior(sorted_nodes, np.zeros((1, 1)))
+        return EdgePosterior(scorer.nodes, np.zeros((1, 1)))
     if burn_in is None:
         burn_in = 10 * m
     if thin is None:
         thin = m
     rng = np.random.default_rng(seed)
-    order = [sorted_nodes[k] for k in rng.permutation(m)]
-    memo: dict = {}
-
-    def log_marginal(o) -> float:
-        total = 0.0
-        for p, child in enumerate(o):
-            logz, _ = _child_stats(cache, child, frozenset(o[:p]),
-                                   max_parents, budget, memo)
-            total += logz
-        return total
-
-    cur = log_marginal(order)
+    order = [scorer.nodes[k] for k in rng.permutation(m)]
+    cur = scorer.log_marginal(order)
     acc = np.zeros((m, m))
     kept = 0
-    pos = {v: a for a, v in enumerate(sorted_nodes)}
     for step in range(1, burn_in + T * thin + 1):
         a, b = rng.choice(m, size=2, replace=False)
         order[a], order[b] = order[b], order[a]
-        new = log_marginal(order)
+        new = scorer.log_marginal(order)
         if math.log(rng.random()) < new - cur:
             cur = new
         else:
             order[a], order[b] = order[b], order[a]
         if step > burn_in and (step - burn_in) % thin == 0:
-            for p, child in enumerate(order):
-                logz, by_parent = _child_stats(cache, child, frozenset(order[:p]),
-                                               max_parents, budget, memo)
-                for j, lj in by_parent.items():
-                    acc[pos[j], pos[child]] += math.exp(lj - logz)
+            acc += scorer.posterior(order)
             kept += 1
-    return EdgePosterior(sorted_nodes, acc / kept)
+    return EdgePosterior(scorer.nodes, acc / kept)
 
 
 def threshold_edges(post: EdgePosterior, t_avg: float = 0.5,
@@ -329,15 +314,12 @@ def threshold_edges(post: EdgePosterior, t_avg: float = 0.5,
 
 
 def greedy_learn(data: DiscreteDataset, nodes=None, max_parents: int = 3,
-                 ess: float = 10.0, seed: int = 0,
-                 cache: ScoreCache | None = None) -> LocalStructure:
+                 ess: float = 10.0, cache: ScoreCache | None = None) -> LocalStructure:
     """Steepest-ascent hill climbing with add/delete/reverse moves.
 
     The search is fully deterministic (fixed move ordering, ties to the
-    lexicographically smallest move); ``seed`` is accepted for interface
-    parity with :func:`order_mcmc` and ignored.
+    lexicographically smallest move).
     """
-    del seed
     nodes, cache = _resolve(data, nodes, ess, cache)
     nodes = tuple(sorted(nodes))
     parents: dict[int, set[int]] = {v: set() for v in nodes}
@@ -416,7 +398,6 @@ class LearnerConfig:
     T: int = 100
     burn_in: int | None = None
     thin: int | None = None
-    budget: int = DEFAULT_SUBSET_BUDGET
 
     def __post_init__(self):
         if self.learner not in ("modelavg", "greedy"):
@@ -428,11 +409,10 @@ def learn_structure(data: DiscreteDataset, nodes, config: LearnerConfig,
                     provenance: str | None = None) -> LocalStructure:
     """Run the configured learner on a node subset."""
     if config.learner == "greedy":
-        s = greedy_learn(data, nodes, config.max_parents, config.ess, seed, cache)
+        s = greedy_learn(data, nodes, config.max_parents, config.ess, cache)
     else:
         post = order_mcmc(data, config.T, config.burn_in, config.thin,
-                          config.max_parents, config.ess, seed, nodes, cache,
-                          config.budget)
+                          config.max_parents, config.ess, seed, nodes, cache)
         s = threshold_edges(post, config.t_avg)
     if provenance is not None:
         s = LocalStructure(s.nodes, s.edges, s.support, provenance)

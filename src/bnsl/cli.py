@@ -17,10 +17,10 @@ from pathlib import Path
 from .averaging import load_structure, save_structure
 from .data import forward_sample, load_dataset, load_network, save_dataset
 from .errors import PipelineStageError
-from .evaluate import score_structure
+from .evaluate import partition_diagnostics, score_structure
 from .merge import merge_all
 from .partition import consensus_partition, load_partition, save_partition
-from .pipeline import (PipelineConfig, build_substrate, derive_seed, diagnose,
+from .pipeline import (PipelineConfig, build_substrate, derive_seed,
                        learn_communities, run_pipeline, structure_from_dict,
                        structure_to_dict)
 
@@ -163,7 +163,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         cfg = _config(args, dataset=args.dataset)
         data = load_dataset(cfg.dataset)
         part = load_partition(args.partition)
-        _write_json(diagnose(part, build_substrate(data, cfg.substrate_fn)), args.out)
+        _write_json(partition_diagnostics(part, build_substrate(data, cfg.substrate_fn)),
+                    args.out)
     return 0
 
 

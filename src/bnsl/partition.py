@@ -250,14 +250,20 @@ def consensus_partition(data: DiscreteDataset,
     second-order network, which is clustered the same way.  Communities
     larger than ``max_comm`` are re-partitioned recursively on their own
     columns; if that stalls, the weakest edges of the community's MI
-    subgraph are dropped until it splits.
+    subgraph are dropped until it splits.  A constant (zero-entropy)
+    variable shares information with nothing and gets its own singleton
+    community; with fewer than two varying variables all are singletons.
     """
     if not fns:
         raise InvalidInput("need at least one weight function")
-    part = _consensus_once(data, fns, t_co)
-    out: list[tuple[int, ...]] = []
-    for c in part.communities:
-        out.extend(_capped(data, c, fns, t_co, max_comm, depth=2))
+    varying = [v for v in range(data.n_vars) if np.unique(data.column(v)).size > 1]
+    if len(varying) < 2:
+        return Partition(data.n_vars, tuple((v,) for v in range(data.n_vars)))
+    out: list[tuple[int, ...]] = [(v,) for v in range(data.n_vars) if v not in varying]
+    sub = data if len(varying) == data.n_vars else data.select(varying)  # select copies
+    for c in _consensus_once(sub, fns, t_co).communities:
+        mapped = tuple(varying[k] for k in c)
+        out.extend(_capped(data, mapped, fns, t_co, max_comm, depth=2))
     return Partition(data.n_vars, tuple(sorted(set(out))))
 
 

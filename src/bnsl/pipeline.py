@@ -21,7 +21,7 @@ from .blankets import community_blanket, inner_markov_graph, rnn_sample
 from .data import (DiscreteDataset, GroundTruthNet, forward_sample,
                    load_dataset, load_network, save_dataset)
 from .errors import InvalidInput, PipelineStageError
-from .evaluate import EvalReport, partition_diagnostics, score_structure
+from .evaluate import EvalReport, score_structure
 from .merge import MergeResult, ensemble_subcommunities, merge_all, resolve
 from .partition import Partition, consensus_partition, save_partition
 from .weights import (WEIGHT_FUNCTIONS, WeightedGraph, elbow_truncate,
@@ -231,7 +231,3 @@ def _emit(config, data, substrate, partition, pool, merged, report, run_report):
         json.dumps(run_report, indent=2, sort_keys=True), encoding="utf-8")
     if report is not None:
         (out / "evaluation.json").write_text(report.to_json(), encoding="utf-8")
-
-
-def diagnose(partition: Partition, substrate: WeightedGraph) -> dict:
-    return partition_diagnostics(partition, substrate)

@@ -1,9 +1,11 @@
 """BDeu scoring, order-conditional posteriors, MCMC, and greedy search."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from bnsl.averaging import (EdgePosterior, LearnerConfig, LocalStructure,
                             ScoreCache, bdeu_family_score,
@@ -112,6 +114,27 @@ class TestOrderPosteriors:
         assert np.isfinite(a) and np.isfinite(b)
         # the generative order should not be less likely
         assert a >= b - 1e-9
+
+    def test_matches_per_parent_reference(self):
+        # reference: one log-sum-exp over the parent sets holding each parent
+        rng = np.random.default_rng(56)
+        data = forward_sample(random_binary_net(rng, 5, arc_prob=0.6), 400, seed=10)
+        order = [3, 0, 4, 1, 2]
+        for k in (1, 2):
+            mat = feature_posterior_given_order(data, order, max_parents=k).matrix
+            total = 0.0
+            for p, child in enumerate(order):
+                sets = [u for size in range(min(k, p) + 1)
+                        for u in itertools.combinations(order[:p], size)]
+                scores = [bdeu_family_score(data, child, u) for u in sets]
+                logz = logsumexp(scores)
+                total += logz
+                for j in order[:p]:
+                    held = [s for u, s in zip(sets, scores) if j in u]
+                    assert mat[j, child] == pytest.approx(
+                        math.exp(logsumexp(held) - logz), abs=1e-12)
+            assert order_log_marginal(data, order, max_parents=k) == \
+                pytest.approx(total, abs=1e-9)
 
     def test_budget_exceeded(self, chain_data):
         with pytest.raises(BudgetExceeded):
@@ -225,12 +248,13 @@ class TestGreedyLearn:
             indeg[c] += 1
         assert max(indeg.values()) <= 2
 
-    def test_seed_is_ignored(self, chain_data):
-        assert greedy_learn(chain_data, seed=0) == \
-            greedy_learn(chain_data, seed=99)
-
 
 class TestLearnStructure:
+    def test_seed_is_ignored(self, chain_data):
+        config = LearnerConfig(learner="greedy")
+        assert learn_structure(chain_data, None, config, seed=0) == \
+            learn_structure(chain_data, None, config, seed=99)
+
     def test_greedy_dispatch(self, chain_data):
         config = LearnerConfig(learner="greedy")
         direct = greedy_learn(chain_data, max_parents=config.max_parents,

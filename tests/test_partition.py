@@ -161,6 +161,24 @@ class TestConsensusPartition:
         assert consensus_partition(data).communities == \
             consensus_partition(data).communities
 
+    def test_constant_column_gets_a_singleton(self):
+        net = random_binary_net(np.random.default_rng(32), 8, sharp=True)
+        samples = forward_sample(net, 3000, seed=3).samples.copy()
+        samples[:, 3] = 0
+        data = DiscreteDataset([f"v{k}" for k in range(8)], [2] * 8, samples)
+        p = consensus_partition(data)
+        assert [c for c in p.communities if 3 in c] == [(3,)]
+        rest = [v for v in range(8) if v != 3]
+        without = consensus_partition(data.select(rest))
+        assert set(p.communities) - {(3,)} == \
+            {tuple(rest[k] for k in c) for c in without.communities}
+
+    def test_fewer_than_two_varying_columns_give_singletons(self):
+        samples = np.column_stack([np.zeros(50), np.arange(50) % 2,
+                                   np.ones(50)]).astype(np.int32)
+        data = DiscreteDataset(["a", "b", "c"], [2] * 3, samples)
+        assert consensus_partition(data).communities == ((0,), (1,), (2,))
+
     def test_max_comm_cap_enforced(self):
         # twelve noisy copies of one variable form a single dense block
         rng = np.random.default_rng(33)
