@@ -32,9 +32,9 @@ from .partition import (Partition, PartitionSupportMatrix, build_psm,
                         load_partition, save_partition, second_order_network)
 from .pipeline import (PipelineConfig, PipelineResult, build_substrate,
                        derive_seed, load_inputs, run_pipeline)
-from .weights import (WEIGHT_FUNCTIONS, ElbowResult, WeightedGraph,
+from .weights import (WEIGHT_FUNCTIONS, ElbowResult, PairStats, WeightedGraph,
                       elbow_truncate, entropy, load_weighted_graph,
-                      mutual_information, pagerank, save_weighted_graph,
-                      weight_matrix)
+                      mutual_information, pagerank, pair_stats,
+                      save_weighted_graph, weight_matrix)
 
 __version__ = "0.1.0"

@@ -121,7 +121,12 @@ class GroundTruthNet:
 
 @dataclass(eq=False)
 class DiscreteDataset:
-    """Complete discrete samples: an ``(N, V)`` integer matrix plus schema."""
+    """Complete discrete samples: an ``(N, V)`` integer matrix plus schema.
+
+    ``samples`` is a read-only int32 copy in column-major (Fortran) order,
+    so ``column(i)``, which MI, entropy, CMI and BDeu counts read, is a
+    contiguous view.
+    """
 
     names: tuple[str, ...]
     cardinalities: tuple[int, ...]
@@ -139,7 +144,7 @@ class DiscreteDataset:
         a = np.asarray(self.samples)
         if a.ndim != 2 or a.shape[1] != len(self.names):
             raise InvalidInput(f"samples must be (N, {len(self.names)})")
-        a = a.astype(np.int32, copy=True)
+        a = np.array(a, dtype=np.int32, order="F")
         for j, c in enumerate(self.cardinalities):
             col = a[:, j]
             if col.size and (col.min() < 0 or col.max() >= c):
@@ -316,7 +321,7 @@ def forward_sample(net: GroundTruthNet, n: int, seed: int) -> DiscreteDataset:
         raise InvalidInput("n must be >= 0")
     rng = np.random.default_rng(seed)
     cards = net.cardinalities
-    out = np.zeros((n, net.n_vars), dtype=np.int32)
+    out = np.zeros((n, net.n_vars), dtype=np.int32, order="F")
     for i in net.topological_order():
         pars = net.parents_of(i)
         cfg = np.zeros(n, dtype=np.int64)

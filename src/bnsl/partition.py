@@ -22,7 +22,8 @@ import numpy as np
 
 from .data import DiscreteDataset
 from .errors import InvalidInput
-from .weights import WEIGHT_FUNCTIONS, WeightedGraph, elbow_truncate, weight_matrix
+from .weights import (WEIGHT_FUNCTIONS, PairStats, WeightedGraph, elbow_truncate,
+                      pair_stats, weight_matrix)
 
 
 @dataclass(frozen=True)
@@ -239,49 +240,57 @@ def second_order_network(psms: Sequence[PartitionSupportMatrix],
     return g
 
 
-def consensus_partition(data: DiscreteDataset,
+def consensus_partition(source: DiscreteDataset | PairStats,
                         fns: Sequence[str] = WEIGHT_FUNCTIONS,
                         t_co: float = 0.5,
                         max_comm: int = 25) -> Partition:
     """Second-order consensus partition of the dataset's variables.
 
-    One overlapping partition is built per weight function (all-pairs
-    weights, elbow truncation, link communities); their agreement forms the
+    ``source`` is a dataset or its :class:`~bnsl.weights.PairStats`; pass
+    the stats to reuse MI already computed for other weight graphs.  One
+    overlapping partition is built per weight function (all-pairs weights,
+    elbow truncation, link communities); their agreement forms the
     second-order network, which is clustered the same way.  Communities
     larger than ``max_comm`` are re-partitioned recursively on their own
-    columns; if that stalls, the weakest edges of the community's MI
-    subgraph are dropped until it splits.  A constant (zero-entropy)
-    variable shares information with nothing and gets its own singleton
-    community; with fewer than two varying variables all are singletons.
+    columns (a slice of the same stats); if that stalls, the weakest edges
+    of the community's MI subgraph are dropped until it splits.  A
+    constant (zero-entropy) variable shares information with nothing and
+    gets its own singleton community; with fewer than two varying
+    variables (an empty dataset has none) all are singletons.
     """
     if not fns:
         raise InvalidInput("need at least one weight function")
-    varying = [v for v in range(data.n_vars) if np.unique(data.column(v)).size > 1]
+    n = source.n_vars
+    data = source.data if isinstance(source, PairStats) else source
+    if data.n_rows == 0:
+        return Partition(n, tuple((v,) for v in range(n)))
+    stats = pair_stats(source)
+    varying = [v for v in range(n) if stats.h[v] > 0]
     if len(varying) < 2:
-        return Partition(data.n_vars, tuple((v,) for v in range(data.n_vars)))
-    out: list[tuple[int, ...]] = [(v,) for v in range(data.n_vars) if v not in varying]
-    sub = data if len(varying) == data.n_vars else data.select(varying)  # select copies
+        return Partition(n, tuple((v,) for v in range(n)))
+    out: list[tuple[int, ...]] = [(v,) for v in range(n) if v not in varying]
+    sub = stats if len(varying) == n else stats.select(varying)
     for c in _consensus_once(sub, fns, t_co).communities:
         mapped = tuple(varying[k] for k in c)
-        out.extend(_capped(data, mapped, fns, t_co, max_comm, depth=2))
-    return Partition(data.n_vars, tuple(sorted(set(out))))
+        out.extend(_capped(stats, mapped, fns, t_co, max_comm, depth=2))
+    return Partition(n, tuple(sorted(set(out))))
 
 
-def _consensus_once(data: DiscreteDataset, fns: Sequence[str], t_co: float) -> Partition:
+def _consensus_once(stats: PairStats, fns: Sequence[str], t_co: float) -> Partition:
     partitions = []
     for fn in fns:
-        pruned = elbow_truncate(weight_matrix(data, fn)).pruned
+        pruned = elbow_truncate(weight_matrix(stats, fn)).pruned
         partitions.append(link_communities(pruned))
-    psms = [build_psm(partitions, v) for v in range(data.n_vars)]
+    psms = [build_psm(partitions, v) for v in range(stats.n_vars)]
     return link_communities(second_order_network(psms, t_co))
 
 
-def _capped(data: DiscreteDataset, community: tuple[int, ...], fns: Sequence[str],
+def _capped(stats: PairStats, community: tuple[int, ...], fns: Sequence[str],
             t_co: float, max_comm: int, depth: int) -> list[tuple[int, ...]]:
     if len(community) <= max_comm:
         return [community]
     nodes = list(community)
-    sub = data.select(nodes)
+    sub = stats.select(nodes)
     if depth > 0:
         try:
             subpart = _consensus_once(sub, fns, t_co)
@@ -291,12 +300,12 @@ def _capped(data: DiscreteDataset, community: tuple[int, ...], fns: Sequence[str
             out: list[tuple[int, ...]] = []
             for c in subpart.communities:
                 mapped = tuple(nodes[k] for k in c)
-                out.extend(_capped(data, mapped, fns, t_co, max_comm, depth - 1))
+                out.extend(_capped(stats, mapped, fns, t_co, max_comm, depth - 1))
             return out
     return [tuple(nodes[k] for k in c) for c in _tighten_split(sub, max_comm)]
 
 
-def _tighten_split(sub: DiscreteDataset, max_comm: int) -> list[tuple[int, ...]]:
+def _tighten_split(sub: PairStats, max_comm: int) -> list[tuple[int, ...]]:
     """Split by dropping the weakest MI edges until every part fits."""
     g = weight_matrix(sub, "MI")
     while True:

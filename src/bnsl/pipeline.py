@@ -24,8 +24,8 @@ from .errors import InvalidInput, PipelineStageError
 from .evaluate import EvalReport, score_structure
 from .merge import MergeResult, ensemble_subcommunities, merge_all, resolve
 from .partition import Partition, consensus_partition, save_partition
-from .weights import (WEIGHT_FUNCTIONS, WeightedGraph, elbow_truncate,
-                      save_weighted_graph, weight_matrix)
+from .weights import (WEIGHT_FUNCTIONS, PairStats, WeightedGraph, elbow_truncate,
+                      pair_stats, save_weighted_graph, weight_matrix)
 
 log = logging.getLogger("bnsl.pipeline")
 
@@ -133,9 +133,9 @@ def load_inputs(config: PipelineConfig) -> tuple[DiscreteDataset, GroundTruthNet
     raise InvalidInput("config needs 'network' or 'dataset'")
 
 
-def build_substrate(data: DiscreteDataset, fn: str = "MI") -> WeightedGraph:
+def build_substrate(source: DiscreteDataset | PairStats, fn: str = "MI") -> WeightedGraph:
     """Elbow-pruned weight graph used for blanket candidacy and triplets."""
-    return elbow_truncate(weight_matrix(data, fn)).pruned
+    return elbow_truncate(weight_matrix(source, fn)).pruned
 
 
 def learn_communities(data: DiscreteDataset, partition: Partition,
@@ -187,9 +187,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     run_report: dict = {"config": json.loads(config.to_json())}
 
     data, truth = stages.run("data", lambda: load_inputs(config))
-    substrate = stages.run("weights", lambda: build_substrate(data, config.substrate_fn))
+
+    def weights():
+        stats = pair_stats(data)  # shared by the substrate and the partition
+        return stats, build_substrate(stats, config.substrate_fn)
+
+    stats, substrate = stages.run("weights", weights)
     partition = stages.run("partition", lambda: consensus_partition(
-        data, config.weight_fns, config.t_co, config.max_comm))
+        stats, config.weight_fns, config.t_co, config.max_comm))
     run_report["partition"] = [list(c) for c in partition.communities]
 
     cache = ScoreCache(data, config.ess)

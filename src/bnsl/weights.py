@@ -11,12 +11,22 @@ codes:
     MI_sn       MI standardized over all pair weights (zero mean, unit std)
     Pearson     |rho| on integer state codes
     Pearson_sn  |rho| standardized over all pair weights
+
+The five MI functions derive from one :class:`PairStats`: the MI of every
+pair and the entropy of every column, each computed once per dataset by
+:func:`pair_stats`.  MI and MI_sn read the MI matrix, MI_plus and MI_sqrt
+divide it elementwise by the entropies, and MI_pr divides it by the
+PageRank of the MI graph.  Share one ``PairStats`` between callers (and
+slice it with :meth:`PairStats.select` for a column subset) to avoid
+recomputing MI; a dataset passed instead gets a fresh ``PairStats``.  The
+Pearson functions read the samples of the stats' own dataset.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -145,58 +155,110 @@ def pagerank(g: WeightedGraph, damping: float = 0.85, tol: float = 1e-10) -> np.
         v = nxt
 
 
-def weight_matrix(data: DiscreteDataset, fn: str) -> WeightedGraph:
+@dataclass(frozen=True, eq=False)
+class PairStats:
+    """A dataset with the MI of every column pair and the entropy of every column.
+
+    ``mi`` is the symmetric ``(V, V)`` matrix of :func:`mutual_information`
+    (zero diagonal) and ``h`` the ``(V,)`` column entropies in nats; both
+    are read-only.
+    """
+
+    data: DiscreteDataset
+    mi: np.ndarray = field(repr=False)
+    h: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        n = self.data.n_vars
+        if self.mi.shape != (n, n) or self.h.shape != (n,):
+            raise InvalidInput(f"pair statistics must be ({n}, {n}) and ({n},)")
+        self.mi.flags.writeable = False
+        self.h.flags.writeable = False
+
+    @property
+    def n_vars(self) -> int:
+        return self.data.n_vars
+
+    def select(self, indices: Sequence[int]) -> "PairStats":
+        """Column subset in the given order, like :meth:`DiscreteDataset.select`.
+
+        Each pair keeps the MI computed on this dataset.  For ascending
+        ``indices`` every weight then equals, bit for bit, one computed on
+        ``data.select(indices)``; a reordering can differ from that in the
+        last bits, because MI(i, j) and MI(j, i) add the same terms in
+        transposed order.
+        """
+        idx = list(indices)
+        return PairStats(self.data.select(idx), self.mi[np.ix_(idx, idx)], self.h[idx])
+
+
+def pair_stats(source: DiscreteDataset | PairStats) -> PairStats:
+    """MI of every pair i < j and entropy of every column; stats pass through."""
+    if isinstance(source, PairStats):
+        return source
+    data = source
+    if data.n_rows == 0:
+        raise InvalidInput("dataset is empty")
+    n = data.n_vars
+    mi = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            mi[i, j] = mi[j, i] = mutual_information(data, i, j)
+    h = np.array([entropy(np.bincount(data.column(i), minlength=data.cardinalities[i]))
+                  for i in range(n)])
+    return PairStats(data, mi, h)
+
+
+def weight_matrix(source: DiscreteDataset | PairStats, fn: str) -> WeightedGraph:
     """All-pairs weights under one of the seven functions.
 
-    The returned graph carries every pair (i, j), i < j.  Functions with an
-    entropy denominator reject zero-entropy variables; the standardized
-    variants reject an all-equal weight multiset.
+    ``source`` is a dataset or its :class:`PairStats`.  The returned graph
+    carries every pair (i, j), i < j, in lexicographic order.  Functions
+    with an entropy denominator reject zero-entropy variables; the
+    standardized variants reject an all-equal weight multiset.
     """
     if fn not in WEIGHT_FUNCTIONS:
         raise InvalidInput(f"unknown weight function '{fn}'")
-    n = data.n_vars
+    n = source.n_vars
     if n < 2:
         raise InvalidInput("need at least 2 variables")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     if fn in ("Pearson", "Pearson_sn"):
+        data = source.data if isinstance(source, PairStats) else source
         with np.errstate(invalid="ignore", divide="ignore"):
             corr = np.corrcoef(data.samples.T.astype(np.float64))
-        corr = np.nan_to_num(corr, nan=0.0)  # constant columns carry no signal
-        w = {(i, j): abs(float(corr[i, j])) for i, j in pairs}
-        if fn == "Pearson_sn":
-            w = _standardize(w)
-        return WeightedGraph(n, w)
-
-    mi = {(i, j): mutual_information(data, i, j) for i, j in pairs}
-    if fn == "MI":
-        return WeightedGraph(n, mi)
-    if fn == "MI_sn":
-        return WeightedGraph(n, _standardize(mi))
-    if fn == "MI_pr":
-        pr = pagerank(WeightedGraph(n, mi))
-        w = {(i, j): v / math.sqrt(pr[i] * pr[j]) for (i, j), v in mi.items()}
-        return WeightedGraph(n, w)
-
-    h = np.array([entropy(np.bincount(data.column(i), minlength=data.cardinalities[i]))
-                  for i in range(n)])
-    for i in range(n):
-        if h[i] <= 0:
-            raise InvalidInput(
-                f"variable '{data.names[i]}' has zero entropy; '{fn}' is undefined")
-    if fn == "MI_plus":
-        w = {(i, j): 2.0 * v / (h[i] + h[j]) for (i, j), v in mi.items()}
-    else:  # MI_sqrt
-        w = {(i, j): v / math.sqrt(h[i] * h[j]) for (i, j), v in mi.items()}
-    return WeightedGraph(n, w)
+        w = np.abs(np.nan_to_num(corr, nan=0.0))  # constant columns carry no signal
+    else:
+        stats = pair_stats(source)
+        w, h = stats.mi, stats.h
+        if fn == "MI_pr":
+            pr = pagerank(_pair_graph(w))
+            w = w / np.sqrt(np.outer(pr, pr))
+        elif fn in ("MI_plus", "MI_sqrt"):
+            zero = np.flatnonzero(h <= 0)
+            if zero.size:
+                raise InvalidInput(f"variable '{stats.data.names[zero[0]]}' has zero "
+                                   f"entropy; '{fn}' is undefined")
+            w = 2.0 * w / (h[:, None] + h) if fn == "MI_plus" else w / np.sqrt(np.outer(h, h))
+    if fn.endswith("_sn"):
+        w = _standardize(w)
+    return _pair_graph(w)
 
 
-def _standardize(w: dict[tuple[int, int], float]) -> dict[tuple[int, int], float]:
-    vals = np.array(list(w.values()))
+def _pair_graph(w: np.ndarray) -> WeightedGraph:
+    """Complete graph with weight ``w[i, j]`` on every pair i < j."""
+    n = w.shape[0]
+    i, j = np.triu_indices(n, 1)  # row-major: pairs in lexicographic order
+    return WeightedGraph(n, dict(zip(zip(i.tolist(), j.tolist()), w[i, j].tolist())))
+
+
+def _standardize(w: np.ndarray) -> np.ndarray:
+    """Shift and scale by the mean and std of the pair weights (i < j)."""
+    vals = w[np.triu_indices(w.shape[0], 1)]
     mu, sd = float(vals.mean()), float(vals.std())
     if sd == 0:
         raise InvalidInput("all pair weights are equal; standardization is undefined")
-    return {k: (v - mu) / sd for k, v in w.items()}
+    return (w - mu) / sd
 
 
 class ElbowResult(NamedTuple):

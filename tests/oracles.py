@@ -88,6 +88,47 @@ def pagerank_of(g, damping: float = 0.85, tol: float = 1e-10) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Pair weights, one scalar statistic per pair.
+# ---------------------------------------------------------------------------
+
+def pair_weights_of(data, fn: str) -> dict[tuple[int, int], float]:
+    """Every pair's weight from scalar per-pair and per-column statistics.
+
+    Unlike the other helpers, this one shares bnsl's scalar primitives
+    (``mutual_information``, ``entropy``, ``pagerank``): it is the
+    bit-exact reference for how the seven functions combine them.  Each
+    pair's MI is computed on its own, the normalizations are scalar
+    arithmetic in a dict loop, and Pearson is ``np.corrcoef`` on a
+    row-major copy of the samples.
+    """
+    from bnsl.weights import WeightedGraph, entropy, mutual_information, pagerank
+
+    n = data.n_vars
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if fn in ("Pearson", "Pearson_sn"):
+        rows = np.ascontiguousarray(data.samples)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            corr = np.nan_to_num(np.corrcoef(rows.T.astype(np.float64)), nan=0.0)
+        w = {(i, j): abs(float(corr[i, j])) for i, j in pairs}
+    else:
+        w = {(i, j): mutual_information(data, i, j) for i, j in pairs}
+        h = [entropy(np.bincount(data.column(i), minlength=data.cardinalities[i]))
+             for i in range(n)]
+        if fn == "MI_pr":
+            pr = pagerank(WeightedGraph(n, w))
+            w = {(i, j): v / math.sqrt(pr[i] * pr[j]) for (i, j), v in w.items()}
+        elif fn == "MI_plus":
+            w = {(i, j): 2.0 * v / (h[i] + h[j]) for (i, j), v in w.items()}
+        elif fn == "MI_sqrt":
+            w = {(i, j): v / math.sqrt(h[i] * h[j]) for (i, j), v in w.items()}
+    if fn.endswith("_sn"):
+        vals = np.array(list(w.values()))
+        mu, sd = float(vals.mean()), float(vals.std())
+        w = {k: (v - mu) / sd for k, v in w.items()}
+    return w
+
+
+# ---------------------------------------------------------------------------
 # Equal-frequency codes by sorting and bisection.
 # ---------------------------------------------------------------------------
 

@@ -8,7 +8,7 @@ from bnsl.cli import main
 from bnsl.data import load_dataset, save_network
 from bnsl.partition import load_partition
 
-from conftest import chain3
+from conftest import NETWORKS_DIR, chain3
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +100,32 @@ def test_learner_override_lands_in_report(workdir, config_file, capsys):
     assert code == 0
     run_report = json.loads(capsys.readouterr().out)
     assert run_report["config"]["learner"] == "greedy"
+
+
+def test_stage_by_stage_matches_pipeline(tmp_path, capsys):
+    # the pipeline shares one PairStats between its stages; the stage
+    # subcommands rebuild everything from the saved TSV dataset
+    net = str(NETWORKS_DIR / "alarm.net")
+    data, part = tmp_path / "data.tsv", tmp_path / "partition.txt"
+    structures, edges = tmp_path / "structures.json", tmp_path / "staged.edges"
+    assert main(["sample", "--network", net, "--n", "20000", "--seed", "0",
+                 "--out", str(data)]) == 0
+    assert main(["partition", "--dataset", str(data), "--out", str(part)]) == 0
+    assert main(["learn", "--dataset", str(data), "--partition", str(part),
+                 "--seed", "0", "--out", str(structures)]) == 0
+    assert main(["merge", "--dataset", str(data), "--structures", str(structures),
+                 "--seed", "0", "--out", str(edges)]) == 0
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"network": net, "n_samples": 20000}), encoding="utf-8")
+    emitted = tmp_path / "emitted"
+    assert main(["pipeline", "--config", str(cfg), "--seed", "0",
+                 "--emit-intermediate", str(emitted),
+                 "--out", str(tmp_path / "pipeline.edges")]) == 0
+    capsys.readouterr()
+    assert (emitted / "dataset.tsv").read_bytes() == data.read_bytes()
+    assert load_partition(part) == load_partition(emitted / "partition.txt")
+    assert edges.read_bytes() == (tmp_path / "pipeline.edges").read_bytes()
 
 
 def test_diagnose_subcommand(workdir, capsys):

@@ -217,6 +217,39 @@ class TestDiscreteDataset:
         assert list(back.names) == list(chain_data.names)
         assert np.array_equal(back.samples, chain_data.samples)
 
+    def test_columns_contiguous_and_read_only(self, tmp_path, chain_net, chain_data):
+        rows = np.array([[0, 1, 2], [1, 0, 1], [1, 1, 0], [0, 0, 2]], dtype=np.int64)
+        path = tmp_path / "data.tsv"
+        save_dataset(chain_data, path)
+        made = [DiscreteDataset(["a", "b", "c"], [2, 2, 3], rows),
+                DiscreteDataset(["a", "b", "c"], [2, 2, 3], rows.T.copy().T),
+                chain_data, chain_data.select([2, 0]), forward_sample(chain_net, 50, seed=1),
+                load_dataset(path)]
+        for ds in made:
+            assert ds.samples.dtype == np.int32
+            assert not ds.samples.flags.writeable
+            for i in range(ds.n_vars):
+                assert ds.column(i).flags.c_contiguous
+            with pytest.raises(ValueError):
+                ds.samples[..., 0] = 0
+
+    def test_samples_copied_from_input(self):
+        rows = np.zeros((5, 2), dtype=np.int32, order="F")
+        ds = DiscreteDataset(["a", "b"], [2, 2], rows)
+        rows[0, 0] = 1
+        assert ds.samples[0, 0] == 0
+
+    def test_round_trip_exact(self, tmp_path, chain_data):
+        path = tmp_path / "data.tsv"
+        save_dataset(chain_data, path)
+        back = load_dataset(path, cardinalities=chain_data.cardinalities)
+        assert back.names == chain_data.names
+        assert back.cardinalities == chain_data.cardinalities
+        assert back.samples.dtype == chain_data.samples.dtype
+        assert np.array_equal(back.samples, chain_data.samples)
+        save_dataset(back, tmp_path / "again.tsv")
+        assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
+
     def test_load_infers_cardinalities(self, tmp_path, chain_data):
         path = tmp_path / "data.tsv"
         save_dataset(chain_data, path)

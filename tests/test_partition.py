@@ -9,7 +9,7 @@ from bnsl.partition import (Partition, build_psm, co_occurrence,
                             consensus_partition, link_communities,
                             load_partition, save_partition,
                             second_order_network)
-from bnsl.weights import WeightedGraph
+from bnsl.weights import WeightedGraph, pair_stats
 
 from conftest import chain3, random_binary_net
 from oracles import link_communities_of
@@ -178,6 +178,56 @@ class TestConsensusPartition:
                                    np.ones(50)]).astype(np.int32)
         data = DiscreteDataset(["a", "b", "c"], [2] * 3, samples)
         assert consensus_partition(data).communities == ((0,), (1,), (2,))
+
+    def test_empty_dataset_gives_singletons(self):
+        data = DiscreteDataset(["a", "b", "c"], [2] * 3, np.zeros((0, 3), dtype=np.int32))
+        assert consensus_partition(data).communities == ((0,), (1,), (2,))
+
+    @staticmethod
+    def noisy_block(seed: int) -> DiscreteDataset:
+        """Eleven noisy copies of one variable plus a constant column 6."""
+        rng = np.random.default_rng(seed)
+        base = rng.integers(0, 2, size=4000)
+        cols = [(base ^ (rng.random(4000) < 0.05)).astype(np.int32) for _ in range(12)]
+        cols[6] = np.ones(4000, dtype=np.int32)
+        return DiscreteDataset([f"v{k}" for k in range(12)], [2] * 12, np.column_stack(cols))
+
+    @pytest.mark.parametrize("max_comm", [3, 4, 8])
+    def test_stats_give_the_data_partition(self, max_comm):
+        # the block re-partitions 4, 3 and 2 times and ends in a tighten-split
+        data = self.noisy_block(37)
+        p = consensus_partition(pair_stats(data), max_comm=max_comm)
+        assert p == consensus_partition(data, max_comm=max_comm)
+        assert (6,) in p.communities
+        assert max(len(c) for c in p.communities) <= max_comm
+
+    def test_one_mi_call_per_pair_through_the_recursion(self, monkeypatch):
+        import bnsl.weights as weights
+        real = weights.mutual_information
+        calls = []
+
+        def counted(data, i, j):
+            calls.append((data.names[i], data.names[j]))
+            return real(data, i, j)
+
+        monkeypatch.setattr(weights, "mutual_information", counted)
+        consensus_partition(self.noisy_block(37), max_comm=3)
+        assert len(calls) == len(set(calls)) == 12 * 11 // 2
+
+    def test_equal_weight_community_falls_back_to_a_split(self):
+        # five exact copies of x form a community whose weights are all
+        # equal, so its re-partition cannot standardize; _capped catches
+        # that and tighten-split cuts the copies instead
+        rng = np.random.default_rng(0)
+        x = rng.integers(0, 2, size=3000)
+        y = rng.integers(0, 3, size=3000)
+        cols = [x] * 5 + [(y + (rng.random(3000) < p)) % 3 for p in (0.1, 0.2, 0.3, 0.4)]
+        data = DiscreteDataset([f"v{k}" for k in range(9)], [2] * 5 + [3] * 4,
+                               np.column_stack(cols).astype(np.int32))
+        with pytest.raises(InvalidInput, match="standardization is undefined"):
+            consensus_partition(data.select(range(5)))
+        p = consensus_partition(data, max_comm=4)
+        assert p.communities == ((0, 3, 4), (1, 2, 3, 4), (5, 6, 7, 8))
 
     def test_max_comm_cap_enforced(self):
         # twelve noisy copies of one variable form a single dense block

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from bnsl.data import DiscreteDataset
+from bnsl.data import DiscreteDataset, forward_sample, load_network
 from bnsl.errors import InvalidInput
-from bnsl.weights import (WEIGHT_FUNCTIONS, WeightedGraph, elbow_truncate,
-                          entropy, load_weighted_graph, mutual_information,
-                          pagerank, save_weighted_graph, weight_matrix)
+from bnsl.weights import (WEIGHT_FUNCTIONS, PairStats, WeightedGraph,
+                          elbow_truncate, entropy, load_weighted_graph,
+                          mutual_information, pagerank, pair_stats,
+                          save_weighted_graph, weight_matrix)
 
-from oracles import entropy_of, mutual_information_of, pagerank_of
+from conftest import NETWORKS_DIR
+from oracles import entropy_of, mutual_information_of, pagerank_of, pair_weights_of
 
 
 def random_dataset(rng, n_rows, n_vars, max_card=4):
@@ -160,6 +162,118 @@ class TestWeightMatrix:
         data = random_dataset(rng, 30, 2)
         with pytest.raises(InvalidInput):
             weight_matrix(data, "nope")
+
+
+@pytest.fixture(scope="module")
+def alarm_data():
+    return forward_sample(load_network(NETWORKS_DIR / "alarm.net"), 20000, seed=0)
+
+
+def edge_dict(g: WeightedGraph) -> dict[tuple[int, int], float]:
+    return {e: g.weight(*e) for e in g.edges()}
+
+
+# ascending, as partition.py selects them (communities are sorted tuples)
+ALARM_SUBSETS = [[0, 1, 2, 3, 4, 5], [3, 8, 17, 36], [1, 5, 9, 12, 14, 21, 28, 30, 33],
+                 list(range(0, 37, 2))]
+
+
+class TestPairStats:
+    def test_matrices(self):
+        rng = np.random.default_rng(40)
+        data = random_dataset(rng, 200, 5)
+        stats = pair_stats(data)
+        assert stats.data is data and stats.n_vars == 5
+        for i in range(5):
+            assert stats.mi[i, i] == 0.0
+            assert stats.h[i] == entropy(np.bincount(data.column(i)))
+            for j in range(5):
+                if i != j:
+                    assert stats.mi[i, j] == mutual_information(data, min(i, j), max(i, j))
+        with pytest.raises(ValueError):
+            stats.mi[0, 1] = 1.0
+        with pytest.raises(ValueError):
+            stats.h[0] = 1.0
+
+    def test_stats_pass_through(self):
+        stats = pair_stats(random_dataset(np.random.default_rng(41), 60, 3))
+        assert pair_stats(stats) is stats
+
+    def test_select_slices(self):
+        rng = np.random.default_rng(42)
+        data = random_dataset(rng, 200, 6)
+        stats = pair_stats(data)
+        sub = stats.select([4, 1, 3])
+        assert sub.data.names == ("v4", "v1", "v3")
+        assert sub.mi[0, 1] == stats.mi[4, 1] and sub.mi[2, 0] == stats.mi[3, 4]
+        assert list(sub.h) == [stats.h[4], stats.h[1], stats.h[3]]
+
+    def test_shape_checked_and_empty_rejected(self):
+        data = random_dataset(np.random.default_rng(43), 30, 3)
+        with pytest.raises(InvalidInput):
+            PairStats(data, np.zeros((2, 2)), np.zeros(3))
+        empty = DiscreteDataset(["a", "b"], [2, 2], np.zeros((0, 2), dtype=np.int32))
+        with pytest.raises(InvalidInput, match="empty"):
+            pair_stats(empty)
+
+    @pytest.mark.parametrize("fn", WEIGHT_FUNCTIONS)
+    def test_weights_match_scalar_reference(self, alarm_data, fn):
+        got = weight_matrix(alarm_data, fn)
+        assert got.edges() == list(edge_dict(got))  # lexicographic pair order
+        assert edge_dict(got) == pair_weights_of(alarm_data, fn)
+
+    @pytest.mark.parametrize("fn", WEIGHT_FUNCTIONS)
+    def test_selected_stats_match_selected_data(self, alarm_data, fn):
+        stats = pair_stats(alarm_data)
+        assert edge_dict(weight_matrix(stats, fn)) == edge_dict(weight_matrix(alarm_data, fn))
+        for idx in ALARM_SUBSETS:
+            want = weight_matrix(alarm_data.select(idx), fn)
+            assert edge_dict(weight_matrix(stats.select(idx), fn)) == edge_dict(want)
+
+    def test_reordered_select_keeps_the_full_orientation(self, alarm_data):
+        # MI(i, j) and MI(j, i) add the same terms in transposed order, so a
+        # select that swaps two columns can differ from a fresh MI in the
+        # last bits; the stats keep the value computed for the full dataset
+        stats = pair_stats(alarm_data)
+        idx = [36, 3, 17, 8]
+        got = weight_matrix(stats.select(idx), "MI")
+        fresh = weight_matrix(alarm_data.select(idx), "MI")
+        for a, b in got.edges():
+            i, j = sorted((idx[a], idx[b]))
+            assert got.weight(a, b) == mutual_information(alarm_data, i, j)
+            assert got.weight(a, b) == pytest.approx(fresh.weight(a, b), rel=1e-12)
+
+    def test_one_mi_call_per_pair(self, monkeypatch):
+        import bnsl.weights as weights
+        calls = []
+
+        def counted(data, i, j):
+            calls.append((i, j))
+            return mutual_information(data, i, j)
+
+        monkeypatch.setattr(weights, "mutual_information", counted)
+        stats = pair_stats(random_dataset(np.random.default_rng(44), 80, 5))
+        assert sorted(calls) == [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        for fn in WEIGHT_FUNCTIONS:
+            weight_matrix(stats, fn)
+            weight_matrix(stats.select([3, 0, 2]), fn)
+        assert len(calls) == 10
+
+    def test_degenerate_stats_keep_their_errors(self):
+        samples = np.column_stack([
+            np.zeros(50, dtype=np.int32),
+            (np.arange(50) % 2).astype(np.int32),
+            (np.arange(50) % 3 == 0).astype(np.int32)])
+        stats = pair_stats(DiscreteDataset(["a", "b", "c"], [2, 2, 2], samples))
+        for fn in ("MI_plus", "MI_sqrt"):
+            with pytest.raises(InvalidInput, match=f"'a' has zero entropy; '{fn}' is undefined"):
+                weight_matrix(stats, fn)
+        weight_matrix(stats.select([1, 2]), "MI_plus")  # the varying columns are fine
+        twin = np.column_stack([np.arange(40) % 2, np.arange(40) % 2]).astype(np.int32)
+        same = pair_stats(DiscreteDataset(["x", "y"], [2, 2], twin))
+        for fn in ("MI_sn", "Pearson_sn"):  # one pair: every weight is equal
+            with pytest.raises(InvalidInput, match="standardization is undefined"):
+                weight_matrix(same, fn)
 
 
 class TestPagerank:
