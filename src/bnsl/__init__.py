@@ -26,7 +26,7 @@ from .errors import (BudgetExceeded, ConditioningSetTooLarge, FamilyTooLarge,
                      InvalidInput, NetworkFormatError, PipelineStageError)
 from .evaluate import EvalReport, metrics_from_counts, partition_diagnostics, score_structure
 from .merge import (MergeResult, TripletGraph, collect_triplets,
-                    ensemble_subcommunities, jaccard, merge_all, resolve)
+                    combine_structures, jaccard, merge_all, resolve)
 from .partition import (Partition, PartitionSupportMatrix, build_psm,
                         co_occurrence, consensus_partition, link_communities,
                         load_partition, save_partition, second_order_network)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc  # chi2.sf without importing scipy.stats
 
 from .data import DiscreteDataset
 from .errors import ConditioningSetTooLarge, InvalidInput
@@ -73,7 +73,7 @@ def g_test(data: DiscreteDataset, x: int, y: int, z: Sequence[int] = (),
     df = (cards[x] - 1) * (cards[y] - 1)
     for v in z:
         df *= cards[v]
-    return g, df, float(chi2.sf(g, df))
+    return g, df, float(chdtrc(df, g))
 
 
 def iamb(data: DiscreteDataset, x: int, candidates: Sequence[int],

@@ -1,19 +1,21 @@
-"""Combining local structures: ensembles, triplet repair, greedy merging.
+"""Combining local structures: edge unions, triplet repair, greedy merging.
 
 Structures learned on overlapping node sets are combined in three layers:
-an ensemble unions the edge sets of one community's sub-structures, a
-triplet pass re-learns tightly connected triangles to repair edges that
-blanket isolation may have distorted, and the community pool is folded
-together pairwise, always merging the two structures with the largest
-node-set Jaccard similarity.  Pairwise similarities are maintained
-incrementally, so a pool of n structures costs at most 2 n (n - 1)
-Jaccard evaluations instead of the ~n^3 a full rescan per round pays.
+:func:`combine_structures` unions the edge sets of several structures (a
+community's sub-structures, or two pool entries), a triplet pass re-learns
+tightly connected triangles to repair edges that blanket isolation may have
+distorted, and the community pool is folded together pairwise, always
+merging the two structures with the largest node-set Jaccard similarity.
+Each pair's rank is computed once, when the later of its two structures
+enters the pool, so a pool of n structures costs (n - 1)^2 Jaccard
+evaluations instead of the ~n^3 a full rescan per round pays.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .averaging import LearnerConfig, LocalStructure, ScoreCache, learn_structure
 from .data import DiscreteDataset
@@ -30,9 +32,17 @@ def jaccard(a, b) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def _combine_structures(structs: Sequence[LocalStructure],
-                        conflicts: list | None = None) -> LocalStructure:
-    """Union of edges; opposite directions keep the better-supported one."""
+def combine_structures(structs: Sequence[LocalStructure],
+                       conflicts: list | None = None) -> LocalStructure:
+    """Union of the structures' nodes and edges.
+
+    A pair learned with opposite directions in different structures keeps
+    the direction with the higher mean support (ties to the
+    lexicographically smaller edge); such pairs are appended to
+    ``conflicts`` when a list is supplied.  A missing support counts as 1.
+    """
+    if not structs:
+        raise InvalidInput("need at least one structure")
     nodes = set()
     votes: dict[tuple[int, int], list[float]] = {}
     for s in structs:
@@ -59,18 +69,11 @@ def _combine_structures(structs: Sequence[LocalStructure],
     return LocalStructure(tuple(nodes), tuple(edges), edges)
 
 
-def ensemble_subcommunities(subs: Sequence[LocalStructure],
-                            conflicts: list | None = None) -> LocalStructure:
-    """Ensemble of one community's sub-structures by edge union.
-
-    A pair learned with opposite directions in different sub-structures
-    keeps the direction with the higher mean support (ties to the
-    lexicographically smaller edge); such pairs are appended to
-    ``conflicts`` when a list is supplied.
-    """
-    if not subs:
-        raise InvalidInput("need at least one structure")
-    return _combine_structures(subs, conflicts)
+def _restrict(s: LocalStructure, nodes: Iterable[int],
+              edges: Sequence[tuple[int, int]]) -> LocalStructure:
+    """Some of ``s``'s edges, with their support, over the given nodes."""
+    return LocalStructure(tuple(nodes), tuple(edges),
+                          {e: s.support.get(e, 1.0) for e in edges})
 
 
 @dataclass(frozen=True)
@@ -134,12 +137,11 @@ def resolve(structure: LocalStructure, g: WeightedGraph, data: DiscreteDataset,
                                          seed + idx, cache))
     outside = [e for e in structure.edges
                if not any(e[0] in cl and e[1] in cl for cl in clusters)]
-    keep = LocalStructure(structure.nodes,
-                          tuple(outside),
-                          {e: structure.support.get(e, 1.0) for e in outside})
-    merged = _combine_structures([keep] + relearned)
-    return LocalStructure(tuple(set(structure.nodes) | set(merged.nodes)),
-                          merged.edges, merged.support, structure.provenance)
+    # the clusters lie inside the structure's nodes, so the node set is unchanged
+    merged = combine_structures([_restrict(structure, structure.nodes, outside)]
+                                + relearned)
+    return LocalStructure(structure.nodes, merged.edges, merged.support,
+                          structure.provenance)
 
 
 @dataclass
@@ -160,10 +162,12 @@ def merge_all(pool: Sequence[LocalStructure], g: WeightedGraph,
 
     Each round merges the pair of structures whose node sets have the
     largest Jaccard similarity (ties: larger union first, then the
-    lexicographically smallest pair); the merged pair's edges are combined
-    and the overlap neighborhood re-resolved.  Similarities involving
-    untouched structures are reused across rounds, so at most
-    2 n (n - 1) Jaccard evaluations are spent; the count is returned.
+    lexicographically smallest pair of node sets, then the smallest pair
+    of pool positions, merged entries numbered on from ``len(pool)``); the
+    pair's edges are combined and the overlap neighborhood re-resolved.
+    A pair is ranked once, when its later structure enters the pool, so a
+    pool of n structures spends (n - 1)^2 Jaccard evaluations; the count
+    is returned.
     """
     if not pool:
         raise InvalidInput("empty pool")
@@ -172,32 +176,32 @@ def merge_all(pool: Sequence[LocalStructure], g: WeightedGraph,
     evals = 0
     conflicts: list = []
     sequence: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    entries: dict[int, LocalStructure] = {}
+    # a list, not a dict keyed by the pair: it peaks several MB lower on large pools
+    ranks: list[tuple] = []  # (-jaccard, -union, lo nodes, hi nodes, i, j) per live pair
+    ids = itertools.count()
 
-    entries: dict[int, LocalStructure] = dict(enumerate(pool))
-    keys = {i: tuple(s.nodes) for i, s in entries.items()}
-    sims: dict[tuple[int, int], float] = {}
-    ids = sorted(entries)
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            i, j = ids[a], ids[b]
-            sims[(i, j)] = jaccard(entries[i].nodes, entries[j].nodes)
+    def enter(s: LocalStructure) -> None:
+        nonlocal evals
+        k = next(ids)
+        for i, other in entries.items():
+            ranks.append((-jaccard(other.nodes, s.nodes),
+                          -len(set(other.nodes).union(s.nodes)),
+                          *sorted((other.nodes, s.nodes)), i, k))
             evals += 1
-    next_id = len(pool)
+        entries[k] = s
 
+    for s in pool:
+        enter(s)
     while len(entries) > 1:
-        best_pair, best_rank = None, None
-        for (i, j), s in sims.items():
-            union = len(set(entries[i].nodes) | set(entries[j].nodes))
-            pair_key = tuple(sorted((keys[i], keys[j])))
-            rank = (-s, -union, pair_key)
-            if best_rank is None or rank < best_rank:
-                best_rank, best_pair = rank, (i, j)
-        i, j = best_pair
+        best = min(ranks)
+        i, j = best[4:]
+        sequence.append(best[2:4])
+        gone = {i, j}
+        ranks[:] = [r for r in ranks if r[4] not in gone and r[5] not in gone]
         a, b = entries.pop(i), entries.pop(j)
-        sims = {p: s for p, s in sims.items() if i not in p and j not in p}
-        sequence.append(tuple(sorted((keys.pop(i), keys.pop(j)))))
 
-        merged = _combine_structures([a, b], conflicts)
+        merged = combine_structures([a, b], conflicts)
         overlap = set(a.nodes) & set(b.nodes)
         if overlap:
             scope = set(overlap)
@@ -207,24 +211,10 @@ def merge_all(pool: Sequence[LocalStructure], g: WeightedGraph,
                 if y in overlap:
                     scope.add(x)
             inner = [e for e in merged.edges if e[0] in scope and e[1] in scope]
-            sub = LocalStructure(tuple(scope), tuple(inner),
-                                 {e: merged.support.get(e, 1.0) for e in inner})
-            fixed = resolve(sub, g, data, config, t_tri,
+            outer = [e for e in merged.edges if e[0] not in scope or e[1] not in scope]
+            fixed = resolve(_restrict(merged, scope, inner), g, data, config, t_tri,
                             seed + len(sequence), cache)
-            outer = [e for e in merged.edges
-                     if e[0] not in scope or e[1] not in scope]
-            keep = LocalStructure(merged.nodes, tuple(outer),
-                                  {e: merged.support.get(e, 1.0) for e in outer})
-            merged = _combine_structures([keep, fixed])
-            merged = LocalStructure(tuple(set(a.nodes) | set(b.nodes)),
-                                    merged.edges, merged.support)
+            merged = combine_structures([_restrict(merged, merged.nodes, outer), fixed])
+        enter(merged)
 
-        entries[next_id] = merged
-        keys[next_id] = tuple(merged.nodes)
-        for other in sorted(k for k in entries if k != next_id):
-            sims[(other, next_id)] = jaccard(entries[other].nodes, merged.nodes)
-            evals += 1
-        next_id += 1
-
-    final = entries.popitem()[1]
-    return MergeResult(final, tuple(sequence), evals, conflicts)
+    return MergeResult(entries.popitem()[1], tuple(sequence), evals, conflicts)

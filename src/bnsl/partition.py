@@ -98,10 +98,9 @@ class _UnionFind:
         return True
 
 
-def _tanimoto(a: dict[int, float], b: dict[int, float]) -> float:
+def _tanimoto(a: dict[int, float], b: dict[int, float], na: float, nb: float) -> float:
+    """Tanimoto similarity of two vectors given their squared norms."""
     dot = sum(w * b[k] for k, w in a.items() if k in b)
-    na = sum(w * w for w in a.values())
-    nb = sum(w * w for w in b.values())
     den = na + nb - dot
     return dot / den if den > 0 else 0.0
 
@@ -136,6 +135,7 @@ def link_communities(g: WeightedGraph) -> Partition:
             vec = dict(adj)
             vec[v] = sum(adj.values()) / len(adj)
             incl[v] = vec
+    norm2 = {v: sum(w * w for w in vec.values()) for v, vec in incl.items()}
 
     eindex = {e: k for k, e in enumerate(edges)}
     incident: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n)}
@@ -151,7 +151,7 @@ def link_communities(g: WeightedGraph) -> Partition:
                 e1, e2 = inc[a], inc[b]
                 u = e1[0] if e1[1] == k else e1[1]
                 v = e2[0] if e2[1] == k else e2[1]
-                sims.append((-_tanimoto(incl[u], incl[v]), e1, e2))
+                sims.append((-_tanimoto(incl[u], incl[v], norm2[u], norm2[v]), e1, e2))
     sims.sort()
 
     # group equal-similarity merges into levels, then scan for the best cut
@@ -231,13 +231,8 @@ def second_order_network(psms: Sequence[PartitionSupportMatrix],
         if psm.node != v or psm.n != n:
             raise InvalidInput("psms must be indexed by node over a shared universe")
     frac = np.stack([psm.rows.mean(axis=0) for psm in psms])
-    g = WeightedGraph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            w = (frac[u, v] + frac[v, u]) / 2.0
-            if w > 0.0 and w >= t_co:
-                g.add_edge(u, v, w)
-    return g
+    w = (frac + frac.T) / 2.0
+    return WeightedGraph.from_matrix(w, (w > 0.0) & (w >= t_co))
 
 
 def consensus_partition(source: DiscreteDataset | PairStats,

@@ -22,7 +22,7 @@ from .data import (DiscreteDataset, GroundTruthNet, forward_sample,
                    load_dataset, load_network, save_dataset)
 from .errors import InvalidInput, PipelineStageError
 from .evaluate import EvalReport, score_structure
-from .merge import MergeResult, ensemble_subcommunities, merge_all, resolve
+from .merge import MergeResult, combine_structures, merge_all, resolve
 from .partition import Partition, consensus_partition, save_partition
 from .weights import (WEIGHT_FUNCTIONS, PairStats, WeightedGraph, elbow_truncate,
                       pair_stats, save_weighted_graph, weight_matrix)
@@ -167,7 +167,7 @@ def learn_communities(data: DiscreteDataset, partition: Partition,
             detail.append({"community": ci, "size": len(comm), "subsamples": 0})
             continue
         conflicts: list = []
-        ens = ensemble_subcommunities(learned, conflicts)
+        ens = combine_structures(learned, conflicts)
         res = resolve(ens, substrate, data, lc, config.t_tri,
                       derive_seed(config.seed, 3, ci), cache)
         pool.append(LocalStructure(res.nodes, res.edges, res.support,

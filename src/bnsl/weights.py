@@ -19,13 +19,15 @@ divide it elementwise by the entropies, and MI_pr divides it by the
 PageRank of the MI graph.  Share one ``PairStats`` between callers (and
 slice it with :meth:`PairStats.select` for a column subset) to avoid
 recomputing MI; a dataset passed instead gets a fresh ``PairStats``.  The
-Pearson functions read the samples of the stats' own dataset.
+Pearson functions read |rho| from the stats, computed at most once on the
+stats' own dataset; a dataset passed instead computes it without any MI.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -47,6 +49,13 @@ class WeightedGraph:
         self._adj: dict[int, dict[int, float]] = {i: {} for i in range(n)}
         for (i, j), w in (weights or {}).items():
             self.add_edge(i, j, w)
+
+    @classmethod
+    def from_matrix(cls, w: np.ndarray, keep=True) -> "WeightedGraph":
+        """Weight ``w[i, j]`` on each pair i < j, in lexicographic order, where
+        ``keep`` (True or an ``(n, n)`` boolean mask) holds."""
+        i, j = np.nonzero(np.triu(np.broadcast_to(keep, w.shape), 1))  # row-major
+        return cls(w.shape[0], dict(zip(zip(i.tolist(), j.tolist()), w[i, j].tolist())))
 
     def add_edge(self, i: int, j: int, w: float) -> None:
         i, j = (i, j) if i < j else (j, i)
@@ -179,6 +188,11 @@ class PairStats:
     def n_vars(self) -> int:
         return self.data.n_vars
 
+    @cached_property
+    def pearson(self) -> np.ndarray:
+        """|rho| of every column pair, computed once on this stats' dataset."""
+        return _abs_pearson(self.data)
+
     def select(self, indices: Sequence[int]) -> "PairStats":
         """Column subset in the given order, like :meth:`DiscreteDataset.select`.
 
@@ -224,15 +238,12 @@ def weight_matrix(source: DiscreteDataset | PairStats, fn: str) -> WeightedGraph
         raise InvalidInput("need at least 2 variables")
 
     if fn in ("Pearson", "Pearson_sn"):
-        data = source.data if isinstance(source, PairStats) else source
-        with np.errstate(invalid="ignore", divide="ignore"):
-            corr = np.corrcoef(data.samples.T.astype(np.float64))
-        w = np.abs(np.nan_to_num(corr, nan=0.0))  # constant columns carry no signal
+        w = source.pearson if isinstance(source, PairStats) else _abs_pearson(source)
     else:
         stats = pair_stats(source)
         w, h = stats.mi, stats.h
         if fn == "MI_pr":
-            pr = pagerank(_pair_graph(w))
+            pr = pagerank(WeightedGraph.from_matrix(w))
             w = w / np.sqrt(np.outer(pr, pr))
         elif fn in ("MI_plus", "MI_sqrt"):
             zero = np.flatnonzero(h <= 0)
@@ -242,14 +253,16 @@ def weight_matrix(source: DiscreteDataset | PairStats, fn: str) -> WeightedGraph
             w = 2.0 * w / (h[:, None] + h) if fn == "MI_plus" else w / np.sqrt(np.outer(h, h))
     if fn.endswith("_sn"):
         w = _standardize(w)
-    return _pair_graph(w)
+    return WeightedGraph.from_matrix(w)
 
 
-def _pair_graph(w: np.ndarray) -> WeightedGraph:
-    """Complete graph with weight ``w[i, j]`` on every pair i < j."""
-    n = w.shape[0]
-    i, j = np.triu_indices(n, 1)  # row-major: pairs in lexicographic order
-    return WeightedGraph(n, dict(zip(zip(i.tolist(), j.tolist()), w[i, j].tolist())))
+def _abs_pearson(data: DiscreteDataset) -> np.ndarray:
+    """|rho| of every column pair on integer state codes, read-only."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = np.corrcoef(data.samples.T.astype(np.float64))
+    w = np.abs(np.nan_to_num(corr, nan=0.0))  # constant columns carry no signal
+    w.flags.writeable = False
+    return w
 
 
 def _standardize(w: np.ndarray) -> np.ndarray:

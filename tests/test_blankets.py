@@ -85,6 +85,16 @@ class TestGTest:
         assert df == (2 - 1) * (3 - 1) * 3
         assert p == pytest.approx(float(chi2.sf(g, df)), abs=1e-15)
 
+    def test_p_value_is_chi2_sf_bit_for_bit(self, chain_data):
+        rng = np.random.default_rng(45)
+        data = random_dataset(rng, 400, [2, 3, 4, 2, 3])
+        for x, y, z in ((0, 1, ()), (1, 2, (0,)), (2, 4, (0, 3)), (3, 4, (0, 1, 2))):
+            g, df, p = g_test(data, x, y, z)
+            assert p == float(chi2.sf(g, df))
+        for z in ((), (1,)):
+            g, df, p = g_test(chain_data, 0, 2, z)
+            assert p == float(chi2.sf(g, df))
+
     def test_dependence_detected(self, chain_data):
         _, _, p_dep = g_test(chain_data, 0, 1)
         _, _, p_ind = g_test(chain_data, 0, 2, [1])

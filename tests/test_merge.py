@@ -1,4 +1,4 @@
-"""Structure combination: ensembles, triplet repair, pool merging."""
+"""Structure combination: edge unions, triplet repair, pool merging."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,8 @@ import pytest
 from bnsl.averaging import LearnerConfig, LocalStructure
 from bnsl.data import DiscreteDataset
 from bnsl.errors import InvalidInput
-from bnsl.merge import (MergeResult, collect_triplets,
-                        ensemble_subcommunities, jaccard, merge_all, resolve)
+from bnsl.merge import (MergeResult, collect_triplets, combine_structures,
+                        jaccard, merge_all, resolve)
 from bnsl.weights import WeightedGraph
 
 from oracles import naive_merge_sequence
@@ -43,24 +43,26 @@ class TestJaccard:
 
 
 class TestEnsembleSubcommunities:
+    """combine_structures as the ensemble of one community's sub-structures."""
+
     def test_union_of_edges(self):
         s1 = LocalStructure((0, 1), ((0, 1),), {(0, 1): 1.0})
         s2 = LocalStructure((1, 2), ((1, 2),), {(1, 2): 1.0})
-        out = ensemble_subcommunities([s1, s2])
+        out = combine_structures([s1, s2])
         assert out.nodes == (0, 1, 2)
         assert set(out.edges) == {(0, 1), (1, 2)}
 
     def test_support_is_mean_over_voters(self):
         s1 = LocalStructure((0, 1), ((0, 1),), {(0, 1): 0.8})
         s2 = LocalStructure((0, 1), ((0, 1),), {(0, 1): 0.4})
-        out = ensemble_subcommunities([s1, s2])
+        out = combine_structures([s1, s2])
         assert out.support[(0, 1)] == pytest.approx(0.6)
 
     def test_conflict_keeps_higher_mean(self):
         s1 = LocalStructure((0, 1), ((0, 1),), {(0, 1): 0.9})
         s2 = LocalStructure((0, 1), ((1, 0),), {(1, 0): 0.5})
         conflicts = []
-        out = ensemble_subcommunities([s1, s2], conflicts)
+        out = combine_structures([s1, s2], conflicts)
         assert out.edges == ((0, 1),)
         assert conflicts == [{"kept": (0, 1), "dropped": (1, 0),
                               "support_kept": 0.9, "support_dropped": 0.5}]
@@ -68,17 +70,17 @@ class TestEnsembleSubcommunities:
     def test_conflict_tie_keeps_lexicographic(self):
         s1 = LocalStructure((0, 1), ((1, 0),), {(1, 0): 0.7})
         s2 = LocalStructure((0, 1), ((0, 1),), {(0, 1): 0.7})
-        out = ensemble_subcommunities([s1, s2])
+        out = combine_structures([s1, s2])
         assert out.edges == ((0, 1),)
 
     def test_missing_support_defaults_to_one(self):
         s1 = LocalStructure((0, 1), ((0, 1),), {})
-        out = ensemble_subcommunities([s1])
+        out = combine_structures([s1])
         assert out.support[(0, 1)] == 1.0
 
     def test_empty_pool_rejected(self):
         with pytest.raises(InvalidInput):
-            ensemble_subcommunities([])
+            combine_structures([])
 
 
 class TestCollectTriplets:
@@ -176,17 +178,34 @@ class TestMergeAll:
         return merge_all(pool, g, data, LearnerConfig(learner="greedy"))
 
     def test_sequence_matches_full_rescan_oracle(self):
-        rng = np.random.default_rng(61)
-        for _ in range(20):
-            n_universe = 12
-            node_sets = []
-            for _ in range(6):
-                size = int(rng.integers(2, 6))
-                node_sets.append(tuple(sorted(
-                    rng.choice(n_universe, size=size, replace=False))))
-            result = self._run(node_sets, n_universe)
-            want, _ = naive_merge_sequence(node_sets)
-            assert list(result.merge_sequence) == want
+        # the second input draws 1-3 of 5 nodes, so many pairs tie in full
+        for seed, n_universe, sizes, pools, n_sets in ((61, 12, (2, 6), 20, 6),
+                                                       (64, 5, (1, 4), 60, 8)):
+            rng = np.random.default_rng(seed)
+            for _ in range(pools):
+                node_sets = []
+                for _ in range(n_sets):
+                    size = int(rng.integers(*sizes))
+                    node_sets.append(tuple(sorted(
+                        rng.choice(n_universe, size=size, replace=False))))
+                result = self._run(node_sets, n_universe)
+                want, _ = naive_merge_sequence(node_sets)
+                assert list(result.merge_sequence) == want
+                assert result.jaccard_evaluations == (n_sets - 1) ** 2
+
+    def test_full_ties_merge_the_older_pair_first(self):
+        # three structures on one node set tie in every rank component; the
+        # pair (first, second) merges first, so the 0.9 arc meets 0.8, then 0.7
+        pool = [LocalStructure((0, 1), ((0, 1),), {(0, 1): 0.9}),
+                LocalStructure((0, 1), ((1, 0),), {(1, 0): 0.8}),
+                LocalStructure((0, 1), ((1, 0),), {(1, 0): 0.7})]
+        result = merge_all(pool, WeightedGraph(2), dummy_dataset(2),
+                           LearnerConfig(learner="greedy"))
+        assert result.merge_sequence == (((0, 1), (0, 1)), ((0, 1), (0, 1)))
+        assert result.conflicts == [
+            {"kept": (0, 1), "dropped": (1, 0), "support_kept": 0.9, "support_dropped": 0.8},
+            {"kept": (0, 1), "dropped": (1, 0), "support_kept": 0.9, "support_dropped": 0.7}]
+        assert result.structure.edges == ((0, 1),)
 
     def test_eval_budget(self):
         rng = np.random.default_rng(62)

@@ -132,6 +132,26 @@ class TestSupportMatrices:
         g0 = second_order_network(psms, t_co=0.0)
         assert not g0.has_edge(0, 1)
 
+    def test_second_order_network_matches_pairwise_formula(self):
+        rng = np.random.default_rng(71)
+        n = 12
+        parts = []
+        for _ in range(4):
+            comms = {tuple(sorted(rng.choice(n, size=int(rng.integers(1, 6)),
+                                             replace=False).tolist())) for _ in range(6)}
+            parts.append(Partition(n, tuple(sorted(comms | {(v,) for v in range(n)}))))
+        psms = [build_psm(parts, v) for v in range(n)]
+        for t_co in (0.0, 0.3, 0.5):
+            g = second_order_network(psms, t_co)
+            want = {}
+            for u in range(n):
+                for v in range(u + 1, n):
+                    w = (co_occurrence(psms[u], v) + co_occurrence(psms[v], u)) / 2.0
+                    if w > 0.0 and w >= t_co:
+                        want[(u, v)] = w
+            assert {e: g.weight(*e) for e in g.edges()} == want
+            assert all(list(g.adjacency(v)) == g.neighbors(v) for v in range(n))
+
     def test_threshold_excludes_weak_pairs(self):
         psms = [build_psm(psm_fixture(), v) for v in range(9)]
         g = second_order_network(psms, t_co=0.9)

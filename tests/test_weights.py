@@ -259,6 +259,41 @@ class TestPairStats:
             weight_matrix(stats.select([3, 0, 2]), fn)
         assert len(calls) == 10
 
+    def test_pearson_once_per_stats(self, monkeypatch):
+        import bnsl.weights as weights
+        calls = []
+
+        def counted(data):
+            calls.append(data.names)
+            return abs_pearson(data)
+
+        abs_pearson = weights._abs_pearson
+        monkeypatch.setattr(weights, "_abs_pearson", counted)
+        data = random_dataset(np.random.default_rng(45), 80, 5)
+        stats = pair_stats(data)
+        want = {fn: edge_dict(weight_matrix(data, fn)) for fn in ("Pearson", "Pearson_sn")}
+        assert len(calls) == 2
+        for fn in ("Pearson", "Pearson_sn", "Pearson"):
+            assert edge_dict(weight_matrix(stats, fn)) == want[fn]
+        assert len(calls) == 3
+        sub = stats.select([3, 0, 2])  # a fresh object computes its own
+        weight_matrix(sub, "Pearson")
+        weight_matrix(sub, "Pearson_sn")
+        assert calls[3:] == [("v3", "v0", "v2")]
+        with pytest.raises(ValueError):
+            stats.pearson[0, 1] = 1.0
+
+    def test_pearson_of_a_dataset_computes_no_mi(self, monkeypatch):
+        import bnsl.weights as weights
+
+        def forbidden(data, i, j):
+            raise AssertionError("MI computed for a Pearson graph")
+
+        monkeypatch.setattr(weights, "mutual_information", forbidden)
+        data = random_dataset(np.random.default_rng(46), 80, 4)
+        for fn in ("Pearson", "Pearson_sn"):
+            assert weight_matrix(data, fn).m == 6
+
     def test_degenerate_stats_keep_their_errors(self):
         samples = np.column_stack([
             np.zeros(50, dtype=np.int32),
@@ -386,6 +421,19 @@ class TestWeightedGraph:
         g.add_edge(2, 0, 1.0)
         g.add_edge(2, 3, 1.0)
         assert list(g.neighbors(2)) == [0, 3, 4]
+
+    def test_from_matrix_keeps_masked_pairs_in_order(self):
+        w = np.arange(16, dtype=np.float64).reshape(4, 4)
+        full = WeightedGraph.from_matrix(w)
+        assert edge_dict(full) == {(0, 1): 1.0, (0, 2): 2.0, (0, 3): 3.0,
+                                   (1, 2): 6.0, (1, 3): 7.0, (2, 3): 11.0}
+        keep = (w % 3 != 0) | np.tri(4, dtype=bool)  # the lower triangle is never read
+        part = WeightedGraph.from_matrix(w, keep)
+        assert edge_dict(part) == {(0, 1): 1.0, (0, 2): 2.0, (1, 3): 7.0, (2, 3): 11.0}
+        for g in (full, part):  # lexicographic insertion: every adjacency ascends
+            assert g.n == 4
+            assert all(list(g.adjacency(v)) == g.neighbors(v) for v in range(4))
+        assert WeightedGraph.from_matrix(np.zeros((1, 1))).m == 0
 
     def test_subgraph_preserves_n(self):
         rng = np.random.default_rng(14)
