@@ -383,3 +383,83 @@ def naive_merge_sequence(keys):
         pool = [k for i, k in enumerate(pool) if i not in (a, b)]
         pool.append(merged)
     return sequence, evals
+
+
+# ---------------------------------------------------------------------------
+# Order MCMC with a full rescore on every step.
+# ---------------------------------------------------------------------------
+
+def order_mcmc_reference(data, T: int = 100, burn_in: int | None = None,
+                         thin: int | None = None, max_parents: int = 3,
+                         ess: float = 10.0, seed: int = 0, nodes=None,
+                         cache=None, budget: int = 2 ** 20):
+    """The transposition chain of ``order_mcmc``, rescoring whole orders.
+
+    Same random stream and acceptance rule as the library, but the memo is
+    keyed by frozensets of predecessor nodes, log Z comes from
+    ``scipy.special.logsumexp``, every step recomputes the full order log
+    marginal, and every kept sample builds a full posterior matrix.  Returns
+    the mean posterior as an ``EdgePosterior``.
+    """
+    from scipy.special import logsumexp
+
+    from bnsl.averaging import EdgePosterior, ScoreCache
+
+    if cache is None:
+        cache = ScoreCache(data, ess)
+    nodes = tuple(sorted(range(data.n_vars) if nodes is None else nodes))
+    m = len(nodes)
+    pos = {v: a for a, v in enumerate(nodes)}
+    memo: dict = {}
+
+    def child(c, preds):
+        key = (c, frozenset(preds))
+        if key not in memo:
+            ps = sorted(preds)
+            top = min(max_parents, len(ps))
+            total = sum(math.comb(len(ps), s) for s in range(top + 1))
+            if total > budget:
+                raise ValueError(f"child {c}: {total} parent sets over budget")
+            sets = [u for size in range(top + 1)
+                    for u in itertools.combinations(ps, size)]
+            scores = [cache.family_score(c, u) for u in sets]
+            logz = float(logsumexp(scores))
+            members = np.array([pos[j] for u in sets for j in u], dtype=np.intp)
+            weights = np.repeat(np.exp(np.array(scores) - logz),
+                                [len(u) for u in sets])
+            memo[key] = (logz, np.bincount(members, weights, minlength=m))
+        return memo[key]
+
+    def log_marginal(order):
+        total = 0.0
+        for p, c in enumerate(order):
+            total += child(c, order[:p])[0]
+        return total
+
+    def posterior(order):
+        mat = np.zeros((m, m))
+        for p, c in enumerate(order):
+            mat[:, pos[c]] = child(c, order[:p])[1]
+        return mat
+
+    if m == 1:
+        return EdgePosterior(nodes, np.zeros((1, 1)))
+    burn_in = 10 * m if burn_in is None else burn_in
+    thin = m if thin is None else thin
+    rng = np.random.default_rng(seed)
+    order = [nodes[k] for k in rng.permutation(m)]
+    cur = log_marginal(order)
+    acc = np.zeros((m, m))
+    kept = 0
+    for step in range(1, burn_in + T * thin + 1):
+        a, b = rng.choice(m, size=2, replace=False)
+        order[a], order[b] = order[b], order[a]
+        new = log_marginal(order)
+        if math.log(rng.random()) < new - cur:
+            cur = new
+        else:
+            order[a], order[b] = order[b], order[a]
+        if step > burn_in and (step - burn_in) % thin == 0:
+            acc += posterior(order)
+            kept += 1
+    return EdgePosterior(nodes, acc / kept)
