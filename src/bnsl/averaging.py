@@ -12,9 +12,12 @@ exactly, for small node sets, by enumerating every order weighted by its
 marginal likelihood).
 
 One ``_OrderScorer`` per learning window serves all of these: it memoizes,
-by (child, predecessor set), the log normalizer of the sum above and the
-child's row of edge posteriors, so the per-order, exact and sampled
-posteriors and the order marginal are sums or column fills of shared terms.
+by child and a bitmask of its predecessors, the log normalizer of the sum
+above and the child's row of edge posteriors, so the per-order, exact and
+sampled posteriors and the order marginal are sums or column fills of
+shared terms.  A transposition of positions a < b changes the predecessors
+of positions a..b only, so the sampler keeps the current order's terms and
+rescores just those positions on each step.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .data import DiscreteDataset
 from .errors import BudgetExceeded, FamilyTooLarge, InvalidInput
@@ -142,13 +145,42 @@ def bdeu_family_score(data: DiscreteDataset, child: int, parents,
     return float(score)
 
 
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) of a list of finite floats, as scipy computes it.
+
+    This is the algorithm of ``scipy.special.logsumexp`` (scipy 1.17) in
+    plain numpy, without its array-API dispatch: the maximum and its ties
+    are taken out of the sum for precision, the rest is summed as
+    exp(a - max), and the result is log1p(s) + log(ties) + max with s the
+    sum divided by the tie count.  It takes finite input only; scipy's
+    handling of infinities and NaN is not reproduced.
+    """
+    a = np.array(a, dtype=np.float64)
+    top = a.max()
+    ties = a == top
+    count = np.float64(np.count_nonzero(ties))
+    a[ties] = -np.inf
+    s = np.exp(a - top).sum()
+    if s != 0:
+        s = s / count
+    return float(np.log1p(s) + np.log(count) + top)
+
+
+_Term = tuple[float, np.ndarray]  # (log Z, row) of one position of an order
+
+
 class _OrderScorer:
     """Order scores of one learning window, memoized by (child, predecessors).
 
-    ``child(c, P)`` enumerates the subsets of P up to ``max_parents`` once,
-    through the score cache, and keeps log Z = log sum_U exp(score(c, U))
-    with the row P(j -> c | P) over the window's sorted nodes.  The order
-    functions below are all sums or column fills of these memoized terms.
+    Orders here are sequences of window positions: position k stands for
+    ``nodes[k]``, the window's k-th smallest node.  ``child(c, mask)``
+    enumerates the subsets of the predecessors in the bitmask ``mask`` (bit
+    k set for position k) up to ``max_parents`` once, through the score
+    cache, and keeps log Z = log sum_U exp(score(c, U)) with the row
+    P(j -> c | predecessors) over the window's positions.  ``walk`` returns
+    these terms position by position; the order marginal adds their log Z
+    from first to last and the posterior fills one column per row, so a
+    transposition of positions a < b only needs positions a..b walked again.
     """
 
     def __init__(self, cache: ScoreCache, nodes, max_parents: int, budget: int):
@@ -157,41 +189,70 @@ class _OrderScorer:
         self.pos = {v: a for a, v in enumerate(self.nodes)}
         self.max_parents = max_parents
         self.budget = budget
-        self._memo: dict[tuple[int, frozenset[int]], tuple[float, np.ndarray]] = {}
+        self._memo: dict[tuple[int, int], _Term] = {}
 
-    def child(self, c: int, preds: frozenset[int]) -> tuple[float, np.ndarray]:
-        key = (c, preds)
+    def child(self, c: int, mask: int) -> _Term:
+        key = (c, mask)
         got = self._memo.get(key)
         if got is None:
-            got = self._memo[key] = self._enumerate(c, sorted(preds))
+            got = self._memo[key] = self._enumerate(c, mask)
         return got
 
-    def _enumerate(self, c: int, ps: list[int]) -> tuple[float, np.ndarray]:
+    def _enumerate(self, c: int, mask: int) -> _Term:
+        ps = [k for k in range(len(self.nodes)) if mask >> k & 1]
         top = min(self.max_parents, len(ps))
         total = sum(math.comb(len(ps), s) for s in range(top + 1))
         if total > self.budget:
-            raise BudgetExceeded(
-                f"child {c}: {total} parent sets exceed the budget of {self.budget}")
+            raise BudgetExceeded(f"child {self.nodes[c]}: {total} parent sets "
+                                 f"exceed the budget of {self.budget}")
         sets = [u for size in range(top + 1) for u in itertools.combinations(ps, size)]
-        scores = [self.cache.family_score(c, u) for u in sets]
-        logz = float(logsumexp(scores))
-        members = np.array([self.pos[j] for u in sets for j in u], dtype=np.intp)
+        nodes = self.nodes
+        scores = [self.cache.family_score(nodes[c], tuple(nodes[k] for k in u))
+                  for u in sets]
+        logz = logsumexp(scores)
+        members = np.array([k for u in sets for k in u], dtype=np.intp)
         weights = np.repeat(np.exp(np.array(scores) - logz), [len(u) for u in sets])
-        return logz, np.bincount(members, weights, minlength=len(self.nodes))
+        return logz, np.bincount(members, weights, minlength=len(nodes))
+
+    def walk(self, order, lo: int = 0, hi: int | None = None) -> list[_Term]:
+        """(log Z, row) of positions lo..hi-1 of ``order``, given all before lo."""
+        mask = 0
+        for c in order[:lo]:
+            mask |= 1 << c
+        terms = []
+        for c in order[lo:hi]:
+            terms.append(self.child(c, mask))
+            mask |= 1 << c
+        return terms
+
+    def rescore(self, order, terms, a: int, b: int) -> list[_Term]:
+        """The terms of ``order`` from those of an order that differs from
+        it at positions a..b only (a <= b), walking just those positions."""
+        return terms[:a] + self.walk(order, a, b + 1) + terms[b + 1:]
+
+    def order(self, nodes) -> list[int]:
+        """The positions of an order given by node indices."""
+        return [self.pos[v] for v in nodes]
 
     def log_marginal(self, order) -> float:
         """log P(D | order), the per-child log Z added from first to last."""
-        total = 0.0
-        for p, c in enumerate(order):
-            total += self.child(c, frozenset(order[:p]))[0]
-        return total
+        return _log_marginal(self.walk(order))
 
     def posterior(self, order) -> np.ndarray:
         """Edge posteriors given the order; column of c is P(. -> c)."""
         mat = np.zeros((len(self.nodes), len(self.nodes)))
-        for p, c in enumerate(order):
-            mat[:, self.pos[c]] = self.child(c, frozenset(order[:p]))[1]
+        for c, (_, row) in zip(order, self.walk(order)):
+            mat[:, c] = row
         return mat
+
+
+def _log_marginal(terms) -> float:
+    # added first to last, never by sum(), whose float rounding varies
+    # between Python versions
+    total = 0.0
+    for logz, _ in terms:
+        total += logz
+    return total
 
 
 def _resolve(data, nodes, ess, cache) -> tuple[tuple[int, ...], ScoreCache]:
@@ -220,7 +281,7 @@ def feature_posterior_given_order(data: DiscreteDataset, order,
     order = tuple(int(v) for v in order)
     _, cache = _resolve(data, order, ess, cache)
     scorer = _OrderScorer(cache, order, max_parents, budget)
-    return EdgePosterior(scorer.nodes, scorer.posterior(order))
+    return EdgePosterior(scorer.nodes, scorer.posterior(scorer.order(order)))
 
 
 def order_log_marginal(data: DiscreteDataset, order, max_parents: int = 3,
@@ -229,7 +290,8 @@ def order_log_marginal(data: DiscreteDataset, order, max_parents: int = 3,
     """log P(D | order): per-child log-sum over admissible parent sets."""
     order = tuple(int(v) for v in order)
     _, cache = _resolve(data, order, ess, cache)
-    return _OrderScorer(cache, order, max_parents, budget).log_marginal(order)
+    scorer = _OrderScorer(cache, order, max_parents, budget)
+    return scorer.log_marginal(scorer.order(order))
 
 
 def exact_order_average(data: DiscreteDataset, nodes=None, max_parents: int = 3,
@@ -243,7 +305,7 @@ def exact_order_average(data: DiscreteDataset, nodes=None, max_parents: int = 3,
     if len(nodes) > 8:
         raise InvalidInput("exact averaging is limited to 8 nodes")
     scorer = _OrderScorer(cache, nodes, max_parents, budget)
-    perms = list(itertools.permutations(scorer.nodes))
+    perms = list(itertools.permutations(range(len(nodes))))
     logw = np.array([scorer.log_marginal(o) for o in perms])
     w = np.exp(logw - logsumexp(logw))
     avg = np.tensordot(w, np.stack([scorer.posterior(o) for o in perms]), axes=1)
@@ -258,7 +320,10 @@ def order_mcmc(data: DiscreteDataset, T: int = 100, burn_in: int | None = None,
 
     Proposals transpose two uniformly chosen positions and are accepted
     with min(1, exp(delta log marginal)).  ``burn_in`` defaults to 10 * m
-    and ``thin`` to m.  Deterministic for fixed inputs and seed.
+    and ``thin`` to m.  Deterministic for fixed inputs and seed.  Each step
+    rescores only the positions between the two it swaps; the log marginal
+    is still added over all positions from first to last, exactly as
+    ``order_log_marginal`` adds it.
     """
     nodes, cache = _resolve(data, nodes, ess, cache)
     m = len(nodes)
@@ -272,20 +337,25 @@ def order_mcmc(data: DiscreteDataset, T: int = 100, burn_in: int | None = None,
     if thin is None:
         thin = m
     rng = np.random.default_rng(seed)
-    order = [scorer.nodes[k] for k in rng.permutation(m)]
-    cur = scorer.log_marginal(order)
+    order = rng.permutation(m).tolist()
+    terms = scorer.walk(order)
+    cur = _log_marginal(terms)
     acc = np.zeros((m, m))
     kept = 0
     for step in range(1, burn_in + T * thin + 1):
-        a, b = rng.choice(m, size=2, replace=False)
+        a, b = rng.choice(m, size=2, replace=False).tolist()
+        if a > b:
+            a, b = b, a
         order[a], order[b] = order[b], order[a]
-        new = scorer.log_marginal(order)
+        moved = scorer.rescore(order, terms, a, b)
+        new = _log_marginal(moved)
         if math.log(rng.random()) < new - cur:
-            cur = new
+            terms, cur = moved, new
         else:
             order[a], order[b] = order[b], order[a]
         if step > burn_in and (step - burn_in) % thin == 0:
-            acc += scorer.posterior(order)
+            for c, (_, row) in zip(order, terms):
+                acc[:, c] += row
             kept += 1
     return EdgePosterior(scorer.nodes, acc / kept)
 
