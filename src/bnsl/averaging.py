@@ -212,7 +212,10 @@ class _OrderScorer:
         logz = logsumexp(scores)
         members = np.array([k for u in sets for k in u], dtype=np.intp)
         weights = np.repeat(np.exp(np.array(scores) - logz), [len(u) for u in sets])
-        return logz, np.bincount(members, weights, minlength=len(nodes))
+        # a parent held by every set that carries weight gets a sum of
+        # exp(score - log Z) that rounding can lift above 1 by a few ulps
+        row = np.bincount(members, weights, minlength=len(nodes))
+        return logz, np.minimum(row, 1.0)
 
     def walk(self, order, lo: int = 0, hi: int | None = None) -> list[_Term]:
         """(log Z, row) of positions lo..hi-1 of ``order``, given all before lo."""
@@ -308,6 +311,7 @@ def exact_order_average(data: DiscreteDataset, nodes=None, max_parents: int = 3,
     perms = list(itertools.permutations(range(len(nodes))))
     logw = np.array([scorer.log_marginal(o) for o in perms])
     w = np.exp(logw - logsumexp(logw))
+    w /= w.sum()  # exp(-log Z) rounds, and near -2e4 one ulp of log Z is 4e-12
     avg = np.tensordot(w, np.stack([scorer.posterior(o) for o in perms]), axes=1)
     return EdgePosterior(scorer.nodes, avg)
 

@@ -398,8 +398,9 @@ def order_mcmc_reference(data, T: int = 100, burn_in: int | None = None,
     Same random stream and acceptance rule as the library, but the memo is
     keyed by frozensets of predecessor nodes, log Z comes from
     ``scipy.special.logsumexp``, every step recomputes the full order log
-    marginal, and every kept sample builds a full posterior matrix.  Returns
-    the mean posterior as an ``EdgePosterior``.
+    marginal, and every kept sample builds a full posterior matrix.  Rows
+    are clipped at 1, as the library clips them.  Returns the mean
+    posterior as an ``EdgePosterior``.
     """
     from scipy.special import logsumexp
 
@@ -427,7 +428,8 @@ def order_mcmc_reference(data, T: int = 100, burn_in: int | None = None,
             members = np.array([pos[j] for u in sets for j in u], dtype=np.intp)
             weights = np.repeat(np.exp(np.array(scores) - logz),
                                 [len(u) for u in sets])
-            memo[key] = (logz, np.bincount(members, weights, minlength=m))
+            row = np.bincount(members, weights, minlength=m)
+            memo[key] = (logz, np.minimum(row, 1.0))
         return memo[key]
 
     def log_marginal(order):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 import bnsl.averaging as av
-from bnsl.data import forward_sample
+from bnsl.data import forward_sample, load_network
 from bnsl.pipeline import PipelineConfig, run_pipeline
 
 from conftest import NETWORKS_DIR, random_binary_net
@@ -122,3 +122,31 @@ def test_order_mcmc_matches_full_rescoring(window, T, burn_in, thin, max_parents
     want = order_mcmc_reference(SMALL, **args)
     assert got.nodes == want.nodes
     assert np.array_equal(got.matrix, want.matrix)
+
+
+@pytest.fixture(scope="module")
+def alarm0():
+    return forward_sample(load_network(NETWORKS_DIR / "alarm.net"), 20000, 0)
+
+
+# Each call below once failed with "entries must lie in [0, 1]": a row sum
+# of exp(score - log Z), or the normalized order weights, rounded up to
+# about 1 + 2e-12.
+
+def test_exact_average_of_an_alarm_window_is_accepted(alarm0):
+    post = av.exact_order_average(alarm0, (15, 30, 31, 32))
+    assert post.nodes == (15, 30, 31, 32)
+
+
+def test_order_posterior_row_never_exceeds_one(alarm0):
+    # the row of child 34 given {12, 22} summed to 1 + 1.7e-12 for parent 12
+    order = [22, 12, 34, 16, 28, 1, 15, 36, 2]
+    post = av.feature_posterior_given_order(alarm0, order)
+    pos = {v: k for k, v in enumerate(post.nodes)}
+    assert post.matrix[pos[12], pos[34]] == 1.0
+
+
+def test_order_mcmc_on_an_alarm_window_is_accepted(alarm0):
+    nodes = (1, 2, 12, 15, 16, 22, 28, 34, 36)
+    post = av.order_mcmc(alarm0, T=30, nodes=nodes, seed=7)
+    assert post.nodes == nodes
