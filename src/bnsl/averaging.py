@@ -233,10 +233,6 @@ class _OrderScorer:
         it at positions a..b only (a <= b), walking just those positions."""
         return terms[:a] + self.walk(order, a, b + 1) + terms[b + 1:]
 
-    def order(self, nodes) -> list[int]:
-        """The positions of an order given by node indices."""
-        return [self.pos[v] for v in nodes]
-
     def log_marginal(self, order) -> float:
         """log P(D | order), the per-child log Z added from first to last."""
         return _log_marginal(self.walk(order))
@@ -284,7 +280,8 @@ def feature_posterior_given_order(data: DiscreteDataset, order,
     order = tuple(int(v) for v in order)
     _, cache = _resolve(data, order, ess, cache)
     scorer = _OrderScorer(cache, order, max_parents, budget)
-    return EdgePosterior(scorer.nodes, scorer.posterior(scorer.order(order)))
+    return EdgePosterior(scorer.nodes,
+                         scorer.posterior([scorer.pos[v] for v in order]))
 
 
 def order_log_marginal(data: DiscreteDataset, order, max_parents: int = 3,
@@ -294,7 +291,7 @@ def order_log_marginal(data: DiscreteDataset, order, max_parents: int = 3,
     order = tuple(int(v) for v in order)
     _, cache = _resolve(data, order, ess, cache)
     scorer = _OrderScorer(cache, order, max_parents, budget)
-    return scorer.log_marginal(scorer.order(order))
+    return scorer.log_marginal([scorer.pos[v] for v in order])
 
 
 def exact_order_average(data: DiscreteDataset, nodes=None, max_parents: int = 3,
