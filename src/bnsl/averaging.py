@@ -58,7 +58,8 @@ class EdgePosterior:
 
 @dataclass(frozen=True)
 class LocalStructure:
-    """A directed structure over a node subset, with per-edge support."""
+    """A directed structure over a node subset, with per-edge support keyed
+    by the stored edge tuples (an edge without support counts as 1)."""
 
     nodes: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
@@ -75,8 +76,11 @@ class LocalStructure:
                 raise InvalidInput(f"edge ({a}, {b}) outside the node set")
         if len(set(edges)) != len(edges):
             raise InvalidInput("duplicate edges")
+        support = {e: self.support[e] for e in edges if e in self.support}
+        if len(support) != len(self.support):
+            raise InvalidInput("support keyed by an edge the structure lacks")
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "support", dict(self.support))
+        object.__setattr__(self, "support", support)
 
     def skeleton(self) -> set[frozenset[int]]:
         return {frozenset(e) for e in self.edges}
@@ -85,21 +89,18 @@ class LocalStructure:
 class ScoreCache:
     """Memoizes BDeu family scores by (child, parent set) on one dataset."""
 
-    def __init__(self, data: DiscreteDataset, ess: float = 10.0,
-                 max_cells: int = DEFAULT_MAX_CELLS):
+    def __init__(self, data: DiscreteDataset, ess: float = 10.0):
         if ess <= 0:
             raise InvalidInput("ess must be positive")
         self.data = data
         self.ess = float(ess)
-        self.max_cells = int(max_cells)
         self._scores: dict[tuple[int, tuple[int, ...]], float] = {}
 
     def family_score(self, child: int, parents) -> float:
         key = (child, tuple(sorted(parents)))
         got = self._scores.get(key)
         if got is None:
-            got = bdeu_family_score(self.data, child, key[1], self.ess,
-                                    max_cells=self.max_cells)
+            got = bdeu_family_score(self.data, child, key[1], self.ess)
             self._scores[key] = got
         return got
 
@@ -108,8 +109,7 @@ class ScoreCache:
 
 
 def bdeu_family_score(data: DiscreteDataset, child: int, parents,
-                      ess: float = 10.0, cache: ScoreCache | None = None,
-                      max_cells: int = DEFAULT_MAX_CELLS) -> float:
+                      ess: float = 10.0, max_cells: int = DEFAULT_MAX_CELLS) -> float:
     """BDeu log marginal likelihood of one child given a parent set.
 
     Pseudo-counts are ``ess / (q * r)`` per cell, q the number of parent
@@ -118,10 +118,6 @@ def bdeu_family_score(data: DiscreteDataset, child: int, parents,
     parents = tuple(sorted(set(int(p) for p in parents)))
     if child in parents:
         raise InvalidInput("child cannot be its own parent")
-    if cache is not None:
-        if not cache.matches(data, ess):
-            raise InvalidInput("cache was built for different data or ess")
-        return cache.family_score(child, parents)
     if ess <= 0:
         raise InvalidInput("ess must be positive")
     cards = data.cardinalities
@@ -361,8 +357,7 @@ def order_mcmc(data: DiscreteDataset, T: int = 100, burn_in: int | None = None,
     return EdgePosterior(scorer.nodes, acc / kept)
 
 
-def threshold_edges(post: EdgePosterior, t_avg: float = 0.5,
-                    provenance: str | None = None) -> LocalStructure:
+def threshold_edges(post: EdgePosterior, t_avg: float = 0.5) -> LocalStructure:
     """Keep directed edges whose posterior exceeds ``t_avg``.
 
     If both directions clear the threshold only the larger survives; exact
@@ -381,7 +376,7 @@ def threshold_edges(post: EdgePosterior, t_avg: float = 0.5,
             e = (post.nodes[a], post.nodes[b])
             edges.append(e)
             support[e] = float(fwd)
-    return LocalStructure(post.nodes, tuple(edges), support, provenance)
+    return LocalStructure(post.nodes, tuple(edges), support)
 
 
 def greedy_learn(data: DiscreteDataset, nodes=None, max_parents: int = 3,
@@ -476,18 +471,13 @@ class LearnerConfig:
 
 
 def learn_structure(data: DiscreteDataset, nodes, config: LearnerConfig,
-                    seed: int = 0, cache: ScoreCache | None = None,
-                    provenance: str | None = None) -> LocalStructure:
+                    seed: int = 0, cache: ScoreCache | None = None) -> LocalStructure:
     """Run the configured learner on a node subset."""
     if config.learner == "greedy":
-        s = greedy_learn(data, nodes, config.max_parents, config.ess, cache)
-    else:
-        post = order_mcmc(data, config.T, config.burn_in, config.thin,
-                          config.max_parents, config.ess, seed, nodes, cache)
-        s = threshold_edges(post, config.t_avg)
-    if provenance is not None:
-        s = LocalStructure(s.nodes, s.edges, s.support, provenance)
-    return s
+        return greedy_learn(data, nodes, config.max_parents, config.ess, cache)
+    post = order_mcmc(data, config.T, config.burn_in, config.thin,
+                      config.max_parents, config.ess, seed, nodes, cache)
+    return threshold_edges(post, config.t_avg)
 
 
 def save_structure(s: LocalStructure, path) -> None:
@@ -501,17 +491,21 @@ def load_structure(path) -> LocalStructure:
     nodes: tuple[int, ...] = ()
     edges = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("# nodes"):
-                nodes = tuple(int(t) for t in line.split()[2:])
-                continue
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            a, arrow, b = line.split()
-            if arrow != "->":
-                raise InvalidInput(f"bad structure line: {line!r}")
-            edges.append((int(a), int(b)))
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                if line.startswith("# nodes"):
+                    nodes = tuple(int(t) for t in line.split()[2:])
+                    continue
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                a, arrow, b = line.split()
+                if arrow != "->":
+                    raise ValueError(arrow)
+                edges.append((int(a), int(b)))
+            except ValueError as e:
+                raise InvalidInput(f"{path}, line {line_no}: expected '<a> -> <b>' "
+                                   f"or '# nodes <v>...', got {line.strip()!r}") from e
     if not nodes:
         nodes = tuple(sorted({v for e in edges for v in e}))
     return LocalStructure(nodes, tuple(edges))

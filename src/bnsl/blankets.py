@@ -63,11 +63,11 @@ def _h(codes: np.ndarray) -> float:
     return entropy(np.bincount(codes))
 
 
-def g_test(data: DiscreteDataset, x: int, y: int, z: Sequence[int] = (),
-           max_cells: int = DEFAULT_CMI_CELLS) -> tuple[float, int, float]:
+def g_test(data: DiscreteDataset, x: int, y: int,
+           z: Sequence[int] = ()) -> tuple[float, int, float]:
     """G statistic, degrees of freedom and p-value for X vs Y given Z."""
     z = tuple(sorted(set(int(v) for v in z)))
-    cmi = conditional_mutual_information(data, x, y, z, max_cells)
+    cmi = conditional_mutual_information(data, x, y, z)
     g = 2.0 * data.n_rows * cmi
     cards = data.cardinalities
     df = (cards[x] - 1) * (cards[y] - 1)
@@ -77,7 +77,7 @@ def g_test(data: DiscreteDataset, x: int, y: int, z: Sequence[int] = (),
 
 
 def iamb(data: DiscreteDataset, x: int, candidates: Sequence[int],
-         alpha: float = 0.05, max_cells: int = DEFAULT_CMI_CELLS) -> frozenset[int]:
+         alpha: float = 0.05) -> frozenset[int]:
     """IAMB Markov blanket of x within the given candidate set.
 
     Forward phase: admit the candidate maximizing CMI(x; c | blanket)
@@ -95,17 +95,17 @@ def iamb(data: DiscreteDataset, x: int, candidates: Sequence[int],
             break
         best, best_cmi = None, -1.0
         for c in rest:
-            v = conditional_mutual_information(data, x, c, cmb, max_cells)
+            v = conditional_mutual_information(data, x, c, cmb)
             if v > best_cmi:
                 best, best_cmi = c, v
-        _, _, p = g_test(data, x, best, cmb, max_cells)
+        _, _, p = g_test(data, x, best, cmb)
         if p < alpha:
             cmb.append(best)
         else:
             break
     for y in sorted(cmb):
         others = [c for c in cmb if c != y]
-        _, _, p = g_test(data, x, y, others, max_cells)
+        _, _, p = g_test(data, x, y, others)
         if p >= alpha:
             cmb.remove(y)
     return frozenset(cmb)
@@ -121,8 +121,7 @@ class BlanketResult:
 
 
 def community_blanket(data: DiscreteDataset, g: WeightedGraph,
-                      community: Sequence[int], alpha: float = 0.05,
-                      max_cells: int = DEFAULT_CMI_CELLS) -> BlanketResult:
+                      community: Sequence[int], alpha: float = 0.05) -> BlanketResult:
     """IAMB blanket of every community member, searched over the member's
     weight-graph candidates plus the rest of the community."""
     comm = tuple(sorted(set(int(v) for v in community)))
@@ -131,7 +130,7 @@ def community_blanket(data: DiscreteDataset, g: WeightedGraph,
     blankets = {}
     for x in comm:
         cand = set(mb_candidates(g, x)) | set(comm)
-        blankets[x] = iamb(data, x, cand - {x}, alpha, max_cells)
+        blankets[x] = iamb(data, x, cand - {x}, alpha)
     expanded = set(comm)
     for b in blankets.values():
         expanded |= b

@@ -18,10 +18,9 @@ from .averaging import load_structure, save_structure
 from .data import forward_sample, load_dataset, load_network, save_dataset
 from .errors import PipelineStageError
 from .evaluate import partition_diagnostics, score_structure
-from .merge import merge_all
 from .partition import consensus_partition, load_partition, save_partition
-from .pipeline import (PipelineConfig, build_substrate, derive_seed,
-                       learn_communities, run_pipeline, structure_from_dict,
+from .pipeline import (PipelineConfig, build_substrate, learn_communities,
+                       merge_communities, run_pipeline, structure_from_dict,
                        structure_to_dict)
 
 
@@ -139,16 +138,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         data = load_dataset(cfg.dataset)
         raw = json.loads(Path(args.structures).read_text(encoding="utf-8"))
         pool = [structure_from_dict(d) for d in raw["structures"]]
-        result = merge_all(pool, build_substrate(data, cfg.substrate_fn), data,
-                           cfg.learner_config(), cfg.t_tri, derive_seed(cfg.seed, 4))
+        merge_report: dict = {}
+        result = merge_communities(data, pool, build_substrate(data, cfg.substrate_fn),
+                                   cfg, run_report=merge_report)
         save_structure(result.structure, args.out)
         if args.report:
-            _write_json({
-                "merge_sequence": [[list(a), list(b)] for a, b in result.merge_sequence],
-                "jaccard_evaluations": result.jaccard_evaluations,
-                "conflicts": [{k: (list(v) if isinstance(v, tuple) else v)
-                               for k, v in c.items()} for c in result.conflicts],
-            }, args.report)
+            _write_json(merge_report, args.report)
     elif cmd == "evaluate":
         net = load_network(args.network)
         report = score_structure(load_structure(args.learned), net, args.directed)

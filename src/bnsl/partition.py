@@ -15,6 +15,7 @@ threshold, and clusters that second-order network the same way.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -154,40 +155,26 @@ def link_communities(g: WeightedGraph) -> Partition:
                 sims.append((-_tanimoto(incl[u], incl[v], norm2[u], norm2[v]), e1, e2))
     sims.sort()
 
-    # group equal-similarity merges into levels, then scan for the best cut
-    levels: list[list[tuple[int, int]]] = []
-    for s, e1, e2 in sims:
-        if not levels or s != prev:
-            levels.append([])
-            prev = s
-        levels[-1].append((eindex[e1], eindex[e2]))
-
+    # merge one level of equal similarity at a time and keep the densest cut;
+    # a merge builds a new node set (sa | sb) and never changes an old one,
+    # so the clusters kept for the best cut stay as they were at that level
     uf = _UnionFind(m)
     stats: dict[int, tuple[int, set[int]]] = {
         k: (1, {edges[k][0], edges[k][1]}) for k in range(m)}
-    best_density, best_level = 0.0, 0
-    for lvl, pairs in enumerate(levels, start=1):
-        for a, b in pairs:
-            ra, rb = uf.find(a), uf.find(b)
-            if ra == rb:
-                continue
-            uf.union(ra, rb)
-            ma, sa = stats.pop(ra)
-            mb, sb = stats.pop(rb)
-            stats[uf.find(ra)] = (ma + mb, sa | sb)
-        d = _partition_density(list(stats.values()), m)
+    best_density, best = 0.0, list(stats.values())
+    for _, level in itertools.groupby(sims, key=lambda t: t[0]):
+        for _, e1, e2 in level:
+            ra, rb = uf.find(eindex[e1]), uf.find(eindex[e2])
+            if uf.union(ra, rb):  # ra stays the root
+                ma, sa = stats.pop(ra)
+                mb, sb = stats.pop(rb)
+                stats[ra] = (ma + mb, sa | sb)
+        clusters = list(stats.values())
+        d = _partition_density(clusters, m)
         if d > best_density:
-            best_density, best_level = d, lvl
+            best_density, best = d, clusters
 
-    uf = _UnionFind(m)
-    for pairs in levels[:best_level]:
-        for a, b in pairs:
-            uf.union(a, b)
-    groups: dict[int, set[int]] = {}
-    for k, (i, j) in enumerate(edges):
-        groups.setdefault(uf.find(k), set()).update((i, j))
-
-    comms = {tuple(sorted(s)) for s in groups.values()}
+    comms = {tuple(sorted(s)) for _, s in best}
     comms.update((v,) for v in isolated)
     return Partition(g.n, tuple(sorted(comms)))
 
@@ -327,13 +314,17 @@ def load_partition(path) -> Partition:
     n = None
     comms = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("# nodes"):
-                n = int(line.split()[2])
-                continue
-            line = line.split("#", 1)[0].strip()
-            if line:
-                comms.append(tuple(int(t) for t in line.split()))
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                if line.startswith("# nodes"):
+                    n = int(line.split()[2])
+                    continue
+                line = line.split("#", 1)[0].strip()
+                if line:
+                    comms.append(tuple(int(t) for t in line.split()))
+            except (ValueError, IndexError) as e:
+                raise InvalidInput(f"{path}, line {line_no}: expected '# nodes <n>' "
+                                   f"or node indices, got {line.strip()!r}") from e
     if n is None:
         n = 1 + max(v for c in comms for v in c) if comms else 0
     return Partition(n, tuple(comms))

@@ -160,8 +160,7 @@ def learn_communities(data: DiscreteDataset, partition: Partition,
                 continue
             seen.add(sc.members)
             learned.append(learn_structure(
-                data, sc.members, lc, derive_seed(config.seed, 2, ci, si),
-                cache, provenance=f"community {ci}"))
+                data, sc.members, lc, derive_seed(config.seed, 2, ci, si), cache))
         if not learned:  # lone node with an empty blanket
             pool.append(LocalStructure(comm, (), {}, f"community {ci}"))
             detail.append({"community": ci, "size": len(comm), "subsamples": 0})
@@ -179,6 +178,24 @@ def learn_communities(data: DiscreteDataset, partition: Partition,
     if run_report is not None:
         run_report["communities"] = detail
     return pool
+
+
+def merge_communities(data: DiscreteDataset, pool: list[LocalStructure],
+                      substrate: WeightedGraph, config: PipelineConfig,
+                      cache: ScoreCache | None = None,
+                      run_report: dict | None = None) -> MergeResult:
+    """Merge the pool on the run's merge seed; ``run_report`` gets the
+    merge sequence, the Jaccard evaluation count and the conflicts."""
+    merged = merge_all(pool, substrate, data, config.learner_config(),
+                       config.t_tri, derive_seed(config.seed, 4), cache)
+    if run_report is not None:
+        run_report["merge_sequence"] = [[list(a), list(b)]
+                                        for a, b in merged.merge_sequence]
+        run_report["jaccard_evaluations"] = merged.jaccard_evaluations
+        run_report["conflicts"] = [
+            {k: (list(v) if isinstance(v, tuple) else v) for k, v in c.items()}
+            for c in merged.conflicts]
+    return merged
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
@@ -200,14 +217,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     cache = ScoreCache(data, config.ess)
     pool = stages.run("learn", lambda: learn_communities(
         data, partition, substrate, config, cache, run_report))
-    merged: MergeResult = stages.run("merge", lambda: merge_all(
-        pool, substrate, data, config.learner_config(), config.t_tri,
-        derive_seed(config.seed, 4), cache))
-    run_report["merge_sequence"] = [[list(a), list(b)] for a, b in merged.merge_sequence]
-    run_report["jaccard_evaluations"] = merged.jaccard_evaluations
-    run_report["conflicts"] = [
-        {k: (list(v) if isinstance(v, tuple) else v) for k, v in c.items()}
-        for c in merged.conflicts]
+    merged = stages.run("merge", lambda: merge_communities(
+        data, pool, substrate, config, cache, run_report))
 
     report = None
     if truth is not None:

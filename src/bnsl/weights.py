@@ -316,12 +316,17 @@ def save_weighted_graph(g: WeightedGraph, path) -> None:
 def load_weighted_graph(path) -> WeightedGraph:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2 or header[0] != "nodes":
-            raise InvalidInput("weighted graph file needs a 'nodes <n>' header")
+        if len(header) != 2 or header[0] != "nodes" or not header[1].isdecimal():
+            raise InvalidInput(f"{path}, line 1: expected a 'nodes <n>' header")
         g = WeightedGraph(int(header[1]))
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            i, j, w = line.split()
-            g.add_edge(int(i), int(j), float(w))
+            try:
+                i, j, w = line.split()
+                i, j, w = int(i), int(j), float(w)
+            except ValueError as e:
+                raise InvalidInput(f"{path}, line {line_no}: expected '<i> <j> <weight>', "
+                                   f"got {line.strip()!r}") from e
+            g.add_edge(i, j, w)
     return g

@@ -324,8 +324,7 @@ def test_criterion_7_score_decomposability(capsys):
         fresh = sum(bdeu_family_score(data, v, net.parents_of(v))
                     for v in range(n_vars))
         cache = ScoreCache(data, 10.0)
-        cached = sum(bdeu_family_score(data, v, net.parents_of(v),
-                                       cache=cache)
+        cached = sum(cache.family_score(v, net.parents_of(v))
                      for v in range(n_vars))
         assert cached == fresh, "cache must be bit-transparent"
         joint = dag_log_predictive(data.samples, net.arcs,

@@ -78,16 +78,21 @@ class TestBdeuFamilyScore:
         cache = ScoreCache(chain_data, 10.0)
         for child, parents in [(0, ()), (1, (0,)), (2, (0, 1)), (1, (0, 2))]:
             fresh = bdeu_family_score(chain_data, child, parents)
-            cached = bdeu_family_score(chain_data, child, parents,
-                                       cache=cache)
-            again = bdeu_family_score(chain_data, child, parents,
-                                      cache=cache)
+            cached = cache.family_score(child, parents)
+            again = cache.family_score(child, parents)
             assert fresh == cached == again
 
     def test_cache_matches_guard(self, chain_data):
         cache = ScoreCache(chain_data, 10.0)
         assert cache.matches(chain_data, 10.0)
         assert not cache.matches(chain_data, 5.0)
+
+    def test_mismatched_cache_rejected(self, chain_data):
+        cache = ScoreCache(chain_data, 10.0)
+        with pytest.raises(InvalidInput):
+            order_log_marginal(chain_data, [0, 1, 2], ess=5.0, cache=cache)
+        with pytest.raises(InvalidInput):
+            greedy_learn(chain_data.select([0, 1]), cache=cache)
 
 
 class TestOrderPosteriors:
@@ -269,11 +274,6 @@ class TestLearnStructure:
                                             seed=3))
         assert via.edges == direct.edges
 
-    def test_provenance_attached(self, chain_data):
-        config = LearnerConfig(learner="greedy")
-        s = learn_structure(chain_data, None, config, provenance="tag")
-        assert s.provenance == "tag"
-
     def test_invalid_learner_rejected(self):
         with pytest.raises(InvalidInput):
             LearnerConfig(learner="magic")
@@ -288,6 +288,19 @@ class TestLocalStructure:
         with pytest.raises(InvalidInput):
             LocalStructure((1, 2), ((1, 2), (1, 2)), {})
 
+    def test_support_is_keyed_by_the_stored_edges(self):
+        s = LocalStructure((0, 1, 2), ((np.int64(2), 1), (0, 1)),
+                           {(0, 1): 0.5, (2, 1): 0.25})
+        assert s.support == {(0, 1): 0.5, (2, 1): 0.25}
+        assert all(any(k is e for e in s.edges) for k in s.support)
+        assert LocalStructure((0, 1), ((0, 1),), {}).support == {}
+
+    def test_support_outside_the_edges_rejected(self):
+        with pytest.raises(InvalidInput):
+            LocalStructure((0, 1, 2), ((0, 1),), {(0, 1): 0.5, (1, 2): 0.5})
+        with pytest.raises(InvalidInput):
+            LocalStructure((0, 1), ((0, 1),), {(1, 0): 0.5})
+
     def test_skeleton(self):
         s = LocalStructure((0, 1, 2), ((0, 1), (2, 1)), {})
         assert s.skeleton() == {frozenset({0, 1}), frozenset({1, 2})}
@@ -300,6 +313,17 @@ class TestLocalStructure:
         back = load_structure(path)
         assert back.nodes == s.nodes
         assert back.edges == s.edges
+
+    @pytest.mark.parametrize("text, line", [
+        ("# nodes 0 1 2\n0 1\n", 2),
+        ("# nodes 0 1 2\n0 -> 1\n1 <- 2\n", 3),
+        ("# nodes 0 x\n", 1),
+        ("0 -> one\n", 1)])
+    def test_malformed_file_names_the_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.edges"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidInput, match=f"line {line}:"):
+            load_structure(path)
 
 
 class TestEdgePosterior:

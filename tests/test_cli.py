@@ -108,13 +108,14 @@ def test_stage_by_stage_matches_pipeline(tmp_path, capsys):
     net = str(NETWORKS_DIR / "alarm.net")
     data, part = tmp_path / "data.tsv", tmp_path / "partition.txt"
     structures, edges = tmp_path / "structures.json", tmp_path / "staged.edges"
+    merge_report = tmp_path / "merge.json"
     assert main(["sample", "--network", net, "--n", "20000", "--seed", "0",
                  "--out", str(data)]) == 0
     assert main(["partition", "--dataset", str(data), "--out", str(part)]) == 0
     assert main(["learn", "--dataset", str(data), "--partition", str(part),
                  "--seed", "0", "--out", str(structures)]) == 0
     assert main(["merge", "--dataset", str(data), "--structures", str(structures),
-                 "--seed", "0", "--out", str(edges)]) == 0
+                 "--seed", "0", "--out", str(edges), "--report", str(merge_report)]) == 0
 
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"network": net, "n_samples": 20000}), encoding="utf-8")
@@ -126,6 +127,12 @@ def test_stage_by_stage_matches_pipeline(tmp_path, capsys):
     assert (emitted / "dataset.tsv").read_bytes() == data.read_bytes()
     assert load_partition(part) == load_partition(emitted / "partition.txt")
     assert edges.read_bytes() == (tmp_path / "pipeline.edges").read_bytes()
+    staged = json.loads(merge_report.read_text(encoding="utf-8"))
+    run = json.loads((emitted / "run_report.json").read_text(encoding="utf-8"))
+    assert set(staged) == {"merge_sequence", "jaccard_evaluations", "conflicts"}
+    for key in staged:
+        assert staged[key] == run[key], key
+    assert staged["merge_sequence"] and staged["jaccard_evaluations"] > 0
 
 
 def test_diagnose_subcommand(workdir, capsys):

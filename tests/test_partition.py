@@ -57,6 +57,16 @@ class TestPartition:
         save_partition(p, path)
         assert load_partition(path) == p
 
+    @pytest.mark.parametrize("text, line", [
+        ("# nodes 3\n0 1\n1 two\n", 3),
+        ("# nodes\n0 1\n", 1),
+        ("# nodes three\n0 1 2\n", 1)])
+    def test_malformed_file_names_the_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidInput, match=f"line {line}:"):
+            load_partition(path)
+
 
 class TestLinkCommunities:
     def test_two_triangles_sharing_a_node(self):

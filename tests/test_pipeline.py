@@ -8,9 +8,10 @@ import pytest
 from bnsl.data import save_dataset, save_network
 from bnsl.errors import InvalidInput, PipelineStageError
 from bnsl.pipeline import (PipelineConfig, build_substrate, derive_seed,
-                           load_inputs, run_pipeline, structure_from_dict,
-                           structure_to_dict)
+                           learn_communities, load_inputs, run_pipeline,
+                           structure_from_dict, structure_to_dict)
 from bnsl.averaging import LocalStructure
+from bnsl.partition import Partition
 from bnsl.weights import elbow_truncate, weight_matrix
 
 from conftest import chain3
@@ -110,6 +111,17 @@ class TestBuildSubstrate:
         assert set(sub.edges()) == set(direct.edges())
         for e in sub.edges():
             assert sub.weight(*e) == direct.weight(*e)
+
+
+class TestLearnCommunities:
+    def test_pool_entries_carry_their_community(self, chain_data):
+        part = Partition(3, ((0, 1), (1, 2), (2,)))
+        substrate = build_substrate(chain_data)
+        for learner in ("greedy", "modelavg"):
+            config = PipelineConfig(learner=learner, mcmc_T=20, burn_in=20)
+            pool = learn_communities(chain_data, part, substrate, config)
+            assert [s.provenance for s in pool] == ["community 0", "community 1",
+                                                    "community 2"]
 
 
 class TestRunPipeline:

@@ -461,3 +461,14 @@ class TestWeightedGraph:
         path = tmp_path / "g.tsv"
         save_weighted_graph(g, path)
         assert load_weighted_graph(path) == g
+
+    @pytest.mark.parametrize("text, line", [
+        ("nodes\t3\n0\t1\t0.5\n1\t2\n", 3),
+        ("nodes\t3\n\n0\t1\theavy\n", 3),
+        ("nodes\tthree\n", 1),
+        ("0\t1\t0.5\n", 1)])
+    def test_malformed_file_names_the_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidInput, match=f"line {line}:"):
+            load_weighted_graph(path)
