@@ -122,17 +122,11 @@ def bdeu_family_score(data: DiscreteDataset, child: int, parents,
         raise InvalidInput("ess must be positive")
     cards = data.cardinalities
     r = cards[child]
-    q = 1
-    for p in parents:
-        q *= cards[p]
+    q = math.prod(cards[p] for p in parents)
     if q * r > max_cells:
         raise FamilyTooLarge(
             f"family ({child} | {parents}) needs {q * r} count cells")
-    cfg = np.zeros(data.n_rows, dtype=np.int64)
-    for p in parents:
-        cfg = cfg * cards[p] + data.column(p)
-    counts = np.bincount(cfg * r + data.column(child), minlength=q * r)
-    counts = counts.reshape(q, r).astype(np.float64)
+    counts = data.counts(parents + (child,)).reshape(q, r).astype(np.float64)
     a_jk = ess / (q * r)
     a_j = ess / q
     nj = counts.sum(axis=1)

@@ -11,6 +11,7 @@ community be learned in isolation from the rest of the network.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -43,24 +44,14 @@ def conditional_mutual_information(data: DiscreteDataset, x: int, y: int,
     if x == y or x in z or y in z:
         raise InvalidInput("x, y and z must be disjoint")
     cards = data.cardinalities
-    cells = cards[x] * cards[y]
-    for v in z:
-        cells *= cards[v]
+    cells = math.prod(cards[v] for v in z + (x, y))
     if cells > max_cells:
         raise ConditioningSetTooLarge(
             f"CMI({x}; {y} | {z}) needs {cells} count cells")
-    cfg_z = np.zeros(data.n_rows, dtype=np.int64)
-    for v in z:
-        cfg_z = cfg_z * cards[v] + data.column(v)
-    cfg_xz = cfg_z * cards[x] + data.column(x)
-    cfg_yz = cfg_z * cards[y] + data.column(y)
-    cfg_xyz = cfg_xz * cards[y] + data.column(y)
-    h = (_h(cfg_xz) + _h(cfg_yz) - _h(cfg_xyz) - _h(cfg_z))
+    t = data.counts(z + (x, y)).reshape(-1, cards[x], cards[y])
+    h = (entropy(t.sum(axis=2)) + entropy(t.sum(axis=1))
+         - entropy(t) - entropy(t.sum(axis=(1, 2))))
     return max(float(h), 0.0)
-
-
-def _h(codes: np.ndarray) -> float:
-    return entropy(np.bincount(codes))
 
 
 def g_test(data: DiscreteDataset, x: int, y: int,
@@ -70,9 +61,7 @@ def g_test(data: DiscreteDataset, x: int, y: int,
     cmi = conditional_mutual_information(data, x, y, z)
     g = 2.0 * data.n_rows * cmi
     cards = data.cardinalities
-    df = (cards[x] - 1) * (cards[y] - 1)
-    for v in z:
-        df *= cards[v]
+    df = (cards[x] - 1) * (cards[y] - 1) * math.prod(cards[v] for v in z)
     return g, df, float(chdtrc(df, g))
 
 
@@ -93,11 +82,7 @@ def iamb(data: DiscreteDataset, x: int, candidates: Sequence[int],
         rest = [c for c in cand if c not in cmb]
         if not rest:
             break
-        best, best_cmi = None, -1.0
-        for c in rest:
-            v = conditional_mutual_information(data, x, c, cmb)
-            if v > best_cmi:
-                best, best_cmi = c, v
+        best = max(rest, key=lambda c: conditional_mutual_information(data, x, c, cmb))
         _, _, p = g_test(data, x, best, cmb)
         if p < alpha:
             cmb.append(best)

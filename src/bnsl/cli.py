@@ -24,28 +24,30 @@ from .pipeline import (PipelineConfig, build_substrate, learn_communities,
                        structure_to_dict)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file of pipeline settings")
-    p.add_argument("--seed", type=int, help="master seed (overrides config)")
-    p.add_argument("--emit-intermediate", metavar="DIR",
-                   help="directory for per-stage artifacts")
-    p.add_argument("--learner", choices=["modelavg", "greedy"],
-                   help="local structure learner (overrides config)")
+_FLAGS = {
+    "--config": {"help": "JSON file of pipeline settings"},
+    "--seed": {"type": int, "help": "master seed (overrides config)"},
+    "--learner": {"choices": ["modelavg", "greedy"],
+                  "help": "local structure learner (overrides config)"},
+    "--emit-intermediate": {"metavar": "DIR", "help": "directory for per-stage artifacts"},
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    """``-v`` plus the settings flags this subcommand reads."""
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
     p.add_argument("-v", "--verbose", action="store_true")
 
 
-def _config(args: argparse.Namespace, **overrides) -> PipelineConfig:
+def _config(args: argparse.Namespace) -> PipelineConfig:
     if args.config:
         cfg = PipelineConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
     else:
         cfg = PipelineConfig()
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.emit_intermediate:
-        overrides["emit_intermediate"] = args.emit_intermediate
-    if args.learner:
-        overrides["learner"] = args.learner
-    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    # a flag given on the command line overrides the config field it is named after
+    return replace(cfg, **{k: v for k, v in vars(args).items()
+                           if k in PipelineConfig.__dataclass_fields__ and v is not None})
 
 
 def _write_json(obj: dict, path: str | None) -> None:
@@ -62,27 +64,28 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("sample", help="forward-sample a network to a TSV dataset")
     p.add_argument("--network", required=True)
-    p.add_argument("--n", type=int, default=20000)
+    p.add_argument("--n", type=int, dest="n_samples", help="rows to sample (overrides config)")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, "--config", "--seed")
 
     p = sub.add_parser("partition", help="consensus-partition a dataset's variables")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, "--config")
 
     p = sub.add_parser("learn", help="learn one structure per community")
     p.add_argument("--dataset", required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--out", required=True, help="structures JSON")
-    _add_common(p)
+    p.add_argument("--report", help="JSON of per-community learn detail")
+    _add_common(p, "--config", "--seed", "--learner")
 
     p = sub.add_parser("merge", help="merge learned community structures")
     p.add_argument("--dataset", required=True)
     p.add_argument("--structures", required=True, help="structures JSON from learn")
     p.add_argument("--out", required=True, help="edge list of the final structure")
     p.add_argument("--report", help="JSON run report")
-    _add_common(p)
+    _add_common(p, "--config", "--seed", "--learner")
 
     p = sub.add_parser("evaluate", help="score a learned structure against a network")
     p.add_argument("--learned", required=True, help="edge list file")
@@ -94,13 +97,13 @@ def main(argv=None) -> int:
     p = sub.add_parser("pipeline", help="run every stage end to end")
     p.add_argument("--out", help="edge list of the final structure")
     p.add_argument("--report", help="JSON run report (default stdout)")
-    _add_common(p)
+    _add_common(p, "--config", "--seed", "--learner", "--emit-intermediate")
 
     p = sub.add_parser("diagnose", help="partition statistics on the weight graph")
     p.add_argument("--dataset", required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--out", help="JSON (default stdout)")
-    _add_common(p)
+    _add_common(p, "--config")
 
     args = ap.parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
@@ -119,22 +122,26 @@ def main(argv=None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     cmd = args.command
     if cmd == "sample":
-        cfg = _config(args, network=args.network, n_samples=args.n)
+        cfg = _config(args)
         net = load_network(cfg.network)
         save_dataset(forward_sample(net, cfg.n_samples, cfg.seed), args.out)
     elif cmd == "partition":
-        cfg = _config(args, dataset=args.dataset)
+        cfg = _config(args)
         data = load_dataset(cfg.dataset)
         part = consensus_partition(data, cfg.weight_fns, cfg.t_co, cfg.max_comm)
         save_partition(part, args.out)
     elif cmd == "learn":
-        cfg = _config(args, dataset=args.dataset)
+        cfg = _config(args)
         data = load_dataset(cfg.dataset)
         part = load_partition(args.partition)
-        pool = learn_communities(data, part, build_substrate(data, cfg.substrate_fn), cfg)
+        learn_report: dict = {}
+        pool = learn_communities(data, part, build_substrate(data, cfg.substrate_fn), cfg,
+                                 run_report=learn_report)
         _write_json({"structures": [structure_to_dict(s) for s in pool]}, args.out)
+        if args.report:
+            _write_json(learn_report, args.report)
     elif cmd == "merge":
-        cfg = _config(args, dataset=args.dataset)
+        cfg = _config(args)
         data = load_dataset(cfg.dataset)
         raw = json.loads(Path(args.structures).read_text(encoding="utf-8"))
         pool = [structure_from_dict(d) for d in raw["structures"]]
@@ -155,7 +162,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             save_structure(result.structure, args.out)
         _write_json(result.run_report, args.report)
     elif cmd == "diagnose":
-        cfg = _config(args, dataset=args.dataset)
+        cfg = _config(args)
         data = load_dataset(cfg.dataset)
         part = load_partition(args.partition)
         _write_json(partition_diagnostics(part, build_substrate(data, cfg.substrate_fn)),

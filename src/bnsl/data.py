@@ -16,6 +16,7 @@ sample.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -59,9 +60,7 @@ class GroundTruthNet:
         self.topological_order()  # raises on a cycle
         cpts = []
         for i in range(n):
-            q = 1
-            for p in self.parents_of(i):
-                q *= len(self.states[p])
+            q = math.prod(len(self.states[p]) for p in self.parents_of(i))
             r = len(self.states[i])
             t = np.asarray(self.cpts[i], dtype=np.float64)
             if t.shape != (q, r):
@@ -124,8 +123,8 @@ class DiscreteDataset:
     """Complete discrete samples: an ``(N, V)`` integer matrix plus schema.
 
     ``samples`` is a read-only int32 copy in column-major (Fortran) order,
-    so ``column(i)``, which MI, entropy, CMI and BDeu counts read, is a
-    contiguous view.
+    so ``column(i)``, which :meth:`counts` reads for every count statistic
+    (MI, entropy, CMI and BDeu), is a contiguous view.
     """
 
     names: tuple[str, ...]
@@ -162,6 +161,17 @@ class DiscreteDataset:
 
     def column(self, i: int) -> np.ndarray:
         return self.samples[:, i]
+
+    def counts(self, cols: Sequence[int]) -> np.ndarray:
+        """Contingency table of ``cols`` (at least one column), shaped by their
+        cardinalities: entry ``[s0, s1, ...]`` counts the rows with column
+        ``cols[k]`` in state ``s_k``.  Rows are coded in mixed radix, first
+        column slowest, and the codes counted by one ``np.bincount``."""
+        shape = tuple(self.cardinalities[c] for c in cols)
+        code = self.column(cols[0]).astype(np.int64)
+        for c, r in zip(cols[1:], shape[1:]):
+            code = code * r + self.column(c)
+        return np.bincount(code, minlength=math.prod(shape)).reshape(shape)
 
     def select(self, indices: Sequence[int]) -> "DiscreteDataset":
         """Column subset in the given order (names kept, indices renumbered)."""
@@ -267,9 +277,7 @@ def parse_network(text: str) -> GroundTruthNet:
 
     cpts = []
     for i in range(len(names)):
-        q = 1
-        for p in parents[i]:
-            q *= len(states[p])
+        q = math.prod(len(states[p]) for p in parents[i])
         got = rows.get(i, {})
         if len(got) != q:
             raise NetworkFormatError(

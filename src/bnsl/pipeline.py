@@ -32,7 +32,8 @@ log = logging.getLogger("bnsl.pipeline")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything a full run needs; JSON round-trippable."""
+    """Everything a full run needs; JSON round-trippable.  Names are checked
+    when it is built, so a bad one fails before any stage runs."""
 
     network: str | None = None     # ground-truth net to sample and score against
     dataset: str | None = None     # or: a pre-built TSV dataset
@@ -56,6 +57,16 @@ class PipelineConfig:
     directed_eval: bool = False
     emit_intermediate: str | None = None
 
+    def __post_init__(self):
+        fns = self.weight_fns
+        if not isinstance(fns, (list, tuple)) or not fns:  # a string is not a list
+            raise InvalidInput("weight_fns must be a non-empty list of weight function names")
+        object.__setattr__(self, "weight_fns", tuple(fns))
+        for fn in self.weight_fns + (self.substrate_fn,):
+            if fn not in WEIGHT_FUNCTIONS:
+                raise InvalidInput(f"unknown weight function {fn!r}")
+        self.learner_config()  # rejects an unknown learner
+
     def learner_config(self) -> LearnerConfig:
         return LearnerConfig(self.learner, self.max_parents, self.ess,
                              self.t_avg, self.mcmc_T, self.burn_in, self.thin)
@@ -69,8 +80,6 @@ class PipelineConfig:
         unknown = set(raw) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise InvalidInput(f"unknown config keys: {sorted(unknown)}")
-        if "weight_fns" in raw:
-            raw["weight_fns"] = tuple(raw["weight_fns"])
         return cls(**raw)
 
 

@@ -118,10 +118,7 @@ def mutual_information(data: DiscreteDataset, i: int, j: int) -> float:
     """Empirical MI in nats between columns i and j; zero cells are skipped."""
     if data.n_rows == 0:
         raise InvalidInput("dataset is empty")
-    ri, rj = data.cardinalities[i], data.cardinalities[j]
-    joint = np.bincount(data.column(i).astype(np.int64) * rj + data.column(j),
-                        minlength=ri * rj).reshape(ri, rj).astype(np.float64)
-    return _mi_from_joint(joint)
+    return _mi_from_joint(data.counts((i, j)).astype(np.float64))
 
 
 def _mi_from_joint(joint: np.ndarray) -> float:
@@ -218,8 +215,7 @@ def pair_stats(source: DiscreteDataset | PairStats) -> PairStats:
     for i in range(n):
         for j in range(i + 1, n):
             mi[i, j] = mi[j, i] = mutual_information(data, i, j)
-    h = np.array([entropy(np.bincount(data.column(i), minlength=data.cardinalities[i]))
-                  for i in range(n)])
+    h = np.array([entropy(data.counts((i,))) for i in range(n)])
     return PairStats(data, mi, h)
 
 

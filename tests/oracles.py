@@ -4,7 +4,9 @@ Every helper here recomputes a quantity with a deliberately different
 algorithm from the one in the library (plain dict loops instead of
 vectorized counting, threshold sweeps instead of agglomerative merges,
 sequential predictive products instead of gamma-function algebra), so a
-test that compares the two exercises independent code paths.
+test that compares the two exercises independent code paths.  The one
+exception is the section of earlier per-caller encoders, which repeat the
+library's arithmetic on purpose so that a test can compare with ``==``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from bisect import bisect_left
 
 import networkx as nx
 import numpy as np
+from scipy.special import gammaln
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +62,68 @@ def conditional_mi_of(xs, ys, zs) -> float:
         cmi += w * mutual_information_of([xs[i] for i in rows],
                                          [ys[i] for i in rows])
     return cmi
+
+
+# ---------------------------------------------------------------------------
+# Per-caller encoders: MI, CMI and BDeu as each coded its own columns before
+# ``DiscreteDataset.counts`` took the counting over.  Same codes, same float
+# arithmetic, so the library must match these bit for bit.
+# ---------------------------------------------------------------------------
+
+def _entropy_nats(counts) -> float:
+    c = np.asarray(counts, dtype=np.float64).ravel()
+    p = c[c > 0] / c.sum()
+    return float(-(p * np.log(p)).sum())
+
+
+def mi_by_pair_code(data, i: int, j: int) -> float:
+    """MI from the two-column code ``i * r_j + j``."""
+    ri, rj = data.cardinalities[i], data.cardinalities[j]
+    joint = np.bincount(data.column(i).astype(np.int64) * rj + data.column(j),
+                        minlength=ri * rj).reshape(ri, rj).astype(np.float64)
+    n = joint.sum()
+    pi = joint.sum(axis=1) / n
+    pj = joint.sum(axis=0) / n
+    mask = joint > 0
+    pij = joint[mask] / n
+    outer = np.outer(pi, pj)[mask]
+    return float(max((pij * np.log(pij / outer)).sum(), 0.0))
+
+
+def cmi_by_four_bincounts(data, x: int, y: int, z=()) -> float:
+    """H(XZ) + H(YZ) - H(XYZ) - H(Z), one ``bincount`` pass per term."""
+    z = tuple(sorted(set(int(v) for v in z)))
+    cards = data.cardinalities
+    cfg_z = np.zeros(data.n_rows, dtype=np.int64)
+    for v in z:
+        cfg_z = cfg_z * cards[v] + data.column(v)
+    cfg_xz = cfg_z * cards[x] + data.column(x)
+    cfg_yz = cfg_z * cards[y] + data.column(y)
+    cfg_xyz = cfg_xz * cards[y] + data.column(y)
+    h = (_entropy_nats(np.bincount(cfg_xz)) + _entropy_nats(np.bincount(cfg_yz))
+         - _entropy_nats(np.bincount(cfg_xyz)) - _entropy_nats(np.bincount(cfg_z)))
+    return max(float(h), 0.0)
+
+
+def bdeu_by_parent_loop(data, child: int, parents, ess: float = 10.0) -> float:
+    """BDeu with the parent configuration built one sorted parent at a time."""
+    parents = tuple(sorted(set(int(p) for p in parents)))
+    cards = data.cardinalities
+    r = cards[child]
+    q = 1
+    for p in parents:
+        q *= cards[p]
+    cfg = np.zeros(data.n_rows, dtype=np.int64)
+    for p in parents:
+        cfg = cfg * cards[p] + data.column(p)
+    counts = np.bincount(cfg * r + data.column(child), minlength=q * r)
+    counts = counts.reshape(q, r).astype(np.float64)
+    a_jk = ess / (q * r)
+    a_j = ess / q
+    nj = counts.sum(axis=1)
+    score = (gammaln(a_j) - gammaln(a_j + nj)).sum()
+    score += (gammaln(a_jk + counts) - gammaln(a_jk)).sum()
+    return float(score)
 
 
 # ---------------------------------------------------------------------------

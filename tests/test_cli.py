@@ -108,12 +108,13 @@ def test_stage_by_stage_matches_pipeline(tmp_path, capsys):
     net = str(NETWORKS_DIR / "alarm.net")
     data, part = tmp_path / "data.tsv", tmp_path / "partition.txt"
     structures, edges = tmp_path / "structures.json", tmp_path / "staged.edges"
-    merge_report = tmp_path / "merge.json"
+    learn_report, merge_report = tmp_path / "learn.json", tmp_path / "merge.json"
     assert main(["sample", "--network", net, "--n", "20000", "--seed", "0",
                  "--out", str(data)]) == 0
     assert main(["partition", "--dataset", str(data), "--out", str(part)]) == 0
     assert main(["learn", "--dataset", str(data), "--partition", str(part),
-                 "--seed", "0", "--out", str(structures)]) == 0
+                 "--seed", "0", "--out", str(structures),
+                 "--report", str(learn_report)]) == 0
     assert main(["merge", "--dataset", str(data), "--structures", str(structures),
                  "--seed", "0", "--out", str(edges), "--report", str(merge_report)]) == 0
 
@@ -133,6 +134,9 @@ def test_stage_by_stage_matches_pipeline(tmp_path, capsys):
     for key in staged:
         assert staged[key] == run[key], key
     assert staged["merge_sequence"] and staged["jaccard_evaluations"] > 0
+    staged_learn = json.loads(learn_report.read_text(encoding="utf-8"))
+    assert staged_learn == {"communities": run["communities"]}
+    assert run["communities"]
 
 
 def test_diagnose_subcommand(workdir, capsys):
@@ -163,6 +167,55 @@ def test_pipeline_stage_error_exits_two(capsys):
     code = main(["pipeline", "--config", path])
     assert code == 2
     assert "stage 'data' failed" in capsys.readouterr().err
+
+
+def test_sample_takes_n_from_config(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"n_samples": 500}), encoding="utf-8")
+    out = tmp_path / "data.tsv"
+    assert main(["sample", "--network", str(NETWORKS_DIR / "alarm.net"),
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    assert load_dataset(out).n_rows == 500
+
+
+def test_bad_config_name_exits_one_before_any_stage(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"network": str(NETWORKS_DIR / "alarm.net"),
+                               "learner": "nope"}), encoding="utf-8")
+    assert main(["pipeline", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown learner 'nope'" in err and "stage 'data'" not in err
+
+
+# each subcommand's required arguments, so that only the flag under test fails
+_REQUIRED = {
+    "sample": ["--network", "n.net", "--out", "x.tsv"],
+    "partition": ["--dataset", "d.tsv", "--out", "p.txt"],
+    "learn": ["--dataset", "d.tsv", "--partition", "p.txt", "--out", "s.json"],
+    "merge": ["--dataset", "d.tsv", "--structures", "s.json", "--out", "m.edges"],
+    "evaluate": ["--learned", "m.edges", "--network", "n.net"],
+    "diagnose": ["--dataset", "d.tsv", "--partition", "p.txt"],
+}
+# every settings flag that a subcommand does not read
+_UNREAD = [
+    ("sample", ["--learner", "greedy"]), ("sample", ["--emit-intermediate", "x"]),
+    ("partition", ["--seed", "3"]), ("partition", ["--learner", "greedy"]),
+    ("partition", ["--emit-intermediate", "x"]),
+    ("learn", ["--emit-intermediate", "x"]), ("merge", ["--emit-intermediate", "x"]),
+    ("evaluate", ["--config", "c.json"]), ("evaluate", ["--seed", "3"]),
+    ("evaluate", ["--learner", "greedy"]), ("evaluate", ["--emit-intermediate", "x"]),
+    ("diagnose", ["--seed", "3"]), ("diagnose", ["--learner", "greedy"]),
+    ("diagnose", ["--emit-intermediate", "x"]),
+]
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD,
+                         ids=[f"{c}{f[0]}" for c, f in _UNREAD])
+def test_unread_flag_is_systemexit(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_REQUIRED[command], *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_systemexit():

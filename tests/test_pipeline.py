@@ -58,6 +58,21 @@ class TestPipelineConfig:
         with pytest.raises(InvalidInput, match="unknown config keys"):
             PipelineConfig.from_json('{"n_sampels": 10}')
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"learner": "nope"}, "unknown learner 'nope'"),
+        ({"weight_fns": "MI"}, "non-empty list"),
+        ({"weight_fns": []}, "non-empty list"),
+        ({"weight_fns": ["MI", "MI_x"]}, "unknown weight function 'MI_x'"),
+        ({"substrate_fn": "mi"}, "unknown weight function 'mi'"),
+    ], ids=["learner", "weight_fns-string", "weight_fns-empty", "weight_fns-entry",
+            "substrate_fn"])
+    def test_bad_name_rejected(self, raw, message):
+        with pytest.raises(InvalidInput, match=message):
+            PipelineConfig.from_json(json.dumps(raw))
+
+    def test_weight_fns_list_becomes_tuple(self):
+        assert PipelineConfig(weight_fns=["MI", "Pearson"]).weight_fns == ("MI", "Pearson")
+
     def test_learner_config_projection(self):
         config = PipelineConfig(learner="greedy", max_parents=2, ess=4.0,
                                 t_avg=0.6, mcmc_T=50, burn_in=10, thin=2)
