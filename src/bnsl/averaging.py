@@ -7,16 +7,33 @@ per child and edge posteriors have the closed form
     P(j -> i | D, order) = sum_{U ni j} exp(score(i, U)) / sum_U exp(score(i, U))
 
 with U ranging over predecessor subsets up to ``max_parents``.  The order
-itself is integrated out by Metropolis-Hastings over transpositions (or
-exactly, for small node sets, by enumerating every order weighted by its
-marginal likelihood).
+itself is integrated out exactly, for windows of up to ``EXACT_MAX_NODES``
+nodes, or by Metropolis-Hastings over transpositions above that.
 
-One ``_OrderScorer`` per learning window serves all of these: it memoizes,
-by child and a bitmask of its predecessors, the log normalizer of the sum
-above and the child's row of edge posteriors, so the per-order, exact and
-sampled posteriors and the order marginal are sums or column fills of
-shared terms.  A transposition of positions a < b changes the predecessors
-of positions a..b only, so the sampler keeps the current order's terms and
+The exact average is the forward-backward subset dynamic program of
+Koivisto & Sood (2004, "Exact Bayesian structure discovery in Bayesian
+networks", JMLR 5).  Every family of at most ``max_parents`` parents is
+scored once through the score cache, and a zeta transform in log space
+gives log Z(c, S) = log sum_{U in S} exp(score(c, U)) for every child c
+and predecessor set S.  The forward sums alpha(S) add the orders of S over
+their last node, alpha(S) = sum_{c in S} alpha(S - c) Z(c, S - c), and the
+backward sums beta(T) the orders of T placed after the rest over their
+first node, beta(T) = sum_{c in T} Z(c, V - T) beta(T - c); both fill one
+popcount layer at a time.  Over all orders, c has predecessors S with
+weight alpha(S) Z(c, S) beta(V - S - c) / alpha(V), and given S it has
+parent j with probability 1 - Z(c, S - j) / Z(c, S), so
+
+    P(j -> c | D) = sum_{S ni j} alpha(S) Z(c, S) beta(V - S - c) / alpha(V)
+                                  * (1 - Z(c, S - j) / Z(c, S)).
+
+This takes O(m^2 2^m) time and m 2^m floats for a window of m nodes.
+
+For the sampler, one ``_OrderScorer`` per learning window memoizes, by
+child and a bitmask of its predecessors, the log normalizer of the sum
+above and the child's row of edge posteriors, so the per-order and sampled
+posteriors and the order marginal are sums or column fills of shared
+terms.  A transposition of positions a < b changes the predecessors of
+positions a..b only, so the sampler keeps the current order's terms and
 rescores just those positions on each step.
 """
 
@@ -34,6 +51,9 @@ from .errors import BudgetExceeded, FamilyTooLarge, InvalidInput
 
 DEFAULT_MAX_CELLS = 2 ** 22
 DEFAULT_SUBSET_BUDGET = 2 ** 20
+# windows up to this size are averaged exactly; the DP's log Z table then
+# holds at most 16 * 2^16 floats (8 MB)
+EXACT_MAX_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -284,23 +304,88 @@ def order_log_marginal(data: DiscreteDataset, order, max_parents: int = 3,
     return scorer.log_marginal([scorer.pos[v] for v in order])
 
 
+def _log_z_table(cache: ScoreCache, nodes, max_parents: int, budget: int) -> np.ndarray:
+    """log Z(c, S) for every window position c and predecessor bitmask S.
+
+    Row c starts as score(c, U) at the mask of every parent set U of at
+    most ``max_parents`` other positions and -inf elsewhere.  A zeta
+    transform in log space over the bits of the other positions turns
+    each entry into log sum_{U in S} exp(score(c, U)); masks holding c
+    itself stay -inf, which keeps c out of its own predecessors below.
+    """
+    m = len(nodes)
+    top = min(max_parents, m - 1)
+    total = sum(math.comb(m - 1, s) for s in range(top + 1))
+    if total > budget:
+        raise BudgetExceeded(f"{total} parent sets per child exceed the budget "
+                             f"of {budget}")
+    lz = np.full((m, 1 << m), -np.inf)
+    for c in range(m):
+        others = [k for k in range(m) if k != c]
+        for size in range(top + 1):
+            for u in itertools.combinations(others, size):
+                lz[c, sum(1 << k for k in u)] = cache.family_score(
+                    nodes[c], tuple(nodes[k] for k in u))
+        for k in others:
+            t = lz[c].reshape(-1, 2, 1 << k)  # t[:, 1] holds the masks with bit k
+            np.logaddexp(t[:, 1], t[:, 0], out=t[:, 1])
+    return lz
+
+
+def _log_sum_rows(a: np.ndarray) -> np.ndarray:
+    """log sum_c exp(a[c]) for each column of ``a``; no column is all -inf."""
+    top = a.max(axis=0)
+    return top + np.log(np.exp(a - top).sum(axis=0))
+
+
 def exact_order_average(data: DiscreteDataset, nodes=None, max_parents: int = 3,
                         ess: float = 10.0, cache: ScoreCache | None = None,
                         budget: int = DEFAULT_SUBSET_BUDGET) -> EdgePosterior:
     """Average edge posteriors over every order, weighted by exp(marginal).
 
-    Feasible only for small node sets (all m! orders are enumerated).
+    Exact, by the subset dynamic program of the module docstring, for up
+    to ``EXACT_MAX_NODES`` nodes.
     """
     nodes, cache = _resolve(data, nodes, ess, cache)
-    if len(nodes) > 8:
-        raise InvalidInput("exact averaging is limited to 8 nodes")
-    scorer = _OrderScorer(cache, nodes, max_parents, budget)
-    perms = list(itertools.permutations(range(len(nodes))))
-    logw = np.array([scorer.log_marginal(o) for o in perms])
-    w = np.exp(logw - logsumexp(logw))
-    w /= w.sum()  # exp(-log Z) rounds, and near -2e4 one ulp of log Z is 4e-12
-    avg = np.tensordot(w, np.stack([scorer.posterior(o) for o in perms]), axes=1)
-    return EdgePosterior(scorer.nodes, avg)
+    if len(nodes) > EXACT_MAX_NODES:
+        raise InvalidInput(f"exact averaging is limited to {EXACT_MAX_NODES} nodes")
+    nodes = tuple(sorted(nodes))
+    m = len(nodes)
+    lz = _log_z_table(cache, nodes, max_parents, budget)
+    full = (1 << m) - 1
+    masks = np.arange(1 << m)
+    bits = (1 << np.arange(m))[:, None]
+    size = sum((masks >> k) & 1 for k in range(m))
+    child = np.arange(m)[:, None]
+    # -inf until filled: a term whose child c is not in s reads a mask
+    # holding c, where lz is -inf, so it drops out of the sums
+    alpha = np.full(1 << m, -np.inf)
+    beta = np.full(1 << m, -np.inf)
+    alpha[0] = beta[0] = 0.0
+    for k in range(1, m + 1):
+        s = masks[size == k]
+        rest = s ^ bits  # row c: s without c
+        alpha[s] = _log_sum_rows(alpha[rest] + lz[child, rest])
+        beta[s] = _log_sum_rows(lz[child, full ^ s] + beta[rest])
+    post = np.zeros((m, m))
+    for c in range(m):
+        # the orders that give c the predecessors S, as a share of all orders;
+        # masks holding c get lz = -inf and weight 0
+        logw = alpha + lz[c] + beta[full ^ (1 << c) ^ masks]
+        # their sum is alpha(V) for every c, but exp(logw - alpha(V)) rounds
+        # (near -2e4 one ulp of alpha(V) is 4e-12), so divide by the sum taken
+        w = np.exp(logw - logw.max())
+        w /= w.sum()
+        # 0 rather than -inf where w is 0, so that no row reads -inf - -inf
+        lzc = np.where(np.isneginf(lz[c]), 0.0, lz[c])
+        for j in range(m):
+            if j == c:
+                continue
+            # the pairs (S - j, S) over the masks S holding j
+            pair = lzc.reshape(-1, 2, 1 << j)
+            rows = -np.expm1(pair[:, 0] - pair[:, 1])  # 1 - Z(c, S - j) / Z(c, S)
+            post[j, c] = (w.reshape(-1, 2, 1 << j)[:, 1] * rows).sum()
+    return EdgePosterior(nodes, post)
 
 
 def order_mcmc(data: DiscreteDataset, T: int = 100, burn_in: int | None = None,
@@ -466,11 +551,18 @@ class LearnerConfig:
 
 def learn_structure(data: DiscreteDataset, nodes, config: LearnerConfig,
                     seed: int = 0, cache: ScoreCache | None = None) -> LocalStructure:
-    """Run the configured learner on a node subset."""
+    """Run the configured learner on a node subset.
+
+    Model averaging is exact for up to ``EXACT_MAX_NODES`` nodes and runs
+    ``order_mcmc`` on ``seed`` above that; greedy search ignores the seed.
+    """
     if config.learner == "greedy":
         return greedy_learn(data, nodes, config.max_parents, config.ess, cache)
-    post = order_mcmc(data, config.T, config.burn_in, config.thin,
-                      config.max_parents, config.ess, seed, nodes, cache)
+    if (data.n_vars if nodes is None else len(nodes)) <= EXACT_MAX_NODES:
+        post = exact_order_average(data, nodes, config.max_parents, config.ess, cache)
+    else:
+        post = order_mcmc(data, config.T, config.burn_in, config.thin,
+                          config.max_parents, config.ess, seed, nodes, cache)
     return threshold_edges(post, config.t_avg)
 
 

@@ -58,7 +58,12 @@ def g_test(data: DiscreteDataset, x: int, y: int,
            z: Sequence[int] = ()) -> tuple[float, int, float]:
     """G statistic, degrees of freedom and p-value for X vs Y given Z."""
     z = tuple(sorted(set(int(v) for v in z)))
-    cmi = conditional_mutual_information(data, x, y, z)
+    return _g_of_cmi(data, x, y, z, conditional_mutual_information(data, x, y, z))
+
+
+def _g_of_cmi(data: DiscreteDataset, x: int, y: int, z: Sequence[int],
+              cmi: float) -> tuple[float, int, float]:
+    """``g_test`` of X vs Y given Z from CMI(X; Y | Z), already computed."""
     g = 2.0 * data.n_rows * cmi
     cards = data.cardinalities
     df = (cards[x] - 1) * (cards[y] - 1) * math.prod(cards[v] for v in z)
@@ -71,8 +76,9 @@ def iamb(data: DiscreteDataset, x: int, candidates: Sequence[int],
 
     Forward phase: admit the candidate maximizing CMI(x; c | blanket)
     (ties to the smallest index) while the G-test rejects independence at
-    ``alpha``; stop the first time the best candidate fails.  Backward
-    phase: drop any member that tests independent given the others.
+    ``alpha``; stop the first time the best candidate fails.  The test
+    reuses the CMI that chose the candidate.  Backward phase: drop any
+    member that tests independent given the others.
     """
     if not (0 < alpha < 1):
         raise InvalidInput("alpha must be in (0, 1)")
@@ -82,8 +88,10 @@ def iamb(data: DiscreteDataset, x: int, candidates: Sequence[int],
         rest = [c for c in cand if c not in cmb]
         if not rest:
             break
-        best = max(rest, key=lambda c: conditional_mutual_information(data, x, c, cmb))
-        _, _, p = g_test(data, x, best, cmb)
+        cmi = [conditional_mutual_information(data, x, c, cmb) for c in rest]
+        k = max(range(len(rest)), key=cmi.__getitem__)  # the first of ties
+        best = rest[k]
+        _, _, p = _g_of_cmi(data, x, best, cmb, cmi[k])
         if p < alpha:
             cmb.append(best)
         else:

@@ -109,7 +109,8 @@ def collect_triplets(g: WeightedGraph, t_tri: float) -> TripletGraph:
 
 def resolve(structure: LocalStructure, g: WeightedGraph, data: DiscreteDataset,
             config: LearnerConfig, t_tri: float | None = None, seed: int = 0,
-            cache: ScoreCache | None = None) -> LocalStructure:
+            cache: ScoreCache | None = None,
+            windows: list | None = None) -> LocalStructure:
     """Re-learn tightly coupled triangles of the structure's neighborhood.
 
     Triplets are collected from the weight subgraph induced by the
@@ -118,7 +119,8 @@ def resolve(structure: LocalStructure, g: WeightedGraph, data: DiscreteDataset,
     re-learned with the configured learner; edges inside a cluster are
     replaced by the re-learned ones, everything else passes through.
     Never introduces an edge between nodes sharing neither a cluster nor a
-    prior edge.
+    prior edge.  The size of each re-learned cluster is appended to
+    ``windows`` when a list is supplied.
     """
     sub = g.subgraph(structure.nodes)
     if sub.m == 0:
@@ -133,6 +135,8 @@ def resolve(structure: LocalStructure, g: WeightedGraph, data: DiscreteDataset,
         cache = ScoreCache(data, config.ess)
     relearned = []
     for idx, cl in enumerate(sorted(clusters, key=sorted)):
+        if windows is not None:
+            windows.append(len(cl))
         relearned.append(learn_structure(data, sorted(cl), config,
                                          seed + idx, cache))
     outside = [e for e in structure.edges

@@ -32,8 +32,10 @@ log = logging.getLogger("bnsl.pipeline")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything a full run needs; JSON round-trippable.  Names are checked
-    when it is built, so a bad one fails before any stage runs."""
+    """Everything a full run needs; JSON round-trippable.  Names and ranges
+    are checked when it is built, so a bad one fails before any stage runs.
+    ``mcmc_T``, ``burn_in`` and ``thin`` only reach windows of more than
+    ``EXACT_MAX_NODES`` nodes, which are sampled; smaller ones are exact."""
 
     network: str | None = None     # ground-truth net to sample and score against
     dataset: str | None = None     # or: a pre-built TSV dataset
@@ -66,6 +68,18 @@ class PipelineConfig:
             if fn not in WEIGHT_FUNCTIONS:
                 raise InvalidInput(f"unknown weight function {fn!r}")
         self.learner_config()  # rejects an unknown learner
+        for name, ok, rule in (
+                ("alpha", 0 < self.alpha < 1, "in (0, 1)"),
+                ("t_co", 0 <= self.t_co <= 1, "in [0, 1]"),
+                ("t_avg", 0 <= self.t_avg <= 1, "in [0, 1]"),
+                ("max_learn_size", self.max_learn_size >= 1, ">= 1"),
+                ("max_comm", self.max_comm >= 1, ">= 1"),
+                ("n_samples", self.n_samples >= 1, ">= 1"),
+                ("mcmc_T", self.mcmc_T >= 1, ">= 1"),
+                ("max_parents", self.max_parents >= 0, ">= 0"),
+                ("ess", self.ess > 0, "> 0")):
+            if not ok:
+                raise InvalidInput(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def learner_config(self) -> LearnerConfig:
         return LearnerConfig(self.learner, self.max_parents, self.ess,
@@ -151,7 +165,12 @@ def learn_communities(data: DiscreteDataset, partition: Partition,
                       substrate: WeightedGraph, config: PipelineConfig,
                       cache: ScoreCache | None = None,
                       run_report: dict | None = None) -> list[LocalStructure]:
-    """Blanket-isolate, sample and learn every community; one structure each."""
+    """Blanket-isolate, sample and learn every community; one structure each.
+
+    ``run_report["communities"]`` gets one entry per community, with the
+    sizes of the windows it learned: the sampled windows, then the
+    clusters that ``resolve`` re-learned.
+    """
     if cache is None:
         cache = ScoreCache(data, config.ess)
     lc = config.learner_config()
@@ -163,27 +182,31 @@ def learn_communities(data: DiscreteDataset, partition: Partition,
         subs = rnn_sample(img, br.blankets, config.k_subsamples,
                           config.max_learn_size, derive_seed(config.seed, 1, ci))
         learned = []
+        windows: list[int] = []  # sizes of the windows learned, in order
         seen: set[tuple[int, ...]] = set()
         for si, sc in enumerate(subs):
             if sc.members in seen or len(sc.members) < 2:
                 continue
             seen.add(sc.members)
+            windows.append(len(sc.members))
             learned.append(learn_structure(
                 data, sc.members, lc, derive_seed(config.seed, 2, ci, si), cache))
         if not learned:  # lone node with an empty blanket
             pool.append(LocalStructure(comm, (), {}, f"community {ci}"))
-            detail.append({"community": ci, "size": len(comm), "subsamples": 0})
+            detail.append({"community": ci, "size": len(comm), "subsamples": 0,
+                           "window_sizes": []})
             continue
         conflicts: list = []
         ens = combine_structures(learned, conflicts)
         res = resolve(ens, substrate, data, lc, config.t_tri,
-                      derive_seed(config.seed, 3, ci), cache)
+                      derive_seed(config.seed, 3, ci), cache, windows)
         pool.append(LocalStructure(res.nodes, res.edges, res.support,
                                    f"community {ci}"))
         detail.append({"community": ci, "size": len(comm),
                        "expanded": len(br.expanded),
                        "subsamples": len(subs), "learned": len(learned),
-                       "ensemble_conflicts": len(conflicts)})
+                       "ensemble_conflicts": len(conflicts),
+                       "window_sizes": windows})
     if run_report is not None:
         run_report["communities"] = detail
     return pool

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from bnsl.averaging import (EdgePosterior, LearnerConfig, LocalStructure,
-                            ScoreCache, bdeu_family_score,
+import bnsl.averaging as av
+from bnsl.averaging import (EXACT_MAX_NODES, EdgePosterior, LearnerConfig,
+                            LocalStructure, ScoreCache, bdeu_family_score,
                             exact_order_average,
                             feature_posterior_given_order, greedy_learn,
                             learn_structure, load_structure,
@@ -167,10 +168,33 @@ class TestExactOrderAverage:
 
     def test_too_many_nodes_rejected(self):
         rng = np.random.default_rng(53)
-        cols = [rng.integers(0, 2, 20) for _ in range(9)]
-        data = make_data(np.column_stack(cols), [2] * 9)
-        with pytest.raises(InvalidInput):
+        m = EXACT_MAX_NODES + 1
+        cols = [rng.integers(0, 2, 20) for _ in range(m)]
+        data = make_data(np.column_stack(cols), [2] * m)
+        with pytest.raises(InvalidInput, match=f"limited to {EXACT_MAX_NODES} nodes"):
             exact_order_average(data)
+
+    def test_empty_and_single_node_windows(self, chain_data):
+        assert exact_order_average(chain_data, nodes=()).matrix.shape == (0, 0)
+        assert exact_order_average(chain_data, nodes=[2]).matrix.tolist() == [[0.0]]
+
+
+@pytest.mark.parametrize("engine", [exact_order_average, order_mcmc])
+class TestLimitsOfBothEngines:
+    """The exact and the sampled average refuse the same windows."""
+
+    def test_budget_exceeded(self, engine, chain_data):
+        with pytest.raises(BudgetExceeded):
+            engine(chain_data, budget=3)  # 4 parent sets per child
+        engine(chain_data, budget=4)
+
+    def test_family_too_large(self, engine):
+        # 60^4 count cells for a child with three parents, 60^3 with two
+        rng = np.random.default_rng(57)
+        data = make_data(rng.integers(0, 60, size=(100, 4)), [60] * 4)
+        with pytest.raises(FamilyTooLarge):
+            engine(data, max_parents=3)
+        engine(data, max_parents=2)
 
 
 class TestOrderMcmc:
@@ -270,9 +294,27 @@ class TestLearnStructure:
     def test_modelavg_dispatch(self, chain_data):
         config = LearnerConfig(learner="modelavg", T=30, burn_in=30)
         via = learn_structure(chain_data, None, config, seed=3)
-        direct = threshold_edges(order_mcmc(chain_data, T=30, burn_in=30,
-                                            seed=3))
-        assert via.edges == direct.edges
+        direct = threshold_edges(exact_order_average(chain_data))
+        assert via == direct
+
+    @pytest.mark.parametrize("m, engine", [(EXACT_MAX_NODES, "exact_order_average"),
+                                           (EXACT_MAX_NODES + 1, "order_mcmc")])
+    def test_window_size_picks_the_engine(self, monkeypatch, m, engine):
+        rng = np.random.default_rng(58)
+        data = make_data(rng.integers(0, 2, size=(20, m)), [2] * m)
+        calls = []
+
+        def spy(name):
+            def record(data, *args, **kwargs):
+                calls.append(name)
+                return EdgePosterior(tuple(range(m)), np.zeros((m, m)))
+            return record
+
+        monkeypatch.setattr(av, "exact_order_average", spy("exact_order_average"))
+        monkeypatch.setattr(av, "order_mcmc", spy("order_mcmc"))
+        learn_structure(data, tuple(range(m)), LearnerConfig(learner="modelavg"))
+        learn_structure(data, None, LearnerConfig(learner="modelavg"))
+        assert calls == [engine, engine]
 
     def test_invalid_learner_rejected(self):
         with pytest.raises(InvalidInput):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, chi2_contingency
 
+import bnsl.blankets
 from bnsl.blankets import (BlanketResult, community_blanket,
                            conditional_mutual_information, g_test, iamb,
                            inner_markov_graph, mb_candidates, rnn_sample)
@@ -107,6 +108,21 @@ class TestIamb:
         assert iamb(chain_data, 1, [0, 2]) == {0, 2}
         assert iamb(chain_data, 0, [1, 2]) == {1}
         assert iamb(chain_data, 2, [0, 1]) == {1}
+
+    def test_forward_test_reuses_the_cmi_that_chose_the_candidate(self, chain_data,
+                                                                  monkeypatch):
+        real = conditional_mutual_information
+        calls = []
+
+        def recording(data, x, y, z=()):
+            calls.append((x, y, tuple(sorted(z))))
+            return real(data, x, y, z)
+
+        monkeypatch.setattr(bnsl.blankets, "conditional_mutual_information", recording)
+        assert iamb(chain_data, 0, [1, 2]) == {1}
+        # forward: both candidates, then 2 given {1}, which tests independent;
+        # backward: 1 given the empty rest of the blanket
+        assert calls == [(0, 1, ()), (0, 2, ()), (0, 2, (1,)), (0, 1, ())]
 
     def test_collider_includes_spouse(self):
         net = collider3()

@@ -187,6 +187,17 @@ def test_bad_config_name_exits_one_before_any_stage(tmp_path, capsys):
     assert "unknown learner 'nope'" in err and "stage 'data'" not in err
 
 
+@pytest.mark.parametrize("field, value", [("alpha", 1.5), ("max_learn_size", 0),
+                                          ("t_co", 7.0)])
+def test_out_of_range_config_exits_one_before_any_stage(tmp_path, capsys, field, value):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"network": str(NETWORKS_DIR / "alarm.net"),
+                               field: value}), encoding="utf-8")
+    assert main(["pipeline", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"{field} must be" in err and "stage 'data'" not in err
+
+
 # each subcommand's required arguments, so that only the flag under test fails
 _REQUIRED = {
     "sample": ["--network", "n.net", "--out", "x.tsv"],

@@ -1,8 +1,9 @@
-"""Order scoring and order MCMC against independent references, bit for bit.
+"""Order scoring, order MCMC and the exact average against references.
 
 The sampler rescores only the positions a transposition moves and takes
 log-sum-exp in numpy; both must give exactly what a full rescore with
-``scipy.special.logsumexp`` gives.
+``scipy.special.logsumexp`` gives.  The subset dynamic program must give
+what averaging over every order gives, to 1e-9.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 import bnsl.averaging as av
+import bnsl.merge
+import bnsl.pipeline
 from bnsl.data import forward_sample, load_network
 from bnsl.pipeline import PipelineConfig, run_pipeline
 
 from conftest import NETWORKS_DIR, random_binary_net
-from oracles import order_mcmc_reference
+from oracles import exact_order_average_by_enumeration, order_mcmc_reference
 
 SMALL = forward_sample(random_binary_net(np.random.default_rng(62), 7, arc_prob=0.5),
                        300, seed=12)
@@ -54,38 +57,58 @@ def test_logsumexp_matches_scipy_bit_for_bit():
     assert n == 20000
 
 
-def pipeline_windows(network: str, seed: int) -> list[tuple[dict, av.EdgePosterior]]:
-    """(arguments, result) of every ``order_mcmc`` call in one pipeline run."""
-    real = av.order_mcmc
+def pipeline_windows(network: str, seed: int) -> list[dict]:
+    """``order_mcmc`` arguments for every window one modelavg pipeline run
+    learns: the window, its seed and the run's sampler settings.  The run
+    averages these windows exactly, so the test runs the sampler itself."""
+    real = av.learn_structure
     sig = inspect.signature(real)
-    calls = []
+    windows = []
 
     def recording(*args, **kwargs):
         bound = sig.bind(*args, **kwargs)
         bound.apply_defaults()
-        post = real(*args, **kwargs)
-        calls.append((dict(bound.arguments), post))
-        return post
+        a = bound.arguments
+        lc = a["config"]
+        windows.append(dict(data=a["data"], T=lc.T, burn_in=lc.burn_in, thin=lc.thin,
+                            max_parents=lc.max_parents, ess=lc.ess, seed=a["seed"],
+                            nodes=a["nodes"], cache=a["cache"]))
+        return real(*args, **kwargs)
 
     mp = pytest.MonkeyPatch()
-    mp.setattr(av, "order_mcmc", recording)
+    for module in (bnsl.pipeline, bnsl.merge):  # each holds its own reference
+        mp.setattr(module, "learn_structure", recording)
     try:
         run_pipeline(PipelineConfig(network=str(NETWORKS_DIR / f"{network}.net"),
                                     n_samples=20000, seed=seed, learner="modelavg"))
     finally:
         mp.undo()
-    return calls
+    return windows
 
 
 @pytest.mark.parametrize("network,seed,n_windows",
                          [("alarm", 0, 44), ("insurance", 0, 28)])
 def test_pipeline_windows_match_full_rescoring(network, seed, n_windows):
-    calls = pipeline_windows(network, seed)
-    assert len(calls) == n_windows
-    for args, post in calls:
+    windows = pipeline_windows(network, seed)
+    assert len(windows) == n_windows
+    for args in windows:
+        got = av.order_mcmc(**args)
         want = order_mcmc_reference(**args)
-        assert post.nodes == want.nodes
-        assert np.array_equal(post.matrix, want.matrix), args["nodes"]
+        assert got.nodes == want.nodes
+        assert np.array_equal(got.matrix, want.matrix), args["nodes"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exact_average_matches_order_enumeration(data):
+    window = data.draw(st.lists(st.integers(0, SMALL.n_vars - 1), min_size=2,
+                                max_size=7, unique=True), label="window")
+    max_parents = data.draw(st.integers(0, 3), label="max_parents")
+    got = av.exact_order_average(SMALL, window, max_parents, cache=SMALL_CACHE)
+    want = exact_order_average_by_enumeration(SMALL, window, max_parents,
+                                              cache=SMALL_CACHE)
+    assert got.nodes == want.nodes
+    assert np.abs(got.matrix - want.matrix).max() <= 1e-9
 
 
 @settings(max_examples=300, deadline=None)
@@ -136,6 +159,8 @@ def alarm0():
 def test_exact_average_of_an_alarm_window_is_accepted(alarm0):
     post = av.exact_order_average(alarm0, (15, 30, 31, 32))
     assert post.nodes == (15, 30, 31, 32)
+    want = exact_order_average_by_enumeration(alarm0, (15, 30, 31, 32))
+    assert np.abs(post.matrix - want.matrix).max() <= 1e-9
 
 
 def test_order_posterior_row_never_exceeds_one(alarm0):

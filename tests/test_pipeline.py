@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import bnsl.merge
+import bnsl.pipeline
 from bnsl.data import save_dataset, save_network
 from bnsl.errors import InvalidInput, PipelineStageError
 from bnsl.pipeline import (PipelineConfig, build_substrate, derive_seed,
@@ -69,6 +71,22 @@ class TestPipelineConfig:
     def test_bad_name_rejected(self, raw, message):
         with pytest.raises(InvalidInput, match=message):
             PipelineConfig.from_json(json.dumps(raw))
+
+    @pytest.mark.parametrize("field, value, rule", [
+        ("alpha", 0.0, "in \\(0, 1\\)"), ("alpha", 1.5, "in \\(0, 1\\)"),
+        ("t_co", 7.0, "in \\[0, 1\\]"), ("t_avg", -0.1, "in \\[0, 1\\]"),
+        ("max_learn_size", 0, ">= 1"), ("max_comm", 0, ">= 1"),
+        ("n_samples", 0, ">= 1"), ("mcmc_T", 0, ">= 1"),
+        ("max_parents", -1, ">= 0"), ("ess", 0.0, "> 0"),
+    ])
+    def test_out_of_range_number_rejected(self, field, value, rule):
+        with pytest.raises(InvalidInput, match=f"{field} must be {rule}, got {value}"):
+            PipelineConfig.from_json(json.dumps({field: value}))
+
+    def test_range_edges_accepted(self):
+        PipelineConfig(t_co=0.0, t_avg=1.0, max_learn_size=1, max_comm=1,
+                       n_samples=1, mcmc_T=1, max_parents=0, ess=1e-9)
+        PipelineConfig(t_co=1.0, t_avg=0.0)
 
     def test_weight_fns_list_becomes_tuple(self):
         assert PipelineConfig(weight_fns=["MI", "Pearson"]).weight_fns == ("MI", "Pearson")
@@ -137,6 +155,24 @@ class TestLearnCommunities:
             pool = learn_communities(chain_data, part, substrate, config)
             assert [s.provenance for s in pool] == ["community 0", "community 1",
                                                     "community 2"]
+
+    def test_report_lists_the_windows_learned(self, chain_data, monkeypatch):
+        real = bnsl.pipeline.learn_structure
+        sizes = []
+
+        def recording(data, nodes, *args):
+            sizes.append(len(nodes))
+            return real(data, nodes, *args)
+
+        for module in (bnsl.pipeline, bnsl.merge):
+            monkeypatch.setattr(module, "learn_structure", recording)
+        part = Partition(3, ((0, 1, 2), (2,)))
+        report: dict = {}
+        learn_communities(chain_data, part, build_substrate(chain_data),
+                          PipelineConfig(), run_report=report)
+        windows = [c["window_sizes"] for c in report["communities"]]
+        assert [n for w in windows for n in w] == sizes
+        assert windows[0] and all(2 <= n <= 3 for n in windows[0])
 
 
 class TestRunPipeline:
