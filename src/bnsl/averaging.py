@@ -332,12 +332,6 @@ def _log_z_table(cache: ScoreCache, nodes, max_parents: int, budget: int) -> np.
     return lz
 
 
-def _log_sum_rows(a: np.ndarray) -> np.ndarray:
-    """log sum_c exp(a[c]) for each column of ``a``; no column is all -inf."""
-    top = a.max(axis=0)
-    return top + np.log(np.exp(a - top).sum(axis=0))
-
-
 def exact_order_average(data: DiscreteDataset, nodes=None, max_parents: int = 3,
                         ess: float = 10.0, cache: ScoreCache | None = None,
                         budget: int = DEFAULT_SUBSET_BUDGET) -> EdgePosterior:
@@ -365,8 +359,8 @@ def exact_order_average(data: DiscreteDataset, nodes=None, max_parents: int = 3,
     for k in range(1, m + 1):
         s = masks[size == k]
         rest = s ^ bits  # row c: s without c
-        alpha[s] = _log_sum_rows(alpha[rest] + lz[child, rest])
-        beta[s] = _log_sum_rows(lz[child, full ^ s] + beta[rest])
+        alpha[s] = np.logaddexp.reduce(alpha[rest] + lz[child, rest], axis=0)
+        beta[s] = np.logaddexp.reduce(lz[child, full ^ s] + beta[rest], axis=0)
     post = np.zeros((m, m))
     for c in range(m):
         # the orders that give c the predecessors S, as a share of all orders;

@@ -1,5 +1,6 @@
 """BDeu scoring, order-conditional posteriors, MCMC, and greedy search."""
 
+import inspect
 import itertools
 import math
 
@@ -291,10 +292,21 @@ class TestLearnStructure:
         via = learn_structure(chain_data, None, config)
         assert via.edges == direct.edges
 
+    # every setting off its default, so a dropped or swapped one shows
+    MODELAVG = LearnerConfig(learner="modelavg", max_parents=1, ess=5.0,
+                             t_avg=0.4, T=30, burn_in=30, thin=2)
+
     def test_modelavg_dispatch(self, chain_data):
-        config = LearnerConfig(learner="modelavg", T=30, burn_in=30)
-        via = learn_structure(chain_data, None, config, seed=3)
-        direct = threshold_edges(exact_order_average(chain_data))
+        via = learn_structure(chain_data, None, self.MODELAVG, seed=3)
+        direct = threshold_edges(exact_order_average(chain_data, max_parents=1,
+                                                     ess=5.0), 0.4)
+        assert via == direct
+
+    def test_modelavg_dispatch_above_the_exact_limit(self, monkeypatch, chain_data):
+        monkeypatch.setattr(av, "EXACT_MAX_NODES", 2)
+        via = learn_structure(chain_data, None, self.MODELAVG, seed=3)
+        direct = threshold_edges(order_mcmc(chain_data, T=30, burn_in=30, thin=2,
+                                            max_parents=1, ess=5.0, seed=3), 0.4)
         assert via == direct
 
     @pytest.mark.parametrize("m, engine", [(EXACT_MAX_NODES, "exact_order_average"),
@@ -302,19 +314,34 @@ class TestLearnStructure:
     def test_window_size_picks_the_engine(self, monkeypatch, m, engine):
         rng = np.random.default_rng(58)
         data = make_data(rng.integers(0, 2, size=(20, m)), [2] * m)
+        cache = ScoreCache(data, 5.0)
         calls = []
 
         def spy(name):
-            def record(data, *args, **kwargs):
-                calls.append(name)
-                return EdgePosterior(tuple(range(m)), np.zeros((m, m)))
+            signature = inspect.signature(getattr(av, name))
+
+            def record(*args, **kwargs):
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                calls.append((name, bound.arguments))
+                post = np.zeros((m, m))
+                post[0, 1] = 0.45  # kept at t_avg 0.4, dropped at 0.5
+                return EdgePosterior(tuple(range(m)), post)
             return record
 
         monkeypatch.setattr(av, "exact_order_average", spy("exact_order_average"))
         monkeypatch.setattr(av, "order_mcmc", spy("order_mcmc"))
-        learn_structure(data, tuple(range(m)), LearnerConfig(learner="modelavg"))
-        learn_structure(data, None, LearnerConfig(learner="modelavg"))
-        assert calls == [engine, engine]
+        for nodes in (tuple(range(m)), None):
+            got = learn_structure(data, nodes, self.MODELAVG, seed=7, cache=cache)
+            assert got.edges == ((0, 1),)
+        assert [name for name, _ in calls] == [engine, engine]
+        want = {"max_parents": 1, "ess": 5.0}
+        if engine == "order_mcmc":
+            want.update(T=30, burn_in=30, thin=2, seed=7)
+        for (_, got), nodes in zip(calls, (tuple(range(m)), None)):
+            assert got["data"] is data and got["cache"] is cache
+            assert got["nodes"] == nodes
+            assert {key: got[key] for key in want} == want
 
     def test_invalid_learner_rejected(self):
         with pytest.raises(InvalidInput):
