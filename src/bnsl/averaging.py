@@ -8,7 +8,8 @@ per child and edge posteriors have the closed form
 
 with U ranging over predecessor subsets up to ``max_parents``.  The order
 itself is integrated out exactly, for windows of up to ``EXACT_MAX_NODES``
-nodes, or by Metropolis-Hastings over transpositions above that.
+nodes; ``order_mcmc`` estimates the same average by Metropolis-Hastings
+over transpositions, as a library function the pipeline does not call.
 
 The exact average is the forward-backward subset dynamic program of
 Koivisto & Sood (2004, "Exact Bayesian structure discovery in Bayesian
@@ -28,7 +29,7 @@ parent j with probability 1 - Z(c, S - j) / Z(c, S), so
 
 This takes O(m^2 2^m) time and m 2^m floats for a window of m nodes.
 
-For the sampler, one ``_OrderScorer`` per learning window memoizes, by
+For the sampler, one ``_OrderScorer`` per window memoizes, by
 child and a bitmask of its predecessors, the log normalizer of the sum
 above and the child's row of edge posteriors, so the per-order and sampled
 posteriors and the order marginal are sums or column fills of shared
@@ -51,8 +52,8 @@ from .errors import BudgetExceeded, FamilyTooLarge, InvalidInput
 
 DEFAULT_MAX_CELLS = 2 ** 22
 DEFAULT_SUBSET_BUDGET = 2 ** 20
-# windows up to this size are averaged exactly; the DP's log Z table then
-# holds at most 16 * 2^16 floats (8 MB)
+# the largest window the DP averages, and so the largest modelavg window;
+# its log Z table then holds 16 * 2^16 floats (8 MB)
 EXACT_MAX_NODES = 16
 
 
@@ -399,6 +400,10 @@ def order_mcmc(data: DiscreteDataset, T: int = 100, burn_in: int | None = None,
     m = len(nodes)
     if T < 1:
         raise InvalidInput("T must be >= 1")
+    if burn_in is not None and burn_in < 0:
+        raise InvalidInput("burn_in must be >= 0")
+    if thin is not None and thin < 1:
+        raise InvalidInput("thin must be >= 1")
     scorer = _OrderScorer(cache, nodes, max_parents, budget)
     if m == 1:
         return EdgePosterior(scorer.nodes, np.zeros((1, 1)))
@@ -534,9 +539,6 @@ class LearnerConfig:
     max_parents: int = 3
     ess: float = 10.0
     t_avg: float = 0.5
-    T: int = 100
-    burn_in: int | None = None
-    thin: int | None = None
 
     def __post_init__(self):
         if self.learner not in ("modelavg", "greedy"):
@@ -544,19 +546,16 @@ class LearnerConfig:
 
 
 def learn_structure(data: DiscreteDataset, nodes, config: LearnerConfig,
-                    seed: int = 0, cache: ScoreCache | None = None) -> LocalStructure:
+                    cache: ScoreCache | None = None) -> LocalStructure:
     """Run the configured learner on a node subset.
 
-    Model averaging is exact for up to ``EXACT_MAX_NODES`` nodes and runs
-    ``order_mcmc`` on ``seed`` above that; greedy search ignores the seed.
+    Model averaging thresholds the exact order-averaged posteriors, so it
+    takes windows of up to ``EXACT_MAX_NODES`` nodes and raises
+    ``InvalidInput`` on a larger one.
     """
     if config.learner == "greedy":
         return greedy_learn(data, nodes, config.max_parents, config.ess, cache)
-    if (data.n_vars if nodes is None else len(nodes)) <= EXACT_MAX_NODES:
-        post = exact_order_average(data, nodes, config.max_parents, config.ess, cache)
-    else:
-        post = order_mcmc(data, config.T, config.burn_in, config.thin,
-                          config.max_parents, config.ess, seed, nodes, cache)
+    post = exact_order_average(data, nodes, config.max_parents, config.ess, cache)
     return threshold_edges(post, config.t_avg)
 
 

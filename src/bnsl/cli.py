@@ -85,7 +85,7 @@ def main(argv=None) -> int:
     p.add_argument("--structures", required=True, help="structures JSON from learn")
     p.add_argument("--out", required=True, help="edge list of the final structure")
     p.add_argument("--report", help="JSON run report")
-    _add_common(p, "--config", "--seed", "--learner")
+    _add_common(p, "--config", "--learner")
 
     p = sub.add_parser("evaluate", help="score a learned structure against a network")
     p.add_argument("--learned", required=True, help="edge list file")

@@ -108,7 +108,7 @@ def collect_triplets(g: WeightedGraph, t_tri: float) -> TripletGraph:
 
 
 def resolve(structure: LocalStructure, g: WeightedGraph, data: DiscreteDataset,
-            config: LearnerConfig, t_tri: float | None = None, seed: int = 0,
+            config: LearnerConfig, t_tri: float | None = None,
             cache: ScoreCache | None = None,
             windows: list | None = None) -> LocalStructure:
     """Re-learn tightly coupled triangles of the structure's neighborhood.
@@ -134,11 +134,10 @@ def resolve(structure: LocalStructure, g: WeightedGraph, data: DiscreteDataset,
     if cache is None:
         cache = ScoreCache(data, config.ess)
     relearned = []
-    for idx, cl in enumerate(sorted(clusters, key=sorted)):
+    for cl in sorted(clusters, key=sorted):
         if windows is not None:
             windows.append(len(cl))
-        relearned.append(learn_structure(data, sorted(cl), config,
-                                         seed + idx, cache))
+        relearned.append(learn_structure(data, sorted(cl), config, cache))
     outside = [e for e in structure.edges
                if not any(e[0] in cl and e[1] in cl for cl in clusters)]
     # the clusters lie inside the structure's nodes, so the node set is unchanged
@@ -160,7 +159,7 @@ class MergeResult:
 
 def merge_all(pool: Sequence[LocalStructure], g: WeightedGraph,
               data: DiscreteDataset, config: LearnerConfig,
-              t_tri: float | None = None, seed: int = 0,
+              t_tri: float | None = None,
               cache: ScoreCache | None = None) -> MergeResult:
     """Fold a pool of structures into one by repeated max-Jaccard merging.
 
@@ -217,7 +216,7 @@ def merge_all(pool: Sequence[LocalStructure], g: WeightedGraph,
             inner = [e for e in merged.edges if e[0] in scope and e[1] in scope]
             outer = [e for e in merged.edges if e[0] not in scope or e[1] not in scope]
             fixed = resolve(_restrict(merged, scope, inner), g, data, config, t_tri,
-                            seed + len(sequence), cache)
+                            cache)
             merged = combine_structures([_restrict(merged, merged.nodes, outer), fixed])
         enter(merged)
 

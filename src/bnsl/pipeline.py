@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .averaging import (LearnerConfig, LocalStructure, ScoreCache,
-                        learn_structure, save_structure)
+from .averaging import (EXACT_MAX_NODES, LearnerConfig, LocalStructure,
+                        ScoreCache, learn_structure, save_structure)
 from .blankets import community_blanket, inner_markov_graph, rnn_sample
 from .data import (DiscreteDataset, GroundTruthNet, forward_sample,
                    load_dataset, load_network, save_dataset)
@@ -34,8 +34,8 @@ log = logging.getLogger("bnsl.pipeline")
 class PipelineConfig:
     """Everything a full run needs; JSON round-trippable.  Names and ranges
     are checked when it is built, so a bad one fails before any stage runs.
-    ``mcmc_T``, ``burn_in`` and ``thin`` only reach windows of more than
-    ``EXACT_MAX_NODES`` nodes, which are sampled; smaller ones are exact."""
+    With ``learner="modelavg"`` every window is averaged exactly, so
+    ``max_learn_size`` may not exceed ``EXACT_MAX_NODES``."""
 
     network: str | None = None     # ground-truth net to sample and score against
     dataset: str | None = None     # or: a pre-built TSV dataset
@@ -52,9 +52,6 @@ class PipelineConfig:
     max_parents: int = 3
     ess: float = 10.0
     t_avg: float = 0.5
-    mcmc_T: int = 100
-    burn_in: int | None = None
-    thin: int | None = None
     t_tri: float | None = None
     directed_eval: bool = False
     emit_intermediate: str | None = None
@@ -73,17 +70,18 @@ class PipelineConfig:
                 ("t_co", 0 <= self.t_co <= 1, "in [0, 1]"),
                 ("t_avg", 0 <= self.t_avg <= 1, "in [0, 1]"),
                 ("max_learn_size", self.max_learn_size >= 1, ">= 1"),
+                ("max_learn_size", self.learner != "modelavg"
+                 or self.max_learn_size <= EXACT_MAX_NODES,
+                 f"<= {EXACT_MAX_NODES} with modelavg"),
                 ("max_comm", self.max_comm >= 1, ">= 1"),
                 ("n_samples", self.n_samples >= 1, ">= 1"),
-                ("mcmc_T", self.mcmc_T >= 1, ">= 1"),
                 ("max_parents", self.max_parents >= 0, ">= 0"),
                 ("ess", self.ess > 0, "> 0")):
             if not ok:
                 raise InvalidInput(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def learner_config(self) -> LearnerConfig:
-        return LearnerConfig(self.learner, self.max_parents, self.ess,
-                             self.t_avg, self.mcmc_T, self.burn_in, self.thin)
+        return LearnerConfig(self.learner, self.max_parents, self.ess, self.t_avg)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -184,13 +182,12 @@ def learn_communities(data: DiscreteDataset, partition: Partition,
         learned = []
         windows: list[int] = []  # sizes of the windows learned, in order
         seen: set[tuple[int, ...]] = set()
-        for si, sc in enumerate(subs):
+        for sc in subs:
             if sc.members in seen or len(sc.members) < 2:
                 continue
             seen.add(sc.members)
             windows.append(len(sc.members))
-            learned.append(learn_structure(
-                data, sc.members, lc, derive_seed(config.seed, 2, ci, si), cache))
+            learned.append(learn_structure(data, sc.members, lc, cache))
         if not learned:  # lone node with an empty blanket
             pool.append(LocalStructure(comm, (), {}, f"community {ci}"))
             detail.append({"community": ci, "size": len(comm), "subsamples": 0,
@@ -198,8 +195,7 @@ def learn_communities(data: DiscreteDataset, partition: Partition,
             continue
         conflicts: list = []
         ens = combine_structures(learned, conflicts)
-        res = resolve(ens, substrate, data, lc, config.t_tri,
-                      derive_seed(config.seed, 3, ci), cache, windows)
+        res = resolve(ens, substrate, data, lc, config.t_tri, cache, windows)
         pool.append(LocalStructure(res.nodes, res.edges, res.support,
                                    f"community {ci}"))
         detail.append({"community": ci, "size": len(comm),
@@ -216,10 +212,10 @@ def merge_communities(data: DiscreteDataset, pool: list[LocalStructure],
                       substrate: WeightedGraph, config: PipelineConfig,
                       cache: ScoreCache | None = None,
                       run_report: dict | None = None) -> MergeResult:
-    """Merge the pool on the run's merge seed; ``run_report`` gets the
-    merge sequence, the Jaccard evaluation count and the conflicts."""
+    """Merge the pool; ``run_report`` gets the merge sequence, the Jaccard
+    evaluation count and the conflicts."""
     merged = merge_all(pool, substrate, data, config.learner_config(),
-                       config.t_tri, derive_seed(config.seed, 4), cache)
+                       config.t_tri, cache)
     if run_report is not None:
         run_report["merge_sequence"] = [[list(a), list(b)]
                                         for a, b in merged.merge_sequence]

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import bnsl.averaging as av
@@ -210,6 +212,11 @@ class TestOrderMcmc:
         b = order_mcmc(chain_data, T=20, burn_in=10, seed=4)
         assert np.array_equal(a.matrix, b.matrix)
 
+    @pytest.mark.parametrize("name, value", [("T", 0), ("burn_in", -5), ("thin", 0)])
+    def test_bad_schedule_rejected(self, chain_data, name, value):
+        with pytest.raises(InvalidInput, match=f"^{name} must be"):
+            order_mcmc(chain_data, **{name: value})
+
     def test_approaches_exact_average(self, chain_data):
         exact = exact_order_average(chain_data).matrix
         approx = order_mcmc(chain_data, T=150, burn_in=150, seed=0).matrix
@@ -240,6 +247,26 @@ class TestThresholdEdges:
         post = self._posterior({(2, 1): 0.9})
         s = threshold_edges(post)
         assert s.support[(2, 1)] == pytest.approx(0.9)
+
+    # a coarse grid mixed in, so that ties and values at the threshold occur
+    PROBABILITY = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_direction_per_pair_and_support_above_threshold(self, data):
+        nodes = data.draw(st.lists(st.integers(0, 50), max_size=6, unique=True),
+                          label="nodes")
+        k = len(nodes)
+        mat = np.array(data.draw(st.lists(self.PROBABILITY, min_size=k * k,
+                                          max_size=k * k), label="entries"))
+        mat = mat.reshape(k, k) * (1 - np.eye(k))
+        t_avg = data.draw(self.PROBABILITY, label="t_avg")
+        post = EdgePosterior(tuple(nodes), mat)
+        s = threshold_edges(post, t_avg)
+        pos = {v: a for a, v in enumerate(nodes)}
+        for a, b in s.edges:
+            assert (b, a) not in s.edges
+            assert s.support[(a, b)] == post.matrix[pos[a], pos[b]] > t_avg
 
 
 class TestGreedyLearn:
@@ -280,11 +307,6 @@ class TestGreedyLearn:
 
 
 class TestLearnStructure:
-    def test_seed_is_ignored(self, chain_data):
-        config = LearnerConfig(learner="greedy")
-        assert learn_structure(chain_data, None, config, seed=0) == \
-            learn_structure(chain_data, None, config, seed=99)
-
     def test_greedy_dispatch(self, chain_data):
         config = LearnerConfig(learner="greedy")
         direct = greedy_learn(chain_data, max_parents=config.max_parents,
@@ -293,55 +315,45 @@ class TestLearnStructure:
         assert via.edges == direct.edges
 
     # every setting off its default, so a dropped or swapped one shows
-    MODELAVG = LearnerConfig(learner="modelavg", max_parents=1, ess=5.0,
-                             t_avg=0.4, T=30, burn_in=30, thin=2)
+    MODELAVG = LearnerConfig(learner="modelavg", max_parents=1, ess=5.0, t_avg=0.4)
 
     def test_modelavg_dispatch(self, chain_data):
-        via = learn_structure(chain_data, None, self.MODELAVG, seed=3)
+        via = learn_structure(chain_data, None, self.MODELAVG)
         direct = threshold_edges(exact_order_average(chain_data, max_parents=1,
                                                      ess=5.0), 0.4)
         assert via == direct
 
-    def test_modelavg_dispatch_above_the_exact_limit(self, monkeypatch, chain_data):
-        monkeypatch.setattr(av, "EXACT_MAX_NODES", 2)
-        via = learn_structure(chain_data, None, self.MODELAVG, seed=3)
-        direct = threshold_edges(order_mcmc(chain_data, T=30, burn_in=30, thin=2,
-                                            max_parents=1, ess=5.0, seed=3), 0.4)
-        assert via == direct
+    def test_modelavg_window_above_the_exact_limit_rejected(self):
+        m = EXACT_MAX_NODES + 1
+        data = make_data(np.random.default_rng(58).integers(0, 2, size=(20, m)), [2] * m)
+        with pytest.raises(InvalidInput, match=f"limited to {EXACT_MAX_NODES} nodes"):
+            learn_structure(data, tuple(range(m)), self.MODELAVG)
 
-    @pytest.mark.parametrize("m, engine", [(EXACT_MAX_NODES, "exact_order_average"),
-                                           (EXACT_MAX_NODES + 1, "order_mcmc")])
-    def test_window_size_picks_the_engine(self, monkeypatch, m, engine):
+    def test_modelavg_passes_the_config_to_the_dp(self, monkeypatch):
+        m = EXACT_MAX_NODES
         rng = np.random.default_rng(58)
         data = make_data(rng.integers(0, 2, size=(20, m)), [2] * m)
         cache = ScoreCache(data, 5.0)
+        signature = inspect.signature(exact_order_average)
         calls = []
 
-        def spy(name):
-            signature = inspect.signature(getattr(av, name))
+        def spy(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(bound.arguments)
+            post = np.zeros((m, m))
+            post[0, 1] = 0.45  # kept at t_avg 0.4, dropped at 0.5
+            return EdgePosterior(tuple(range(m)), post)
 
-            def record(*args, **kwargs):
-                bound = signature.bind(*args, **kwargs)
-                bound.apply_defaults()
-                calls.append((name, bound.arguments))
-                post = np.zeros((m, m))
-                post[0, 1] = 0.45  # kept at t_avg 0.4, dropped at 0.5
-                return EdgePosterior(tuple(range(m)), post)
-            return record
-
-        monkeypatch.setattr(av, "exact_order_average", spy("exact_order_average"))
-        monkeypatch.setattr(av, "order_mcmc", spy("order_mcmc"))
+        monkeypatch.setattr(av, "exact_order_average", spy)
         for nodes in (tuple(range(m)), None):
-            got = learn_structure(data, nodes, self.MODELAVG, seed=7, cache=cache)
+            got = learn_structure(data, nodes, self.MODELAVG, cache=cache)
             assert got.edges == ((0, 1),)
-        assert [name for name, _ in calls] == [engine, engine]
-        want = {"max_parents": 1, "ess": 5.0}
-        if engine == "order_mcmc":
-            want.update(T=30, burn_in=30, thin=2, seed=7)
-        for (_, got), nodes in zip(calls, (tuple(range(m)), None)):
+        assert len(calls) == 2
+        for got, nodes in zip(calls, (tuple(range(m)), None)):
             assert got["data"] is data and got["cache"] is cache
             assert got["nodes"] == nodes
-            assert {key: got[key] for key in want} == want
+            assert (got["max_parents"], got["ess"]) == (1, 5.0)
 
     def test_invalid_learner_rejected(self):
         with pytest.raises(InvalidInput):

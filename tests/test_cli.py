@@ -27,8 +27,7 @@ def workdir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def config_file(workdir):
     path = workdir / "config.json"
-    path.write_text(json.dumps({"mcmc_T": 30, "burn_in": 30}),
-                    encoding="utf-8")
+    path.write_text(json.dumps({"max_parents": 2}), encoding="utf-8")
     return str(path)
 
 
@@ -61,7 +60,7 @@ def test_learn_merge_evaluate_chain(workdir, config_file):
     merge_report = workdir / "merge_report.json"
     code = main(["merge", "--dataset", str(workdir / "data.tsv"),
                  "--structures", str(structures), "--config", config_file,
-                 "--seed", "3", "--out", str(merged),
+                 "--out", str(merged),
                  "--report", str(merge_report)])
     assert code == 0
     assert "jaccard_evaluations" in json.loads(merge_report.read_text())
@@ -89,6 +88,7 @@ def test_pipeline_subcommand(workdir, config_file, capsys):
     run_report = json.loads(capsys.readouterr().out)
     assert run_report["evaluation"]["f_score"] == 100.0
     assert run_report["config"]["seed"] == 3
+    assert run_report["config"]["max_parents"] == 2
     assert out.exists()
 
 
@@ -116,7 +116,7 @@ def test_stage_by_stage_matches_pipeline(tmp_path, capsys):
                  "--seed", "0", "--out", str(structures),
                  "--report", str(learn_report)]) == 0
     assert main(["merge", "--dataset", str(data), "--structures", str(structures),
-                 "--seed", "0", "--out", str(edges), "--report", str(merge_report)]) == 0
+                 "--out", str(edges), "--report", str(merge_report)]) == 0
 
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"network": net, "n_samples": 20000}), encoding="utf-8")
@@ -188,7 +188,7 @@ def test_bad_config_name_exits_one_before_any_stage(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value", [("alpha", 1.5), ("max_learn_size", 0),
-                                          ("t_co", 7.0)])
+                                          ("max_learn_size", 17), ("t_co", 7.0)])
 def test_out_of_range_config_exits_one_before_any_stage(tmp_path, capsys, field, value):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"network": str(NETWORKS_DIR / "alarm.net"),
@@ -212,7 +212,8 @@ _UNREAD = [
     ("sample", ["--learner", "greedy"]), ("sample", ["--emit-intermediate", "x"]),
     ("partition", ["--seed", "3"]), ("partition", ["--learner", "greedy"]),
     ("partition", ["--emit-intermediate", "x"]),
-    ("learn", ["--emit-intermediate", "x"]), ("merge", ["--emit-intermediate", "x"]),
+    ("learn", ["--emit-intermediate", "x"]), ("merge", ["--seed", "3"]),
+    ("merge", ["--emit-intermediate", "x"]),
     ("evaluate", ["--config", "c.json"]), ("evaluate", ["--seed", "3"]),
     ("evaluate", ["--learner", "greedy"]), ("evaluate", ["--emit-intermediate", "x"]),
     ("diagnose", ["--seed", "3"]), ("diagnose", ["--learner", "greedy"]),

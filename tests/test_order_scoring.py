@@ -59,8 +59,9 @@ def test_logsumexp_matches_scipy_bit_for_bit():
 
 def pipeline_windows(network: str, seed: int) -> list[dict]:
     """``order_mcmc`` arguments for every window one modelavg pipeline run
-    learns: the window, its seed and the run's sampler settings.  The run
-    averages these windows exactly, so the test runs the sampler itself."""
+    learns: the window and the run's scoring settings, with the sampler's
+    default schedule and the window's index as its seed.  The run averages
+    these windows exactly, so the test runs the sampler itself."""
     real = av.learn_structure
     sig = inspect.signature(real)
     windows = []
@@ -70,9 +71,8 @@ def pipeline_windows(network: str, seed: int) -> list[dict]:
         bound.apply_defaults()
         a = bound.arguments
         lc = a["config"]
-        windows.append(dict(data=a["data"], T=lc.T, burn_in=lc.burn_in, thin=lc.thin,
-                            max_parents=lc.max_parents, ess=lc.ess, seed=a["seed"],
-                            nodes=a["nodes"], cache=a["cache"]))
+        windows.append(dict(data=a["data"], max_parents=lc.max_parents, ess=lc.ess,
+                            seed=len(windows), nodes=a["nodes"], cache=a["cache"]))
         return real(*args, **kwargs)
 
     mp = pytest.MonkeyPatch()

@@ -1,6 +1,7 @@
 """End-to-end orchestration: config handling, staging, reproducibility."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from bnsl.averaging import LocalStructure
 from bnsl.partition import Partition
 from bnsl.weights import elbow_truncate, weight_matrix
 
-from conftest import chain3
+from conftest import REPO_ROOT, chain3
 
 
 @pytest.fixture(scope="module")
@@ -28,8 +29,7 @@ def chain_net_file(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def small_config(chain_net_file):
-    return PipelineConfig(network=chain_net_file, n_samples=2000, seed=3,
-                          mcmc_T=30, burn_in=30)
+    return PipelineConfig(network=chain_net_file, n_samples=2000, seed=3)
 
 
 class TestDeriveSeed:
@@ -76,7 +76,7 @@ class TestPipelineConfig:
         ("alpha", 0.0, "in \\(0, 1\\)"), ("alpha", 1.5, "in \\(0, 1\\)"),
         ("t_co", 7.0, "in \\[0, 1\\]"), ("t_avg", -0.1, "in \\[0, 1\\]"),
         ("max_learn_size", 0, ">= 1"), ("max_comm", 0, ">= 1"),
-        ("n_samples", 0, ">= 1"), ("mcmc_T", 0, ">= 1"),
+        ("n_samples", 0, ">= 1"), ("max_learn_size", 17, "<= 16 with modelavg"),
         ("max_parents", -1, ">= 0"), ("ess", 0.0, "> 0"),
     ])
     def test_out_of_range_number_rejected(self, field, value, rule):
@@ -85,23 +85,29 @@ class TestPipelineConfig:
 
     def test_range_edges_accepted(self):
         PipelineConfig(t_co=0.0, t_avg=1.0, max_learn_size=1, max_comm=1,
-                       n_samples=1, mcmc_T=1, max_parents=0, ess=1e-9)
-        PipelineConfig(t_co=1.0, t_avg=0.0)
+                       n_samples=1, max_parents=0, ess=1e-9)
+        PipelineConfig(t_co=1.0, t_avg=0.0, max_learn_size=16)
+        PipelineConfig(max_learn_size=17, learner="greedy")  # greedy has no limit
+
+    def test_readme_table_lists_every_field(self):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        keys = [key for line in section.splitlines() if line.startswith("| `")
+                for key in re.findall(r"`(\w+)`", line.split("|")[1])]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(PipelineConfig.__dataclass_fields__)
 
     def test_weight_fns_list_becomes_tuple(self):
         assert PipelineConfig(weight_fns=["MI", "Pearson"]).weight_fns == ("MI", "Pearson")
 
     def test_learner_config_projection(self):
         config = PipelineConfig(learner="greedy", max_parents=2, ess=4.0,
-                                t_avg=0.6, mcmc_T=50, burn_in=10, thin=2)
+                                t_avg=0.6)
         lc = config.learner_config()
         assert lc.learner == "greedy"
         assert lc.max_parents == 2
         assert lc.ess == 4.0
         assert lc.t_avg == 0.6
-        assert lc.T == 50
-        assert lc.burn_in == 10
-        assert lc.thin == 2
 
 
 class TestStructureDict:
@@ -151,7 +157,7 @@ class TestLearnCommunities:
         part = Partition(3, ((0, 1), (1, 2), (2,)))
         substrate = build_substrate(chain_data)
         for learner in ("greedy", "modelavg"):
-            config = PipelineConfig(learner=learner, mcmc_T=20, burn_in=20)
+            config = PipelineConfig(learner=learner)
             pool = learn_communities(chain_data, part, substrate, config)
             assert [s.provenance for s in pool] == ["community 0", "community 1",
                                                     "community 2"]
@@ -206,7 +212,7 @@ class TestRunPipeline:
     def test_dataset_mode_skips_evaluation(self, tmp_path, chain_data):
         path = tmp_path / "d.tsv"
         save_dataset(chain_data, path)
-        config = PipelineConfig(dataset=str(path), mcmc_T=20, burn_in=20)
+        config = PipelineConfig(dataset=str(path))
         result = run_pipeline(config)
         assert result.report is None
         assert "evaluation" not in result.run_report
@@ -214,7 +220,7 @@ class TestRunPipeline:
     def test_emit_intermediate_files(self, tmp_path, chain_net_file):
         out = tmp_path / "inter"
         config = PipelineConfig(network=chain_net_file, n_samples=500,
-                                seed=2, mcmc_T=20, burn_in=20,
+                                seed=2,
                                 emit_intermediate=str(out))
         run_pipeline(config)
         names = {p.name for p in out.iterdir()}

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnsl.data import DiscreteDataset, forward_sample, load_network
 from bnsl.errors import InvalidInput
@@ -24,6 +26,10 @@ def random_dataset(rng, n_rows, n_vars, max_card=4):
         cols[j][:c] = np.arange(c)
     samples = np.column_stack(cols).astype(np.int32)
     return DiscreteDataset([f"v{k}" for k in range(n_vars)], cards, samples)
+
+
+SELECT_DATA = random_dataset(np.random.default_rng(44), 300, 12, max_card=5)
+SELECT_STATS = pair_stats(SELECT_DATA)
 
 
 def random_graph(rng, n, p=0.4, lo=0.1, hi=5.0):
@@ -207,6 +213,18 @@ class TestPairStats:
         assert sub.data.names == ("v4", "v1", "v3")
         assert sub.mi[0, 1] == stats.mi[4, 1] and sub.mi[2, 0] == stats.mi[3, 4]
         assert list(sub.h) == [stats.h[4], stats.h[1], stats.h[3]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(subset=st.sets(st.integers(0, 11), min_size=1))
+    def test_ascending_select_equals_fresh_stats(self, subset):
+        idx = sorted(subset)
+        got, want = SELECT_STATS.select(idx), pair_stats(SELECT_DATA.select(idx))
+        assert got.data.names == want.data.names
+        assert got.data.cardinalities == want.data.cardinalities
+        assert np.array_equal(got.data.samples, want.data.samples)
+        # bit for bit: equal floats, compared as their bytes
+        assert got.mi.tobytes() == want.mi.tobytes()
+        assert got.h.tobytes() == want.h.tobytes()
 
     def test_shape_checked_and_empty_rejected(self):
         data = random_dataset(np.random.default_rng(43), 30, 3)
