@@ -1,10 +1,12 @@
 """Pinned pipeline outputs: a refactor that keeps behaviour keeps these.
 
-Each run compares the learned edges, the partition and the merge sequence
-exactly against ``golden_outputs.json``.  Two more pins hold the consensus
-partition of the alarm seed-0 sample at a small ``max_comm``, which forces
-the recursive re-partition and the tighten-split fallback that the default
-pipeline never reaches.  A change that moves them on purpose re-pins with
+Each run compares the learned edges, the ``repr`` of each edge's support,
+the partition and the merge sequence exactly against
+``golden_outputs.json``; a count that is off in one row moves a model
+averaging support long before it moves an edge.  Two more pins hold the
+consensus partition of the alarm seed-0 sample at a small ``max_comm``,
+which forces the recursive re-partition and the tighten-split fallback
+that the default pipeline never reaches.  A change that moves them on purpose re-pins with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
@@ -27,8 +29,9 @@ HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden_outputs.json"
 NETWORKS_DIR = HERE.parent / "networks"
 
-RUNS = [("alarm", seed, learner) for seed in (0, 1, 2)
-        for learner in ("modelavg", "greedy")] + [("insurance", 0, "modelavg")]
+RUNS = ([("alarm", seed, learner) for seed in (0, 1, 2)
+         for learner in ("modelavg", "greedy")] + [("insurance", 0, "modelavg")]
+        + [("win95pts", 0, learner) for learner in ("modelavg", "greedy")])
 # (network, seed, max_comm): max_comm=3 recurses 5 times and reaches the
 # tighten-split; max_comm=4 recurses 4 times
 PARTITION_RUNS = [("alarm", 0, 3), ("alarm", 0, 4)]
@@ -46,7 +49,9 @@ def pinned_outputs(network: str, seed: int, learner: str) -> dict:
     result = run_pipeline(PipelineConfig(
         network=str(NETWORKS_DIR / f"{network}.net"), n_samples=20000,
         seed=seed, learner=learner))
-    return {"edges": [list(e) for e in result.structure.edges],
+    s = result.structure
+    return {"edges": [list(e) for e in s.edges],
+            "support": [repr(s.support.get(e)) for e in s.edges],
             "communities": [list(c) for c in result.partition.communities],
             "merge_sequence": result.run_report["merge_sequence"]}
 
@@ -63,6 +68,7 @@ def test_pipeline_matches_pinned_outputs(network, seed, learner):
     got = pinned_outputs(network, seed, learner)
     assert got["communities"] == want["communities"]
     assert got["edges"] == want["edges"]
+    assert got["support"] == want["support"]
     assert got["merge_sequence"] == want["merge_sequence"]
 
 
