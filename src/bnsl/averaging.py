@@ -29,6 +29,16 @@ parent j with probability 1 - Z(c, S - j) / Z(c, S), so
 
 This takes O(m^2 2^m) time and m 2^m floats for a window of m nodes.
 
+Every learner here scores its families through ``ScoreCache.window`` of
+its nodes.  The window shares the cache's memo with every other window
+and, at its first miss, codes its columns once into their distinct rows
+(``DiscreteDataset.distinct``); each miss is then counted on those rows,
+weighted by how many samples share each, which gives the full sample's
+score to the last bit.  A window of m columns over N samples has at most
+min(N, prod of cardinalities) distinct rows, usually far fewer than N,
+and a window that ``resolve`` re-learns finds every family in the memo
+and codes nothing.
+
 For the sampler, one ``_OrderScorer`` per window memoizes, by
 child and a bitmask of its predecessors, the log normalizer of the sum
 above and the child's row of edge posteriors, so the per-order and sampled
@@ -40,6 +50,7 @@ rescores just those positions on each step.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -47,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .data import DiscreteDataset
+from .data import DiscreteDataset, DistinctRows
 from .errors import BudgetExceeded, FamilyTooLarge, InvalidInput
 
 DEFAULT_MAX_CELLS = 2 ** 22
@@ -108,7 +119,12 @@ class LocalStructure:
 
 
 class ScoreCache:
-    """Memoizes BDeu family scores by (child, parent set) on one dataset."""
+    """Memoizes BDeu family scores by (child, parent set) on one dataset.
+
+    ``window(nodes)`` is a cache on the same memo whose misses are counted
+    on the distinct rows of the window's columns, built at its first miss;
+    the learners score every family through such a window.
+    """
 
     def __init__(self, data: DiscreteDataset, ess: float = 10.0):
         if ess <= 0:
@@ -116,12 +132,22 @@ class ScoreCache:
         self.data = data
         self.ess = float(ess)
         self._scores: dict[tuple[int, tuple[int, ...]], float] = {}
+        self._window: tuple[int, ...] | None = None
+        self._rows: DiscreteDataset | DistinctRows | None = data
+
+    def window(self, nodes) -> "ScoreCache":
+        """A cache sharing this memo, for families within ``nodes``."""
+        w = copy.copy(self)
+        w._window, w._rows = tuple(nodes), None
+        return w
 
     def family_score(self, child: int, parents) -> float:
         key = (child, tuple(sorted(parents)))
         got = self._scores.get(key)
         if got is None:
-            got = bdeu_family_score(self.data, child, key[1], self.ess)
+            if self._rows is None:
+                self._rows = self.data.distinct(self._window)
+            got = bdeu_family_score(self._rows, child, key[1], self.ess)
             self._scores[key] = got
         return got
 
@@ -276,7 +302,7 @@ def _resolve(data, nodes, ess, cache) -> tuple[tuple[int, ...], ScoreCache]:
         cache = ScoreCache(data, ess)
     elif not cache.matches(data, ess):
         raise InvalidInput("cache was built for different data or ess")
-    return nodes, cache
+    return nodes, cache.window(nodes)
 
 
 def feature_posterior_given_order(data: DiscreteDataset, order,

@@ -124,7 +124,9 @@ class DiscreteDataset:
 
     ``samples`` is a read-only int32 copy in column-major (Fortran) order,
     so ``column(i)``, which :meth:`counts` reads for every count statistic
-    (MI, entropy, CMI and BDeu), is a contiguous view.
+    (MI, entropy, CMI and BDeu), is a contiguous view.  :meth:`distinct`
+    gives the same counts for a column subset from its distinct rows, which
+    is what a learning window or a blanket search reads.
     """
 
     names: tuple[str, ...]
@@ -166,12 +168,29 @@ class DiscreteDataset:
         """Contingency table of ``cols`` (at least one column), shaped by their
         cardinalities: entry ``[s0, s1, ...]`` counts the rows with column
         ``cols[k]`` in state ``s_k``.  Rows are coded in mixed radix, first
-        column slowest, and the codes counted by one ``np.bincount``."""
+        column slowest, and the codes counted by one int64 ``np.bincount``
+        over all N rows."""
         shape = tuple(self.cardinalities[c] for c in cols)
         code = self.column(cols[0]).astype(np.int64)
         for c, r in zip(cols[1:], shape[1:]):
             code = code * r + self.column(c)
         return np.bincount(code, minlength=math.prod(shape)).reshape(shape)
+
+    def distinct(self, cols: Sequence[int]) -> "DistinctRows | DiscreteDataset":
+        """The rows of ``cols`` counted once each, for :meth:`counts` of any
+        subset of ``cols``; the dataset itself when their mixed-radix code
+        would overflow int64."""
+        cols = tuple(int(c) for c in cols)
+        shape = tuple(self.cardinalities[c] for c in cols)
+        if math.prod(shape) > np.iinfo(np.int64).max:
+            return self
+        code = np.zeros(self.n_rows, dtype=np.int64)
+        for c, r in zip(cols, shape):
+            code = code * r + self.column(c)
+        rows, mult = np.unique(code, return_counts=True)
+        return DistinctRows(self.n_rows, self.cardinalities,
+                            dict(zip(cols, np.unravel_index(rows, shape))),
+                            mult.astype(np.float64))
 
     def select(self, indices: Sequence[int]) -> "DiscreteDataset":
         """Column subset in the given order (names kept, indices renumbered)."""
@@ -181,6 +200,34 @@ class DiscreteDataset:
             cardinalities=tuple(self.cardinalities[i] for i in idx),
             samples=self.samples[:, idx],
         )
+
+
+@dataclass(frozen=True, eq=False)
+class DistinctRows:
+    """The distinct rows of some columns of a dataset, with multiplicities.
+
+    ``digits[c]`` holds column ``c``'s state in each distinct row and
+    ``weights`` how many of the ``n_rows`` samples share that row.  It
+    stands in for the dataset wherever a statistic reads only ``n_rows``,
+    ``cardinalities`` (the dataset's, indexed by its column numbers) and
+    ``counts``, which is the dataset's table for any subset of the columns.
+    The multiplicities are whole numbers below 2^53, so the float sums of
+    ``np.bincount`` are exact and every statistic keeps its last bit.
+    """
+
+    n_rows: int
+    cardinalities: tuple[int, ...]
+    digits: dict[int, np.ndarray] = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+
+    def counts(self, cols: Sequence[int]) -> np.ndarray:
+        """:meth:`DiscreteDataset.counts` of ``cols``, from the distinct rows."""
+        shape = tuple(self.cardinalities[c] for c in cols)
+        code = self.digits[cols[0]]
+        for c, r in zip(cols[1:], shape[1:]):
+            code = code * r + self.digits[c]
+        return np.bincount(code, self.weights, math.prod(shape)).astype(
+            np.int64).reshape(shape)
 
 
 def parse_network(text: str) -> GroundTruthNet:

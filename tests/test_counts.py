@@ -3,19 +3,25 @@
 ``DiscreteDataset.counts`` is checked against a brute-force count of row
 tuples.  MI, CMI and BDeu are checked with exact ``==`` against the
 per-caller encoders they replaced (see ``oracles.py``): the kernel must
-produce the same codes, so every statistic keeps its last bit.
+produce the same codes, so every statistic keeps its last bit.  The
+distinct-row view that windows and blanket searches count on is checked
+the same way against the dataset, and the learners and the blanket search
+on degenerate inputs against their results on all rows.
 """
 
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnsl.averaging import bdeu_family_score
-from bnsl.blankets import conditional_mutual_information
-from bnsl.data import DiscreteDataset, forward_sample, load_network
-from bnsl.weights import mutual_information
+from bnsl.averaging import (ScoreCache, bdeu_family_score, exact_order_average,
+                            greedy_learn)
+from bnsl.blankets import community_blanket, conditional_mutual_information
+from bnsl.data import DiscreteDataset, DistinctRows, forward_sample, load_network
+from bnsl.errors import InvalidInput
+from bnsl.weights import WeightedGraph, mutual_information
 
 from conftest import NETWORKS_DIR
 from oracles import bdeu_by_parent_loop, cmi_by_four_bincounts, mi_by_pair_code
@@ -68,3 +74,130 @@ def test_alarm_statistics_match_references():
         x, y, *z = rng.choice(n, size=2 + int(rng.integers(0, 5)), replace=False).tolist()
         assert (conditional_mutual_information(data, x, y, z)
                 == cmi_by_four_bincounts(data, x, y, z)), (x, y, z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=datasets(), pick=st.randoms(use_true_random=False))
+def test_distinct_rows_count_and_score_like_the_dataset(data, pick):
+    window = pick.sample(range(data.n_vars), pick.randint(1, data.n_vars))
+    rows = data.distinct(window)
+    assert isinstance(rows, DistinctRows)
+    assert (rows.n_rows, rows.cardinalities) == (data.n_rows, data.cardinalities)
+    assert rows.weights.sum() == data.n_rows
+    assert len(rows.weights) == len({tuple(r) for r in data.samples[:, window]})
+
+    sub = pick.sample(window, pick.randint(1, len(window)))
+    got, want = rows.counts(sub), data.counts(sub)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    np.testing.assert_array_equal(got, want)
+
+    if len(window) < 2:
+        return
+    x, y, *rest = pick.sample(window, len(window))
+    z = rest[:pick.randint(0, len(rest))]
+    assert mutual_information(rows, x, y) == mutual_information(data, x, y)
+    assert (conditional_mutual_information(rows, x, y, z)
+            == conditional_mutual_information(data, x, y, z))
+    assert bdeu_family_score(rows, x, [y] + z) == bdeu_family_score(data, x, [y] + z)
+
+
+def test_window_past_int64_codes_counts_on_the_dataset():
+    rng = np.random.default_rng(3)
+    data = DiscreteDataset([f"v{k}" for k in range(16)], [16] * 16,
+                           rng.integers(0, 16, size=(5, 16)))
+    assert data.distinct(range(16)) is data  # 16^16 = 2^64 codes
+    assert isinstance(data.distinct(range(15)), DistinctRows)  # 2^60 codes
+    window = ScoreCache(data).window(range(16))
+    assert window.family_score(0, (1, 2, 3)) == bdeu_family_score(data, 0, (1, 2, 3))
+
+
+@pytest.fixture
+def views_built(monkeypatch):
+    """The columns of every ``DiscreteDataset.distinct`` call, in order."""
+    real, built = DiscreteDataset.distinct, []
+
+    def recording(self, cols):
+        built.append(list(cols))
+        return real(self, cols)
+
+    monkeypatch.setattr(DiscreteDataset, "distinct", recording)
+    return built
+
+
+def test_a_window_builds_its_view_at_its_first_miss(views_built):
+    data = forward_sample(load_network(NETWORKS_DIR / "alarm.net"), 2000, seed=0)
+    cache = ScoreCache(data)
+    window = cache.window((4, 5, 6))
+    assert views_built == []
+    window.family_score(5, (4,))
+    window.family_score(6, (4, 5))
+    assert views_built == [[4, 5, 6]]
+    first = exact_order_average(data, (4, 5, 6), cache=cache)
+    assert views_built == [[4, 5, 6]] * 2
+    # a re-learn of the same window finds every family in the shared memo
+    again = exact_order_average(data, (4, 5, 6), cache=cache)
+    assert views_built == [[4, 5, 6]] * 2
+    np.testing.assert_array_equal(again.matrix, first.matrix)
+
+
+def test_community_blanket_counts_on_one_view(views_built):
+    data = forward_sample(load_network(NETWORKS_DIR / "alarm.net"), 2000, seed=0)
+    g = WeightedGraph(data.n_vars, {(0, 4): 1.0, (4, 5): 0.5, (5, 6): 2.0, (1, 9): 1.0})
+    community_blanket(data, g, [4, 5])
+    assert views_built == [[0, 4, 5, 6]]
+
+
+# Degenerate inputs give the result of counting every statistic on all rows,
+# which is what the view's int64 overflow fallback does.
+
+@pytest.fixture
+def constant_column_data():
+    rng = np.random.default_rng(11)
+    samples = rng.integers(0, 3, size=(300, 4))
+    samples[:, 2] = 0
+    return DiscreteDataset(["a", "b", "c", "d"], [3, 3, 2, 3], samples)
+
+
+def on_all_rows(monkeypatch, run):
+    """``run()`` with every window and blanket search counting on the dataset."""
+    with monkeypatch.context() as m:
+        m.setattr(DiscreteDataset, "distinct", lambda self, cols: self)
+        return run()
+
+
+def learned(data, nodes):
+    """The exact posterior and the greedy structure of one window."""
+    post, greedy = exact_order_average(data, nodes), greedy_learn(data, nodes)
+    return post.nodes, post.matrix.tolist(), greedy.edges, greedy.support
+
+
+@pytest.mark.parametrize("nodes", [(), (2,), (0, 2), (0, 1, 2, 3)])
+def test_small_windows_and_a_constant_column(constant_column_data, monkeypatch, nodes):
+    data = constant_column_data
+    assert learned(data, nodes) == on_all_rows(monkeypatch, lambda: learned(data, nodes))
+
+
+def test_zero_row_dataset(monkeypatch):
+    data = DiscreteDataset(["a", "b", "c"], [2, 3, 2], np.zeros((0, 3), dtype=np.int32))
+    rows = data.distinct((0, 1, 2))
+    assert rows.n_rows == 0 and len(rows.weights) == 0
+    got = rows.counts((1, 0))
+    assert (got.shape, got.dtype, got.sum()) == ((3, 2), np.int64, 0)
+    assert bdeu_family_score(rows, 0, (1, 2)) == bdeu_family_score(data, 0, (1, 2)) == 0.0
+    assert learned(data, None) == on_all_rows(monkeypatch, lambda: learned(data, None))
+    assert learned(data, None)[2] == ()
+    with pytest.raises(InvalidInput, match="empty"):
+        conditional_mutual_information(rows, 0, 1)
+    with pytest.raises(InvalidInput, match="empty"):
+        community_blanket(data, WeightedGraph(3), [0, 1])
+
+
+@pytest.mark.parametrize("community", [[2], [1], [0, 2], [0, 1, 2, 3]])
+def test_blankets_with_a_constant_column_and_no_candidates(constant_column_data,
+                                                          monkeypatch, community):
+    data = constant_column_data
+    g = WeightedGraph(4, {(0, 1): 1.0, (1, 3): 0.5})
+    got = community_blanket(data, g, community)
+    assert got == on_all_rows(monkeypatch, lambda: community_blanket(data, g, community))
+    if community == [2]:  # a lone community with no candidates: a one-column view
+        assert got.blankets == {2: frozenset()} and got.expanded == (2,)
