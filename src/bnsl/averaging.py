@@ -39,13 +39,13 @@ min(N, prod of cardinalities) distinct rows, usually far fewer than N,
 and a window that ``resolve`` re-learns finds every family in the memo
 and codes nothing.
 
-For the sampler, one ``_OrderScorer`` per window memoizes, by
-child and a bitmask of its predecessors, the log normalizer of the sum
-above and the child's row of edge posteriors, so the per-order and sampled
-posteriors and the order marginal are sums or column fills of shared
-terms.  A transposition of positions a < b changes the predecessors of
-positions a..b only, so the sampler keeps the current order's terms and
-rescores just those positions on each step.
+One ``_OrderScorer`` per window is the only code that lists and scores a
+child's parent sets under ``max_parents`` and the subset budget.  The DP
+reads it once per child for the table above.  For the per-order and
+sampled posteriors and the order marginal it memoizes, by child and a
+bitmask of its predecessors, the log normalizer of the sum above and the
+child's row of edge posteriors, so the sampler walks each proposed order
+whole at one memo lookup per position.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class EdgePosterior:
         k = len(self.nodes)
         if m.shape != (k, k):
             raise InvalidInput(f"matrix must be ({k}, {k})")
-        if (m < -1e-12).any() or (m > 1 + 1e-12).any() or np.diagonal(m).any():
+        if not ((-1e-12 <= m) & (m <= 1 + 1e-12)).all() or np.diagonal(m).any():  # NaN too
             raise InvalidInput("entries must lie in [0, 1] with a zero diagonal")
         m = np.clip(m, 0.0, 1.0)
         m.flags.writeable = False
@@ -210,17 +210,19 @@ class _OrderScorer:
     """Order scores of one learning window, memoized by (child, predecessors).
 
     Orders here are sequences of window positions: position k stands for
-    ``nodes[k]``, the window's k-th smallest node.  ``child(c, mask)``
-    enumerates the subsets of the predecessors in the bitmask ``mask`` (bit
-    k set for position k) up to ``max_parents`` once, through the score
-    cache, and keeps log Z = log sum_U exp(score(c, U)) with the row
-    P(j -> c | predecessors) over the window's positions.  ``walk`` returns
-    these terms position by position; the order marginal adds their log Z
-    from first to last and the posterior fills one column per row, so a
-    transposition of positions a < b only needs positions a..b walked again.
+    ``nodes[k]``, the window's k-th smallest node.  ``parent_sets(c, mask)``
+    scores, through the score cache, the parent sets of position c among
+    the predecessors in the bitmask ``mask`` (bit k set for position k), up
+    to ``max_parents`` and within the budget.  ``child(c, mask)`` keeps
+    log Z = log sum_U exp(score(c, U)) over them with the row
+    P(j -> c | predecessors), and ``walk`` returns these terms position by
+    position: the order marginal adds their log Z from first to last and
+    the posterior fills one column per row.
     """
 
     def __init__(self, cache: ScoreCache, nodes, max_parents: int, budget: int):
+        if max_parents < 0:
+            raise InvalidInput(f"max_parents must be >= 0, got {max_parents!r}")
         self.cache = cache
         self.nodes = tuple(sorted(nodes))
         self.pos = {v: a for a, v in enumerate(self.nodes)}
@@ -228,14 +230,9 @@ class _OrderScorer:
         self.budget = budget
         self._memo: dict[tuple[int, int], _Term] = {}
 
-    def child(self, c: int, mask: int) -> _Term:
-        key = (c, mask)
-        got = self._memo.get(key)
-        if got is None:
-            got = self._memo[key] = self._enumerate(c, mask)
-        return got
-
-    def _enumerate(self, c: int, mask: int) -> _Term:
+    def parent_sets(self, c: int, mask: int) -> tuple[list[tuple[int, ...]], list[float]]:
+        """The parent sets of position c within ``mask``, as tuples of
+        positions by size and then lexicographically, with their scores."""
         ps = [k for k in range(len(self.nodes)) if mask >> k & 1]
         top = min(self.max_parents, len(ps))
         total = sum(math.comb(len(ps), s) for s in range(top + 1))
@@ -246,29 +243,33 @@ class _OrderScorer:
         nodes = self.nodes
         scores = [self.cache.family_score(nodes[c], tuple(nodes[k] for k in u))
                   for u in sets]
+        return sets, scores
+
+    def child(self, c: int, mask: int) -> _Term:
+        key = (c, mask)
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = self._enumerate(c, mask)
+        return got
+
+    def _enumerate(self, c: int, mask: int) -> _Term:
+        sets, scores = self.parent_sets(c, mask)
         logz = logsumexp(scores)
         members = np.array([k for u in sets for k in u], dtype=np.intp)
         weights = np.repeat(np.exp(np.array(scores) - logz), [len(u) for u in sets])
         # a parent held by every set that carries weight gets a sum of
         # exp(score - log Z) that rounding can lift above 1 by a few ulps
-        row = np.bincount(members, weights, minlength=len(nodes))
+        row = np.bincount(members, weights, minlength=len(self.nodes))
         return logz, np.minimum(row, 1.0)
 
-    def walk(self, order, lo: int = 0, hi: int | None = None) -> list[_Term]:
-        """(log Z, row) of positions lo..hi-1 of ``order``, given all before lo."""
+    def walk(self, order) -> list[_Term]:
+        """(log Z, row) of every position of ``order``, first to last."""
         mask = 0
-        for c in order[:lo]:
-            mask |= 1 << c
         terms = []
-        for c in order[lo:hi]:
+        for c in order:
             terms.append(self.child(c, mask))
             mask |= 1 << c
         return terms
-
-    def rescore(self, order, terms, a: int, b: int) -> list[_Term]:
-        """The terms of ``order`` from those of an order that differs from
-        it at positions a..b only (a <= b), walking just those positions."""
-        return terms[:a] + self.walk(order, a, b + 1) + terms[b + 1:]
 
     def log_marginal(self, order) -> float:
         """log P(D | order), the per-child log Z added from first to last."""
@@ -298,6 +299,9 @@ def _resolve(data, nodes, ess, cache) -> tuple[tuple[int, ...], ScoreCache]:
         nodes = tuple(int(v) for v in nodes)
         if len(set(nodes)) != len(nodes):
             raise InvalidInput("duplicate nodes")
+        for v in nodes:
+            if not 0 <= v < data.n_vars:
+                raise InvalidInput(f"node {v} outside 0..{data.n_vars - 1}")
     if cache is None:
         cache = ScoreCache(data, ess)
     elif not cache.matches(data, ess):
@@ -331,31 +335,25 @@ def order_log_marginal(data: DiscreteDataset, order, max_parents: int = 3,
     return scorer.log_marginal([scorer.pos[v] for v in order])
 
 
-def _log_z_table(cache: ScoreCache, nodes, max_parents: int, budget: int) -> np.ndarray:
+def _log_z_table(scorer: _OrderScorer) -> np.ndarray:
     """log Z(c, S) for every window position c and predecessor bitmask S.
 
-    Row c starts as score(c, U) at the mask of every parent set U of at
-    most ``max_parents`` other positions and -inf elsewhere.  A zeta
-    transform in log space over the bits of the other positions turns
-    each entry into log sum_{U in S} exp(score(c, U)); masks holding c
-    itself stay -inf, which keeps c out of its own predecessors below.
+    Row c starts as score(c, U) at the mask of every parent set U that
+    ``scorer`` lists for c among all other positions, and -inf elsewhere.
+    A zeta transform in log space over the bits of the other positions
+    turns each entry into log sum_{U in S} exp(score(c, U)); masks holding
+    c itself stay -inf, which keeps c out of its own predecessors below.
     """
-    m = len(nodes)
-    top = min(max_parents, m - 1)
-    total = sum(math.comb(m - 1, s) for s in range(top + 1))
-    if total > budget:
-        raise BudgetExceeded(f"{total} parent sets per child exceed the budget "
-                             f"of {budget}")
+    m = len(scorer.nodes)
+    full = (1 << m) - 1
     lz = np.full((m, 1 << m), -np.inf)
     for c in range(m):
-        others = [k for k in range(m) if k != c]
-        for size in range(top + 1):
-            for u in itertools.combinations(others, size):
-                lz[c, sum(1 << k for k in u)] = cache.family_score(
-                    nodes[c], tuple(nodes[k] for k in u))
-        for k in others:
-            t = lz[c].reshape(-1, 2, 1 << k)  # t[:, 1] holds the masks with bit k
-            np.logaddexp(t[:, 1], t[:, 0], out=t[:, 1])
+        sets, scores = scorer.parent_sets(c, full ^ (1 << c))
+        lz[c, [sum(1 << k for k in u) for u in sets]] = scores
+        for k in range(m):
+            if k != c:
+                t = lz[c].reshape(-1, 2, 1 << k)  # t[:, 1] holds the masks with bit k
+                np.logaddexp(t[:, 1], t[:, 0], out=t[:, 1])
     return lz
 
 
@@ -370,9 +368,9 @@ def exact_order_average(data: DiscreteDataset, nodes=None, max_parents: int = 3,
     nodes, cache = _resolve(data, nodes, ess, cache)
     if len(nodes) > EXACT_MAX_NODES:
         raise InvalidInput(f"exact averaging is limited to {EXACT_MAX_NODES} nodes")
-    nodes = tuple(sorted(nodes))
-    m = len(nodes)
-    lz = _log_z_table(cache, nodes, max_parents, budget)
+    scorer = _OrderScorer(cache, nodes, max_parents, budget)
+    m = len(scorer.nodes)
+    lz = _log_z_table(scorer)
     full = (1 << m) - 1
     masks = np.arange(1 << m)
     bits = (1 << np.arange(m))[:, None]
@@ -406,7 +404,7 @@ def exact_order_average(data: DiscreteDataset, nodes=None, max_parents: int = 3,
             pair = lzc.reshape(-1, 2, 1 << j)
             rows = -np.expm1(pair[:, 0] - pair[:, 1])  # 1 - Z(c, S - j) / Z(c, S)
             post[j, c] = (w.reshape(-1, 2, 1 << j)[:, 1] * rows).sum()
-    return EdgePosterior(nodes, post)
+    return EdgePosterior(scorer.nodes, post)
 
 
 def order_mcmc(data: DiscreteDataset, T: int = 100, burn_in: int | None = None,
@@ -418,9 +416,8 @@ def order_mcmc(data: DiscreteDataset, T: int = 100, burn_in: int | None = None,
     Proposals transpose two uniformly chosen positions and are accepted
     with min(1, exp(delta log marginal)).  ``burn_in`` defaults to 10 * m
     and ``thin`` to m.  Deterministic for fixed inputs and seed.  Each step
-    rescores only the positions between the two it swaps; the log marginal
-    is still added over all positions from first to last, exactly as
-    ``order_log_marginal`` adds it.
+    walks the proposed order whole through the window's memo and adds its
+    log marginal from first to last, exactly as ``order_log_marginal`` does.
     """
     nodes, cache = _resolve(data, nodes, ess, cache)
     m = len(nodes)
@@ -433,10 +430,8 @@ def order_mcmc(data: DiscreteDataset, T: int = 100, burn_in: int | None = None,
     scorer = _OrderScorer(cache, nodes, max_parents, budget)
     if m == 1:
         return EdgePosterior(scorer.nodes, np.zeros((1, 1)))
-    if burn_in is None:
-        burn_in = 10 * m
-    if thin is None:
-        thin = m
+    burn_in = 10 * m if burn_in is None else burn_in
+    thin = m if thin is None else thin
     rng = np.random.default_rng(seed)
     order = rng.permutation(m).tolist()
     terms = scorer.walk(order)
@@ -445,10 +440,8 @@ def order_mcmc(data: DiscreteDataset, T: int = 100, burn_in: int | None = None,
     kept = 0
     for step in range(1, burn_in + T * thin + 1):
         a, b = rng.choice(m, size=2, replace=False).tolist()
-        if a > b:
-            a, b = b, a
         order[a], order[b] = order[b], order[a]
-        moved = scorer.rescore(order, terms, a, b)
+        moved = scorer.walk(order)
         new = _log_marginal(moved)
         if math.log(rng.random()) < new - cur:
             terms, cur = moved, new
@@ -569,6 +562,12 @@ class LearnerConfig:
     def __post_init__(self):
         if self.learner not in ("modelavg", "greedy"):
             raise InvalidInput(f"unknown learner '{self.learner}'")
+        for name, ok, rule in (
+                ("max_parents", self.max_parents >= 0, ">= 0"),
+                ("ess", self.ess > 0, "> 0"),
+                ("t_avg", 0 <= self.t_avg <= 1, "in [0, 1]")):
+            if not ok:
+                raise InvalidInput(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 def learn_structure(data: DiscreteDataset, nodes, config: LearnerConfig,

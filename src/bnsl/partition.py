@@ -238,7 +238,8 @@ def consensus_partition(source: DiscreteDataset | PairStats,
     of the community's MI subgraph are dropped until it splits.  A
     constant (zero-entropy) variable shares information with nothing and
     gets its own singleton community; with fewer than two varying
-    variables (an empty dataset has none) all are singletons.
+    variables (an empty dataset has none) all are singletons, and two
+    varying variables form one community.
     """
     if not fns:
         raise InvalidInput("need at least one weight function")
@@ -251,9 +252,15 @@ def consensus_partition(source: DiscreteDataset | PairStats,
     if len(varying) < 2:
         return Partition(n, tuple((v,) for v in range(n)))
     out: list[tuple[int, ...]] = [(v,) for v in range(n) if v not in varying]
-    sub = stats if len(varying) == n else stats.select(varying)
-    for c in _consensus_once(sub, fns, t_co).communities:
-        mapped = tuple(varying[k] for k in c)
+    if len(varying) == 2:
+        # one pair: every unstandardized weight function links it into one
+        # community, and a standardized one is undefined on a single weight
+        found = [tuple(varying)]
+    else:
+        sub = stats if len(varying) == n else stats.select(varying)
+        found = [tuple(varying[k] for k in c)
+                 for c in _consensus_once(sub, fns, t_co).communities]
+    for mapped in found:
         out.extend(_capped(stats, mapped, fns, t_co, max_comm, depth=2))
     return Partition(n, tuple(sorted(set(out))))
 

@@ -64,19 +64,16 @@ class PipelineConfig:
         for fn in self.weight_fns + (self.substrate_fn,):
             if fn not in WEIGHT_FUNCTIONS:
                 raise InvalidInput(f"unknown weight function {fn!r}")
-        self.learner_config()  # rejects an unknown learner
+        self.learner_config()  # checks the learner and its settings
         for name, ok, rule in (
                 ("alpha", 0 < self.alpha < 1, "in (0, 1)"),
                 ("t_co", 0 <= self.t_co <= 1, "in [0, 1]"),
-                ("t_avg", 0 <= self.t_avg <= 1, "in [0, 1]"),
                 ("max_learn_size", self.max_learn_size >= 1, ">= 1"),
                 ("max_learn_size", self.learner != "modelavg"
                  or self.max_learn_size <= EXACT_MAX_NODES,
                  f"<= {EXACT_MAX_NODES} with modelavg"),
                 ("max_comm", self.max_comm >= 1, ">= 1"),
-                ("n_samples", self.n_samples >= 1, ">= 1"),
-                ("max_parents", self.max_parents >= 0, ">= 0"),
-                ("ess", self.ess > 0, "> 0")):
+                ("n_samples", self.n_samples >= 1, ">= 1")):
             if not ok:
                 raise InvalidInput(f"{name} must be {rule}, got {getattr(self, name)!r}")
 

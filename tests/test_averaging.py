@@ -187,7 +187,7 @@ class TestLimitsOfBothEngines:
     """The exact and the sampled average refuse the same windows."""
 
     def test_budget_exceeded(self, engine, chain_data):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="4 parent sets exceed the budget of 3"):
             engine(chain_data, budget=3)  # 4 parent sets per child
         engine(chain_data, budget=4)
 
@@ -198,6 +198,23 @@ class TestLimitsOfBothEngines:
         with pytest.raises(FamilyTooLarge):
             engine(data, max_parents=3)
         engine(data, max_parents=2)
+
+    @pytest.mark.parametrize("nodes", [(0, -1), (0, 3)])  # 3 columns
+    def test_node_out_of_range(self, engine, chain_data, nodes):
+        with pytest.raises(InvalidInput, match=f"node {nodes[1]} outside 0..2"):
+            engine(chain_data, nodes=nodes)
+
+    def test_negative_max_parents(self, engine, chain_data):
+        with pytest.raises(InvalidInput, match="max_parents must be >= 0, got -1"):
+            engine(chain_data, max_parents=-1)
+
+
+@pytest.mark.parametrize("learn", [feature_posterior_given_order, order_log_marginal,
+                                   greedy_learn])
+@pytest.mark.parametrize("nodes", [(0, -1), (0, 3)])  # 3 columns
+def test_per_order_and_greedy_reject_nodes_out_of_range(learn, nodes, chain_data):
+    with pytest.raises(InvalidInput, match=f"node {nodes[1]} outside 0..2"):
+        learn(chain_data, nodes)
 
 
 class TestOrderMcmc:
@@ -359,6 +376,14 @@ class TestLearnStructure:
         with pytest.raises(InvalidInput):
             LearnerConfig(learner="magic")
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("max_parents", -2, ">= 0"), ("ess", 0.0, "> 0"), ("ess", math.nan, "> 0"),
+        ("t_avg", 1.5, "in \\[0, 1\\]"), ("t_avg", math.nan, "in \\[0, 1\\]"),
+    ])
+    def test_out_of_range_setting_rejected(self, field, value, rule):
+        with pytest.raises(InvalidInput, match=f"{field} must be {rule}, got {value}"):
+            LearnerConfig(**{field: value})
+
 
 class TestLocalStructure:
     def test_nodes_sorted_and_edges_validated(self):
@@ -420,6 +445,11 @@ class TestEdgePosterior:
             EdgePosterior((0, 1), np.array([[0.0, 1.5], [0.0, 0.0]]))
         with pytest.raises(InvalidInput, match="zero diagonal"):
             EdgePosterior((0, 1), np.array([[0.3, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(InvalidInput, match="in \\[0, 1\\]"):
+            EdgePosterior((0, 1), np.array([[0.0, value], [0.0, 0.0]]))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInput, match="matrix"):

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion as a fresh process."""
+"""Every demo script runs to completion as a fresh process, with numeric
+warnings raised as errors."""
 
 import os
 import subprocess
@@ -20,6 +21,8 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    # a numeric warning fails a demo, as it fails a library test
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -1,9 +1,10 @@
 """Order scoring, order MCMC and the exact average against references.
 
-The sampler rescores only the positions a transposition moves and takes
-log-sum-exp in numpy; both must give exactly what a full rescore with
-``scipy.special.logsumexp`` gives.  The subset dynamic program must give
-what averaging over every order gives, to 1e-9.
+The sampler walks each proposed order through the window's memo and takes
+log-sum-exp in numpy; both must give exactly what a fresh full rescore
+with ``scipy.special.logsumexp`` gives.  The subset dynamic program, which
+reads its parent-set scores from the same scorer, must give what averaging
+over every order gives, to 1e-9.
 """
 
 from __future__ import annotations
@@ -111,6 +112,17 @@ def test_exact_average_matches_order_enumeration(data):
     assert np.abs(got.matrix - want.matrix).max() <= 1e-9
 
 
+def test_parent_sets_by_size_then_lexicographically():
+    scorer = av._OrderScorer(SMALL_CACHE, (5, 1, 3, 0), 2, av.DEFAULT_SUBSET_BUDGET)
+    assert scorer.nodes == (0, 1, 3, 5)
+    sets, scores = scorer.parent_sets(0, 0b1110)
+    assert sets == [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
+    assert scores == [SMALL_CACHE.family_score(0, tuple(scorer.nodes[k] for k in u))
+                      for u in sets]
+    with pytest.raises(av.BudgetExceeded, match="child 0: 7 parent sets exceed"):
+        av._OrderScorer(SMALL_CACHE, (5, 1, 3, 0), 2, 6).parent_sets(0, 0b1110)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_rescored_terms_equal_a_fresh_walk(data):
@@ -119,14 +131,19 @@ def test_rescored_terms_equal_a_fresh_walk(data):
     max_parents = data.draw(st.integers(1, 3), label="max_parents")
     scorer = av._OrderScorer(SMALL_CACHE, window, max_parents, av.DEFAULT_SUBSET_BUDGET)
     order = data.draw(st.permutations(range(len(window))), label="order")
-    a, b = sorted(data.draw(st.lists(st.integers(0, len(window) - 1), min_size=2,
-                                     max_size=2, unique=True), label="swap"))
-    terms = scorer.walk(order)
+    a, b = data.draw(st.lists(st.integers(0, len(window) - 1), min_size=2,
+                              max_size=2, unique=True), label="swap")
+    scorer.walk(order)
     order[a], order[b] = order[b], order[a]
-    got = scorer.rescore(order, terms, a, b)
-    want = scorer.walk(order)
-    assert len(got) == len(want) == len(window)
-    assert all(g is w for g, w in zip(got, want))  # the memoized terms themselves
+    got = scorer.walk(order)  # as the sampler walks a proposal, on a warm memo
+    fresh = av._OrderScorer(SMALL_CACHE, window, max_parents,
+                            av.DEFAULT_SUBSET_BUDGET).walk(order)
+    assert len(got) == len(fresh) == len(window)
+    mask = 0
+    for c, term, (logz, row) in zip(order, got, fresh):
+        assert term is scorer.child(c, mask)  # the memoized term itself
+        assert term[0] == logz and np.array_equal(term[1], row)
+        mask |= 1 << c
     total = 0.0
     for logz, _ in got:
         total += logz

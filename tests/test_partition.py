@@ -209,6 +209,19 @@ class TestConsensusPartition:
         data = DiscreteDataset(["a", "b", "c"], [2] * 3, samples)
         assert consensus_partition(data).communities == ((0,), (1,), (2,))
 
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_two_varying_columns_form_one_community(self, extra):
+        # MI_sn and Pearson_sn cannot standardize a single pair weight
+        rng = np.random.default_rng(38)
+        x = rng.integers(0, 2, size=500)
+        cols = [x, x ^ (rng.random(500) < 0.2)] + [np.zeros(500, dtype=int)] * extra
+        data = DiscreteDataset([f"v{k}" for k in range(2 + extra)], [2] * (2 + extra),
+                               np.column_stack(cols).astype(np.int32))
+        want = ((0, 1),) + ((2,),) * extra
+        assert consensus_partition(data).communities == want
+        assert consensus_partition(pair_stats(data)).communities == want
+        assert consensus_partition(data, max_comm=1).communities == ((0,), (1,)) + want[1:]
+
     def test_empty_dataset_gives_singletons(self):
         data = DiscreteDataset(["a", "b", "c"], [2] * 3, np.zeros((0, 3), dtype=np.int32))
         assert consensus_partition(data).communities == ((0,), (1,), (2,))

@@ -238,6 +238,18 @@ class TestRunPipeline:
         assert info.value.stage == "data"
         assert "stage 'data' failed" in str(info.value)
 
+    @pytest.mark.parametrize("learner", ["modelavg", "greedy"])
+    def test_two_variable_dataset(self, tmp_path, chain_data, learner):
+        path = tmp_path / "pair.tsv"
+        save_dataset(chain_data.select([0, 1]), path)
+        result = run_pipeline(PipelineConfig(dataset=str(path), learner=learner))
+        assert result.partition.communities == ((0, 1),)
+        assert result.structure.nodes == (0, 1)
+        if learner == "greedy":
+            # the exact average gives each direction of a lone pair about
+            # 1/2, which the per-direction threshold of 0.5 may drop
+            assert result.structure.skeleton() == {frozenset({0, 1})}
+
     def test_greedy_learner_runs(self, chain_net_file):
         config = PipelineConfig(network=chain_net_file, n_samples=1000,
                                 seed=5, learner="greedy")
