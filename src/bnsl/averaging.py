@@ -96,7 +96,6 @@ class LocalStructure:
     nodes: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     support: dict[tuple[int, int], float] = field(default_factory=dict)
-    provenance: str | None = None
 
     def __post_init__(self):
         nodes = tuple(sorted(set(int(v) for v in self.nodes)))
@@ -127,8 +126,8 @@ class ScoreCache:
     """
 
     def __init__(self, data: DiscreteDataset, ess: float = 10.0):
-        if ess <= 0:
-            raise InvalidInput("ess must be positive")
+        if not 0 < ess < math.inf:  # NaN too
+            raise InvalidInput(f"ess must be finite and > 0, got {ess!r}")
         self.data = data
         self.ess = float(ess)
         self._scores: dict[tuple[int, tuple[int, ...]], float] = {}
@@ -165,8 +164,8 @@ def bdeu_family_score(data: DiscreteDataset, child: int, parents,
     parents = tuple(sorted(set(int(p) for p in parents)))
     if child in parents:
         raise InvalidInput("child cannot be its own parent")
-    if ess <= 0:
-        raise InvalidInput("ess must be positive")
+    if not 0 < ess < math.inf:  # NaN too
+        raise InvalidInput(f"ess must be finite and > 0, got {ess!r}")
     cards = data.cardinalities
     r = cards[child]
     q = math.prod(cards[p] for p in parents)
@@ -483,6 +482,8 @@ def greedy_learn(data: DiscreteDataset, nodes=None, max_parents: int = 3,
     The search is fully deterministic (fixed move ordering, ties to the
     lexicographically smallest move).
     """
+    if max_parents < 0:
+        raise InvalidInput(f"max_parents must be >= 0, got {max_parents!r}")
     nodes, cache = _resolve(data, nodes, ess, cache)
     nodes = tuple(sorted(nodes))
     parents: dict[int, set[int]] = {v: set() for v in nodes}
@@ -565,6 +566,7 @@ class LearnerConfig:
         for name, ok, rule in (
                 ("max_parents", self.max_parents >= 0, ">= 0"),
                 ("ess", self.ess > 0, "> 0"),
+                ("ess", math.isfinite(self.ess), "finite"),
                 ("t_avg", 0 <= self.t_avg <= 1, "in [0, 1]")):
             if not ok:
                 raise InvalidInput(f"{name} must be {rule}, got {getattr(self, name)!r}")

@@ -135,7 +135,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         data = load_dataset(cfg.dataset)
         part = load_partition(args.partition)
         learn_report: dict = {}
-        pool = learn_communities(data, part, build_substrate(data, cfg.substrate_fn), cfg,
+        pool = learn_communities(data, part, build_substrate(data), cfg,
                                  run_report=learn_report)
         _write_json({"structures": [structure_to_dict(s) for s in pool]}, args.out)
         if args.report:
@@ -146,8 +146,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         raw = json.loads(Path(args.structures).read_text(encoding="utf-8"))
         pool = [structure_from_dict(d) for d in raw["structures"]]
         merge_report: dict = {}
-        result = merge_communities(data, pool, build_substrate(data, cfg.substrate_fn),
-                                   cfg, run_report=merge_report)
+        result = merge_communities(data, pool, build_substrate(data), cfg,
+                                   run_report=merge_report)
         save_structure(result.structure, args.out)
         if args.report:
             _write_json(merge_report, args.report)
@@ -165,8 +165,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         cfg = _config(args)
         data = load_dataset(cfg.dataset)
         part = load_partition(args.partition)
-        _write_json(partition_diagnostics(part, build_substrate(data, cfg.substrate_fn)),
-                    args.out)
+        _write_json(partition_diagnostics(part, build_substrate(data)), args.out)
     return 0
 
 

@@ -438,7 +438,8 @@ def save_dataset(ds: DiscreteDataset, path) -> None:
 
 
 def load_dataset(path, cardinalities: Sequence[int] | None = None) -> DiscreteDataset:
-    """Read a TSV dataset; cardinalities default to max observed state + 1."""
+    """Read a TSV dataset; cardinalities default to max observed state + 1,
+    and at least 2, so a constant column loads."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if not header:
@@ -450,5 +451,5 @@ def load_dataset(path, cardinalities: Sequence[int] | None = None) -> DiscreteDa
     if cardinalities is None:
         if body.shape[0] == 0:
             raise InvalidInput("cannot infer cardinalities from an empty dataset")
-        cardinalities = tuple(int(body[:, j].max()) + 1 for j in range(len(names)))
+        cardinalities = tuple(max(2, int(body[:, j].max()) + 1) for j in range(len(names)))
     return DiscreteDataset(names, tuple(cardinalities), body)

@@ -10,8 +10,7 @@ to compare arcs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 from .averaging import LocalStructure
 from .data import GroundTruthNet
@@ -39,15 +38,12 @@ class EvalReport:
     recall: float
     f_score: float
     directed: bool = False
-    timings: dict = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
             "tp": self.tp, "fp": self.fp, "fn": self.fn,
             "precision": self.precision, "recall": self.recall,
             "f_score": self.f_score, "directed": self.directed,
-            "timings": dict(self.timings), "config": dict(self.config),
         }
 
     def to_json(self) -> str:
@@ -55,8 +51,7 @@ class EvalReport:
 
 
 def score_structure(learned: LocalStructure, truth: GroundTruthNet,
-                    directed: bool = False, timings: Mapping | None = None,
-                    config: Mapping | None = None) -> EvalReport:
+                    directed: bool = False) -> EvalReport:
     """Count hits/misses/extras of a learned structure against the truth."""
     if set(learned.nodes) != set(range(truth.n_vars)):
         raise InvalidInput("learned structure must cover exactly the truth's variables")
@@ -70,8 +65,7 @@ def score_structure(learned: LocalStructure, truth: GroundTruthNet,
     fp = len(got - want)
     fn = len(want - got)
     precision, recall, f = metrics_from_counts(tp, fp, fn)
-    return EvalReport(tp, fp, fn, precision, recall, f, directed,
-                      dict(timings or {}), dict(config or {}))
+    return EvalReport(tp, fp, fn, precision, recall, f, directed)
 
 
 _HIST_BINS = [(1, 5), (6, 10), (11, 15), (16, 20), (21, 25), (26, 30),

@@ -143,8 +143,7 @@ def resolve(structure: LocalStructure, g: WeightedGraph, data: DiscreteDataset,
     # the clusters lie inside the structure's nodes, so the node set is unchanged
     merged = combine_structures([_restrict(structure, structure.nodes, outside)]
                                 + relearned)
-    return LocalStructure(structure.nodes, merged.edges, merged.support,
-                          structure.provenance)
+    return LocalStructure(structure.nodes, merged.edges, merged.support)
 
 
 @dataclass
@@ -159,7 +158,6 @@ class MergeResult:
 
 def merge_all(pool: Sequence[LocalStructure], g: WeightedGraph,
               data: DiscreteDataset, config: LearnerConfig,
-              t_tri: float | None = None,
               cache: ScoreCache | None = None) -> MergeResult:
     """Fold a pool of structures into one by repeated max-Jaccard merging.
 
@@ -215,8 +213,7 @@ def merge_all(pool: Sequence[LocalStructure], g: WeightedGraph,
                     scope.add(x)
             inner = [e for e in merged.edges if e[0] in scope and e[1] in scope]
             outer = [e for e in merged.edges if e[0] not in scope or e[1] not in scope]
-            fixed = resolve(_restrict(merged, scope, inner), g, data, config, t_tri,
-                            cache)
+            fixed = resolve(_restrict(merged, scope, inner), g, data, config, cache=cache)
             merged = combine_structures([_restrict(merged, merged.nodes, outer), fixed])
         enter(merged)
 

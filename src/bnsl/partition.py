@@ -238,8 +238,10 @@ def consensus_partition(source: DiscreteDataset | PairStats,
     of the community's MI subgraph are dropped until it splits.  A
     constant (zero-entropy) variable shares information with nothing and
     gets its own singleton community; with fewer than two varying
-    variables (an empty dataset has none) all are singletons, and two
-    varying variables form one community.
+    variables (an empty dataset has none) all are singletons.  A
+    standardized weight function whose pair weights are all equal ranks
+    nothing and is left out; if no function is left, the variables form
+    one community.
     """
     if not fns:
         raise InvalidInput("need at least one weight function")
@@ -252,24 +254,27 @@ def consensus_partition(source: DiscreteDataset | PairStats,
     if len(varying) < 2:
         return Partition(n, tuple((v,) for v in range(n)))
     out: list[tuple[int, ...]] = [(v,) for v in range(n) if v not in varying]
-    if len(varying) == 2:
-        # one pair: every unstandardized weight function links it into one
-        # community, and a standardized one is undefined on a single weight
-        found = [tuple(varying)]
-    else:
-        sub = stats if len(varying) == n else stats.select(varying)
-        found = [tuple(varying[k] for k in c)
-                 for c in _consensus_once(sub, fns, t_co).communities]
-    for mapped in found:
+    sub = stats if len(varying) == n else stats.select(varying)
+    for c in _consensus_once(sub, fns, t_co).communities:
+        mapped = tuple(varying[k] for k in c)
         out.extend(_capped(stats, mapped, fns, t_co, max_comm, depth=2))
     return Partition(n, tuple(sorted(set(out))))
 
 
+def _ranks_nothing(stats: PairStats, fn: str) -> bool:
+    """A standardized weight function whose pair weights are all equal,
+    which ``weight_matrix`` cannot standardize."""
+    if not fn.endswith("_sn"):
+        return False
+    w = stats.pearson if fn == "Pearson_sn" else stats.mi
+    return float(w[np.triu_indices(stats.n_vars, 1)].std()) == 0
+
+
 def _consensus_once(stats: PairStats, fns: Sequence[str], t_co: float) -> Partition:
-    partitions = []
-    for fn in fns:
-        pruned = elbow_truncate(weight_matrix(stats, fn)).pruned
-        partitions.append(link_communities(pruned))
+    partitions = [link_communities(elbow_truncate(weight_matrix(stats, fn)).pruned)
+                  for fn in fns if not _ranks_nothing(stats, fn)]
+    if not partitions:
+        return Partition(stats.n_vars, (tuple(range(stats.n_vars)),))
     psms = [build_psm(partitions, v) for v in range(stats.n_vars)]
     return link_communities(second_order_network(psms, t_co))
 
@@ -281,11 +286,8 @@ def _capped(stats: PairStats, community: tuple[int, ...], fns: Sequence[str],
     nodes = list(community)
     sub = stats.select(nodes)
     if depth > 0:
-        try:
-            subpart = _consensus_once(sub, fns, t_co)
-        except InvalidInput:
-            subpart = None  # degenerate sub-data (e.g. equal weights); fall through
-        if subpart is not None and len(subpart.communities) > 1:
+        subpart = _consensus_once(sub, fns, t_co)
+        if len(subpart.communities) > 1:
             out: list[tuple[int, ...]] = []
             for c in subpart.communities:
                 mapped = tuple(nodes[k] for k in c)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,18 +42,14 @@ class PipelineConfig:
     n_samples: int = 20000
     seed: int = 0
     weight_fns: tuple[str, ...] = WEIGHT_FUNCTIONS
-    substrate_fn: str = "MI"       # weight graph behind blankets and triplets
     t_co: float = 0.5
     alpha: float = 0.05
     max_comm: int = 25
     max_learn_size: int = 15
-    k_subsamples: int | None = None
     learner: str = "modelavg"
     max_parents: int = 3
     ess: float = 10.0
     t_avg: float = 0.5
-    t_tri: float | None = None
-    directed_eval: bool = False
     emit_intermediate: str | None = None
 
     def __post_init__(self):
@@ -61,7 +57,7 @@ class PipelineConfig:
         if not isinstance(fns, (list, tuple)) or not fns:  # a string is not a list
             raise InvalidInput("weight_fns must be a non-empty list of weight function names")
         object.__setattr__(self, "weight_fns", tuple(fns))
-        for fn in self.weight_fns + (self.substrate_fn,):
+        for fn in self.weight_fns:
             if fn not in WEIGHT_FUNCTIONS:
                 raise InvalidInput(f"unknown weight function {fn!r}")
         self.learner_config()  # checks the learner and its settings
@@ -110,16 +106,13 @@ def structure_to_dict(s: LocalStructure) -> dict:
         "nodes": list(s.nodes),
         "edges": [list(e) for e in s.edges],
         "support": {f"{a},{b}": v for (a, b), v in sorted(s.support.items())},
-        "provenance": s.provenance,
     }
 
 
 def structure_from_dict(d: dict) -> LocalStructure:
     support = {tuple(int(t) for t in k.split(",")): float(v)
                for k, v in d.get("support", {}).items()}
-    return LocalStructure(tuple(d["nodes"]),
-                          tuple(tuple(e) for e in d["edges"]),
-                          support, d.get("provenance"))
+    return LocalStructure(tuple(d["nodes"]), tuple(tuple(e) for e in d["edges"]), support)
 
 
 class _Stages:
@@ -151,9 +144,12 @@ def load_inputs(config: PipelineConfig) -> tuple[DiscreteDataset, GroundTruthNet
     raise InvalidInput("config needs 'network' or 'dataset'")
 
 
-def build_substrate(source: DiscreteDataset | PairStats, fn: str = "MI") -> WeightedGraph:
-    """Elbow-pruned weight graph used for blanket candidacy and triplets."""
-    return elbow_truncate(weight_matrix(source, fn)).pruned
+def build_substrate(source: DiscreteDataset | PairStats) -> WeightedGraph:
+    """Elbow-pruned MI graph used for blanket candidacy and triplets; with
+    fewer than two variables it has no edge."""
+    if source.n_vars < 2:
+        return WeightedGraph(source.n_vars)
+    return elbow_truncate(weight_matrix(source, "MI")).pruned
 
 
 def learn_communities(data: DiscreteDataset, partition: Partition,
@@ -174,8 +170,8 @@ def learn_communities(data: DiscreteDataset, partition: Partition,
     for ci, comm in enumerate(partition.communities):
         br = community_blanket(data, substrate, comm, config.alpha)
         img = inner_markov_graph(br.community, br.blankets)
-        subs = rnn_sample(img, br.blankets, config.k_subsamples,
-                          config.max_learn_size, derive_seed(config.seed, 1, ci))
+        subs = rnn_sample(img, br.blankets, max_learn_size=config.max_learn_size,
+                          seed=derive_seed(config.seed, 1, ci))
         learned = []
         windows: list[int] = []  # sizes of the windows learned, in order
         seen: set[tuple[int, ...]] = set()
@@ -186,15 +182,13 @@ def learn_communities(data: DiscreteDataset, partition: Partition,
             windows.append(len(sc.members))
             learned.append(learn_structure(data, sc.members, lc, cache))
         if not learned:  # lone node with an empty blanket
-            pool.append(LocalStructure(comm, (), {}, f"community {ci}"))
+            pool.append(LocalStructure(comm, (), {}))
             detail.append({"community": ci, "size": len(comm), "subsamples": 0,
                            "window_sizes": []})
             continue
         conflicts: list = []
         ens = combine_structures(learned, conflicts)
-        res = resolve(ens, substrate, data, lc, config.t_tri, cache, windows)
-        pool.append(LocalStructure(res.nodes, res.edges, res.support,
-                                   f"community {ci}"))
+        pool.append(resolve(ens, substrate, data, lc, cache=cache, windows=windows))
         detail.append({"community": ci, "size": len(comm),
                        "expanded": len(br.expanded),
                        "subsamples": len(subs), "learned": len(learned),
@@ -211,8 +205,7 @@ def merge_communities(data: DiscreteDataset, pool: list[LocalStructure],
                       run_report: dict | None = None) -> MergeResult:
     """Merge the pool; ``run_report`` gets the merge sequence, the Jaccard
     evaluation count and the conflicts."""
-    merged = merge_all(pool, substrate, data, config.learner_config(),
-                       config.t_tri, cache)
+    merged = merge_all(pool, substrate, data, config.learner_config(), cache)
     if run_report is not None:
         run_report["merge_sequence"] = [[list(a), list(b)]
                                         for a, b in merged.merge_sequence]
@@ -232,7 +225,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     def weights():
         stats = pair_stats(data)  # shared by the substrate and the partition
-        return stats, build_substrate(stats, config.substrate_fn)
+        return stats, build_substrate(stats)
 
     stats, substrate = stages.run("weights", weights)
     partition = stages.run("partition", lambda: consensus_partition(
@@ -247,9 +240,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     report = None
     if truth is not None:
-        report = stages.run("evaluate", lambda: score_structure(
-            merged.structure, truth, config.directed_eval,
-            timings=stages.timings, config=json.loads(config.to_json())))
+        report = stages.run("evaluate", lambda: score_structure(merged.structure, truth))
         run_report["evaluation"] = report.to_dict()
     run_report["timings"] = dict(stages.timings)
 

@@ -78,6 +78,15 @@ class TestBdeuFamilyScore:
         with pytest.raises(FamilyTooLarge):
             bdeu_family_score(chain_data, 0, (1, 2), max_cells=4)
 
+    @pytest.mark.parametrize("ess", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("score", [
+        lambda data, ess: bdeu_family_score(data, 0, (), ess=ess),
+        lambda data, ess: ScoreCache(data, ess).family_score(0, ())],
+        ids=["bdeu_family_score", "ScoreCache"])
+    def test_ess_must_be_finite_and_positive(self, chain_data, score, ess):
+        with pytest.raises(InvalidInput, match=f"ess must be finite and > 0, got {ess}"):
+            score(chain_data, ess)
+
     def test_cache_is_bit_identical(self, chain_data):
         cache = ScoreCache(chain_data, 10.0)
         for child, parents in [(0, ()), (1, (0,)), (2, (0, 1)), (1, (0, 2))]:
@@ -322,6 +331,10 @@ class TestGreedyLearn:
             indeg[c] += 1
         assert max(indeg.values()) <= 2
 
+    def test_negative_max_parents(self, chain_data):
+        with pytest.raises(InvalidInput, match="max_parents must be >= 0, got -1"):
+            greedy_learn(chain_data, max_parents=-1)
+
 
 class TestLearnStructure:
     def test_greedy_dispatch(self, chain_data):
@@ -378,6 +391,7 @@ class TestLearnStructure:
 
     @pytest.mark.parametrize("field, value, rule", [
         ("max_parents", -2, ">= 0"), ("ess", 0.0, "> 0"), ("ess", math.nan, "> 0"),
+        ("ess", math.inf, "finite"),
         ("t_avg", 1.5, "in \\[0, 1\\]"), ("t_avg", math.nan, "in \\[0, 1\\]"),
     ])
     def test_out_of_range_setting_rejected(self, field, value, rule):
@@ -413,7 +427,7 @@ class TestLocalStructure:
 
     def test_file_round_trip(self, tmp_path):
         s = LocalStructure((0, 1, 4), ((0, 1), (4, 1)),
-                           {(0, 1): 0.75, (4, 1): 1.0}, provenance="x")
+                           {(0, 1): 0.75, (4, 1): 1.0})
         path = tmp_path / "s.edges"
         save_structure(s, path)
         back = load_structure(path)

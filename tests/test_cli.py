@@ -187,6 +187,16 @@ def test_bad_config_name_exits_one_before_any_stage(tmp_path, capsys):
     assert "unknown learner 'nope'" in err and "stage 'data'" not in err
 
 
+@pytest.mark.parametrize("key", ["substrate_fn", "k_subsamples", "t_tri", "directed_eval"])
+def test_removed_config_key_exits_one_before_any_stage(tmp_path, capsys, key):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"network": str(NETWORKS_DIR / "alarm.net"), key: None}),
+                   encoding="utf-8")
+    assert main(["pipeline", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"unknown config keys: ['{key}']" in err and "stage 'data'" not in err
+
+
 @pytest.mark.parametrize("field, value", [("alpha", 1.5), ("max_learn_size", 0),
                                           ("max_learn_size", 17), ("t_co", 7.0)])
 def test_out_of_range_config_exits_one_before_any_stage(tmp_path, capsys, field, value):

@@ -256,3 +256,10 @@ class TestDiscreteDataset:
         back = load_dataset(path)
         assert list(back.cardinalities) == [
             int(chain_data.column(i).max()) + 1 for i in range(3)]
+
+    def test_load_infers_at_least_two_states(self, tmp_path):
+        path = tmp_path / "data.tsv"
+        path.write_text("a\tb\n0\t1\n0\t0\n0\t2\n", encoding="utf-8")
+        assert load_dataset(path).cardinalities == (2, 3)
+        path.write_text("a\tb\n0\t0\n", encoding="utf-8")  # one row
+        assert load_dataset(path).cardinalities == (2, 2)

@@ -62,19 +62,10 @@ class TestScoreStructure:
         with pytest.raises(InvalidInput, match="cover"):
             score_structure(learned, chain_net)
 
-    def test_metadata_passes_through(self, chain_net):
-        learned = LocalStructure((0, 1, 2), ((0, 1), (1, 2)), {})
-        report = score_structure(learned, chain_net,
-                                 timings={"total": 1.5},
-                                 config={"learner": "greedy"})
-        assert report.timings == {"total": 1.5}
-        assert report.config == {"learner": "greedy"}
-
 
 class TestEvalReport:
     def test_to_dict_and_json_round_trip(self):
-        report = EvalReport(3, 1, 2, 75.0, 60.0, 66.667, True,
-                            {"total": 0.5}, {"seed": 4})
+        report = EvalReport(3, 1, 2, 75.0, 60.0, 66.667, True)
         d = report.to_dict()
         assert d["tp"] == 3 and d["directed"] is True
         back = json.loads(report.to_json())

@@ -159,16 +159,6 @@ class TestResolve:
         assert (3, 0) in out.edges
         assert out.support[(3, 0)] == pytest.approx(0.42)
 
-    def test_provenance_preserved(self, chain_data):
-        g = WeightedGraph(3)
-        g.add_edge(0, 1, 1.0)
-        g.add_edge(1, 2, 0.9)
-        g.add_edge(0, 2, 0.8)
-        s = LocalStructure((0, 1, 2), ((0, 2),), {}, provenance="pool")
-        out = resolve(s, g, chain_data, LearnerConfig(learner="greedy"),
-                      t_tri=0.5)
-        assert out.provenance == "pool"
-
 
 class TestMergeAll:
     def _run(self, node_sets, n_universe):

@@ -9,7 +9,7 @@ from bnsl.partition import (Partition, build_psm, co_occurrence,
                             consensus_partition, link_communities,
                             load_partition, save_partition,
                             second_order_network)
-from bnsl.weights import WeightedGraph, pair_stats
+from bnsl.weights import WEIGHT_FUNCTIONS, WeightedGraph, pair_stats
 
 from conftest import chain3, random_binary_net
 from oracles import link_communities_of
@@ -211,7 +211,7 @@ class TestConsensusPartition:
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_two_varying_columns_form_one_community(self, extra):
-        # MI_sn and Pearson_sn cannot standardize a single pair weight
+        # MI_sn and Pearson_sn rank nothing on a single pair weight and are left out
         rng = np.random.default_rng(38)
         x = rng.integers(0, 2, size=500)
         cols = [x, x ^ (rng.random(500) < 0.2)] + [np.zeros(500, dtype=int)] * extra
@@ -221,6 +221,14 @@ class TestConsensusPartition:
         assert consensus_partition(data).communities == want
         assert consensus_partition(pair_stats(data)).communities == want
         assert consensus_partition(data, max_comm=1).communities == ((0,), (1,)) + want[1:]
+
+    @pytest.mark.parametrize("fns", [WEIGHT_FUNCTIONS, ("MI_sn", "Pearson_sn")],
+                             ids=["all", "standardized"])
+    def test_equal_pair_weights_form_one_community(self, fns):
+        # on two rows every pair of varying columns has the same MI and |rho|
+        two_rows = DiscreteDataset(["a", "b", "c", "d"], [2] * 4,
+                                   np.array([[0, 1, 0, 1], [1, 0, 1, 0]], dtype=np.int32))
+        assert consensus_partition(two_rows, fns).communities == ((0, 1, 2, 3),)
 
     def test_empty_dataset_gives_singletons(self):
         data = DiscreteDataset(["a", "b", "c"], [2] * 3, np.zeros((0, 3), dtype=np.int32))
@@ -258,17 +266,18 @@ class TestConsensusPartition:
         assert len(calls) == len(set(calls)) == 12 * 11 // 2
 
     def test_equal_weight_community_falls_back_to_a_split(self):
-        # five exact copies of x form a community whose weights are all
-        # equal, so its re-partition cannot standardize; _capped catches
-        # that and tighten-split cuts the copies instead
+        # five exact copies of x have all pair weights equal, so the
+        # standardized functions rank nothing and are left out, and the
+        # rest link the copies into one community; inside the full data
+        # that community's re-partition does not split it, so
+        # tighten-split cuts the copies instead
         rng = np.random.default_rng(0)
         x = rng.integers(0, 2, size=3000)
         y = rng.integers(0, 3, size=3000)
         cols = [x] * 5 + [(y + (rng.random(3000) < p)) % 3 for p in (0.1, 0.2, 0.3, 0.4)]
         data = DiscreteDataset([f"v{k}" for k in range(9)], [2] * 5 + [3] * 4,
                                np.column_stack(cols).astype(np.int32))
-        with pytest.raises(InvalidInput, match="standardization is undefined"):
-            consensus_partition(data.select(range(5)))
+        assert consensus_partition(data.select(range(5))).communities == ((0, 1, 2, 3, 4),)
         p = consensus_partition(data, max_comm=4)
         assert p.communities == ((0, 3, 4), (1, 2, 3, 4), (5, 6, 7, 8))
 
