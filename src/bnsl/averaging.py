@@ -59,7 +59,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .data import DiscreteDataset, DistinctRows
-from .errors import BudgetExceeded, FamilyTooLarge, InvalidInput
+from .errors import BudgetExceeded, FamilyTooLarge, InvalidInput, check_number_types
 
 DEFAULT_MAX_CELLS = 2 ** 22
 DEFAULT_SUBSET_BUDGET = 2 ** 20
@@ -563,6 +563,7 @@ class LearnerConfig:
     def __post_init__(self):
         if self.learner not in ("modelavg", "greedy"):
             raise InvalidInput(f"unknown learner '{self.learner}'")
+        check_number_types(self, integers=("max_parents",), reals=("ess", "t_avg"))
         for name, ok, rule in (
                 ("max_parents", self.max_parents >= 0, ">= 0"),
                 ("ess", self.ess > 0, "> 0"),

@@ -1,10 +1,23 @@
-"""Shared exception types."""
+"""Shared exception types, and the check of a config's number fields."""
 
 from __future__ import annotations
+
+import numbers
 
 
 class InvalidInput(ValueError):
     """Raised when an argument violates a documented precondition."""
+
+
+def check_number_types(config, integers=(), reals=()) -> None:
+    """Raise ``InvalidInput`` unless each named field of ``config`` is an
+    integer (``integers``) or a real number (``reals``); a bool is neither."""
+    for names, kind, what in ((integers, numbers.Integral, "an integer"),
+                              (reals, numbers.Real, "a real number")):
+        for name in names:
+            value = getattr(config, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise InvalidInput(f"{name} must be {what}, got {value!r}")
 
 
 class NetworkFormatError(InvalidInput):

@@ -2,20 +2,24 @@
 
 Structures learned on overlapping node sets are combined in three layers:
 :func:`combine_structures` unions the edge sets of several structures (a
-community's sub-structures, or two pool entries), a triplet pass re-learns
-tightly connected triangles to repair edges that blanket isolation may have
-distorted, and the community pool is folded together pairwise, always
-merging the two structures with the largest node-set Jaccard similarity.
-Each pair's rank is computed once, when the later of its two structures
-enters the pool, so a pool of n structures costs (n - 1)^2 Jaccard
-evaluations instead of the ~n^3 a full rescan per round pays.
+community's sub-structures, or two pool entries), :func:`resolve`
+re-learns tightly connected triangles to repair edges that blanket
+isolation may have distorted, and the community pool is folded together
+pairwise, always merging the two structures with the largest node-set
+Jaccard similarity.  A merge round combines the pair's edges once; when
+the two node sets overlap, it hands the result to one :func:`resolve` on
+the weight subgraph of the overlap and its neighbours in the combined
+edges, so triangles are re-learned there and every other edge passes
+through.  Each pair's rank is computed once, when the later of its two
+structures enters the pool, so a pool of n structures costs (n - 1)^2
+Jaccard evaluations instead of the ~n^3 a full rescan per round pays.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .averaging import LearnerConfig, LocalStructure, ScoreCache, learn_structure
 from .data import DiscreteDataset
@@ -67,13 +71,6 @@ def combine_structures(structs: Sequence[LocalStructure],
         else:
             edges[e] = m
     return LocalStructure(tuple(nodes), tuple(edges), edges)
-
-
-def _restrict(s: LocalStructure, nodes: Iterable[int],
-              edges: Sequence[tuple[int, int]]) -> LocalStructure:
-    """Some of ``s``'s edges, with their support, over the given nodes."""
-    return LocalStructure(tuple(nodes), tuple(edges),
-                          {e: s.support.get(e, 1.0) for e in edges})
 
 
 @dataclass(frozen=True)
@@ -141,8 +138,9 @@ def resolve(structure: LocalStructure, g: WeightedGraph, data: DiscreteDataset,
     outside = [e for e in structure.edges
                if not any(e[0] in cl and e[1] in cl for cl in clusters)]
     # the clusters lie inside the structure's nodes, so the node set is unchanged
-    merged = combine_structures([_restrict(structure, structure.nodes, outside)]
-                                + relearned)
+    kept = LocalStructure(structure.nodes, tuple(outside),
+                          {e: structure.support.get(e, 1.0) for e in outside})
+    merged = combine_structures([kept] + relearned)
     return LocalStructure(structure.nodes, merged.edges, merged.support)
 
 
@@ -165,7 +163,7 @@ def merge_all(pool: Sequence[LocalStructure], g: WeightedGraph,
     largest Jaccard similarity (ties: larger union first, then the
     lexicographically smallest pair of node sets, then the smallest pair
     of pool positions, merged entries numbered on from ``len(pool)``); the
-    pair's edges are combined and the overlap neighborhood re-resolved.
+    pair's edges are combined and resolved on the overlap neighborhood.
     A pair is ranked once, when its later structure enters the pool, so a
     pool of n structures spends (n - 1)^2 Jaccard evaluations; the count
     is returned.
@@ -211,10 +209,7 @@ def merge_all(pool: Sequence[LocalStructure], g: WeightedGraph,
                     scope.add(y)
                 if y in overlap:
                     scope.add(x)
-            inner = [e for e in merged.edges if e[0] in scope and e[1] in scope]
-            outer = [e for e in merged.edges if e[0] not in scope or e[1] not in scope]
-            fixed = resolve(_restrict(merged, scope, inner), g, data, config, cache=cache)
-            merged = combine_structures([_restrict(merged, merged.nodes, outer), fixed])
+            merged = resolve(merged, g.subgraph(scope), data, config, cache=cache)
         enter(merged)
 
     return MergeResult(entries.popitem()[1], tuple(sequence), evals, conflicts)

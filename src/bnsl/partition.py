@@ -125,8 +125,6 @@ def link_communities(g: WeightedGraph) -> Partition:
     edges = g.edges()
     m = len(edges)
     isolated = [v for v in range(g.n) if g.degree(v) == 0]
-    if m == 0:
-        return Partition(g.n, tuple((v,) for v in range(g.n)))
 
     # weighted inclusive neighborhood of each endpoint
     incl: dict[int, dict[int, float]] = {}
@@ -232,19 +230,22 @@ def consensus_partition(source: DiscreteDataset | PairStats,
     the stats to reuse MI already computed for other weight graphs.  One
     overlapping partition is built per weight function (all-pairs weights,
     elbow truncation, link communities); their agreement forms the
-    second-order network, which is clustered the same way.  Communities
-    larger than ``max_comm`` are re-partitioned recursively on their own
-    columns (a slice of the same stats); if that stalls, the weakest edges
-    of the community's MI subgraph are dropped until it splits.  A
-    constant (zero-entropy) variable shares information with nothing and
-    gets its own singleton community; with fewer than two varying
-    variables (an empty dataset has none) all are singletons.  A
+    second-order network, which is clustered the same way.  A community
+    larger than ``max_comm`` gets its own consensus on its columns (a slice
+    of the same stats), for at most three consensus levels in all.  One
+    still too large at the third level, or one that its consensus leaves
+    whole, is split by dropping the weakest edges of its MI subgraph until
+    every part fits.  A constant (zero-entropy) variable shares information
+    with nothing and gets its own singleton community; with fewer than two
+    varying variables (an empty dataset has none) all are singletons.  A
     standardized weight function whose pair weights are all equal ranks
     nothing and is left out; if no function is left, the variables form
     one community.
     """
     if not fns:
         raise InvalidInput("need at least one weight function")
+    if max_comm < 1:
+        raise InvalidInput(f"max_comm must be >= 1, got {max_comm!r}")
     n = source.n_vars
     data = source.data if isinstance(source, PairStats) else source
     if data.n_rows == 0:
@@ -253,11 +254,8 @@ def consensus_partition(source: DiscreteDataset | PairStats,
     varying = [v for v in range(n) if stats.h[v] > 0]
     if len(varying) < 2:
         return Partition(n, tuple((v,) for v in range(n)))
-    out: list[tuple[int, ...]] = [(v,) for v in range(n) if v not in varying]
-    sub = stats if len(varying) == n else stats.select(varying)
-    for c in _consensus_once(sub, fns, t_co).communities:
-        mapped = tuple(varying[k] for k in c)
-        out.extend(_capped(stats, mapped, fns, t_co, max_comm, depth=2))
+    out = [(v,) for v in range(n) if v not in varying]
+    out.extend(_capped_consensus(stats, varying, fns, t_co, max_comm, depth=2))
     return Partition(n, tuple(sorted(set(out))))
 
 
@@ -279,21 +277,24 @@ def _consensus_once(stats: PairStats, fns: Sequence[str], t_co: float) -> Partit
     return link_communities(second_order_network(psms, t_co))
 
 
-def _capped(stats: PairStats, community: tuple[int, ...], fns: Sequence[str],
-            t_co: float, max_comm: int, depth: int) -> list[tuple[int, ...]]:
-    if len(community) <= max_comm:
-        return [community]
-    nodes = list(community)
-    sub = stats.select(nodes)
-    if depth > 0:
-        subpart = _consensus_once(sub, fns, t_co)
-        if len(subpart.communities) > 1:
-            out: list[tuple[int, ...]] = []
-            for c in subpart.communities:
-                mapped = tuple(nodes[k] for k in c)
-                out.extend(_capped(stats, mapped, fns, t_co, max_comm, depth - 1))
-            return out
-    return [tuple(nodes[k] for k in c) for c in _tighten_split(sub, max_comm)]
+def _capped_consensus(stats: PairStats, nodes: list[int], fns: Sequence[str],
+                      t_co: float, max_comm: int, depth: int) -> list[tuple[int, ...]]:
+    """Consensus communities of ``nodes`` (indices into ``stats``), each of
+    at most ``max_comm`` nodes.  A larger one is re-partitioned with one
+    less ``depth``; once the depth is spent, or when the consensus leaves
+    the whole list as one community, it is tighten-split instead."""
+    sub = stats if len(nodes) == stats.n_vars else stats.select(nodes)
+    out: list[tuple[int, ...]] = []
+    for c in _consensus_once(sub, fns, t_co).communities:
+        part = [nodes[k] for k in c]
+        if len(part) <= max_comm:
+            out.append(tuple(part))
+        elif depth > 0 and len(part) < len(nodes):
+            out.extend(_capped_consensus(stats, part, fns, t_co, max_comm, depth - 1))
+        else:
+            out.extend(tuple(part[k] for k in t)
+                       for t in _tighten_split(stats.select(part), max_comm))
+    return out
 
 
 def _tighten_split(sub: PairStats, max_comm: int) -> list[tuple[int, ...]]:
@@ -305,11 +306,7 @@ def _tighten_split(sub: PairStats, max_comm: int) -> list[tuple[int, ...]]:
             return list(part.communities)
         ranked = sorted(g.edges(), key=lambda e: (g.weight(*e), e))
         drop = max(1, len(ranked) // 10)
-        kept = {e: g.weight(*e) for e in ranked[drop:]}
-        if not kept:
-            nodes = list(range(sub.n_vars))
-            return [tuple(nodes[k:k + max_comm]) for k in range(0, len(nodes), max_comm)]
-        g = WeightedGraph(g.n, kept)
+        g = WeightedGraph(g.n, {e: g.weight(*e) for e in ranked[drop:]})
 
 
 def save_partition(p: Partition, path) -> None:

@@ -20,7 +20,7 @@ from .averaging import (EXACT_MAX_NODES, LearnerConfig, LocalStructure,
 from .blankets import community_blanket, inner_markov_graph, rnn_sample
 from .data import (DiscreteDataset, GroundTruthNet, forward_sample,
                    load_dataset, load_network, save_dataset)
-from .errors import InvalidInput, PipelineStageError
+from .errors import InvalidInput, PipelineStageError, check_number_types
 from .evaluate import EvalReport, score_structure
 from .merge import MergeResult, combine_structures, merge_all, resolve
 from .partition import Partition, consensus_partition, save_partition
@@ -32,9 +32,9 @@ log = logging.getLogger("bnsl.pipeline")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything a full run needs; JSON round-trippable.  Names and ranges
-    are checked when it is built, so a bad one fails before any stage runs.
-    With ``learner="modelavg"`` every window is averaged exactly, so
+    """Everything a full run needs; JSON round-trippable.  Names, types and
+    ranges are checked when it is built, so a bad one fails before any stage
+    runs.  With ``learner="modelavg"`` every window is averaged exactly, so
     ``max_learn_size`` may not exceed ``EXACT_MAX_NODES``."""
 
     network: str | None = None     # ground-truth net to sample and score against
@@ -61,6 +61,8 @@ class PipelineConfig:
             if fn not in WEIGHT_FUNCTIONS:
                 raise InvalidInput(f"unknown weight function {fn!r}")
         self.learner_config()  # checks the learner and its settings
+        check_number_types(self, reals=("alpha", "t_co"), integers=(
+            "n_samples", "seed", "max_comm", "max_learn_size"))
         for name, ok, rule in (
                 ("alpha", 0 < self.alpha < 1, "in (0, 1)"),
                 ("t_co", 0 <= self.t_co <= 1, "in [0, 1]"),
@@ -69,7 +71,8 @@ class PipelineConfig:
                  or self.max_learn_size <= EXACT_MAX_NODES,
                  f"<= {EXACT_MAX_NODES} with modelavg"),
                 ("max_comm", self.max_comm >= 1, ">= 1"),
-                ("n_samples", self.n_samples >= 1, ">= 1")):
+                ("n_samples", self.n_samples >= 1, ">= 1"),
+                ("seed", self.seed >= 0, ">= 0")):
             if not ok:
                 raise InvalidInput(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
@@ -162,6 +165,9 @@ def learn_communities(data: DiscreteDataset, partition: Partition,
     sizes of the windows it learned: the sampled windows, then the
     clusters that ``resolve`` re-learned.
     """
+    if partition.n != data.n_vars:
+        raise InvalidInput(f"partition covers {partition.n} nodes, "
+                           f"the dataset has {data.n_vars} variables")
     if cache is None:
         cache = ScoreCache(data, config.ess)
     lc = config.learner_config()
@@ -181,14 +187,12 @@ def learn_communities(data: DiscreteDataset, partition: Partition,
             seen.add(sc.members)
             windows.append(len(sc.members))
             learned.append(learn_structure(data, sc.members, lc, cache))
-        if not learned:  # lone node with an empty blanket
-            pool.append(LocalStructure(comm, (), {}))
-            detail.append({"community": ci, "size": len(comm), "subsamples": 0,
-                           "window_sizes": []})
-            continue
         conflicts: list = []
-        ens = combine_structures(learned, conflicts)
-        pool.append(resolve(ens, substrate, data, lc, cache=cache, windows=windows))
+        if learned:
+            ens = combine_structures(learned, conflicts)
+            pool.append(resolve(ens, substrate, data, lc, cache=cache, windows=windows))
+        else:  # lone node with an empty blanket
+            pool.append(LocalStructure(comm, (), {}))
         detail.append({"community": ci, "size": len(comm),
                        "expanded": len(br.expanded),
                        "subsamples": len(subs), "learned": len(learned),
@@ -205,6 +209,9 @@ def merge_communities(data: DiscreteDataset, pool: list[LocalStructure],
                       run_report: dict | None = None) -> MergeResult:
     """Merge the pool; ``run_report`` gets the merge sequence, the Jaccard
     evaluation count and the conflicts."""
+    outside = sorted({v for s in pool for v in s.nodes if not 0 <= v < data.n_vars})
+    if outside:
+        raise InvalidInput(f"pool nodes {outside} outside 0..{data.n_vars - 1}")
     merged = merge_all(pool, substrate, data, config.learner_config(), cache)
     if run_report is not None:
         run_report["merge_sequence"] = [[list(a), list(b)]

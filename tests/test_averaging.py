@@ -393,9 +393,11 @@ class TestLearnStructure:
         ("max_parents", -2, ">= 0"), ("ess", 0.0, "> 0"), ("ess", math.nan, "> 0"),
         ("ess", math.inf, "finite"),
         ("t_avg", 1.5, "in \\[0, 1\\]"), ("t_avg", math.nan, "in \\[0, 1\\]"),
+        ("max_parents", 1.5, "an integer"), ("max_parents", True, "an integer"),
+        ("ess", "10", "a real number"), ("t_avg", True, "a real number"),
     ])
     def test_out_of_range_setting_rejected(self, field, value, rule):
-        with pytest.raises(InvalidInput, match=f"{field} must be {rule}, got {value}"):
+        with pytest.raises(InvalidInput, match=f"{field} must be {rule}, got {value!r}"):
             LearnerConfig(**{field: value})
 
 

@@ -139,6 +139,25 @@ def test_stage_by_stage_matches_pipeline(tmp_path, capsys):
     assert run["communities"]
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_learn_partition_over_other_variables_exits_one(workdir, tmp_path, capsys, n):
+    part = tmp_path / "partition.txt"
+    part.write_text(f"# nodes {n}\n" + "".join(f"{v}\n" for v in range(n)), encoding="utf-8")
+    assert main(["learn", "--dataset", str(workdir / "data.tsv"), "--partition", str(part),
+                 "--out", str(tmp_path / "s.json")]) == 1
+    assert f"partition covers {n} nodes, the dataset has 3 variables" in capsys.readouterr().err
+
+
+def test_merge_pool_node_outside_the_dataset_exits_one(workdir, tmp_path, capsys):
+    structures = tmp_path / "structures.json"
+    structures.write_text(json.dumps({"structures": [
+        {"nodes": [0, 1], "edges": [[0, 1]]}, {"nodes": [1, 99], "edges": []}]}),
+        encoding="utf-8")
+    assert main(["merge", "--dataset", str(workdir / "data.tsv"),
+                 "--structures", str(structures), "--out", str(tmp_path / "m.edges")]) == 1
+    assert "pool nodes [99] outside 0..2" in capsys.readouterr().err
+
+
 def test_diagnose_subcommand(workdir, capsys):
     code = main(["diagnose", "--dataset", str(workdir / "data.tsv"),
                  "--partition", str(workdir / "partition.txt")])
@@ -197,8 +216,10 @@ def test_removed_config_key_exits_one_before_any_stage(tmp_path, capsys, key):
     assert f"unknown config keys: ['{key}']" in err and "stage 'data'" not in err
 
 
-@pytest.mark.parametrize("field, value", [("alpha", 1.5), ("max_learn_size", 0),
-                                          ("max_learn_size", 17), ("t_co", 7.0)])
+@pytest.mark.parametrize("field, value", [
+    ("alpha", 1.5), ("max_learn_size", 0), ("max_learn_size", 17), ("t_co", 7.0),
+    ("seed", -1), ("seed", 1.5), ("n_samples", 2000.5), ("max_parents", 1.5),
+    ("max_parents", True), ("ess", "10")])
 def test_out_of_range_config_exits_one_before_any_stage(tmp_path, capsys, field, value):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"network": str(NETWORKS_DIR / "alarm.net"),

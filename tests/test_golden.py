@@ -10,6 +10,7 @@ that the default pipeline never reaches.  A change that moves them on purpose re
 
     PYTHONPATH=src python tests/test_golden.py --write
 
+which prints the id of each pin whose value changed (or "no pin changed"),
 and names the re-pin and its reason in CHANGES.md.
 """
 
@@ -86,6 +87,9 @@ if __name__ == "__main__":
     pins = {run_id(*r): pinned_outputs(*r) for r in RUNS}
     pins.update({partition_run_id(*r): {"communities": pinned_partition(*r)}
                  for r in PARTITION_RUNS})
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    moved = [k for k in {**old, **pins} if old.get(k) != pins.get(k)]
     lines = [f" {json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
              for k, v in pins.items()]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+    print("\n".join(f"moved: {k}" for k in moved) or "no pin changed")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnsl.data import DiscreteDataset, forward_sample
 from bnsl.errors import InvalidInput
@@ -22,6 +24,39 @@ def random_graph(rng, n, p=0.5, lo=0.2, hi=3.0):
             if rng.random() < p:
                 g.add_edge(i, j, float(rng.uniform(lo, hi)))
     return g
+
+
+@st.composite
+def tied_graphs(draw):
+    """1-9 nodes, each pair absent or weighted 1, 2 or 3, so that ties and
+    isolated nodes are common."""
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    weights = draw(st.lists(st.sampled_from([0, 1, 2, 3]),
+                            min_size=len(pairs), max_size=len(pairs)))
+    g = WeightedGraph(n)
+    for (i, j), w in zip(pairs, weights):
+        if w:
+            g.add_edge(i, j, float(w))
+    return g
+
+
+@st.composite
+def small_datasets(draw):
+    """2-9 ternary columns of 1-40 rows; some constant, some copies of an
+    earlier column."""
+    n_rows = draw(st.integers(1, 40))
+    cols: list[list[int]] = []
+    for _ in range(draw(st.integers(2, 9))):
+        kind = draw(st.sampled_from(["random", "constant", "copy"]))
+        if kind == "constant":
+            cols.append([draw(st.integers(0, 2))] * n_rows)
+        elif kind == "copy" and cols:
+            cols.append(list(cols[draw(st.integers(0, len(cols) - 1))]))
+        else:
+            cols.append(draw(st.lists(st.integers(0, 2), min_size=n_rows, max_size=n_rows)))
+    return DiscreteDataset([f"v{k}" for k in range(len(cols))], [3] * len(cols),
+                           np.array(cols, dtype=np.int32).T)
 
 
 def psm_fixture():
@@ -93,6 +128,11 @@ class TestLinkCommunities:
             got = tuple(sorted(link_communities(g).communities))
             want = link_communities_of(g)
             assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=tied_graphs())
+    def test_matches_the_oracle_on_tied_weights(self, g):
+        assert tuple(sorted(link_communities(g).communities)) == link_communities_of(g)
 
     def test_weighted_ties_are_grouped(self):
         # uniform weights create equal similarities; merging must treat
@@ -280,6 +320,22 @@ class TestConsensusPartition:
         assert consensus_partition(data.select(range(5))).communities == ((0, 1, 2, 3, 4),)
         p = consensus_partition(data, max_comm=4)
         assert p.communities == ((0, 3, 4), (1, 2, 3, 4), (5, 6, 7, 8))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=small_datasets(), max_comm=st.integers(1, 6))
+    def test_capped_on_small_datasets(self, data, max_comm):
+        p = consensus_partition(data, max_comm=max_comm)
+        assert max(len(c) for c in p.communities) <= max_comm
+        for v in range(data.n_vars):
+            if (data.samples[:, v] == data.samples[0, v]).all():
+                assert [c for c in p.communities if v in c] == [(v,)]
+        assert consensus_partition(pair_stats(data), max_comm=max_comm) == p
+
+    @pytest.mark.parametrize("max_comm", [0, -1])
+    def test_max_comm_below_one_rejected(self, max_comm):
+        data = self.noisy_block(37)
+        with pytest.raises(InvalidInput, match=f"max_comm must be >= 1, got {max_comm}"):
+            consensus_partition(data, max_comm=max_comm)
 
     def test_max_comm_cap_enforced(self):
         # twelve noisy copies of one variable form a single dense block

@@ -12,8 +12,8 @@ import bnsl.pipeline
 from bnsl.data import DiscreteDataset, save_dataset, save_network
 from bnsl.errors import InvalidInput, PipelineStageError
 from bnsl.pipeline import (PipelineConfig, build_substrate, derive_seed,
-                           learn_communities, load_inputs, run_pipeline,
-                           structure_from_dict, structure_to_dict)
+                           learn_communities, load_inputs, merge_communities,
+                           run_pipeline, structure_from_dict, structure_to_dict)
 from bnsl.averaging import LocalStructure
 from bnsl.partition import Partition
 from bnsl.weights import elbow_truncate, weight_matrix
@@ -84,9 +84,14 @@ class TestPipelineConfig:
         ("max_learn_size", 0, ">= 1"), ("max_comm", 0, ">= 1"),
         ("n_samples", 0, ">= 1"), ("max_learn_size", 17, "<= 16 with modelavg"),
         ("max_parents", -1, ">= 0"), ("ess", 0.0, "> 0"), ("ess", math.inf, "finite"),
+        ("seed", -1, ">= 0"), ("seed", 1.5, "an integer"), ("n_samples", 2000.5, "an integer"),
+        ("max_comm", 2.0, "an integer"), ("max_learn_size", True, "an integer"),
+        ("max_parents", 1.5, "an integer"), ("max_parents", True, "an integer"),
+        ("alpha", "0.05", "a real number"), ("t_co", False, "a real number"),
+        ("ess", "10", "a real number"), ("t_avg", None, "a real number"),
     ])
     def test_out_of_range_number_rejected(self, field, value, rule):
-        with pytest.raises(InvalidInput, match=f"{field} must be {rule}, got {value}"):
+        with pytest.raises(InvalidInput, match=f"{field} must be {rule}, got {value!r}"):
             PipelineConfig.from_json(json.dumps({field: value}))
 
     def test_range_edges_accepted(self):
@@ -187,6 +192,22 @@ class TestLearnCommunities:
         assert [n for w in windows for n in w] == sizes
         assert windows[0] and all(2 <= n <= 3 for n in windows[0])
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_partition_over_other_variables_rejected(self, chain_data, n):
+        part = Partition(n, tuple((v,) for v in range(n)))
+        with pytest.raises(InvalidInput,
+                           match=f"partition covers {n} nodes, the dataset has 3 variables"):
+            learn_communities(chain_data, part, build_substrate(chain_data),
+                              PipelineConfig())
+
+
+class TestMergeCommunities:
+    def test_pool_node_outside_the_dataset_rejected(self, chain_data):
+        pool = [LocalStructure((0, 1), ((0, 1),)), LocalStructure((1, 99), ((1, 99),))]
+        with pytest.raises(InvalidInput, match=r"pool nodes \[99\] outside 0\.\.2"):
+            merge_communities(chain_data, pool, build_substrate(chain_data),
+                              PipelineConfig())
+
 
 class TestRunPipeline:
     def test_deterministic_and_reported(self, small_config):
@@ -265,6 +286,13 @@ class TestRunPipeline:
         assert (3,) in result.partition.communities
         assert result.structure.nodes == (0, 1, 2, 3)
         assert all(3 not in e for e in result.structure.edges)
+        # the constant column's community samples one window and learns none
+        detail = result.run_report["communities"]
+        assert all(set(d) == {"community", "size", "expanded", "subsamples", "learned",
+                              "ensemble_conflicts", "window_sizes"} for d in detail)
+        lone = detail[result.partition.communities.index((3,))]
+        assert (lone["subsamples"], lone["learned"], lone["ensemble_conflicts"],
+                lone["window_sizes"]) == (1, 0, 0, [])
 
     @pytest.mark.parametrize("learner", ["modelavg", "greedy"])
     def test_one_variable_dataset(self, tmp_path, chain_data, learner):
