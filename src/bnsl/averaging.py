@@ -90,8 +90,9 @@ class EdgePosterior:
 
 @dataclass(frozen=True)
 class LocalStructure:
-    """A directed structure over a node subset, with per-edge support keyed
-    by the stored edge tuples (an edge without support counts as 1)."""
+    """A directed structure over a nonempty node subset, with per-edge
+    support in [0, 1] keyed by the stored edge tuples (an edge without
+    support counts as 1)."""
 
     nodes: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
@@ -99,6 +100,8 @@ class LocalStructure:
 
     def __post_init__(self):
         nodes = tuple(sorted(set(int(v) for v in self.nodes)))
+        if not nodes:
+            raise InvalidInput("a structure needs a nonempty node set")
         object.__setattr__(self, "nodes", nodes)
         ns = set(nodes)
         edges = tuple(sorted((int(a), int(b)) for a, b in self.edges))
@@ -110,6 +113,9 @@ class LocalStructure:
         support = {e: self.support[e] for e in edges if e in self.support}
         if len(support) != len(self.support):
             raise InvalidInput("support keyed by an edge the structure lacks")
+        for e, v in support.items():
+            if not 0.0 <= v <= 1.0:  # NaN too
+                raise InvalidInput(f"support of {e} must lie in [0, 1], got {v!r}")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "support", support)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .averaging import load_structure, save_structure
 from .data import forward_sample, load_dataset, load_network, save_dataset
-from .errors import PipelineStageError
+from .errors import InvalidInput, PipelineStageError
 from .evaluate import partition_diagnostics, score_structure
 from .partition import consensus_partition, load_partition, save_partition
 from .pipeline import (PipelineConfig, build_substrate, learn_communities,
@@ -56,6 +56,21 @@ def _write_json(obj: dict, path: str | None) -> None:
         Path(path).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
+
+
+def _load_pool(path: str) -> list:
+    """The structures of a ``{"structures": [...]}`` file from ``bnsl learn``;
+    a malformed entry raises ``InvalidInput`` naming the file and the entry."""
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(raw, dict) or "structures" not in raw:
+        raise InvalidInput(f"{path}: missing 'structures'")
+    pool = []
+    for k, d in enumerate(raw["structures"]):
+        try:
+            pool.append(structure_from_dict(d))
+        except (TypeError, ValueError) as e:  # InvalidInput too
+            raise InvalidInput(f"{path}, entry {k}: {e}") from e
+    return pool
 
 
 def main(argv=None) -> int:
@@ -143,8 +158,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif cmd == "merge":
         cfg = _config(args)
         data = load_dataset(cfg.dataset)
-        raw = json.loads(Path(args.structures).read_text(encoding="utf-8"))
-        pool = [structure_from_dict(d) for d in raw["structures"]]
+        pool = _load_pool(args.structures)
         merge_report: dict = {}
         result = merge_communities(data, pool, build_substrate(data), cfg,
                                    run_report=merge_report)

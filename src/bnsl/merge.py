@@ -12,13 +12,17 @@ the weight subgraph of the overlap and its neighbours in the combined
 edges, so triangles are re-learned there and every other edge passes
 through.  Each pair's rank is computed once, when the later of its two
 structures enters the pool, so a pool of n structures costs (n - 1)^2
-Jaccard evaluations instead of the ~n^3 a full rescan per round pays.
+Jaccard evaluations.  The ranks live in a binary heap, so finding each
+round's pair costs O(log n) per rank pushed or skipped, O(n^2 log n) in
+all, where rescanning and refiltering every live pair each round costs
+O(n^3).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from .averaging import LearnerConfig, LocalStructure, ScoreCache, learn_structure
@@ -166,7 +170,9 @@ def merge_all(pool: Sequence[LocalStructure], g: WeightedGraph,
     pair's edges are combined and resolved on the overlap neighborhood.
     A pair is ranked once, when its later structure enters the pool, so a
     pool of n structures spends (n - 1)^2 Jaccard evaluations; the count
-    is returned.
+    is returned.  The ranks are kept in a heap, so the ranking work is
+    O(n^2 log n) rather than the O(n^3) of rescanning every live pair each
+    round.
     """
     if not pool:
         raise InvalidInput("empty pool")
@@ -176,28 +182,31 @@ def merge_all(pool: Sequence[LocalStructure], g: WeightedGraph,
     conflicts: list = []
     sequence: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     entries: dict[int, LocalStructure] = {}
-    # a list, not a dict keyed by the pair: it peaks several MB lower on large pools
-    ranks: list[tuple] = []  # (-jaccard, -union, lo nodes, hi nodes, i, j) per live pair
+    # min-heap of (-jaccard, -union, lo nodes, hi nodes, i, j), unique by (i, j).
+    # A merge leaves the ranks of its two entries in place (lazy deletion);
+    # a pop skips them, and once they outnumber the live pairs the heap is
+    # filtered and rebuilt, so after each round it holds at most twice the live pairs.
+    ranks: list[tuple] = []
     ids = itertools.count()
 
     def enter(s: LocalStructure) -> None:
         nonlocal evals
         k = next(ids)
         for i, other in entries.items():
-            ranks.append((-jaccard(other.nodes, s.nodes),
-                          -len(set(other.nodes).union(s.nodes)),
-                          *sorted((other.nodes, s.nodes)), i, k))
+            heappush(ranks, (-jaccard(other.nodes, s.nodes),
+                             -len(set(other.nodes).union(s.nodes)),
+                             *sorted((other.nodes, s.nodes)), i, k))
             evals += 1
         entries[k] = s
 
     for s in pool:
         enter(s)
     while len(entries) > 1:
-        best = min(ranks)
+        best = heappop(ranks)
+        while best[4] not in entries or best[5] not in entries:
+            best = heappop(ranks)
         i, j = best[4:]
         sequence.append(best[2:4])
-        gone = {i, j}
-        ranks[:] = [r for r in ranks if r[4] not in gone and r[5] not in gone]
         a, b = entries.pop(i), entries.pop(j)
 
         merged = combine_structures([a, b], conflicts)
@@ -211,5 +220,8 @@ def merge_all(pool: Sequence[LocalStructure], g: WeightedGraph,
                     scope.add(x)
             merged = resolve(merged, g.subgraph(scope), data, config, cache=cache)
         enter(merged)
+        if len(ranks) > len(entries) * (len(entries) - 1):
+            ranks[:] = [r for r in ranks if r[4] in entries and r[5] in entries]
+            heapify(ranks)
 
     return MergeResult(entries.popitem()[1], tuple(sequence), evals, conflicts)

@@ -113,8 +113,19 @@ def structure_to_dict(s: LocalStructure) -> dict:
 
 
 def structure_from_dict(d: dict) -> LocalStructure:
-    support = {tuple(int(t) for t in k.split(",")): float(v)
-               for k, v in d.get("support", {}).items()}
+    """Inverse of :func:`structure_to_dict`; a missing ``"nodes"`` or
+    ``"edges"`` key or a support key other than ``"a,b"`` raises
+    ``InvalidInput``."""
+    for key in ("nodes", "edges"):
+        if key not in d:
+            raise InvalidInput(f"missing {key!r}")
+    support = {}
+    for k, v in d.get("support", {}).items():
+        try:
+            a, b = (int(t) for t in k.split(","))
+        except ValueError as e:
+            raise InvalidInput(f"support key {k!r} is not 'a,b'") from e
+        support[(a, b)] = float(v)
     return LocalStructure(tuple(d["nodes"]), tuple(tuple(e) for e in d["edges"]), support)
 
 

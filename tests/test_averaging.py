@@ -288,6 +288,10 @@ class TestThresholdEdges:
         mat = mat.reshape(k, k) * (1 - np.eye(k))
         t_avg = data.draw(self.PROBABILITY, label="t_avg")
         post = EdgePosterior(tuple(nodes), mat)
+        if not nodes:
+            with pytest.raises(InvalidInput, match="nonempty node set"):
+                threshold_edges(post, t_avg)
+            return
         s = threshold_edges(post, t_avg)
         pos = {v: a for a, v in enumerate(nodes)}
         for a, b in s.edges:
@@ -422,6 +426,15 @@ class TestLocalStructure:
             LocalStructure((0, 1, 2), ((0, 1),), {(0, 1): 0.5, (1, 2): 0.5})
         with pytest.raises(InvalidInput):
             LocalStructure((0, 1), ((0, 1),), {(1, 0): 0.5})
+
+    def test_empty_node_set_rejected(self):
+        with pytest.raises(InvalidInput, match="nonempty node set"):
+            LocalStructure((), (), {})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.25, 1.5])
+    def test_support_outside_the_unit_interval_rejected(self, value):
+        with pytest.raises(InvalidInput, match=r"support of \(0, 1\) must lie in \[0, 1\]"):
+            LocalStructure((0, 1), ((0, 1),), {(0, 1): value})
 
     def test_skeleton(self):
         s = LocalStructure((0, 1, 2), ((0, 1), (2, 1)), {})

@@ -1,6 +1,7 @@
 """Command line interface, driven in process through main(argv)."""
 
 import json
+import math
 
 import pytest
 
@@ -156,6 +157,31 @@ def test_merge_pool_node_outside_the_dataset_exits_one(workdir, tmp_path, capsys
     assert main(["merge", "--dataset", str(workdir / "data.tsv"),
                  "--structures", str(structures), "--out", str(tmp_path / "m.edges")]) == 1
     assert "pool nodes [99] outside 0..2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"pool": []}, ": missing 'structures'"),
+    ({"structures": [{"nodes": [0, 1]}]}, ", entry 0: missing 'edges'"),
+    ({"structures": [{"nodes": [0, 1], "edges": []},
+                     {"nodes": [0, 1], "edges": [[0, 1]], "support": {"0-1": 0.5}}]},
+     ", entry 1: support key '0-1' is not 'a,b'"),
+    # NaN loses every comparison, so it used to win the conflict with 1 -> 0
+    ({"structures": [{"nodes": [0, 1], "edges": [[0, 1]], "support": {"0,1": math.nan}},
+                     {"nodes": [0, 1], "edges": [[1, 0]], "support": {"1,0": 0.5}}]},
+     ", entry 0: support of (0, 1) must lie in [0, 1], got nan"),
+    ({"structures": [{"nodes": [0, 1], "edges": [[0]]}]}, ", entry 0: "),
+    ({"structures": [{"nodes": [0, 1], "edges": [[0, 1]], "support": {"0,1": "high"}}]},
+     ", entry 0: "),
+    ({"structures": [5]}, ", entry 0: ")],
+    ids=["no_structures", "no_edges", "bad_support_key", "nan_support", "short_edge",
+         "text_support", "not_an_object"])
+def test_merge_malformed_structures_file_names_the_entry(workdir, tmp_path, capsys,
+                                                         raw, message):
+    structures = tmp_path / "structures.json"
+    structures.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["merge", "--dataset", str(workdir / "data.tsv"),
+                 "--structures", str(structures), "--out", str(tmp_path / "m.edges")]) == 1
+    assert f"{structures}{message}" in capsys.readouterr().err
 
 
 def test_diagnose_subcommand(workdir, capsys):

@@ -174,6 +174,13 @@ def learned(data, nodes):
 @pytest.mark.parametrize("nodes", [(), (2,), (0, 2), (0, 1, 2, 3)])
 def test_small_windows_and_a_constant_column(constant_column_data, monkeypatch, nodes):
     data = constant_column_data
+    if not nodes:
+        # the empty window has a posterior but no structure: a structure needs a node
+        post = on_all_rows(monkeypatch, lambda: exact_order_average(data, nodes))
+        assert post.nodes == exact_order_average(data, nodes).nodes == ()
+        with pytest.raises(InvalidInput, match="nonempty node set"):
+            greedy_learn(data, nodes)
+        return
     assert learned(data, nodes) == on_all_rows(monkeypatch, lambda: learned(data, nodes))
 
 

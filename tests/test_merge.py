@@ -1,8 +1,13 @@
 """Structure combination: edge unions, triplet repair, pool merging."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bnsl.merge
 from bnsl.averaging import LearnerConfig, LocalStructure
 from bnsl.data import DiscreteDataset
 from bnsl.errors import InvalidInput
@@ -160,6 +165,22 @@ class TestResolve:
         assert out.support[(3, 0)] == pytest.approx(0.42)
 
 
+@st.composite
+def tied_pools(draw):
+    """2-40 structures on 4-12 nodes, each pair of a structure's nodes
+    absent or an arc either way: small universes make ties common."""
+    n_universe = draw(st.integers(4, 12), label="universe")
+    pool = []
+    for _ in range(draw(st.integers(2, 40), label="pool size")):
+        nodes = sorted(draw(st.sets(st.integers(0, n_universe - 1), min_size=1)))
+        pairs = list(itertools.combinations(nodes, 2))
+        ways = draw(st.lists(st.sampled_from([None, 0, 1]), min_size=len(pairs),
+                             max_size=len(pairs)))
+        edges = [p if w == 0 else p[::-1] for p, w in zip(pairs, ways) if w is not None]
+        pool.append(LocalStructure(tuple(nodes), tuple(edges)))
+    return n_universe, pool
+
+
 class TestMergeAll:
     def _run(self, node_sets, n_universe):
         pool = [empty_structure(ns) for ns in node_sets]
@@ -182,6 +203,36 @@ class TestMergeAll:
                 want, _ = naive_merge_sequence(node_sets)
                 assert list(result.merge_sequence) == want
                 assert result.jaccard_evaluations == (n_sets - 1) ** 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_pools())
+    def test_heap_matches_full_rescan_on_tied_pools(self, drawn):
+        n_universe, pool = drawn
+        result = merge_all(pool, WeightedGraph(n_universe), dummy_dataset(n_universe),
+                           LearnerConfig(learner="greedy"))
+        want, _ = naive_merge_sequence([s.nodes for s in pool])
+        assert list(result.merge_sequence) == want
+        assert result.jaccard_evaluations == (len(pool) - 1) ** 2
+        # an edgeless weight graph leaves resolve nothing to re-learn
+        assert result.structure.skeleton() == set().union(*(s.skeleton() for s in pool))
+
+    def test_dead_ranks_are_compacted(self, monkeypatch):
+        heaps = []
+        heapify = bnsl.merge.heapify
+
+        def counting_heapify(ranks):
+            heaps.append(len(ranks))
+            heapify(ranks)
+
+        monkeypatch.setattr(bnsl.merge, "heapify", counting_heapify)
+        rng = np.random.default_rng(65)
+        node_sets = [tuple(sorted(rng.choice(12, size=int(rng.integers(1, 6)), replace=False)))
+                     for _ in range(20)]
+        result = self._run(node_sets, 12)
+        assert list(result.merge_sequence) == naive_merge_sequence(node_sets)[0]
+        # the live pairs of 16, 12, 9, 7, 5, 3 and 2 entries: the heap is
+        # rebuilt once it holds more than twice the live pairs
+        assert heaps == [120, 66, 36, 21, 10, 3, 1]
 
     def test_full_ties_merge_the_older_pair_first(self):
         # three structures on one node set tie in every rank component; the
