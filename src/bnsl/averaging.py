@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .data import DiscreteDataset, DistinctRows
+from .data import DiscreteDataset, DistinctRows, check_columns
 from .errors import BudgetExceeded, FamilyTooLarge, InvalidInput, check_number_types
 
 DEFAULT_MAX_CELLS = 2 ** 22
@@ -168,6 +168,7 @@ def bdeu_family_score(data: DiscreteDataset, child: int, parents,
     configurations and r the child cardinality.  An empty dataset scores 0.
     """
     parents = tuple(sorted(set(int(p) for p in parents)))
+    check_columns(data, (child,) + parents)
     if child in parents:
         raise InvalidInput("child cannot be its own parent")
     if not 0 < ess < math.inf:  # NaN too

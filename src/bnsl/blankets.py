@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import chdtrc  # chi2.sf without importing scipy.stats
 
-from .data import DiscreteDataset
+from .data import DiscreteDataset, check_columns
 from .errors import ConditioningSetTooLarge, InvalidInput
 from .weights import WeightedGraph, entropy
 
@@ -45,6 +45,7 @@ def conditional_mutual_information(data: DiscreteDataset, x: int, y: int,
     if data.n_rows == 0:
         raise InvalidInput("dataset is empty")
     z = tuple(sorted(set(int(v) for v in z)))
+    check_columns(data, (x, y) + z)
     if x == y or x in z or y in z:
         raise InvalidInput("x, y and z must be disjoint")
     cards = data.cardinalities

@@ -25,6 +25,19 @@ import numpy as np
 from .errors import InvalidInput, NetworkFormatError
 
 _PROB_TOL = 1e-9
+# rows per block of the one-hot product in DiscreteDataset.pair_tables: a
+# float32 block product sums at most this many ones per cell, far below 2^24,
+# so every partial count is exact
+_ONE_HOT_BLOCK = 2048
+
+
+def check_columns(data, cols: Iterable[int]) -> None:
+    """Raise ``InvalidInput`` unless every index in ``cols`` names a column of
+    ``data`` (``0 <= c < V``, V the length of ``data.cardinalities``)."""
+    v = len(data.cardinalities)
+    for c in cols:
+        if not 0 <= c < v:
+            raise InvalidInput(f"column index {c} outside 0..{v - 1}")
 
 
 @dataclass(eq=False)
@@ -124,9 +137,12 @@ class DiscreteDataset:
 
     ``samples`` is a read-only int32 copy in column-major (Fortran) order,
     so ``column(i)``, which :meth:`counts` reads for every count statistic
-    (MI, entropy, CMI and BDeu), is a contiguous view.  :meth:`distinct`
-    gives the same counts for a column subset from its distinct rows, which
-    is what a learning window or a blanket search reads.
+    (MI, entropy, CMI and BDeu), is a contiguous view.  Two stand-ins give
+    the same counts from less work: :meth:`distinct` (a :class:`DistinctRows`)
+    for a column subset from its distinct rows, which is what a learning
+    window or a blanket search reads, and :meth:`pair_tables` (a
+    :class:`PairTables`) for every one- and two-column table from one
+    one-hot product, which is what the pairwise MI of the weights reads.
     """
 
     names: tuple[str, ...]
@@ -192,6 +208,23 @@ class DiscreteDataset:
                             dict(zip(cols, np.unravel_index(rows, shape))),
                             mult.astype(np.float64))
 
+    def pair_tables(self) -> "PairTables":
+        """Every one- and two-column table of the dataset, for :meth:`counts`
+        of one or two columns, from the Gram matrix ``X^T X`` of the one-hot
+        encoding ``X`` (N by the sum of the cardinalities).  ``X`` is built and
+        multiplied ``_ONE_HOT_BLOCK`` rows at a time in float32, and the block
+        products are summed in float64, so every count is exact."""
+        offsets = np.cumsum((0,) + self.cardinalities)
+        width = int(offsets[-1])
+        gram = np.zeros((width, width))
+        for start in range(0, self.n_rows, _ONE_HOT_BLOCK):
+            block = self.samples[start:start + _ONE_HOT_BLOCK] + offsets[:-1]
+            x = np.zeros((block.shape[0], width), dtype=np.float32)
+            np.put_along_axis(x, block, 1.0, axis=1)
+            gram += x.T @ x
+        return PairTables(self.names, self.n_rows, self.cardinalities,
+                          offsets, gram.astype(np.int64))
+
     def select(self, indices: Sequence[int]) -> "DiscreteDataset":
         """Column subset in the given order (names kept, indices renumbered)."""
         idx = list(indices)
@@ -228,6 +261,35 @@ class DistinctRows:
             code = code * r + self.digits[c]
         return np.bincount(code, self.weights, math.prod(shape)).astype(
             np.int64).reshape(shape)
+
+
+@dataclass(frozen=True, eq=False)
+class PairTables:
+    """Every one- and two-column contingency table of a dataset.
+
+    ``gram`` is the int64 Gram matrix of the dataset's one-hot encoding:
+    the block ``gram[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]]``
+    is the table of columns ``(i, j)``, and the diagonal of block ``(i, i)``
+    the table of column ``i``.  It stands in for the dataset wherever a
+    statistic reads only ``names``, ``n_rows``, ``cardinalities`` and
+    ``counts`` of one or two columns, as :func:`bnsl.weights.pair_stats` does.
+    """
+
+    names: tuple[str, ...]
+    n_rows: int
+    cardinalities: tuple[int, ...]
+    offsets: np.ndarray = field(repr=False)
+    gram: np.ndarray = field(repr=False)
+
+    def counts(self, cols: Sequence[int]) -> np.ndarray:
+        """:meth:`DiscreteDataset.counts` of one or two columns, from the Gram
+        matrix."""
+        if not 1 <= len(cols) <= 2:
+            raise InvalidInput("pair tables count one or two columns")
+        o = self.offsets
+        i, j = cols[0], cols[-1]
+        block = self.gram[o[i]:o[i + 1], o[j]:o[j + 1]]
+        return block.diagonal().copy() if len(cols) == 1 else block.copy()
 
 
 def parse_network(text: str) -> GroundTruthNet:

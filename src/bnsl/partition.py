@@ -142,7 +142,11 @@ def link_communities(g: WeightedGraph) -> Partition:
         incident[e[0]].append(e)
         incident[e[1]].append(e)
 
+    # edge pairs sharing node k are scored by their outer endpoints (u, v);
+    # incident[k] lists those in ascending order, so u < v and the similarity
+    # of each pair is computed once, always with the same argument order
     sims = []
+    memo: dict[tuple[int, int], float] = {}
     for k in range(g.n):
         inc = incident[k]
         for a in range(len(inc)):
@@ -150,7 +154,10 @@ def link_communities(g: WeightedGraph) -> Partition:
                 e1, e2 = inc[a], inc[b]
                 u = e1[0] if e1[1] == k else e1[1]
                 v = e2[0] if e2[1] == k else e2[1]
-                sims.append((-_tanimoto(incl[u], incl[v], norm2[u], norm2[v]), e1, e2))
+                s = memo.get((u, v))
+                if s is None:
+                    s = memo[(u, v)] = -_tanimoto(incl[u], incl[v], norm2[u], norm2[v])
+                sims.append((s, e1, e2))
     sims.sort()
 
     # merge one level of equal similarity at a time and keep the densest cut;

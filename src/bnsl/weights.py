@@ -14,13 +14,17 @@ codes:
 
 The five MI functions derive from one :class:`PairStats`: the MI of every
 pair and the entropy of every column, each computed once per dataset by
-:func:`pair_stats`.  MI and MI_sn read the MI matrix, MI_plus and MI_sqrt
-divide it elementwise by the entropies, and MI_pr divides it by the
-PageRank of the MI graph.  Share one ``PairStats`` between callers (and
-slice it with :meth:`PairStats.select` for a column subset) to avoid
-recomputing MI; a dataset passed instead gets a fresh ``PairStats``.  The
-Pearson functions read |rho| from the stats, computed at most once on the
-stats' own dataset; a dataset passed instead computes it without any MI.
+:func:`pair_stats`.  It counts every one- and two-column table at once, in
+one blocked product of the dataset's one-hot encoding
+(:meth:`DiscreteDataset.pair_tables`), then makes one
+:func:`mutual_information` call per pair on those tables.  MI and MI_sn
+read the MI matrix, MI_plus and MI_sqrt divide it elementwise by the
+entropies, and MI_pr divides it by the PageRank of the MI graph.  Share
+one ``PairStats`` between callers (and slice it with
+:meth:`PairStats.select` for a column subset) to avoid recomputing MI; a
+dataset passed instead gets a fresh ``PairStats``.  The Pearson functions
+read |rho| from the stats, computed at most once on the stats' own
+dataset; a dataset passed instead computes it without any MI.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import DiscreteDataset
+from .data import DiscreteDataset, check_columns
 from .errors import InvalidInput
 
 WEIGHT_FUNCTIONS = ("MI", "MI_plus", "MI_sqrt", "MI_pr", "MI_sn", "Pearson", "Pearson_sn")
@@ -118,6 +122,7 @@ def mutual_information(data: DiscreteDataset, i: int, j: int) -> float:
     """Empirical MI in nats between columns i and j; zero cells are skipped."""
     if data.n_rows == 0:
         raise InvalidInput("dataset is empty")
+    check_columns(data, (i, j))
     return _mi_from_joint(data.counts((i, j)).astype(np.float64))
 
 
@@ -204,18 +209,25 @@ class PairStats:
 
 
 def pair_stats(source: DiscreteDataset | PairStats) -> PairStats:
-    """MI of every pair i < j and entropy of every column; stats pass through."""
+    """MI of every pair i < j and entropy of every column; stats pass through.
+
+    The tables come from one blocked one-hot product,
+    :meth:`DiscreteDataset.pair_tables`; then one :func:`mutual_information`
+    per pair and one :func:`entropy` per column read them.  The tables equal
+    the dataset's own, so every value keeps its last bit.
+    """
     if isinstance(source, PairStats):
         return source
     data = source
     if data.n_rows == 0:
         raise InvalidInput("dataset is empty")
+    tables = data.pair_tables()
     n = data.n_vars
     mi = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            mi[i, j] = mi[j, i] = mutual_information(data, i, j)
-    h = np.array([entropy(data.counts((i,))) for i in range(n)])
+            mi[i, j] = mi[j, i] = mutual_information(tables, i, j)
+    h = np.array([entropy(tables.counts((i,))) for i in range(n)])
     return PairStats(data, mi, h)
 
 

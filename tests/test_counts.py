@@ -101,6 +101,42 @@ def test_distinct_rows_count_and_score_like_the_dataset(data, pick):
     assert bdeu_family_score(rows, x, [y] + z) == bdeu_family_score(data, x, [y] + z)
 
 
+THREE_COLUMNS = DiscreteDataset(["a", "b", "c"], [2, 3, 2],
+                                np.array([[0, 1, 1], [1, 2, 0], [1, 0, 1]], dtype=np.int32))
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_mutual_information_rejects_a_column_outside_the_dataset(bad):
+    for source in (THREE_COLUMNS, THREE_COLUMNS.distinct(range(3)),
+                   THREE_COLUMNS.pair_tables()):
+        for i, j in ((bad, 0), (0, bad)):
+            with pytest.raises(InvalidInput, match=rf"column index {bad} outside 0\.\.2"):
+                mutual_information(source, i, j)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_cmi_rejects_a_column_outside_the_dataset(bad):
+    for x, y, z in ((bad, 0, ()), (0, bad, ()), (0, 1, (bad,))):
+        with pytest.raises(InvalidInput, match=rf"column index {bad} outside 0\.\.2"):
+            conditional_mutual_information(THREE_COLUMNS, x, y, z)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_bdeu_rejects_a_column_outside_the_dataset(bad):
+    for child, parents in ((bad, (0,)), (0, (bad,)), (0, (1, bad))):
+        with pytest.raises(InvalidInput, match=rf"column index {bad} outside 0\.\.2"):
+            bdeu_family_score(THREE_COLUMNS, child, parents)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_score_cache_rejects_a_column_outside_the_dataset(bad):
+    cache = ScoreCache(THREE_COLUMNS)
+    for scores in (cache, cache.window(range(3))):
+        for child, parents in ((bad, (0,)), (0, (bad,))):
+            with pytest.raises(InvalidInput, match=rf"column index {bad} outside 0\.\.2"):
+                scores.family_score(child, parents)
+
+
 def test_window_past_int64_codes_counts_on_the_dataset():
     rng = np.random.default_rng(3)
     data = DiscreteDataset([f"v{k}" for k in range(16)], [16] * 16,

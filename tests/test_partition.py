@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnsl import partition
 from bnsl.data import DiscreteDataset, forward_sample
 from bnsl.errors import InvalidInput
 from bnsl.partition import (Partition, build_psm, co_occurrence,
@@ -133,6 +134,29 @@ class TestLinkCommunities:
     @given(g=tied_graphs())
     def test_matches_the_oracle_on_tied_weights(self, g):
         assert tuple(sorted(link_communities(g).communities)) == link_communities_of(g)
+
+    def test_each_similarity_is_computed_once_per_call(self, monkeypatch):
+        # nodes 0, 1 and 2 share the neighbours 3 and 4, so the outer
+        # endpoints (3, 4) meet at three nodes and (0, 1), (0, 2), (1, 2)
+        # at two each
+        g = WeightedGraph(6)
+        for k, (i, j) in enumerate([(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4),
+                                    (3, 5), (4, 5), (0, 1)]):
+            g.add_edge(i, j, 1.0 + 0.25 * k)
+        outer = {(u, v) for k in range(g.n) for u in g.neighbors(k)
+                 for v in g.neighbors(k) if u < v}
+        calls = []
+        tanimoto = partition._tanimoto
+
+        def counted(a, b, na, nb):
+            calls.append((a, b))
+            return tanimoto(a, b, na, nb)
+
+        monkeypatch.setattr(partition, "_tanimoto", counted)
+        got = link_communities(g)
+        assert len(calls) == len(outer) == 11
+        assert got.communities == ((0, 1, 3, 4), (2, 3, 4, 5))
+        assert got.communities == link_communities_of(g)
 
     def test_weighted_ties_are_grouped(self):
         # uniform weights create equal similarities; merging must treat

@@ -1,13 +1,14 @@
 """Weight functions, the weighted graph container, and elbow truncation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnsl.data import DiscreteDataset, forward_sample, load_network
+from bnsl.data import _ONE_HOT_BLOCK, DiscreteDataset, PairTables, forward_sample, load_network
 from bnsl.errors import InvalidInput
 from bnsl.weights import (WEIGHT_FUNCTIONS, PairStats, WeightedGraph,
                           elbow_truncate, entropy, load_weighted_graph,
@@ -327,6 +328,77 @@ class TestPairStats:
         for fn in ("MI_sn", "Pearson_sn"):  # one pair: every weight is equal
             with pytest.raises(InvalidInput, match="standardization is undefined"):
                 weight_matrix(same, fn)
+
+
+def assert_tables_match(data):
+    tables = data.pair_tables()
+    assert isinstance(tables, PairTables)
+    assert (tables.names, tables.n_rows, tables.cardinalities) == (
+        data.names, data.n_rows, data.cardinalities)
+    for i in range(data.n_vars):
+        for cols in [(i,)] + [(i, j) for j in range(data.n_vars)]:
+            got, want = tables.counts(cols), data.counts(cols)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype), cols
+            np.testing.assert_array_equal(got, want, err_msg=str(cols))
+
+
+@st.composite
+def small_datasets(draw):
+    cards = draw(st.lists(st.integers(2, 5), min_size=1, max_size=6))
+    n_rows = draw(st.integers(1, 60))
+    rows = [[draw(st.integers(0, c - 1)) for c in cards] for _ in range(n_rows)]
+    return DiscreteDataset([f"v{k}" for k in range(len(cards))], cards,
+                           np.array(rows, dtype=np.int32))
+
+
+class TestPairTables:
+    @pytest.mark.parametrize("n_rows", [_ONE_HOT_BLOCK - 1, _ONE_HOT_BLOCK,
+                                        _ONE_HOT_BLOCK + 1])
+    def test_tables_equal_the_dataset_counts_around_a_block(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        data = random_dataset(rng, n_rows, 6, max_card=5)
+        constant = np.column_stack([data.samples, np.zeros(n_rows, dtype=np.int32)])
+        assert_tables_match(DiscreteDataset(data.names + ("const",),
+                                            data.cardinalities + (3,), constant))
+
+    def test_one_row(self):
+        assert_tables_match(DiscreteDataset(["a", "b", "c"], [2, 5, 3],
+                                            np.array([[1, 4, 0]], dtype=np.int32)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=small_datasets())
+    def test_tables_equal_the_dataset_counts(self, data):
+        assert_tables_match(data)
+
+    def test_counts_one_or_two_columns(self):
+        tables = random_dataset(np.random.default_rng(45), 20, 3).pair_tables()
+        with pytest.raises(InvalidInput, match="one or two columns"):
+            tables.counts((0, 1, 2))
+
+    def test_stats_bit_equal_a_per_pair_reference(self):
+        data = random_dataset(np.random.default_rng(46), 3 * _ONE_HOT_BLOCK + 7, 9,
+                              max_card=5)
+        n = data.n_vars
+        mi = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                mi[i, j] = mi[j, i] = mutual_information(data, i, j)
+        h = np.array([entropy(data.counts((i,))) for i in range(n)])
+        stats = pair_stats(data)
+        assert stats.mi.tobytes() == mi.tobytes()
+        assert stats.h.tobytes() == h.tobytes()
+
+    def test_peak_memory_stays_blocked(self):
+        # the cardinalities sum to 232, so an unblocked float64 one-hot
+        # matrix of this dataset alone would take 20000 x 232 x 8 bytes, 37 MB
+        data = random_dataset(np.random.default_rng(47), 20000, 76)
+        tracemalloc.start()
+        try:
+            pair_stats(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
 
 
 class TestPagerank:
