@@ -6,7 +6,12 @@ the partition and the merge sequence exactly against
 averaging support long before it moves an edge.  Two more pins hold the
 consensus partition of the alarm seed-0 sample at a small ``max_comm``,
 which forces the recursive re-partition and the tighten-split fallback
-that the default pipeline never reaches.  A change that moves them on purpose re-pins with
+that the default pipeline never reaches.  The weight-layer pin holds, for
+the same sample, the kept edges of the elbow cut of each weight function
+and of the substrate with the ``repr`` of each kept weight, and the
+``repr`` of the MI PageRank vector, so that a last-bit drift in a weight
+shows here before it moves a partition.  A change that moves them on
+purpose re-pins with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
@@ -24,7 +29,9 @@ import pytest
 
 from bnsl.data import forward_sample, load_network
 from bnsl.partition import consensus_partition
-from bnsl.pipeline import PipelineConfig, run_pipeline
+from bnsl.pipeline import PipelineConfig, build_substrate, run_pipeline
+from bnsl.weights import (WEIGHT_FUNCTIONS, WeightedGraph, elbow_truncate, pagerank,
+                          pair_stats, weight_matrix)
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden_outputs.json"
@@ -36,6 +43,7 @@ RUNS = ([("alarm", seed, learner) for seed in (0, 1, 2)
 # (network, seed, max_comm): max_comm=3 recurses 5 times and reaches the
 # tighten-split; max_comm=4 recurses 4 times
 PARTITION_RUNS = [("alarm", 0, 3), ("alarm", 0, 4)]
+WEIGHT_RUNS = [("alarm", 0)]
 
 
 def run_id(network: str, seed: int, learner: str) -> str:
@@ -44,6 +52,10 @@ def run_id(network: str, seed: int, learner: str) -> str:
 
 def partition_run_id(network: str, seed: int, max_comm: int) -> str:
     return f"{network}-seed{seed}-consensus-max_comm{max_comm}"
+
+
+def weights_run_id(network: str, seed: int) -> str:
+    return f"{network}-seed{seed}-weights"
 
 
 def pinned_outputs(network: str, seed: int, learner: str) -> dict:
@@ -60,6 +72,21 @@ def pinned_outputs(network: str, seed: int, learner: str) -> dict:
 def pinned_partition(network: str, seed: int, max_comm: int) -> list[list[int]]:
     data = forward_sample(load_network(NETWORKS_DIR / f"{network}.net"), 20000, seed)
     return [list(c) for c in consensus_partition(data, max_comm=max_comm).communities]
+
+
+def pinned_cut(g) -> dict:
+    return {"edges": [list(e) for e in g.edges()],
+            "weights": [repr(g.weight(*e)) for e in g.edges()]}
+
+
+def pinned_weights(network: str, seed: int) -> dict:
+    data = forward_sample(load_network(NETWORKS_DIR / f"{network}.net"), 20000, seed)
+    stats = pair_stats(data)
+    cuts = {fn: pinned_cut(elbow_truncate(weight_matrix(stats, fn)).pruned)
+            for fn in WEIGHT_FUNCTIONS}
+    cuts["substrate"] = pinned_cut(build_substrate(stats))
+    pr = pagerank(WeightedGraph.from_matrix(stats.mi))
+    return {"cuts": cuts, "pagerank": [repr(float(v)) for v in pr]}
 
 
 @pytest.mark.parametrize("network,seed,learner", RUNS,
@@ -81,12 +108,24 @@ def test_capped_partition_matches_pinned_outputs(network, seed, max_comm):
     assert pinned_partition(network, seed, max_comm) == want["communities"]
 
 
+@pytest.mark.parametrize("network,seed", WEIGHT_RUNS,
+                         ids=[weights_run_id(*r) for r in WEIGHT_RUNS])
+def test_weight_layer_matches_pinned_outputs(network, seed):
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))[weights_run_id(network, seed)]
+    got = pinned_weights(network, seed)
+    assert got["cuts"].keys() == want["cuts"].keys()
+    for name, cut in got["cuts"].items():
+        assert cut == want["cuts"][name], name
+    assert got["pagerank"] == want["pagerank"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")
     pins = {run_id(*r): pinned_outputs(*r) for r in RUNS}
     pins.update({partition_run_id(*r): {"communities": pinned_partition(*r)}
                  for r in PARTITION_RUNS})
+    pins.update({weights_run_id(*r): pinned_weights(*r) for r in WEIGHT_RUNS})
     old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     moved = [k for k in {**old, **pins} if old.get(k) != pins.get(k)]
     lines = [f" {json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
