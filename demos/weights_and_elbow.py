@@ -2,14 +2,18 @@
 
 Every pair of variables gets a dependence weight; seven weight
 functions are available, from raw mutual information to entropy and
-PageRank normalized variants.  The elbow cut sorts the weights,
-draws a chord from the strongest to the weakest, and truncates at the
-point farthest from that chord.
+PageRank normalized variants.  Each function gives a dense symmetric
+matrix of pair weights.  The elbow cut sorts the weights, draws a chord
+from the strongest to the weakest, and keeps the pairs at or above the
+point farthest from that chord as a sparse weighted graph.
 """
 
 from pathlib import Path
 
-from bnsl import elbow_truncate, forward_sample, load_network, weight_matrix
+import numpy as np
+
+from bnsl import (elbow_threshold, elbow_truncate, forward_sample, load_network,
+                  weight_matrix)
 from bnsl.weights import WEIGHT_FUNCTIONS
 
 NETWORKS = Path(__file__).resolve().parents[1] / "networks"
@@ -18,24 +22,22 @@ NETWORKS = Path(__file__).resolve().parents[1] / "networks"
 def main():
     net = load_network(NETWORKS / "insurance.net")
     data = forward_sample(net, 10000, seed=1)
-    n_pairs = net.n_vars * (net.n_vars - 1) // 2
+    upper = np.triu_indices(net.n_vars, 1)
+    n_pairs = upper[0].size
     print(f"{net.n_vars} variables, {n_pairs} pairs")
 
     for fn in WEIGHT_FUNCTIONS:
-        g = weight_matrix(data, fn)
-        cut = elbow_truncate(g)
-        flag = " (degenerate)" if cut.degenerate else ""
-        print(f"{fn:<12} threshold {cut.threshold:.4f} keeps "
-              f"{cut.pruned.m}/{g.m} edges{flag}")
+        w = weight_matrix(data, fn)
+        kept = elbow_truncate(w)
+        flag = " (keeps every pair)" if kept.m == n_pairs else ""
+        print(f"{fn:<12} threshold {elbow_threshold(w[upper]):.4f} keeps "
+              f"{kept.m}/{n_pairs} pairs{flag}")
 
-    g = weight_matrix(data, "MI")
-    cut = elbow_truncate(g)
-    top = sorted(cut.pruned.edges(),
-                 key=lambda e: -cut.pruned.weight(*e))[:5]
+    kept = elbow_truncate(weight_matrix(data, "MI"))
+    top = sorted(kept.edges(), key=lambda e: -kept.weight(*e))[:5]
     print("strongest retained pairs under MI:")
     for i, j in top:
-        print(f"  {net.names[i]} -- {net.names[j]} "
-              f"({cut.pruned.weight(i, j):.4f})")
+        print(f"  {net.names[i]} -- {net.names[j]} ({kept.weight(i, j):.4f})")
 
 
 if __name__ == "__main__":

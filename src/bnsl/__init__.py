@@ -32,7 +32,7 @@ from .partition import (Partition, PartitionSupportMatrix, build_psm,
                         load_partition, save_partition, second_order_network)
 from .pipeline import (PipelineConfig, PipelineResult, build_substrate,
                        derive_seed, load_inputs, run_pipeline)
-from .weights import (WEIGHT_FUNCTIONS, ElbowResult, PairStats, WeightedGraph,
+from .weights import (WEIGHT_FUNCTIONS, PairStats, WeightedGraph, elbow_threshold,
                       elbow_truncate, entropy, load_weighted_graph,
                       mutual_information, pagerank, pair_stats,
                       save_weighted_graph, weight_matrix)

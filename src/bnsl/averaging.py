@@ -56,7 +56,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from .data import DiscreteDataset, DistinctRows, check_columns
 from .errors import BudgetExceeded, FamilyTooLarge, InvalidInput, check_number_types
@@ -188,27 +188,6 @@ def bdeu_family_score(data: DiscreteDataset, child: int, parents,
     return float(score)
 
 
-def logsumexp(a) -> float:
-    """log(sum(exp(a))) of a list of finite floats, as scipy computes it.
-
-    This is the algorithm of ``scipy.special.logsumexp`` (scipy 1.17) in
-    plain numpy, without its array-API dispatch: the maximum and its ties
-    are taken out of the sum for precision, the rest is summed as
-    exp(a - max), and the result is log1p(s) + log(ties) + max with s the
-    sum divided by the tie count.  It takes finite input only; scipy's
-    handling of infinities and NaN is not reproduced.
-    """
-    a = np.array(a, dtype=np.float64)
-    top = a.max()
-    ties = a == top
-    count = np.float64(np.count_nonzero(ties))
-    a[ties] = -np.inf
-    s = np.exp(a - top).sum()
-    if s != 0:
-        s = s / count
-    return float(np.log1p(s) + np.log(count) + top)
-
-
 _Term = tuple[float, np.ndarray]  # (log Z, row) of one position of an order
 
 
@@ -260,7 +239,7 @@ class _OrderScorer:
 
     def _enumerate(self, c: int, mask: int) -> _Term:
         sets, scores = self.parent_sets(c, mask)
-        logz = logsumexp(scores)
+        logz = float(logsumexp(scores))
         members = np.array([k for u in sets for k in u], dtype=np.intp)
         weights = np.repeat(np.exp(np.array(scores) - logz), [len(u) for u in sets])
         # a parent held by every set that carries weight gets a sum of

@@ -157,8 +157,7 @@ class SubCommunity:
 
 
 def rnn_sample(img: Mapping[int, set[int]], blankets: Mapping[int, frozenset[int]],
-               k: int | None = None, max_learn_size: int = 15,
-               seed: int = 0) -> list[SubCommunity]:
+               max_learn_size: int = 15, seed: int = 0) -> list[SubCommunity]:
     """Sample blanket-padded sub-communities until coverage and count.
 
     Each draw starts at a uniformly chosen unvisited node; the core is the
@@ -168,15 +167,14 @@ def rnn_sample(img: Mapping[int, set[int]], blankets: Mapping[int, frozenset[int
     degree leaves the core (ties to the smallest index); if the core alone
     still overflows, blanket members of smallest degree are dropped.
     Sampling stops once every node has appeared in some core *and* at
-    least ``k`` draws were made (default: ceil(2 |C| / max_learn_size)).
+    least ceil(2 |C| / max_learn_size) draws were made.
     """
     nodes = sorted(img)
     if not nodes:
         raise InvalidInput("empty inner markov graph")
     if max_learn_size < 1:
         raise InvalidInput("max_learn_size must be >= 1")
-    if k is None:
-        k = -(-2 * len(nodes) // max_learn_size)
+    k = -(-2 * len(nodes) // max_learn_size)
     rng = np.random.default_rng(seed)
     visited: set[int] = set()
     out: list[SubCommunity] = []

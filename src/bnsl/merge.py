@@ -29,7 +29,7 @@ from .averaging import LearnerConfig, LocalStructure, ScoreCache, learn_structur
 from .data import DiscreteDataset
 from .errors import InvalidInput
 from .partition import link_communities
-from .weights import WeightedGraph, elbow_truncate
+from .weights import WeightedGraph, elbow_threshold
 
 
 def jaccard(a, b) -> float:
@@ -127,7 +127,7 @@ def resolve(structure: LocalStructure, g: WeightedGraph, data: DiscreteDataset,
     if sub.m == 0:
         return structure
     if t_tri is None:
-        t_tri = elbow_truncate(sub).threshold
+        t_tri = elbow_threshold([sub.weight(*e) for e in sub.edges()])
     trip = collect_triplets(sub, t_tri)
     clusters = [set(c) for c in link_communities(trip.graph).communities if len(c) > 1]
     if not clusters:

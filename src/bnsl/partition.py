@@ -276,7 +276,7 @@ def _ranks_nothing(stats: PairStats, fn: str) -> bool:
 
 
 def _consensus_once(stats: PairStats, fns: Sequence[str], t_co: float) -> Partition:
-    partitions = [link_communities(elbow_truncate(weight_matrix(stats, fn)).pruned)
+    partitions = [link_communities(elbow_truncate(weight_matrix(stats, fn)))
                   for fn in fns if not _ranks_nothing(stats, fn)]
     if not partitions:
         return Partition(stats.n_vars, (tuple(range(stats.n_vars)),))
@@ -306,7 +306,7 @@ def _capped_consensus(stats: PairStats, nodes: list[int], fns: Sequence[str],
 
 def _tighten_split(sub: PairStats, max_comm: int) -> list[tuple[int, ...]]:
     """Split by dropping the weakest MI edges until every part fits."""
-    g = weight_matrix(sub, "MI")
+    g = WeightedGraph.from_matrix(weight_matrix(sub, "MI"))
     while True:
         part = link_communities(g)
         if all(len(c) <= max_comm for c in part.communities):

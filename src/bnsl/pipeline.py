@@ -163,7 +163,7 @@ def build_substrate(source: DiscreteDataset | PairStats) -> WeightedGraph:
     fewer than two variables it has no edge."""
     if source.n_vars < 2:
         return WeightedGraph(source.n_vars)
-    return elbow_truncate(weight_matrix(source, "MI")).pruned
+    return elbow_truncate(weight_matrix(source, "MI"))
 
 
 def learn_communities(data: DiscreteDataset, partition: Partition,

@@ -1,4 +1,4 @@
-"""Pairwise variable weights, weighted graphs and elbow truncation.
+"""Pairwise variable weights, weighted graphs and the elbow cut.
 
 Seven weight functions are supported on discrete data, all derived from
 empirical mutual information or Pearson correlation on integer state
@@ -25,6 +25,11 @@ one ``PairStats`` between callers (and slice it with
 dataset passed instead gets a fresh ``PairStats``.  The Pearson functions
 read |rho| from the stats, computed at most once on the stats' own
 dataset; a dataset passed instead computes it without any MI.
+
+Every pair has a weight, so :func:`weight_matrix` returns a dense
+``(V, V)`` array; :func:`pagerank` and :func:`elbow_truncate` read its
+upper triangle in row-major order, and only the pairs the elbow cut keeps
+become a sparse :class:`WeightedGraph`.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,6 +45,7 @@ from .data import DiscreteDataset, check_columns
 from .errors import InvalidInput
 
 WEIGHT_FUNCTIONS = ("MI", "MI_plus", "MI_sqrt", "MI_pr", "MI_sn", "Pearson", "Pearson_sn")
+_DAMPING, _TOL = 0.85, 1e-10  # PageRank
 
 
 class WeightedGraph:
@@ -136,20 +142,29 @@ def _mi_from_joint(joint: np.ndarray) -> float:
     return float(max((pij * np.log(pij / outer)).sum(), 0.0))
 
 
-def pagerank(g: WeightedGraph, damping: float = 0.85, tol: float = 1e-10) -> np.ndarray:
+def _checked_matrix(w) -> np.ndarray:
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise InvalidInput(f"weight matrix must be 2-D and square, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise InvalidInput("weight matrix holds a non-finite value")
+    return w
+
+
+def pagerank(w: np.ndarray) -> np.ndarray:
     """Weighted PageRank by power iteration; dangling mass spreads uniformly.
 
-    Scores are positive and sum to one; the result is invariant to a uniform
-    rescaling of all edge weights.
+    The upper triangle of the square matrix ``w`` holds the pair weights; a
+    zero weight is no edge.  Damping is 0.85, and iteration stops once a
+    step moves the scores by less than 1e-10 in total.  Scores are positive
+    and sum to one, invariant to a uniform rescaling of all weights.
     """
-    n = g.n
+    w = _checked_matrix(w)
+    n = w.shape[0]
     if n == 0:
         raise InvalidInput("empty graph")
-    if g.m:
-        ii, jj, ww = (np.array(t) for t in zip(*((i, j, w) for (i, j), w in g._w.items())))
-    else:
-        ii = jj = np.zeros(0, dtype=np.int64)
-        ww = np.zeros(0)
+    ii, jj = np.triu_indices(n, 1)
+    ww = w[ii, jj]
     strength = np.zeros(n)
     np.add.at(strength, ii, ww)
     np.add.at(strength, jj, ww)
@@ -157,11 +172,11 @@ def pagerank(g: WeightedGraph, damping: float = 0.85, tol: float = 1e-10) -> np.
     safe = np.where(dangling, 1.0, strength)
     v = np.full(n, 1.0 / n)
     while True:
-        nxt = np.full(n, (1.0 - damping) / n)
-        nxt += damping * v[dangling].sum() / n
-        np.add.at(nxt, jj, damping * v[ii] * ww / safe[ii])
-        np.add.at(nxt, ii, damping * v[jj] * ww / safe[jj])
-        if np.abs(nxt - v).sum() < tol:
+        nxt = np.full(n, (1.0 - _DAMPING) / n)
+        nxt += _DAMPING * v[dangling].sum() / n
+        np.add.at(nxt, jj, _DAMPING * v[ii] * ww / safe[ii])
+        np.add.at(nxt, ii, _DAMPING * v[jj] * ww / safe[jj])
+        if np.abs(nxt - v).sum() < _TOL:
             return nxt / nxt.sum()
         v = nxt
 
@@ -231,13 +246,15 @@ def pair_stats(source: DiscreteDataset | PairStats) -> PairStats:
     return PairStats(data, mi, h)
 
 
-def weight_matrix(source: DiscreteDataset | PairStats, fn: str) -> WeightedGraph:
+def weight_matrix(source: DiscreteDataset | PairStats, fn: str) -> np.ndarray:
     """All-pairs weights under one of the seven functions.
 
-    ``source`` is a dataset or its :class:`PairStats`.  The returned graph
-    carries every pair (i, j), i < j, in lexicographic order.  Functions
-    with an entropy denominator reject zero-entropy variables; the
-    standardized variants reject an all-equal weight multiset.
+    ``source`` is a dataset or its :class:`PairStats`.  Returns a read-only
+    ``(V, V)`` matrix whose upper triangle, ``w[i, j]`` for i < j, holds
+    the weight of each pair; it is symmetric up to the last bit (Pearson's
+    two triangles can round apart), and its diagonal is no pair's weight.
+    Functions with an entropy denominator reject zero-entropy variables;
+    the standardized variants reject an all-equal weight multiset.
     """
     if fn not in WEIGHT_FUNCTIONS:
         raise InvalidInput(f"unknown weight function '{fn}'")
@@ -251,7 +268,7 @@ def weight_matrix(source: DiscreteDataset | PairStats, fn: str) -> WeightedGraph
         stats = pair_stats(source)
         w, h = stats.mi, stats.h
         if fn == "MI_pr":
-            pr = pagerank(WeightedGraph.from_matrix(w))
+            pr = pagerank(w)
             w = w / np.sqrt(np.outer(pr, pr))
         elif fn in ("MI_plus", "MI_sqrt"):
             zero = np.flatnonzero(h <= 0)
@@ -261,7 +278,8 @@ def weight_matrix(source: DiscreteDataset | PairStats, fn: str) -> WeightedGraph
             w = 2.0 * w / (h[:, None] + h) if fn == "MI_plus" else w / np.sqrt(np.outer(h, h))
     if fn.endswith("_sn"):
         w = _standardize(w)
-    return WeightedGraph.from_matrix(w)
+    w.flags.writeable = False
+    return w
 
 
 def _abs_pearson(data: DiscreteDataset) -> np.ndarray:
@@ -282,36 +300,36 @@ def _standardize(w: np.ndarray) -> np.ndarray:
     return (w - mu) / sd
 
 
-class ElbowResult(NamedTuple):
-    threshold: float
-    pruned: WeightedGraph
-    degenerate: bool
-
-
-def elbow_truncate(g: WeightedGraph) -> ElbowResult:
-    """Keep the edges at or above the elbow of the sorted weight curve.
+def elbow_threshold(weights) -> float:
+    """The elbow of the sorted weight curve: the weight to keep at or above.
 
     Weights are sorted descending; the elbow is the point of maximum
     perpendicular distance to the chord joining the first and last point
-    (ties resolved toward the first index).  Edges with weight >= the elbow
-    weight survive.  If all weights are equal, or the cut would keep every
-    edge anyway, the graph is returned unchanged and flagged degenerate.
+    (ties resolved toward the first index).  With one weight, or all
+    equal, it is the smallest weight, which keeps everything.
     """
-    if g.m == 0:
-        raise InvalidInput("graph has no edges")
-    ws = np.sort(np.array([w for w in g._w.values()]))[::-1]
+    ws = np.sort(np.asarray(weights, dtype=np.float64))[::-1]
+    if ws.size == 0:
+        raise InvalidInput("no weights to cut")
+    if not np.isfinite(ws).all():
+        raise InvalidInput("non-finite weight")
     m = ws.size
     if m == 1 or ws[0] == ws[-1]:
-        return ElbowResult(float(ws[-1]), g, True)
+        return float(ws[-1])
     x = np.arange(m, dtype=np.float64)
     dx, dy = float(m - 1), float(ws[-1] - ws[0])
     # |cross| / |chord| = point-to-line distance from (x_i, w_i) to the chord
     dist = np.abs(dx * (ws - ws[0]) - dy * x) / math.hypot(dx, dy)
-    threshold = float(ws[int(dist.argmax())])
-    kept = {e: w for e, w in g._w.items() if w >= threshold}
-    if len(kept) == g.m:
-        return ElbowResult(threshold, g, True)
-    return ElbowResult(threshold, WeightedGraph(g.n, kept), False)
+    return float(ws[int(dist.argmax())])
+
+
+def elbow_truncate(w: np.ndarray) -> WeightedGraph:
+    """The graph of the pairs i < j of the square matrix ``w`` whose weight
+    is at or above the :func:`elbow_threshold` of the upper triangle, with
+    its edges in row-major order."""
+    w = _checked_matrix(w)
+    threshold = elbow_threshold(w[np.triu_indices(w.shape[0], 1)])
+    return WeightedGraph.from_matrix(w, w >= threshold)
 
 
 def save_weighted_graph(g: WeightedGraph, path) -> None:

@@ -130,11 +130,12 @@ def bdeu_by_parent_loop(data, child: int, parents, ess: float = 10.0) -> float:
 # PageRank by dense power iteration.
 # ---------------------------------------------------------------------------
 
-def pagerank_of(g, damping: float = 0.85, tol: float = 1e-10) -> np.ndarray:
-    n = g.n
-    w = np.zeros((n, n))
-    for i, j in g.edges():
-        w[i, j] = w[j, i] = g.weight(i, j)
+def pagerank_of(weights, damping: float = 0.85, tol: float = 1e-10) -> np.ndarray:
+    """PageRank of the undirected graph whose pair weights are the upper
+    triangle of ``weights``, by dense matrix power iteration."""
+    w = np.triu(weights, 1)
+    w = w + w.T
+    n = w.shape[0]
     strength = w.sum(axis=0)
     m = np.zeros((n, n))
     for j in range(n):
@@ -166,7 +167,7 @@ def pair_weights_of(data, fn: str) -> dict[tuple[int, int], float]:
     arithmetic in a dict loop, and Pearson is ``np.corrcoef`` on a
     row-major copy of the samples.
     """
-    from bnsl.weights import WeightedGraph, entropy, mutual_information, pagerank
+    from bnsl.weights import entropy, mutual_information, pagerank
 
     n = data.n_vars
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -180,7 +181,10 @@ def pair_weights_of(data, fn: str) -> dict[tuple[int, int], float]:
         h = [entropy(np.bincount(data.column(i), minlength=data.cardinalities[i]))
              for i in range(n)]
         if fn == "MI_pr":
-            pr = pagerank(WeightedGraph(n, w))
+            mi = np.zeros((n, n))
+            for (i, j), v in w.items():
+                mi[i, j] = mi[j, i] = v
+            pr = pagerank(mi)
             w = {(i, j): v / math.sqrt(pr[i] * pr[j]) for (i, j), v in w.items()}
         elif fn == "MI_plus":
             w = {(i, j): 2.0 * v / (h[i] + h[j]) for (i, j), v in w.items()}

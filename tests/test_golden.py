@@ -30,8 +30,7 @@ import pytest
 from bnsl.data import forward_sample, load_network
 from bnsl.partition import consensus_partition
 from bnsl.pipeline import PipelineConfig, build_substrate, run_pipeline
-from bnsl.weights import (WEIGHT_FUNCTIONS, WeightedGraph, elbow_truncate, pagerank,
-                          pair_stats, weight_matrix)
+from bnsl.weights import WEIGHT_FUNCTIONS, elbow_truncate, pagerank, pair_stats, weight_matrix
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden_outputs.json"
@@ -82,10 +81,10 @@ def pinned_cut(g) -> dict:
 def pinned_weights(network: str, seed: int) -> dict:
     data = forward_sample(load_network(NETWORKS_DIR / f"{network}.net"), 20000, seed)
     stats = pair_stats(data)
-    cuts = {fn: pinned_cut(elbow_truncate(weight_matrix(stats, fn)).pruned)
+    cuts = {fn: pinned_cut(elbow_truncate(weight_matrix(stats, fn)))
             for fn in WEIGHT_FUNCTIONS}
     cuts["substrate"] = pinned_cut(build_substrate(stats))
-    pr = pagerank(WeightedGraph.from_matrix(stats.mi))
+    pr = pagerank(weight_matrix(stats, "MI"))
     return {"cuts": cuts, "pagerank": [repr(float(v)) for v in pr]}
 
 

@@ -156,7 +156,7 @@ class TestLoadInputs:
 
 class TestBuildSubstrate:
     def test_matches_elbow_of_weight_matrix(self, chain_data):
-        direct = elbow_truncate(weight_matrix(chain_data, "MI")).pruned
+        direct = elbow_truncate(weight_matrix(chain_data, "MI"))
         sub = build_substrate(chain_data)
         assert set(sub.edges()) == set(direct.edges())
         for e in sub.edges():

@@ -1,4 +1,4 @@
-"""Weight functions, the weighted graph container, and elbow truncation."""
+"""Weight functions, PageRank, the weighted graph container, and the elbow cut."""
 
 import math
 import tracemalloc
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bnsl.data import _ONE_HOT_BLOCK, DiscreteDataset, PairTables, forward_sample, load_network
 from bnsl.errors import InvalidInput
-from bnsl.weights import (WEIGHT_FUNCTIONS, PairStats, WeightedGraph,
+from bnsl.weights import (WEIGHT_FUNCTIONS, PairStats, WeightedGraph, elbow_threshold,
                           elbow_truncate, entropy, load_weighted_graph,
                           mutual_information, pagerank, pair_stats,
                           save_weighted_graph, weight_matrix)
@@ -33,13 +33,35 @@ SELECT_DATA = random_dataset(np.random.default_rng(44), 300, 12, max_card=5)
 SELECT_STATS = pair_stats(SELECT_DATA)
 
 
-def random_graph(rng, n, p=0.4, lo=0.1, hi=5.0):
-    g = WeightedGraph(n)
+def random_weights(rng, n, p=0.4, lo=0.1, hi=5.0):
+    """Symmetric pair weights of a random graph; a zero weight is no edge."""
+    w = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < p:
-                g.add_edge(i, j, float(rng.uniform(lo, hi)))
-    return g
+                w[i, j] = w[j, i] = rng.uniform(lo, hi)
+    return w
+
+
+def random_graph(rng, n, p=0.4, lo=0.1, hi=5.0):
+    w = random_weights(rng, n, p, lo, hi)
+    return WeightedGraph.from_matrix(w, w > 0)
+
+
+def pair_weights(w: np.ndarray) -> dict[tuple[int, int], float]:
+    """The upper triangle of a weight matrix, pair by pair in row-major order."""
+    n = w.shape[0]
+    return {(i, j): float(w[i, j]) for i in range(n) for j in range(i + 1, n)}
+
+
+def matrix_of(n: int, weights: dict[tuple[int, int], float]) -> np.ndarray:
+    w = np.zeros((n, n))
+    for (i, j), v in weights.items():
+        w[i, j] = w[j, i] = v
+    return w
+
+
+BAD_SHAPES = [np.zeros(3), np.zeros((2, 3)), np.zeros((2, 2, 2))]
 
 
 class TestEntropy:
@@ -100,16 +122,18 @@ class TestWeightMatrix:
         rng = np.random.default_rng(4)
         data = random_dataset(rng, 60, 5)
         for fn in WEIGHT_FUNCTIONS:
-            g = weight_matrix(data, fn)
-            assert g.m == 10, fn
+            w = weight_matrix(data, fn)
+            assert w.shape == (5, 5), fn
+            # np.corrcoef can round (i, j) and (j, i) apart in the last bit
+            assert np.isfinite(w).all() and np.allclose(w, w.T, rtol=1e-12, atol=0), fn
+            with pytest.raises(ValueError):
+                w[0, 1] = 1.0
 
     def test_mi_graph_values(self):
         rng = np.random.default_rng(5)
         data = random_dataset(rng, 100, 4)
-        g = weight_matrix(data, "MI")
-        for i, j in g.edges():
-            assert g.weight(i, j) == pytest.approx(
-                mutual_information(data, i, j), abs=1e-12)
+        for (i, j), w in pair_weights(weight_matrix(data, "MI")).items():
+            assert w == pytest.approx(mutual_information(data, i, j), abs=1e-12)
 
     def test_normalized_variants_formulas(self):
         rng = np.random.default_rng(6)
@@ -117,42 +141,37 @@ class TestWeightMatrix:
         h = [entropy(tuple(np.bincount(data.column(k)))) for k in range(4)]
         plus = weight_matrix(data, "MI_plus")
         sqrt = weight_matrix(data, "MI_sqrt")
-        for i, j in plus.edges():
+        for i, j in pair_weights(plus):
             mi = mutual_information(data, i, j)
-            assert plus.weight(i, j) == pytest.approx(
-                2.0 * mi / (h[i] + h[j]), abs=1e-12)
-            assert sqrt.weight(i, j) == pytest.approx(
-                mi / math.sqrt(h[i] * h[j]), abs=1e-12)
+            assert plus[i, j] == pytest.approx(2.0 * mi / (h[i] + h[j]), abs=1e-12)
+            assert sqrt[i, j] == pytest.approx(mi / math.sqrt(h[i] * h[j]), abs=1e-12)
 
     def test_pagerank_variant_formula(self):
         rng = np.random.default_rng(7)
         data = random_dataset(rng, 150, 4)
-        mi_graph = weight_matrix(data, "MI")
-        pr = pagerank_of(mi_graph)
+        pr = pagerank_of(weight_matrix(data, "MI"))
         got = weight_matrix(data, "MI_pr")
-        for i, j in got.edges():
+        for i, j in pair_weights(got):
             mi = mutual_information(data, i, j)
-            assert got.weight(i, j) == pytest.approx(
+            assert got[i, j] == pytest.approx(
                 mi / (math.sqrt(pr[i]) * math.sqrt(pr[j])), abs=1e-8)
 
     def test_standardized_variants(self):
         rng = np.random.default_rng(8)
         data = random_dataset(rng, 120, 5)
-        raw = weight_matrix(data, "MI")
-        values = np.array([raw.weight(i, j) for i, j in raw.edges()])
+        raw = pair_weights(weight_matrix(data, "MI"))
+        values = np.array(list(raw.values()))
         mean, std = values.mean(), values.std()
         sn = weight_matrix(data, "MI_sn")
-        for i, j in raw.edges():
-            assert sn.weight(i, j) == pytest.approx(
-                (raw.weight(i, j) - mean) / std, abs=1e-10)
+        for (i, j), w in raw.items():
+            assert sn[i, j] == pytest.approx((w - mean) / std, abs=1e-10)
 
     def test_pearson_against_corrcoef(self):
         rng = np.random.default_rng(9)
         data = random_dataset(rng, 200, 3)
-        g = weight_matrix(data, "Pearson")
-        for i, j in g.edges():
+        for (i, j), w in pair_weights(weight_matrix(data, "Pearson")).items():
             rho = np.corrcoef(data.column(i), data.column(j))[0, 1]
-            assert g.weight(i, j) == pytest.approx(abs(rho), abs=1e-12)
+            assert w == pytest.approx(abs(rho), abs=1e-12)
 
     def test_zero_entropy_column_rejected_for_normalized(self):
         samples = np.column_stack([
@@ -237,17 +256,15 @@ class TestPairStats:
 
     @pytest.mark.parametrize("fn", WEIGHT_FUNCTIONS)
     def test_weights_match_scalar_reference(self, alarm_data, fn):
-        got = weight_matrix(alarm_data, fn)
-        assert got.edges() == list(edge_dict(got))  # lexicographic pair order
-        assert edge_dict(got) == pair_weights_of(alarm_data, fn)
+        assert pair_weights(weight_matrix(alarm_data, fn)) == pair_weights_of(alarm_data, fn)
 
     @pytest.mark.parametrize("fn", WEIGHT_FUNCTIONS)
     def test_selected_stats_match_selected_data(self, alarm_data, fn):
         stats = pair_stats(alarm_data)
-        assert edge_dict(weight_matrix(stats, fn)) == edge_dict(weight_matrix(alarm_data, fn))
+        assert pair_weights(weight_matrix(stats, fn)) == pair_weights(weight_matrix(alarm_data, fn))
         for idx in ALARM_SUBSETS:
             want = weight_matrix(alarm_data.select(idx), fn)
-            assert edge_dict(weight_matrix(stats.select(idx), fn)) == edge_dict(want)
+            assert pair_weights(weight_matrix(stats.select(idx), fn)) == pair_weights(want)
 
     def test_reordered_select_keeps_the_full_orientation(self, alarm_data):
         # MI(i, j) and MI(j, i) add the same terms in transposed order, so a
@@ -257,10 +274,10 @@ class TestPairStats:
         idx = [36, 3, 17, 8]
         got = weight_matrix(stats.select(idx), "MI")
         fresh = weight_matrix(alarm_data.select(idx), "MI")
-        for a, b in got.edges():
+        for a, b in pair_weights(got):
             i, j = sorted((idx[a], idx[b]))
-            assert got.weight(a, b) == mutual_information(alarm_data, i, j)
-            assert got.weight(a, b) == pytest.approx(fresh.weight(a, b), rel=1e-12)
+            assert got[a, b] == mutual_information(alarm_data, i, j)
+            assert got[a, b] == pytest.approx(fresh[a, b], rel=1e-12)
 
     def test_one_mi_call_per_pair(self, monkeypatch):
         import bnsl.weights as weights
@@ -290,10 +307,10 @@ class TestPairStats:
         monkeypatch.setattr(weights, "_abs_pearson", counted)
         data = random_dataset(np.random.default_rng(45), 80, 5)
         stats = pair_stats(data)
-        want = {fn: edge_dict(weight_matrix(data, fn)) for fn in ("Pearson", "Pearson_sn")}
+        want = {fn: pair_weights(weight_matrix(data, fn)) for fn in ("Pearson", "Pearson_sn")}
         assert len(calls) == 2
         for fn in ("Pearson", "Pearson_sn", "Pearson"):
-            assert edge_dict(weight_matrix(stats, fn)) == want[fn]
+            assert pair_weights(weight_matrix(stats, fn)) == want[fn]
         assert len(calls) == 3
         sub = stats.select([3, 0, 2])  # a fresh object computes its own
         weight_matrix(sub, "Pearson")
@@ -311,7 +328,7 @@ class TestPairStats:
         monkeypatch.setattr(weights, "mutual_information", forbidden)
         data = random_dataset(np.random.default_rng(46), 80, 4)
         for fn in ("Pearson", "Pearson_sn"):
-            assert weight_matrix(data, fn).m == 6
+            assert weight_matrix(data, fn).shape == (4, 4)
 
     def test_degenerate_stats_keep_their_errors(self):
         samples = np.column_stack([
@@ -405,80 +422,119 @@ class TestPagerank:
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
-            g = random_graph(rng, int(rng.integers(3, 13)))
-            got = pagerank(g)
-            want = pagerank_of(g)
-            assert np.allclose(got, want, atol=1e-8)
+            w = random_weights(rng, int(rng.integers(3, 13)))
+            assert np.allclose(pagerank(w), pagerank_of(w), atol=1e-8)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(12)
-        g = random_graph(rng, 9, p=0.5)
-        assert pagerank(g).sum() == pytest.approx(1.0, abs=1e-12)
+        w = random_weights(rng, 9, p=0.5)
+        assert pagerank(w).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_scale_invariant(self):
         rng = np.random.default_rng(13)
-        g = random_graph(rng, 8, p=0.6)
-        scaled = WeightedGraph(8)
-        for i, j in g.edges():
-            scaled.add_edge(i, j, 17.0 * g.weight(i, j))
-        assert np.allclose(pagerank(g), pagerank(scaled), atol=1e-10)
+        w = random_weights(rng, 8, p=0.6)
+        assert np.allclose(pagerank(w), pagerank(17.0 * w), atol=1e-10)
 
     def test_dangling_nodes_share_mass(self):
-        g = WeightedGraph(4)
-        g.add_edge(0, 1, 2.0)  # nodes 2, 3 are dangling
-        v = pagerank(g)
+        w = matrix_of(4, {(0, 1): 2.0})  # nodes 2, 3 are dangling
+        v = pagerank(w)
         assert v.sum() == pytest.approx(1.0, abs=1e-12)
         assert v[2] == pytest.approx(v[3], abs=1e-12)
-        assert np.allclose(v, pagerank_of(g), atol=1e-8)
+        assert np.allclose(v, pagerank_of(w), atol=1e-8)
+
+    def test_reads_only_the_upper_triangle(self):
+        w = random_weights(np.random.default_rng(16), 6, p=0.7)
+        assert pagerank(np.triu(w, 1) + 9.0 * np.tri(6)).tobytes() == pagerank(w).tobytes()
+
+    @pytest.mark.parametrize("w", BAD_SHAPES, ids=lambda w: str(w.shape))
+    def test_rejects_a_matrix_that_is_not_square(self, w):
+        with pytest.raises(InvalidInput, match="2-D and square"):
+            pagerank(w)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_weight(self, bad):
+        w = matrix_of(3, {(0, 1): 1.0, (1, 2): bad})
+        with pytest.raises(InvalidInput, match="non-finite"):
+            pagerank(w)
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(InvalidInput, match="empty"):
+            pagerank(np.zeros((0, 0)))
+
+
+class TestElbowThreshold:
+    def test_frozen_curve(self):
+        assert elbow_threshold([10.0, 9.5, 9.0, 0.1, 0.05]) == 9.0
+        assert elbow_threshold([0.05, 9.0, 10.0, 0.1, 9.5]) == 9.0  # any order
+
+    def test_rejects_no_weights(self):
+        with pytest.raises(InvalidInput, match="no weights"):
+            elbow_threshold([])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_weight(self, bad):
+        with pytest.raises(InvalidInput, match="non-finite"):
+            elbow_threshold([3.0, bad, 1.0])
 
 
 class TestElbowTruncate:
     def test_frozen_example(self):
-        g = WeightedGraph(6)
-        weights = [10.0, 9.5, 9.0, 0.1, 0.05]
-        for (i, j), w in zip([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
-                             weights):
-            g.add_edge(i, j, w)
-        r = elbow_truncate(g)
-        assert r.threshold == 9.0
-        assert r.pruned.m == 3
-        assert not r.degenerate
-        assert {e for e in r.pruned.edges()} == {(0, 1), (1, 2), (2, 3)}
+        # the upper triangle, sorted: 10, 9.5, 9, 3, 2, 0; the elbow is at 9
+        w = matrix_of(4, {(0, 1): 10.0, (1, 2): 9.5, (2, 3): 9.0,
+                          (0, 2): 3.0, (1, 3): 2.0})
+        assert elbow_threshold(w[np.triu_indices(4, 1)]) == 9.0
+        g = elbow_truncate(w)
+        assert g.n == 4 and g.m == 3
+        assert edge_dict(g) == {(0, 1): 10.0, (1, 2): 9.5, (2, 3): 9.0}
+        # row-major insertion: every adjacency ascends
+        assert all(list(g.adjacency(v)) == g.neighbors(v) for v in range(4))
 
     def test_threshold_weight_is_kept(self):
-        g = WeightedGraph(4)
-        for (i, j), w in zip([(0, 1), (1, 2), (2, 3)], [5.0, 5.0, 1.0]):
-            g.add_edge(i, j, w)
-        r = elbow_truncate(g)
-        assert all(g.weight(i, j) >= r.threshold for i, j in r.pruned.edges())
+        w = matrix_of(3, {(0, 1): 5.0, (1, 2): 5.0, (0, 2): 1.0})
+        t = elbow_threshold(w[np.triu_indices(3, 1)])
+        g = elbow_truncate(w)
+        assert all(g.weight(i, j) >= t for i, j in g.edges())
+        assert set(g.edges()) == {e for e, v in pair_weights(w).items() if v >= t}
 
     def test_all_equal_is_degenerate_and_unchanged(self):
-        g = WeightedGraph(3)
-        for e in [(0, 1), (1, 2), (0, 2)]:
-            g.add_edge(*e, 1.5)
-        r = elbow_truncate(g)
-        assert r.degenerate
-        assert r.pruned is g
+        w = matrix_of(3, {(0, 1): 1.5, (1, 2): 1.5, (0, 2): 1.5})
+        g = elbow_truncate(w)
+        assert g == WeightedGraph.from_matrix(w)
+        assert edge_dict(g) == pair_weights(w)
 
     def test_single_edge_degenerate(self):
-        g = WeightedGraph(2)
-        g.add_edge(0, 1, 2.0)
-        r = elbow_truncate(g)
-        assert r.degenerate
-        assert r.pruned.m == 1
+        g = elbow_truncate(matrix_of(2, {(0, 1): 2.0}))
+        assert edge_dict(g) == {(0, 1): 2.0}
 
     def test_empty_graph_rejected(self):
-        with pytest.raises(InvalidInput):
-            elbow_truncate(WeightedGraph(3))
+        for w in (np.zeros((0, 0)), np.zeros((1, 1))):  # no pair to cut
+            with pytest.raises(InvalidInput, match="no weights"):
+                elbow_truncate(w)
 
-    def test_keep_everything_cut_flags_degenerate(self):
-        # a convex-down curve whose knee lies at the last point keeps all
-        g = WeightedGraph(4)
-        for (i, j), w in zip([(0, 1), (1, 2), (2, 3)], [9.0, 8.9, 8.8]):
-            g.add_edge(i, j, w)
-        r = elbow_truncate(g)
-        if r.pruned.m == g.m:
-            assert r.degenerate
+    def test_keep_everything_cut_returns_every_pair(self):
+        # the farthest point from the chord ties the smallest weight, so
+        # the cut keeps every pair although the weights differ
+        w = matrix_of(3, {(0, 1): 9.0, (1, 2): 1.0, (0, 2): 1.0})
+        assert elbow_threshold(w[np.triu_indices(3, 1)]) == 1.0
+        g = elbow_truncate(w)
+        assert g == WeightedGraph.from_matrix(w)
+        assert list(g.adjacency(0)) == [1, 2]
+
+    def test_reads_only_the_upper_triangle(self):
+        w = random_weights(np.random.default_rng(17), 7, p=0.8)
+        assert elbow_truncate(np.triu(w, 1) - 5.0 * np.tri(7)) == elbow_truncate(w)
+
+    @pytest.mark.parametrize("w", BAD_SHAPES, ids=lambda w: str(w.shape))
+    def test_rejects_a_matrix_that_is_not_square(self, w):
+        with pytest.raises(InvalidInput, match="2-D and square"):
+            elbow_truncate(w)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_weight(self, bad):
+        # a NaN would sort last and cut every pair
+        w = matrix_of(3, {(0, 1): 1.0, (1, 2): bad, (0, 2): 0.5})
+        with pytest.raises(InvalidInput, match="non-finite"):
+            elbow_truncate(w)
 
 
 class TestWeightedGraph:
