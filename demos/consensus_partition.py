@@ -1,9 +1,10 @@
 """Consensus partition of variables into overlapping communities.
 
 Each weight function yields its own graph, elbow cut, and link-community
-partition; stacking the membership patterns of all partitions into a
-second-order network and clustering once more gives a consensus that no
-single weight function dominates.  Communities may overlap, and any
+partition.  Every community of every partition is one row of a membership
+matrix; the share of a variable's rows that also hold another weighs the
+pair in a second-order network, and clustering that network once more
+gives a consensus that no single weight function dominates.  Communities may overlap, and any
 community larger than the cap is recursively re-partitioned.
 """
 

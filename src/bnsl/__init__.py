@@ -27,9 +27,9 @@ from .errors import (BudgetExceeded, ConditioningSetTooLarge, FamilyTooLarge,
 from .evaluate import EvalReport, metrics_from_counts, partition_diagnostics, score_structure
 from .merge import (MergeResult, TripletGraph, collect_triplets,
                     combine_structures, jaccard, merge_all, resolve)
-from .partition import (Partition, PartitionSupportMatrix, build_psm,
-                        co_occurrence, consensus_partition, link_communities,
-                        load_partition, save_partition, second_order_network)
+from .partition import (Partition, co_occurrence, consensus_partition,
+                        link_communities, load_partition, membership,
+                        save_partition, second_order_network)
 from .pipeline import (PipelineConfig, PipelineResult, build_substrate,
                        derive_seed, load_inputs, run_pipeline)
 from .weights import (WEIGHT_FUNCTIONS, PairStats, WeightedGraph, elbow_threshold,

@@ -475,16 +475,16 @@ def greedy_learn(data: DiscreteDataset, nodes=None, max_parents: int = 3,
     parents: dict[int, set[int]] = {v: set() for v in nodes}
 
     def creates_cycle(tail: int, head: int) -> bool:
-        # a cycle appears iff tail is reachable from head via existing arcs
-        stack, seen = [head], set()
+        # adding tail -> head closes a cycle iff head is an ancestor of tail
+        stack, seen = [tail], set()
         while stack:
             x = stack.pop()
-            if x == tail:
+            if x == head:
                 return True
-            for c in nodes:
-                if x in parents[c] and c not in seen:
-                    seen.add(c)
-                    stack.append(c)
+            for p in parents[x]:
+                if p not in seen:
+                    seen.add(p)
+                    stack.append(p)
         return False
 
     def family(v: int) -> float:

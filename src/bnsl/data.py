@@ -9,8 +9,10 @@ Network files are line oriented, UTF-8, with ``#`` starting a comment:
 A ``cpt`` line gives one conditional row per joint parent configuration;
 parent state labels are listed in ascending parent index order (the order
 the parents were declared as ``var`` lines).  Datasets are tab-separated:
-a header row of variable names, then one row of integer state indices per
-sample.
+a header row of variable names, a ``# cardinalities k0 k1 ...`` line giving
+each variable's number of states, then one row of integer state indices per
+sample.  The cardinalities line keeps a state that no row holds; a file
+without it gets each variable's largest observed state + 1.
 """
 
 from __future__ import annotations
@@ -496,17 +498,34 @@ def _distinct_with_counts_below(col: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def save_dataset(ds: DiscreteDataset, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(ds.names) + "\n")
+        fh.write("# cardinalities " + " ".join(str(k) for k in ds.cardinalities) + "\n")
         np.savetxt(fh, ds.samples, fmt="%d", delimiter="\t")
 
 
-def load_dataset(path, cardinalities: Sequence[int] | None = None) -> DiscreteDataset:
-    """Read a TSV dataset; cardinalities default to max observed state + 1,
-    and at least 2, so a constant column loads."""
+def load_dataset(path) -> DiscreteDataset:
+    """Read a TSV dataset.  Cardinalities come from its ``# cardinalities``
+    line; a file without one gets the max observed state + 1, and at least
+    2, so a constant column loads."""
+    cardinalities = None
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if not header:
             raise InvalidInput("dataset file is empty")
         names = tuple(header.split("\t"))
+        start = fh.tell()
+        line = fh.readline()
+        if line.startswith("# cardinalities"):
+            fields = line.split()[2:]
+            try:
+                cardinalities = tuple(int(k) for k in fields)
+            except ValueError as e:
+                raise InvalidInput(f"{path}: cardinalities must be integers, "
+                                   f"got {line.strip()!r}") from e
+            if len(cardinalities) != len(names):
+                raise InvalidInput(f"{path}: {len(cardinalities)} cardinalities "
+                                   f"for {len(names)} variables")
+        else:
+            fh.seek(start)
         body = np.loadtxt(fh, dtype=np.int64, delimiter="\t", ndmin=2)
     if body.size == 0:
         body = body.reshape(0, len(names))
@@ -514,4 +533,4 @@ def load_dataset(path, cardinalities: Sequence[int] | None = None) -> DiscreteDa
         if body.shape[0] == 0:
             raise InvalidInput("cannot infer cardinalities from an empty dataset")
         cardinalities = tuple(max(2, int(body[:, j].max()) + 1) for j in range(len(names)))
-    return DiscreteDataset(names, tuple(cardinalities), body)
+    return DiscreteDataset(names, cardinalities, body)

@@ -7,16 +7,18 @@ level of maximum average partition density, and each edge cluster projects
 to the union of its endpoints.  A node then belongs to every community one
 of its edges landed in, which is what makes the partitions overlapping.
 
-A consensus partition re-runs this under several weight functions, stacks
-each node's community memberships into a partition support matrix, links
-node pairs whose symmetrized co-occurrence across those rows clears a
-threshold, and clusters that second-order network the same way.
+A consensus partition re-runs this under several weight functions and
+stacks every community of every partition as one row of a 0/1 membership
+matrix M.  Node v's partition support matrix is the rows of M that hold v,
+so the share of them that also hold u is ``(M^T M)[v, u] / (M^T M)[v, v]``.
+Node pairs whose symmetrized co-occurrence clears a threshold are linked,
+and that second-order network is clustered the same way.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -56,29 +58,6 @@ class Partition:
 
     def communities_of(self, v: int) -> list[int]:
         return [k for k, c in enumerate(self.communities) if v in c]
-
-
-@dataclass(frozen=True)
-class PartitionSupportMatrix:
-    """Stacked binary membership rows of one node across several partitions.
-
-    Row order is (partition order, community order within the partition);
-    only communities containing the node contribute a row, so column
-    ``node`` is all ones.
-    """
-
-    node: int
-    n: int
-    rows: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        r = np.asarray(self.rows, dtype=np.uint8)
-        if r.ndim != 2 or r.shape[1] != self.n or r.shape[0] == 0:
-            raise InvalidInput("rows must be a nonempty (R, n) matrix")
-        if not (r[:, self.node] == 1).all():
-            raise InvalidInput("every row must contain the node itself")
-        r.flags.writeable = False
-        object.__setattr__(self, "rows", r)
 
 
 class _UnionFind:
@@ -184,33 +163,32 @@ def link_communities(g: WeightedGraph) -> Partition:
     return Partition(g.n, tuple(sorted(comms)))
 
 
-def build_psm(partitions: Sequence[Partition], v: int) -> PartitionSupportMatrix:
-    """Stack the membership rows of node v across the given partitions."""
+def membership(partitions: Sequence[Partition]) -> np.ndarray:
+    """The (R, n) 0/1 matrix with one row per community of every partition,
+    in partition order and then community order.  Node v's partition
+    support matrix is the rows that hold v.  The dtype is int64 so that its
+    Gram product counts shared communities without wrapping."""
     if not partitions:
         raise InvalidInput("need at least one partition")
     n = partitions[0].n
     if any(p.n != n for p in partitions):
         raise InvalidInput("partitions must share one node universe")
-    if not (0 <= v < n):
-        raise InvalidInput(f"node {v} outside 0..{n - 1}")
-    rows = []
-    for p in partitions:
-        for c in p.communities:
-            if v in c:
-                row = np.zeros(n, dtype=np.uint8)
-                row[list(c)] = 1
-                rows.append(row)
-    return PartitionSupportMatrix(v, n, np.stack(rows))
+    comms = [c for p in partitions for c in p.communities]
+    m = np.zeros((len(comms), n), dtype=np.int64)
+    for r, c in enumerate(comms):
+        m[r, list(c)] = 1
+    return m
 
 
-def co_occurrence(psm: PartitionSupportMatrix, u: int) -> float:
-    """Fraction of the node's membership rows that also contain u."""
-    if not (0 <= u < psm.n):
-        raise InvalidInput(f"node {u} outside 0..{psm.n - 1}")
-    return float(psm.rows[:, u].mean())
+def co_occurrence(partitions: Sequence[Partition]) -> np.ndarray:
+    """The (n, n) matrix whose entry [v, u] is the fraction of v's
+    membership rows that also contain u; the diagonal is 1."""
+    m = membership(partitions)
+    gram = m.T @ m
+    return gram / np.diag(gram)[:, None]
 
 
-def second_order_network(psms: Sequence[PartitionSupportMatrix],
+def second_order_network(partitions: Sequence[Partition],
                          t_co: float = 0.5) -> WeightedGraph:
     """Symmetrized co-occurrence graph over all nodes.
 
@@ -218,11 +196,7 @@ def second_order_network(psms: Sequence[PartitionSupportMatrix],
     co-occurrence fraction with v; pairs below ``t_co`` (or never
     co-grouped) are absent.
     """
-    n = len(psms)
-    for v, psm in enumerate(psms):
-        if psm.node != v or psm.n != n:
-            raise InvalidInput("psms must be indexed by node over a shared universe")
-    frac = np.stack([psm.rows.mean(axis=0) for psm in psms])
+    frac = co_occurrence(partitions)
     w = (frac + frac.T) / 2.0
     return WeightedGraph.from_matrix(w, (w > 0.0) & (w >= t_co))
 
@@ -280,8 +254,7 @@ def _consensus_once(stats: PairStats, fns: Sequence[str], t_co: float) -> Partit
                   for fn in fns if not _ranks_nothing(stats, fn)]
     if not partitions:
         return Partition(stats.n_vars, (tuple(range(stats.n_vars)),))
-    psms = [build_psm(partitions, v) for v in range(stats.n_vars)]
-    return link_communities(second_order_network(psms, t_co))
+    return link_communities(second_order_network(partitions, t_co))
 
 
 def _capped_consensus(stats: PairStats, nodes: list[int], fns: Sequence[str],

@@ -291,6 +291,18 @@ def link_communities_of(g):
     return tuple(sorted(communities))
 
 
+def co_occurrence_of(partitions) -> list[list[float]]:
+    """Entry [v][u]: of the communities holding v, across all partitions,
+    the share that also hold u, counted one community at a time."""
+    comms = [set(c) for p in partitions for c in p.communities]
+    out = []
+    for v in range(partitions[0].n):
+        holding = [c for c in comms if v in c]
+        out.append([sum(u in c for c in holding) / len(holding)
+                    for u in range(partitions[0].n)])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Structural Markov blankets.
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from bnsl.blankets import iamb
 from bnsl.data import DiscreteDataset, forward_sample, load_network
 from bnsl.evaluate import metrics_from_counts
 from bnsl.merge import merge_all
-from bnsl.partition import Partition, build_psm, co_occurrence
+from bnsl.partition import Partition, co_occurrence, membership
 from bnsl.pipeline import PipelineConfig, run_pipeline
 from bnsl.weights import WeightedGraph
 
@@ -168,16 +168,16 @@ def test_criterion_2_membership_matrix_example(capsys):
         Partition(9, ((3, 6), (6, 7, 8), (0,), (1,), (2,), (4,), (5,))),
         Partition(9, ((3, 6, 7, 8), (0,), (1,), (2,), (4,), (5,))),
     ]
-    psm = build_psm(partitions, 6)
+    m = membership(partitions)
     want = np.array([
         [0, 0, 0, 1, 0, 0, 1, 0, 0],
         [0, 0, 0, 0, 0, 0, 1, 1, 1],
         [0, 0, 0, 1, 0, 0, 1, 1, 1],
-    ], dtype=np.uint8)
-    ok = np.array_equal(psm.rows, want)
-    cos = {u: co_occurrence(psm, u) for u in (3, 7, 8)}
-    ok = ok and all(abs(c - 2.0 / 3.0) < 1e-15 for c in cos.values())
-    ok = ok and co_occurrence(psm, 6) == 1.0 and co_occurrence(psm, 0) == 0.0
+    ])
+    ok = np.array_equal(m[m[:, 6] == 1], want)
+    co = co_occurrence(partitions)
+    ok = ok and all(abs(co[6, u] - 2.0 / 3.0) < 1e-15 for u in (3, 7, 8))
+    ok = ok and co[6, 6] == 1.0 and co[6, 0] == 0.0
     _verdict(capsys, 2, ok,
              "stacked membership rows exact; co-occurrence 2/3 for the "
              "three partners, 1 for the node, 0 for strangers")

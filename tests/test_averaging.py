@@ -305,25 +305,27 @@ class TestGreedyLearn:
         assert s.skeleton() == {frozenset({0, 1}), frozenset({1, 2})}
 
     def test_result_is_acyclic(self):
-        rng = np.random.default_rng(54)
-        net = random_binary_net(rng, 6, arc_prob=0.5)
-        data = forward_sample(net, 2000, seed=8)
-        s = greedy_learn(data)
-        children = {v: [] for v in s.nodes}
-        indeg = {v: 0 for v in s.nodes}
-        for p, c in s.edges:
-            children[p].append(c)
-            indeg[c] += 1
-        queue = [v for v in s.nodes if indeg[v] == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for c in children[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        assert seen == len(s.nodes)
+        # (rng seed, variables, arc probability, sample seed); dense networks
+        # give the search many reversals that the cycle test must refuse
+        for net_seed, n_vars, arc_prob, seed in [(54, 6, 0.5, 8), (61, 8, 0.7, 9),
+                                                 (62, 9, 0.9, 10), (63, 10, 0.4, 11)]:
+            net = random_binary_net(np.random.default_rng(net_seed), n_vars, arc_prob=arc_prob)
+            s = greedy_learn(forward_sample(net, 2000, seed=seed))
+            children = {v: [] for v in s.nodes}
+            indeg = {v: 0 for v in s.nodes}
+            for p, c in s.edges:
+                children[p].append(c)
+                indeg[c] += 1
+            queue = [v for v in s.nodes if indeg[v] == 0]
+            seen = 0
+            while queue:
+                v = queue.pop()
+                seen += 1
+                for c in children[v]:
+                    indeg[c] -= 1
+                    if indeg[c] == 0:
+                        queue.append(c)
+            assert seen == len(s.nodes), (net_seed, s.edges)
 
     def test_respects_max_parents(self):
         rng = np.random.default_rng(55)

@@ -213,7 +213,7 @@ class TestDiscreteDataset:
     def test_file_round_trip(self, tmp_path, chain_data):
         path = tmp_path / "data.tsv"
         save_dataset(chain_data, path)
-        back = load_dataset(path, cardinalities=chain_data.cardinalities)
+        back = load_dataset(path)
         assert list(back.names) == list(chain_data.names)
         assert np.array_equal(back.samples, chain_data.samples)
 
@@ -242,7 +242,7 @@ class TestDiscreteDataset:
     def test_round_trip_exact(self, tmp_path, chain_data):
         path = tmp_path / "data.tsv"
         save_dataset(chain_data, path)
-        back = load_dataset(path, cardinalities=chain_data.cardinalities)
+        back = load_dataset(path)
         assert back.names == chain_data.names
         assert back.cardinalities == chain_data.cardinalities
         assert back.samples.dtype == chain_data.samples.dtype
@@ -250,9 +250,33 @@ class TestDiscreteDataset:
         save_dataset(back, tmp_path / "again.tsv")
         assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
 
+    def test_round_trip_keeps_an_unobserved_top_state(self, tmp_path):
+        rows = np.array([[0, 1], [2, 0], [1, 1]])
+        ds = DiscreteDataset(["a", "b"], [4, 2], rows)
+        path = tmp_path / "data.tsv"
+        save_dataset(ds, path)
+        back = load_dataset(path)
+        assert back.cardinalities == (4, 2)
+        assert np.array_equal(back.samples, rows)
+
+    @pytest.mark.parametrize("line, match", [
+        ("# cardinalities 3\n", "1 cardinalities for 2 variables"),
+        ("# cardinalities 3 two\n", "must be integers"),
+        ("# cardinalities 2 2\n", "states outside"),  # no room for state 2 of a
+        ("# cardinalities 3 1\n", "cardinality >= 2"),
+    ])
+    def test_malformed_cardinalities_line_rejected(self, tmp_path, line, match):
+        path = tmp_path / "data.tsv"
+        path.write_text("a\tb\n" + line + "0\t1\n2\t0\n", encoding="utf-8")
+        with pytest.raises(InvalidInput, match=match):
+            load_dataset(path)
+
     def test_load_infers_cardinalities(self, tmp_path, chain_data):
         path = tmp_path / "data.tsv"
         save_dataset(chain_data, path)
+        path.write_text("".join(line for line in path.read_text(encoding="utf-8")
+                                .splitlines(keepends=True) if not line.startswith("#")),
+                        encoding="utf-8")
         back = load_dataset(path)
         assert list(back.cardinalities) == [
             int(chain_data.column(i).max()) + 1 for i in range(3)]

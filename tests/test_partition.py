@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from bnsl import partition
 from bnsl.data import DiscreteDataset, forward_sample
 from bnsl.errors import InvalidInput
-from bnsl.partition import (Partition, build_psm, co_occurrence,
-                            consensus_partition, link_communities,
-                            load_partition, save_partition,
-                            second_order_network)
+from bnsl.partition import (Partition, co_occurrence, consensus_partition,
+                            link_communities, load_partition, membership,
+                            save_partition, second_order_network)
 from bnsl.weights import WEIGHT_FUNCTIONS, WeightedGraph, pair_stats
 
 from conftest import chain3, random_binary_net
-from oracles import link_communities_of
+from oracles import co_occurrence_of, link_communities_of
 
 
 def random_graph(rng, n, p=0.5, lo=0.2, hi=3.0):
@@ -58,6 +57,35 @@ def small_datasets(draw):
             cols.append(draw(st.lists(st.integers(0, 2), min_size=n_rows, max_size=n_rows)))
     return DiscreteDataset([f"v{k}" for k in range(len(cols))], [3] * len(cols),
                            np.array(cols, dtype=np.int32).T)
+
+
+@st.composite
+def partition_lists(draw):
+    """1-4 overlapping partitions of one universe of 1-12 nodes; each covers
+    every node, some communities are large and many overlap."""
+    n = draw(st.integers(1, 12))
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        comms = set(draw(st.lists(
+            st.frozensets(st.integers(0, n - 1), min_size=1).map(lambda s: tuple(sorted(s))),
+            max_size=8)))
+        covered = {v for c in comms for v in c}
+        comms.update((v,) for v in range(n) if v not in covered)
+        parts.append(Partition(n, tuple(sorted(comms))))
+    return parts
+
+
+def pairwise_weights(c, t_co):
+    """The second-order edges from co-occurrence fractions ``c[v][u]``: each
+    pair u < v weighted (c[u][v] + c[v][u]) / 2, kept when positive and at
+    least ``t_co``."""
+    out = {}
+    for u in range(len(c)):
+        for v in range(u + 1, len(c)):
+            w = (c[u][v] + c[v][u]) / 2.0
+            if w > 0.0 and w >= t_co:
+                out[(u, v)] = w
+    return out
 
 
 def psm_fixture():
@@ -170,40 +198,45 @@ class TestLinkCommunities:
 
 class TestSupportMatrices:
     def test_worked_example_rows(self):
-        psm = build_psm(psm_fixture(), 6)
+        m = membership(psm_fixture())
         want = np.array([
             [0, 0, 0, 1, 0, 0, 1, 0, 0],
             [0, 0, 0, 0, 0, 0, 1, 1, 1],
             [0, 0, 0, 1, 0, 0, 1, 1, 1],
-        ], dtype=np.uint8)
-        assert np.array_equal(psm.rows, want)
-        assert psm.node == 6
-        assert np.all(psm.rows[:, 6] == 1)
+        ])
+        assert m.shape == (13, 9) and m.dtype == np.int64
+        assert np.array_equal(m[m[:, 6] == 1], want)
+        assert np.flatnonzero(m[:, 6]).tolist() == [0, 1, 7]
 
     def test_co_occurrence_values(self):
-        psm = build_psm(psm_fixture(), 6)
+        c = co_occurrence(psm_fixture())
         for u in (3, 7, 8):
-            assert co_occurrence(psm, u) == pytest.approx(2.0 / 3.0, abs=0)
-        assert co_occurrence(psm, 0) == 0.0
-        assert co_occurrence(psm, 6) == 1.0
+            assert c[6, u] == pytest.approx(2.0 / 3.0, abs=0)
+        assert c[6, 0] == 0.0
+        assert c[6, 6] == 1.0
 
     def test_row_order_follows_partitions(self):
         # node 3: one community in each partition
-        psm = build_psm(psm_fixture(), 3)
+        m = membership(psm_fixture())
         want = np.array([
             [0, 0, 0, 1, 0, 0, 1, 0, 0],
             [0, 0, 0, 1, 0, 0, 1, 1, 1],
-        ], dtype=np.uint8)
-        assert np.array_equal(psm.rows, want)
+        ])
+        assert np.array_equal(m[m[:, 3] == 1], want)
+
+    def test_membership_input_checks(self):
+        with pytest.raises(InvalidInput, match="at least one partition"):
+            membership([])
+        with pytest.raises(InvalidInput, match="one node universe"):
+            membership([Partition(2, ((0, 1),)), Partition(3, ((0, 1, 2),))])
 
     def test_second_order_network_weights(self):
-        psms = [build_psm(psm_fixture(), v) for v in range(9)]
-        g = second_order_network(psms, t_co=0.5)
+        g = second_order_network(psm_fixture(), t_co=0.5)
         # c(6->3) = 2/3, c(3->6) = 1 -> weight 5/6
         assert g.weight(3, 6) == pytest.approx(5.0 / 6.0, abs=1e-12)
         assert g.has_edge(6, 7) and g.has_edge(6, 8)
         # pairs that never share a community stay absent even at t_co 0
-        g0 = second_order_network(psms, t_co=0.0)
+        g0 = second_order_network(psm_fixture(), t_co=0.0)
         assert not g0.has_edge(0, 1)
 
     def test_second_order_network_matches_pairwise_formula(self):
@@ -214,21 +247,24 @@ class TestSupportMatrices:
             comms = {tuple(sorted(rng.choice(n, size=int(rng.integers(1, 6)),
                                              replace=False).tolist())) for _ in range(6)}
             parts.append(Partition(n, tuple(sorted(comms | {(v,) for v in range(n)}))))
-        psms = [build_psm(parts, v) for v in range(n)]
+        c = co_occurrence_of(parts)
         for t_co in (0.0, 0.3, 0.5):
-            g = second_order_network(psms, t_co)
-            want = {}
-            for u in range(n):
-                for v in range(u + 1, n):
-                    w = (co_occurrence(psms[u], v) + co_occurrence(psms[v], u)) / 2.0
-                    if w > 0.0 and w >= t_co:
-                        want[(u, v)] = w
-            assert {e: g.weight(*e) for e in g.edges()} == want
+            g = second_order_network(parts, t_co)
+            assert {e: g.weight(*e) for e in g.edges()} == pairwise_weights(c, t_co)
             assert all(list(g.adjacency(v)) == g.neighbors(v) for v in range(n))
 
+    @settings(max_examples=60, deadline=None)
+    @given(partition_lists(), st.sampled_from([0.0, 0.3, 0.5, 0.9]))
+    def test_co_occurrence_counts_shared_communities(self, parts, t_co):
+        got = co_occurrence(parts)
+        want = co_occurrence_of(parts)
+        assert got.tolist() == want
+        assert np.all(np.diag(got) == 1.0)
+        g = second_order_network(parts, t_co)
+        assert {e: g.weight(*e) for e in g.edges()} == pairwise_weights(want, t_co)
+
     def test_threshold_excludes_weak_pairs(self):
-        psms = [build_psm(psm_fixture(), v) for v in range(9)]
-        g = second_order_network(psms, t_co=0.9)
+        g = second_order_network(psm_fixture(), t_co=0.9)
         assert not g.has_edge(3, 6)  # 5/6 < 0.9
         assert g.has_edge(7, 8)      # both rows containing 7 contain 8
 
