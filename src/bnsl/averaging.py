@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .data import DiscreteDataset, DistinctRows, check_columns
+from .data import DiscreteDataset, DistinctRows, check_columns, ordered_sum
 from .errors import BudgetExceeded, FamilyTooLarge, InvalidInput, check_number_types
 
 DEFAULT_MAX_CELLS = 2 ** 22
@@ -88,6 +88,16 @@ class EdgePosterior:
         object.__setattr__(self, "nodes", tuple(int(v) for v in self.nodes))
 
 
+def _plain_edge(e) -> tuple[int, int]:
+    """The edge as a tuple of two plain ints.  One that already is such a
+    tuple is returned as the same object, so structures combined from
+    others share their edge tuples."""
+    if type(e) is tuple and len(e) == 2 and type(e[0]) is int and type(e[1]) is int:
+        return e
+    a, b = e
+    return int(a), int(b)
+
+
 @dataclass(frozen=True)
 class LocalStructure:
     """A directed structure over a nonempty node subset, with per-edge
@@ -104,7 +114,7 @@ class LocalStructure:
             raise InvalidInput("a structure needs a nonempty node set")
         object.__setattr__(self, "nodes", nodes)
         ns = set(nodes)
-        edges = tuple(sorted((int(a), int(b)) for a, b in self.edges))
+        edges = tuple(sorted(map(_plain_edge, self.edges)))
         for a, b in edges:
             if a == b or a not in ns or b not in ns:
                 raise InvalidInput(f"edge ({a}, {b}) outside the node set")
@@ -269,12 +279,7 @@ class _OrderScorer:
 
 
 def _log_marginal(terms) -> float:
-    # added first to last, never by sum(), whose float rounding varies
-    # between Python versions
-    total = 0.0
-    for logz, _ in terms:
-        total += logz
-    return total
+    return ordered_sum(logz for logz, _ in terms)
 
 
 def _resolve(data, nodes, ess, cache) -> tuple[tuple[int, ...], ScoreCache]:

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import chdtrc  # chi2.sf without importing scipy.stats
 
-from .data import DiscreteDataset, check_columns
+from .data import DiscreteDataset, check_columns, ordered_sum
 from .errors import ConditioningSetTooLarge, InvalidInput
 from .weights import WeightedGraph, entropy
 
@@ -34,7 +34,7 @@ def mb_candidates(g: WeightedGraph, x: int) -> frozenset[int]:
     adj = g.adjacency(x)
     if not adj:
         return frozenset()
-    mean = sum(adj.values()) / len(adj)
+    mean = ordered_sum(adj.values()) / len(adj)
     return frozenset(v for v, w in adj.items() if w >= mean)
 
 

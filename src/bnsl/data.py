@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +33,13 @@ _PROB_TOL = 1e-9
 # float32 block product sums at most this many ones per cell, far below 2^24,
 # so every partial count is exact
 _ONE_HOT_BLOCK = 2048
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """The values added first to last, starting from 0.0.  ``sum`` is not
+    used: from Python 3.12 it compensates float rounding, so its result
+    can differ in the last bit between Python versions."""
+    return reduce(operator.add, values, 0.0)
 
 
 def check_columns(data, cols: Iterable[int]) -> None:
@@ -524,11 +533,18 @@ def load_dataset(path) -> DiscreteDataset:
             if len(cardinalities) != len(names):
                 raise InvalidInput(f"{path}: {len(cardinalities)} cardinalities "
                                    f"for {len(names)} variables")
-        else:
+            start = fh.tell()
+            line = fh.readline()
+        # find the first row past the empty and comment lines, which loadtxt
+        # skips too; without one it would warn that the input holds no data
+        while line and not line.split("#", 1)[0].rstrip("\n"):
+            start = fh.tell()
+            line = fh.readline()
+        if line:
             fh.seek(start)
-        body = np.loadtxt(fh, dtype=np.int64, delimiter="\t", ndmin=2)
-    if body.size == 0:
-        body = body.reshape(0, len(names))
+            body = np.loadtxt(fh, dtype=np.int64, delimiter="\t", ndmin=2)
+        else:
+            body = np.empty((0, len(names)), dtype=np.int64)
     if cardinalities is None:
         if body.shape[0] == 0:
             raise InvalidInput("cannot infer cardinalities from an empty dataset")

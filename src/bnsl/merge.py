@@ -12,7 +12,9 @@ the weight subgraph of the overlap and its neighbours in the combined
 edges, so triangles are re-learned there and every other edge passes
 through.  Each pair's rank is computed once, when the later of its two
 structures enters the pool, so a pool of n structures costs (n - 1)^2
-Jaccard evaluations.  The ranks live in a binary heap, so finding each
+Jaccard evaluations.  An entry's node set is built once, as it enters, so
+each evaluation is one set intersection; the union's size follows from
+the two set sizes.  The ranks live in a binary heap, so finding each
 round's pair costs O(log n) per rank pushed or skipped, O(n^2 log n) in
 all, where rescanning and refiltering every live pair each round costs
 O(n^3).
@@ -26,7 +28,7 @@ from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from .averaging import LearnerConfig, LocalStructure, ScoreCache, learn_structure
-from .data import DiscreteDataset
+from .data import DiscreteDataset, ordered_sum
 from .errors import InvalidInput
 from .partition import link_communities
 from .weights import WeightedGraph, elbow_threshold
@@ -57,7 +59,7 @@ def combine_structures(structs: Sequence[LocalStructure],
         nodes |= set(s.nodes)
         for e in s.edges:
             votes.setdefault(e, []).append(s.support.get(e, 1.0))
-    mean = {e: sum(v) / len(v) for e, v in votes.items()}
+    mean = {e: ordered_sum(v) / len(v) for e, v in votes.items()}
     edges = {}
     for e, m in sorted(mean.items()):
         rev = (e[1], e[0])
@@ -170,9 +172,10 @@ def merge_all(pool: Sequence[LocalStructure], g: WeightedGraph,
     pair's edges are combined and resolved on the overlap neighborhood.
     A pair is ranked once, when its later structure enters the pool, so a
     pool of n structures spends (n - 1)^2 Jaccard evaluations; the count
-    is returned.  The ranks are kept in a heap, so the ranking work is
-    O(n^2 log n) rather than the O(n^3) of rescanning every live pair each
-    round.
+    is returned.  Each entry's node set is built once, when it enters, and
+    an evaluation intersects two of them: |a | b| = |a| + |b| - |a & b|.
+    The ranks are kept in a heap, so the ranking work is O(n^2 log n)
+    rather than the O(n^3) of rescanning every live pair each round.
     """
     if not pool:
         raise InvalidInput("empty pool")
@@ -181,7 +184,8 @@ def merge_all(pool: Sequence[LocalStructure], g: WeightedGraph,
     evals = 0
     conflicts: list = []
     sequence: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    entries: dict[int, LocalStructure] = {}
+    # each live entry with its node set and that set's size, built once as it enters
+    entries: dict[int, tuple[LocalStructure, frozenset[int], int]] = {}
     # min-heap of (-jaccard, -union, lo nodes, hi nodes, i, j), unique by (i, j).
     # A merge leaves the ranks of its two entries in place (lazy deletion);
     # a pop skips them, and once they outnumber the live pairs the heap is
@@ -192,12 +196,16 @@ def merge_all(pool: Sequence[LocalStructure], g: WeightedGraph,
     def enter(s: LocalStructure) -> None:
         nonlocal evals
         k = next(ids)
-        for i, other in entries.items():
-            heappush(ranks, (-jaccard(other.nodes, s.nodes),
-                             -len(set(other.nodes).union(s.nodes)),
-                             *sorted((other.nodes, s.nodes)), i, k))
-            evals += 1
-        entries[k] = s
+        key = s.nodes
+        nodes = frozenset(key)
+        size = len(nodes)
+        for i, (other, other_nodes, other_size) in entries.items():
+            inter = len(other_nodes & nodes)
+            union = other_size + size - inter
+            lo, hi = (other.nodes, key) if other.nodes <= key else (key, other.nodes)
+            heappush(ranks, (-(inter / union), -union, lo, hi, i, k))
+        evals += len(entries)
+        entries[k] = (s, nodes, size)
 
     for s in pool:
         enter(s)
@@ -207,10 +215,10 @@ def merge_all(pool: Sequence[LocalStructure], g: WeightedGraph,
             best = heappop(ranks)
         i, j = best[4:]
         sequence.append(best[2:4])
-        a, b = entries.pop(i), entries.pop(j)
+        (a, a_nodes, _), (b, b_nodes, _) = entries.pop(i), entries.pop(j)
 
         merged = combine_structures([a, b], conflicts)
-        overlap = set(a.nodes) & set(b.nodes)
+        overlap = a_nodes & b_nodes
         if overlap:
             scope = set(overlap)
             for x, y in merged.edges:
@@ -224,4 +232,4 @@ def merge_all(pool: Sequence[LocalStructure], g: WeightedGraph,
             ranks[:] = [r for r in ranks if r[4] in entries and r[5] in entries]
             heapify(ranks)
 
-    return MergeResult(entries.popitem()[1], tuple(sequence), evals, conflicts)
+    return MergeResult(entries.popitem()[1][0], tuple(sequence), evals, conflicts)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DiscreteDataset
+from .data import DiscreteDataset, ordered_sum
 from .errors import InvalidInput
 from .weights import (WEIGHT_FUNCTIONS, PairStats, WeightedGraph, elbow_truncate,
                       pair_stats, weight_matrix)
@@ -80,18 +80,24 @@ class _UnionFind:
 
 def _tanimoto(a: dict[int, float], b: dict[int, float], na: float, nb: float) -> float:
     """Tanimoto similarity of two vectors given their squared norms."""
-    dot = sum(w * b[k] for k, w in a.items() if k in b)
+    dot = ordered_sum(w * b[k] for k, w in a.items() if k in b)
     den = na + nb - dot
     return dot / den if den > 0 else 0.0
 
 
-def _partition_density(clusters: Sequence[tuple[int, set[int]]], m_total: int) -> float:
-    d = 0.0
-    for mc, nodes in clusters:
-        nc = len(nodes)
-        if nc > 2:
-            d += mc * (mc - nc + 1) / ((nc - 2) * (nc - 1))
-    return 2.0 * d / m_total
+def _inclusive_vectors(g: WeightedGraph) -> tuple[dict[int, dict[int, float]],
+                                                   dict[int, float]]:
+    """Each non-isolated node's weighted inclusive neighborhood (its own
+    entry is its mean incident weight) and that vector's squared norm."""
+    incl: dict[int, dict[int, float]] = {}
+    for v in range(g.n):
+        adj = g.adjacency(v)
+        if adj:
+            vec = dict(adj)
+            vec[v] = ordered_sum(adj.values()) / len(adj)
+            incl[v] = vec
+    norm2 = {v: ordered_sum(w * w for w in vec.values()) for v, vec in incl.items()}
+    return incl, norm2
 
 
 def link_communities(g: WeightedGraph) -> Partition:
@@ -105,15 +111,7 @@ def link_communities(g: WeightedGraph) -> Partition:
     m = len(edges)
     isolated = [v for v in range(g.n) if g.degree(v) == 0]
 
-    # weighted inclusive neighborhood of each endpoint
-    incl: dict[int, dict[int, float]] = {}
-    for v in range(g.n):
-        adj = g.adjacency(v)
-        if adj:
-            vec = dict(adj)
-            vec[v] = sum(adj.values()) / len(adj)
-            incl[v] = vec
-    norm2 = {v: sum(w * w for w in vec.values()) for v, vec in incl.items()}
+    incl, norm2 = _inclusive_vectors(g)
 
     eindex = {e: k for k, e in enumerate(edges)}
     incident: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n)}
@@ -139,26 +137,39 @@ def link_communities(g: WeightedGraph) -> Partition:
                 sims.append((s, e1, e2))
     sims.sort()
 
-    # merge one level of equal similarity at a time and keep the densest cut;
-    # a merge builds a new node set (sa | sb) and never changes an old one,
-    # so the clusters kept for the best cut stay as they were at that level
+    # merge one level of equal similarity at a time and keep the densest cut.
+    # terms holds each cluster's partition density term, keyed by its root;
+    # a cluster of 2 nodes adds nothing and has none.  A merged cluster's
+    # term moves to the end, so the terms are added in order of last merge
+    # at every level.  The best level's clusters are rebuilt after the scan.
     uf = _UnionFind(m)
-    stats: dict[int, tuple[int, set[int]]] = {
-        k: (1, {edges[k][0], edges[k][1]}) for k in range(m)}
-    best_density, best = 0.0, list(stats.values())
+    n_edges = [1] * m
+    nodes = [set(e) for e in edges]
+    terms: dict[int, float] = {}
+    best_density, best_end, end = 0.0, 0, 0
     for _, level in itertools.groupby(sims, key=lambda t: t[0]):
         for _, e1, e2 in level:
+            end += 1
             ra, rb = uf.find(eindex[e1]), uf.find(eindex[e2])
             if uf.union(ra, rb):  # ra stays the root
-                ma, sa = stats.pop(ra)
-                mb, sb = stats.pop(rb)
-                stats[ra] = (ma + mb, sa | sb)
-        clusters = list(stats.values())
-        d = _partition_density(clusters, m)
+                n_edges[ra] += n_edges[rb]
+                nodes[ra] |= nodes[rb]
+                terms.pop(ra, None)
+                terms.pop(rb, None)
+                mc, nc = n_edges[ra], len(nodes[ra])
+                if nc > 2:
+                    terms[ra] = mc * (mc - nc + 1) / ((nc - 2) * (nc - 1))
+        d = 2.0 * ordered_sum(terms.values()) / m
         if d > best_density:
-            best_density, best = d, clusters
+            best_density, best_end = d, end
 
-    comms = {tuple(sorted(s)) for _, s in best}
+    uf = _UnionFind(m)
+    for _, e1, e2 in sims[:best_end]:
+        uf.union(eindex[e1], eindex[e2])
+    best: dict[int, set[int]] = {}
+    for k, e in enumerate(edges):
+        best.setdefault(uf.find(k), set()).update(e)
+    comms = {tuple(sorted(s)) for s in best.values()}
     comms.update((v,) for v in isolated)
     return Partition(g.n, tuple(sorted(comms)))
 

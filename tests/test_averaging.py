@@ -423,6 +423,22 @@ class TestLocalStructure:
         assert all(any(k is e for e in s.edges) for k in s.support)
         assert LocalStructure((0, 1), ((0, 1),), {}).support == {}
 
+    def test_plain_int_edge_tuples_are_kept_as_they_are(self):
+        edges = ((2, 1), (0, 1))
+        s = LocalStructure((0, 1, 2), edges, {edges[0]: 0.5})
+        assert s.edges[0] is edges[1] and s.edges[1] is edges[0]
+        assert next(iter(s.support)) is edges[0]
+
+    @pytest.mark.parametrize("edge, want", [
+        ([np.int64(0), np.int64(1)], (0, 1)),
+        ((np.int64(1), 0), (1, 0)),
+        ((True, False), (1, 0)),
+        ((0, 1.0), (0, 1))])
+    def test_other_edges_become_plain_int_tuples(self, edge, want):
+        (e,) = LocalStructure((0, 1), (edge,)).edges
+        assert e == want
+        assert type(e) is tuple and all(type(v) is int for v in e)
+
     def test_support_outside_the_edges_rejected(self):
         with pytest.raises(InvalidInput):
             LocalStructure((0, 1, 2), ((0, 1),), {(0, 1): 0.5, (1, 2): 0.5})

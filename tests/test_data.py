@@ -1,5 +1,7 @@
 """Network parsing, sampling, discretization and dataset round trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -287,3 +289,16 @@ class TestDiscreteDataset:
         assert load_dataset(path).cardinalities == (2, 3)
         path.write_text("a\tb\n0\t0\n", encoding="utf-8")  # one row
         assert load_dataset(path).cardinalities == (2, 2)
+
+    def test_zero_rows_load_without_a_warning(self, tmp_path):
+        ds = DiscreteDataset(["a", "b"], [2, 3], np.zeros((0, 2), dtype=np.int32))
+        path = tmp_path / "data.tsv"
+        save_dataset(ds, path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("# no rows\n\n")  # loadtxt would skip these lines too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = load_dataset(path)
+        assert back.names == ("a", "b")
+        assert back.cardinalities == (2, 3)
+        assert back.samples.shape == (0, 2)

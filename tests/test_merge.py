@@ -1,6 +1,8 @@
 """Structure combination: edge unions, triplet repair, pool merging."""
 
+import gc
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,3 +291,33 @@ class TestMergeAll:
         with pytest.raises(InvalidInput):
             merge_all([], WeightedGraph(2), chain_data,
                       LearnerConfig(learner="greedy"))
+
+    def test_merged_structure_shares_the_pool_edge_tuples(self):
+        # 200 structures of 2-6 nodes from a universe of 400, each pair of
+        # nodes an arc (lower to higher) with probability 1/2: the seed-0
+        # pool of the merge-pool-200 benchmark workload
+        rng = np.random.default_rng(0)
+        node_sets = [tuple(sorted(rng.choice(400, size=int(rng.integers(2, 7)),
+                                             replace=False).tolist()))
+                     for _ in range(200)]
+        arc_rng = np.random.default_rng([0, 1])
+        pool = []
+        for ns in node_sets:
+            arcs = [(a, b) for i, a in enumerate(ns) for b in ns[i + 1:]
+                    if arc_rng.random() < 0.5]
+            pool.append(LocalStructure(ns, tuple(arcs), {e: 1.0 for e in arcs}))
+        data = dummy_dataset(400)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = merge_all(pool, WeightedGraph(400), data,
+                               LearnerConfig(learner="greedy"))
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pool_edges = {id(e) for s in pool for e in s.edges}
+        assert len(result.structure.edges) == 726
+        assert all(id(e) in pool_edges for e in result.structure.edges)
+        # 0.131 MiB; a fresh tuple per edge made it 0.170 MiB
+        assert retained <= 0.15 * 2 ** 20
