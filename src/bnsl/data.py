@@ -468,7 +468,8 @@ def discretize(table, bins: int, names: Sequence[str] | None = None) -> Discrete
     Each distinct value v is assigned bin ``floor(count_below(v) * bins / N)``
     and bin codes are then compacted to consecutive integers, so bins hold
     N/bins entries up to tie-group granularity.  A column whose values all
-    collapse into one bin (constant columns in particular) is rejected.
+    collapse into one bin (constant columns in particular), or that holds a
+    NaN, is rejected; an infinite value keeps its place in the order.
     """
     a = np.asarray(table, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] == 0:
@@ -481,6 +482,8 @@ def discretize(table, bins: int, names: Sequence[str] | None = None) -> Discrete
     cols = []
     cards = []
     for j in range(v):
+        if np.isnan(a[:, j]).any():
+            raise InvalidInput(f"column '{names[j]}' holds NaN")
         distinct, first_pos = _distinct_with_counts_below(a[:, j])
         codes = (first_pos * bins) // n
         codes = np.unique(codes, return_inverse=True)[1]  # compact to 0..B-1
@@ -542,7 +545,10 @@ def load_dataset(path) -> DiscreteDataset:
             line = fh.readline()
         if line:
             fh.seek(start)
-            body = np.loadtxt(fh, dtype=np.int64, delimiter="\t", ndmin=2)
+            try:
+                body = np.loadtxt(fh, dtype=np.int64, delimiter="\t", ndmin=2)
+            except ValueError as e:
+                raise InvalidInput(f"{path}: {e}") from e
         else:
             body = np.empty((0, len(names)), dtype=np.int64)
     if cardinalities is None:

@@ -84,7 +84,12 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineConfig":
-        raw = json.loads(text)
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise InvalidInput(f"config is not valid JSON: {e}") from e
+        if not isinstance(raw, dict):
+            raise InvalidInput(f"config must be a JSON object, got {type(raw).__name__}")
         unknown = set(raw) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise InvalidInput(f"unknown config keys: {sorted(unknown)}")

@@ -29,7 +29,11 @@ dataset; a dataset passed instead computes it without any MI.
 Every pair has a weight, so :func:`weight_matrix` returns a dense
 ``(V, V)`` array; :func:`pagerank` and :func:`elbow_truncate` read its
 upper triangle in row-major order, and only the pairs the elbow cut keeps
-become a sparse :class:`WeightedGraph`.
+become a sparse :class:`WeightedGraph`.  That graph stores each weight
+once, in one adjacency map with an entry only for a node that has an edge,
+so building it or taking a subgraph costs in its edges, not in ``n``.  Each
+node's map keeps the order in which its edges were added, because
+``ordered_sum`` adds ``adjacency(v).values()`` left to right.
 """
 
 from __future__ import annotations
@@ -49,14 +53,18 @@ _DAMPING, _TOL = 0.85, 1e-10  # PageRank
 
 
 class WeightedGraph:
-    """Undirected weighted graph on nodes ``0..n-1``; absent pair = no edge."""
+    """Undirected weighted graph on nodes ``0..n-1``; absent pair = no edge.
+
+    One map, ``_adj[i][j] == _adj[j][i]``, holds each weight; only a node
+    with an edge has an entry.  Each node's map keeps its edges' first-added
+    order, since callers add ``adjacency(v).values()`` with ``ordered_sum``.
+    """
 
     def __init__(self, n: int, weights: dict[tuple[int, int], float] | None = None):
         if n < 0:
             raise InvalidInput("n must be >= 0")
         self.n = n
-        self._w: dict[tuple[int, int], float] = {}
-        self._adj: dict[int, dict[int, float]] = {i: {} for i in range(n)}
+        self._adj: dict[int, dict[int, float]] = {}
         for (i, j), w in (weights or {}).items():
             self.add_edge(i, j, w)
 
@@ -74,45 +82,41 @@ class WeightedGraph:
         w = float(w)
         if not math.isfinite(w):
             raise InvalidInput(f"non-finite weight on ({i}, {j})")
-        self._w[(i, j)] = w
-        self._adj[i][j] = w
-        self._adj[j][i] = w
+        self._adj.setdefault(i, {})[j] = w
+        self._adj.setdefault(j, {})[i] = w
 
     @property
     def m(self) -> int:
-        return len(self._w)
+        return sum(map(len, self._adj.values())) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(self._w)
+        return sorted((i, j) for i, adj in self._adj.items() for j in adj if i < j)
 
     def weight(self, i: int, j: int) -> float:
-        return self._w[(i, j) if i < j else (j, i)]
+        return self._adj[i][j]
 
     def has_edge(self, i: int, j: int) -> bool:
-        return ((i, j) if i < j else (j, i)) in self._w
+        return j in self._adj.get(i, ())
 
     def neighbors(self, i: int) -> list[int]:
-        return sorted(self._adj[i])
+        return sorted(self.adjacency(i))
 
     def adjacency(self, i: int) -> dict[int, float]:
-        return self._adj[i]
+        return self._adj.get(i, {})
 
     def degree(self, i: int) -> int:
-        return len(self._adj[i])
+        return len(self.adjacency(i))
 
     def subgraph(self, nodes: Iterable[int]) -> "WeightedGraph":
         """Induced subgraph; node indices are preserved (n stays the same)."""
         keep = set(nodes)
-        g = WeightedGraph(self.n)
-        for (i, j), w in self._w.items():
-            if i in keep and j in keep:
-                g.add_edge(i, j, w)
-        return g
+        pairs = sorted((i, j) for i in keep for j in self.adjacency(i) if i < j and j in keep)
+        return WeightedGraph(self.n, {(i, j): self._adj[i][j] for i, j in pairs})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
-        return self.n == other.n and self._w == other._w
+        return self.n == other.n and self._adj == other._adj
 
 
 def entropy(counts) -> float:
@@ -354,5 +358,10 @@ def load_weighted_graph(path) -> WeightedGraph:
             except ValueError as e:
                 raise InvalidInput(f"{path}, line {line_no}: expected '<i> <j> <weight>', "
                                    f"got {line.strip()!r}") from e
-            g.add_edge(i, j, w)
+            try:
+                if g.has_edge(i, j):
+                    raise InvalidInput(f"pair ({i}, {j}) is listed twice")
+                g.add_edge(i, j, w)
+            except InvalidInput as e:
+                raise InvalidInput(f"{path}, line {line_no}: {e}") from e
     return g

@@ -1,5 +1,7 @@
 """Network parsing, sampling, discretization and dataset round trips."""
 
+import math
+import re
 import warnings
 
 import numpy as np
@@ -170,6 +172,14 @@ class TestDiscretize:
             discretize(np.array([[1.0, 0.5], [1.0, 0.7], [1.0, 0.2]]), 3,
                        names=["flat", "ok"])
 
+    def test_nan_rejected_by_name(self):
+        with pytest.raises(InvalidInput, match="column 'x0' holds NaN"):
+            discretize([[math.nan, 1], [1, 2], [2, 3], [3, 4]], 2)
+
+    def test_infinities_keep_their_order(self):
+        ds = discretize([[-math.inf], [1.0], [2.0], [math.inf]], 2)
+        assert ds.samples.ravel().tolist() == [0, 0, 1, 1]
+
     def test_matches_sort_based_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(40):
@@ -271,6 +281,17 @@ class TestDiscreteDataset:
         path = tmp_path / "data.tsv"
         path.write_text("a\tb\n" + line + "0\t1\n2\t0\n", encoding="utf-8")
         with pytest.raises(InvalidInput, match=match):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("body, where", [
+        ("0\tx\n", "string 'x' to int64 at row 0, column 2"),
+        ("0\t1\n2.5\t0\n", "string '2.5' to int64 at row 1, column 1"),
+        ("0\t1\n1\n", "changed from 2 to 1 at row 2"),
+    ], ids=["letter", "fraction", "short-row"])
+    def test_bad_cell_names_the_file(self, tmp_path, body, where):
+        path = tmp_path / "data.tsv"
+        path.write_text("a\tb\n" + body, encoding="utf-8")
+        with pytest.raises(InvalidInput, match=f"^{re.escape(str(path))}: .*{where}"):
             load_dataset(path)
 
     def test_load_infers_cardinalities(self, tmp_path, chain_data):

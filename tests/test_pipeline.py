@@ -61,6 +61,14 @@ class TestPipelineConfig:
         with pytest.raises(InvalidInput, match="unknown config keys"):
             PipelineConfig.from_json('{"n_sampels": 10}')
 
+    @pytest.mark.parametrize("text, message", [
+        ("5", "got int"), ('["seed"]', "got list"), ("null", "got NoneType"),
+        ('"seed"', "got str"), ('{"seed": 1', "not valid JSON"),
+    ], ids=["number", "list", "null", "string", "truncated"])
+    def test_non_object_rejected(self, text, message):
+        with pytest.raises(InvalidInput, match=message):
+            PipelineConfig.from_json(text)
+
     @pytest.mark.parametrize("raw, message", [
         ({"learner": "nope"}, "unknown learner 'nope'"),
         ({"weight_fns": "MI"}, "non-empty list"),

@@ -612,9 +612,76 @@ class TestWeightedGraph:
         ("nodes\t3\n0\t1\t0.5\n1\t2\n", 3),
         ("nodes\t3\n\n0\t1\theavy\n", 3),
         ("nodes\tthree\n", 1),
-        ("0\t1\t0.5\n", 1)])
+        ("0\t1\t0.5\n", 1),
+        ("nodes\t3\n0\t1\t0.5\n1\t2\t0.7\n0\t1\t0.9\n", 4),  # a pair listed twice
+        ("nodes\t3\n0\t1\t0.5\n1\t0\t0.9\n", 3),  # ... in either orientation
+        ("nodes\t3\n0\t3\t0.5\n", 2),  # a node out of range
+        ("nodes\t3\n0\t1\tnan\n", 2)])
     def test_malformed_file_names_the_line(self, tmp_path, text, line):
         path = tmp_path / "bad.tsv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(InvalidInput, match=f"line {line}:"):
             load_weighted_graph(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_a_dict_of_pairs(self, data):
+        n = data.draw(st.integers(1, 8))
+        node = st.integers(0, n - 1)
+        calls = data.draw(st.lists(st.tuples(node, node, st.sampled_from([0.5, 1.0, -2.0, 3.25])),
+                                   max_size=30))
+        g, oracle, order = WeightedGraph(n), {}, {v: [] for v in range(n)}
+        for i, j, w in calls:
+            if i == j:
+                continue
+            g.add_edge(i, j, w)
+            if (min(i, j), max(i, j)) not in oracle:
+                order[i].append(j)
+                order[j].append(i)
+            oracle[min(i, j), max(i, j)] = w
+
+        def pair_weight(a, b):
+            return oracle.get((min(a, b), max(a, b)))
+
+        assert g.m == len(oracle)
+        assert g.edges() == sorted(oracle)
+        for a in range(n):
+            for b in range(n):
+                assert g.has_edge(a, b) == (pair_weight(a, b) is not None)
+                if g.has_edge(a, b):
+                    assert g.weight(a, b) == pair_weight(a, b)
+            assert g.neighbors(a) == sorted(order[a])
+            assert g.degree(a) == len(order[a])
+            # each node's map keeps its first-insertion order
+            assert list(g.adjacency(a).items()) == [(b, pair_weight(a, b)) for b in order[a]]
+
+        keep = data.draw(st.sets(node))
+        sub = g.subgraph(keep)
+        kept = {e: w for e, w in oracle.items() if set(e) <= keep}
+        assert sub.n == n and sub.m == len(kept)
+        assert sub.edges() == sorted(kept)
+        assert all(sub.weight(*e) == w for e, w in kept.items())
+        assert all(list(sub.adjacency(v)) == sub.neighbors(v) for v in range(n))
+
+        assert g == WeightedGraph(n, dict(sorted(oracle.items(), reverse=True)))
+        assert g != WeightedGraph(n + 1, oracle)
+        if oracle:
+            e = next(iter(oracle))
+            assert g != WeightedGraph(n, {**oracle, e: oracle[e] + 1.0})
+            assert g != WeightedGraph(n, dict(list(oracle.items())[1:]))
+
+    def test_cost_follows_edges_not_n(self):
+        tracemalloc.start()
+        try:
+            g = WeightedGraph(100_000)
+            _, built = tracemalloc.get_traced_memory()
+            for i, j in ((0, 1), (1, 2), (2, 99_999)):
+                g.add_edge(i, j, 1.0)
+            tracemalloc.reset_peak()
+            sub = g.subgraph([0, 1, 2])
+            _, sub_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sub.edges() == [(0, 1), (1, 2)] and sub.n == 100_000
+        assert built < 64 * 2**10, built
+        assert sub_peak < 64 * 2**10, sub_peak
