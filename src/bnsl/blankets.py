@@ -7,7 +7,9 @@ then shrink by re-testing each member against the rest.  The IAMB runs of
 one community share one :meth:`~bnsl.data.DiscreteDataset.distinct` view
 of the community and its candidates, so each CI test counts the few
 distinct rows of those columns rather than every sample, with the same
-result to the last bit.  Learning windows ("sub-communities") are sampled
+result to the last bit.  Every CMI reads its entropies from the dataset's
+memo, so an entropy that the searches of several communities need is
+computed once per dataset.  Learning windows ("sub-communities") are sampled
 by walking an inner markov graph and padding each core with the blankets
 of its members, which is what lets a community be learned in isolation
 from the rest of the network.
@@ -41,7 +43,17 @@ def mb_candidates(g: WeightedGraph, x: int) -> frozenset[int]:
 def conditional_mutual_information(data: DiscreteDataset, x: int, y: int,
                                    z: Sequence[int] = (),
                                    max_cells: int = DEFAULT_CMI_CELLS) -> float:
-    """CMI(X; Y | Z) in nats, as H(XZ) + H(YZ) - H(XYZ) - H(Z)."""
+    """CMI(X; Y | Z) in nats, as H(ZX) + H(ZY) - H(ZXY) - H(Z), Z sorted.
+
+    The four entropies come from the entropy memo of one dataset, shared by
+    its distinct-row views (see :mod:`bnsl.data`).  Each is keyed by the
+    ordered column tuple of its table, such as ``z + (x,)``, never by a set,
+    because the order of the cells fixes the order of summation.  On any
+    miss the (Z, X, Y) table is counted once and only the missing entries
+    are filled from it and its marginals, so every value equals the one
+    computed without the memo.  A stand-in without a memo computes all four.
+    Every input check runs before the memo is read.
+    """
     if data.n_rows == 0:
         raise InvalidInput("dataset is empty")
     z = tuple(sorted(set(int(v) for v in z)))
@@ -53,9 +65,14 @@ def conditional_mutual_information(data: DiscreteDataset, x: int, y: int,
     if cells > max_cells:
         raise ConditioningSetTooLarge(
             f"CMI({x}; {y} | {z}) needs {cells} count cells")
-    t = data.counts(z + (x, y)).reshape(-1, cards[x], cards[y])
-    h = (entropy(t.sum(axis=2)) + entropy(t.sum(axis=1))
-         - entropy(t) - entropy(t.sum(axis=(1, 2))))
+    memo = getattr(data, "_entropies", {})
+    keys = (z + (x,), z + (y,), z + (x, y), z)
+    if any(k not in memo for k in keys):
+        t = data.counts(keys[2]).reshape(-1, cards[x], cards[y])
+        for k, axes in zip(keys, (2, 1, (), (1, 2))):
+            if k not in memo:
+                memo[k] = entropy(t.sum(axis=axes))
+    h = memo[keys[0]] + memo[keys[1]] - memo[keys[2]] - memo[keys[3]]
     return max(float(h), 0.0)
 
 

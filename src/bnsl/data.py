@@ -13,6 +13,14 @@ a header row of variable names, a ``# cardinalities k0 k1 ...`` line giving
 each variable's number of states, then one row of integer state indices per
 sample.  The cardinalities line keeps a state that no row holds; a file
 without it gets each variable's largest observed state + 1.
+
+:func:`forward_sample` draws each state as the number of steps of its CDF
+row at or below a uniform draw.  A :class:`DiscreteDataset` carries a memo
+of count-table entropies for the conditional mutual information of the
+blanket searches, keyed by the ordered column tuple of the table.  The
+memo belongs to one dataset and is shared by its distinct-row views, so
+the searches of every community of a run share each entropy, while a new
+dataset starts with an empty memo.
 """
 
 from __future__ import annotations
@@ -90,7 +98,8 @@ class GroundTruthNet:
             if t.shape != (q, r):
                 raise InvalidInput(
                     f"cpt for '{self.names[i]}' must have shape ({q}, {r}), got {t.shape}")
-            if (t < 0).any() or (np.abs(t.sum(axis=1) - 1.0) > _PROB_TOL).any():
+            # each check asks for the good side, which a NaN never is
+            if not ((t >= 0).all() and (np.abs(t.sum(axis=1) - 1.0) <= _PROB_TOL).all()):
                 raise InvalidInput(f"cpt rows for '{self.names[i]}' must be distributions")
             cpts.append(t)
         self.cpts = cpts
@@ -154,11 +163,16 @@ class DiscreteDataset:
     window or a blanket search reads, and :meth:`pair_tables` (a
     :class:`PairTables`) for every one- and two-column table from one
     one-hot product, which is what the pairwise MI of the weights reads.
+
+    ``_entropies`` is the dataset's entropy memo (see the module docstring);
+    every :meth:`distinct` view shares it, and :meth:`select` starts a new one.
     """
 
     names: tuple[str, ...]
     cardinalities: tuple[int, ...]
     samples: np.ndarray = field(repr=False)
+    _entropies: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         self.names = tuple(self.names)
@@ -206,18 +220,27 @@ class DiscreteDataset:
     def distinct(self, cols: Sequence[int]) -> "DistinctRows | DiscreteDataset":
         """The rows of ``cols`` counted once each, for :meth:`counts` of any
         subset of ``cols``; the dataset itself when their mixed-radix code
-        would overflow int64."""
+        would overflow int64.  The codes are counted by ``np.bincount`` when
+        the code space is no larger than the row count, otherwise sorted by
+        ``np.unique``; both give the rows in ascending code order.  The view
+        shares the dataset's entropy memo."""
         cols = tuple(int(c) for c in cols)
         shape = tuple(self.cardinalities[c] for c in cols)
-        if math.prod(shape) > np.iinfo(np.int64).max:
+        size = math.prod(shape)
+        if size > np.iinfo(np.int64).max:
             return self
         code = np.zeros(self.n_rows, dtype=np.int64)
         for c, r in zip(cols, shape):
             code = code * r + self.column(c)
-        rows, mult = np.unique(code, return_counts=True)
+        if size <= self.n_rows:  # a table no larger than the code array
+            mult = np.bincount(code, minlength=size)
+            rows = np.flatnonzero(mult)
+            mult = mult[rows]
+        else:
+            rows, mult = np.unique(code, return_counts=True)
         return DistinctRows(self.n_rows, self.cardinalities,
                             dict(zip(cols, np.unravel_index(rows, shape))),
-                            mult.astype(np.float64))
+                            mult.astype(np.float64), self._entropies)
 
     def pair_tables(self) -> "PairTables":
         """Every one- and two-column table of the dataset, for :meth:`counts`
@@ -257,12 +280,14 @@ class DistinctRows:
     ``counts``, which is the dataset's table for any subset of the columns.
     The multiplicities are whole numbers below 2^53, so the float sums of
     ``np.bincount`` are exact and every statistic keeps its last bit.
+    ``_entropies`` is the entropy memo of the dataset the view came from.
     """
 
     n_rows: int
     cardinalities: tuple[int, ...]
     digits: dict[int, np.ndarray] = field(repr=False)
     weights: np.ndarray = field(repr=False)
+    _entropies: dict = field(default_factory=dict, repr=False, compare=False)
 
     def counts(self, cols: Sequence[int]) -> np.ndarray:
         """:meth:`DiscreteDataset.counts` of ``cols``, from the distinct rows."""
@@ -388,7 +413,7 @@ def parse_network(text: str) -> GroundTruthNet:
             raise NetworkFormatError(
                 f"'{names[child]}' has {len(states[child])} states, got {probs.size} "
                 "probabilities", line_no)
-        if (probs < 0).any() or abs(probs.sum() - 1.0) > _PROB_TOL:
+        if not ((probs >= 0).all() and abs(probs.sum() - 1.0) <= _PROB_TOL):  # NaN too
             raise NetworkFormatError("probability row must sum to 1", line_no)
         per_child = rows.setdefault(child, {})
         if cfg in per_child:
@@ -456,9 +481,12 @@ def forward_sample(net: GroundTruthNet, n: int, seed: int) -> DiscreteDataset:
         for p in pars:
             cfg = cfg * cards[p] + out[:, p]
         cdf = np.cumsum(net.cpts[i], axis=1)
-        cdf[:, -1] = 1.0  # guard against rounding when u is close to 1
         u = rng.random(n)
-        out[:, i] = (u[:, None] < cdf[cfg]).argmax(axis=1)
+        # the state is the number of CDF steps before the last at or below u:
+        # a cumulative sum of nonnegative terms never decreases, so that is
+        # the first state whose cumulative probability exceeds u, and the last
+        # state takes the rest of [0, 1) however the row's sum rounds
+        out[:, i] = (u >= cdf[:, :-1].T[:, cfg]).sum(axis=0, dtype=np.int32)
     return DiscreteDataset(net.names, cards, out)
 
 

@@ -205,7 +205,9 @@ def learn_communities(data: DiscreteDataset, partition: Partition,
             learned.append(learn_structure(data, sc.members, lc, cache))
         conflicts: list = []
         if learned:
-            ens = combine_structures(learned, conflicts)
+            # the edgeless community keeps a member whose only window was
+            # itself, which no learned structure holds
+            ens = combine_structures(learned + [LocalStructure(comm, ())], conflicts)
             pool.append(resolve(ens, substrate, data, lc, cache=cache, windows=windows))
         else:  # lone node with an empty blanket
             pool.append(LocalStructure(comm, (), {}))

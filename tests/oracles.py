@@ -304,6 +304,28 @@ def co_occurrence_of(partitions) -> list[list[float]]:
 
 
 # ---------------------------------------------------------------------------
+# Ancestral sampling by the first CDF entry above each draw.
+# ---------------------------------------------------------------------------
+
+def argmax_forward_sample(net, n: int, seed: int) -> np.ndarray:
+    """``forward_sample``'s samples, each state drawn as the first index whose
+    cumulative probability exceeds the uniform draw (an argmax over an
+    (n, k) gather of the CDF rows), from the same random stream."""
+    rng = np.random.default_rng(seed)
+    cards = net.cardinalities
+    out = np.zeros((n, net.n_vars), dtype=np.int32, order="F")
+    for i in net.topological_order():
+        cfg = np.zeros(n, dtype=np.int64)
+        for p in net.parents_of(i):
+            cfg = cfg * cards[p] + out[:, p]
+        cdf = np.cumsum(net.cpts[i], axis=1)
+        cdf[:, -1] = 1.0
+        u = rng.random(n)
+        out[:, i] = (u[:, None] < cdf[cfg]).argmax(axis=1)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Structural Markov blankets.
 # ---------------------------------------------------------------------------
 

@@ -8,12 +8,13 @@ import bnsl.blankets
 from bnsl.blankets import (BlanketResult, community_blanket,
                            conditional_mutual_information, g_test, iamb,
                            inner_markov_graph, mb_candidates, rnn_sample)
-from bnsl.data import DiscreteDataset, forward_sample
+from bnsl.data import DiscreteDataset, DistinctRows, forward_sample, load_network
 from bnsl.errors import ConditioningSetTooLarge, InvalidInput
+from bnsl.pipeline import PipelineConfig, run_pipeline
 from bnsl.weights import WeightedGraph, mutual_information
 
-from conftest import chain3, collider3, random_binary_net
-from oracles import conditional_mi_of, markov_blanket_of
+from conftest import NETWORKS_DIR, chain3, collider3, random_binary_net
+from oracles import cmi_by_four_bincounts, conditional_mi_of, markov_blanket_of
 
 
 def random_dataset(rng, n_rows, cards):
@@ -59,6 +60,75 @@ class TestConditionalMutualInformation:
         with pytest.raises(ConditioningSetTooLarge):
             conditional_mutual_information(chain_data, 0, 1, [2],
                                            max_cells=4)
+
+
+@pytest.fixture
+def tables_counted(monkeypatch):
+    """The columns of every table counted on a dataset or a distinct view."""
+    counted = []
+    for cls in (DiscreteDataset, DistinctRows):
+        def recording(self, cols, real=cls.counts):
+            counted.append(tuple(cols))
+            return real(self, cols)
+        monkeypatch.setattr(cls, "counts", recording)
+    return counted
+
+
+class TestEntropyMemo:
+    def test_every_cmi_of_an_alarm_run_equals_a_fresh_computation(self, monkeypatch):
+        real, seen = bnsl.blankets.conditional_mutual_information, []
+
+        def recording(data, x, y, z=(), *args):
+            value = real(data, x, y, z, *args)
+            seen.append((x, y, tuple(z), value))
+            return value
+
+        monkeypatch.setattr(bnsl.blankets, "conditional_mutual_information", recording)
+        network = NETWORKS_DIR / "alarm.net"
+        run_pipeline(PipelineConfig(network=str(network), n_samples=20000, seed=0))
+        assert len(seen) > len({(x, y, tuple(sorted(z))) for x, y, z, _ in seen})
+        fresh = forward_sample(load_network(network), 20000, seed=0)
+        for x, y, z, value in seen:
+            assert value == cmi_by_four_bincounts(fresh, x, y, z), (x, y, z)
+
+    def test_a_repeated_call_counts_no_table(self, tables_counted):
+        data = random_dataset(np.random.default_rng(5), 200, [2, 3, 2, 3])
+        first = conditional_mutual_information(data, 0, 1, [2, 3])
+        assert tables_counted == [(2, 3, 0, 1)]
+        assert conditional_mutual_information(data, 0, 1, [3, 2]) == first
+        view = data.distinct(range(4))
+        assert conditional_mutual_information(view, 0, 1, [2, 3]) == first
+        assert tables_counted == [(2, 3, 0, 1)]
+        # (2, 3, 1, 0) orders the cells differently from (2, 3, 0, 1): a miss
+        swapped = conditional_mutual_information(view, 1, 0, [2, 3])
+        assert tables_counted == [(2, 3, 0, 1), (2, 3, 1, 0)]
+        assert swapped == cmi_by_four_bincounts(data, 1, 0, [2, 3])
+        conditional_mutual_information(data, 1, 0, [2, 3])
+        assert len(tables_counted) == 2
+
+    def test_checks_run_after_a_memo_hit(self):
+        data = random_dataset(np.random.default_rng(6), 200, [2, 3, 2, 3])
+        for _ in range(2):
+            conditional_mutual_information(data, 0, 1, [2])
+        with pytest.raises(ConditioningSetTooLarge):
+            conditional_mutual_information(data, 0, 1, [2], max_cells=11)
+        for x, y, z in ((0, 1, [1, 2]), (0, 0, [2]), (1, 1, ())):
+            with pytest.raises(InvalidInput, match="disjoint"):
+                conditional_mutual_information(data, x, y, z)
+        for x, y, z in ((0, 4, [2]), (-1, 1, [2]), (0, 1, [4])):
+            with pytest.raises(InvalidInput, match="outside 0..3"):
+                conditional_mutual_information(data, x, y, z)
+
+    def test_datasets_do_not_share_entries(self, tables_counted):
+        rng = np.random.default_rng(7)
+        cards = [2, 3, 2, 3]
+        a, b = random_dataset(rng, 300, cards), random_dataset(rng, 300, cards)
+        conditional_mutual_information(a, 0, 1, [2])
+        for other in (b, a.select(range(4)), a.select([1, 0, 2, 3])):
+            del tables_counted[:]
+            got = conditional_mutual_information(other, 0, 1, [2])
+            assert tables_counted == [(2, 0, 1)]
+            assert got == cmi_by_four_bincounts(other, 0, 1, [2])
 
 
 class TestGTest:

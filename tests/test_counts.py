@@ -96,9 +96,33 @@ def test_distinct_rows_count_and_score_like_the_dataset(data, pick):
     x, y, *rest = pick.sample(window, len(window))
     z = rest[:pick.randint(0, len(rest))]
     assert mutual_information(rows, x, y) == mutual_information(data, x, y)
+    # the view shares the dataset's entropy memo, so compare with the oracle
     assert (conditional_mutual_information(rows, x, y, z)
-            == conditional_mutual_information(data, x, y, z))
+            == cmi_by_four_bincounts(data, x, y, z))
     assert bdeu_family_score(rows, x, [y] + z) == bdeu_family_score(data, x, [y] + z)
+
+
+def test_distinct_rows_equal_np_unique():
+    # a code space no larger than the row count is counted by bincount,
+    # a larger one sorted by np.unique; both must give np.unique's rows
+    rng = np.random.default_rng(13)
+    counted = set()
+    for n_rows in (0, 1, 12, 200, 5000):
+        cards = [int(c) for c in rng.integers(2, 5, size=7)]
+        data = DiscreteDataset([f"v{k}" for k in range(7)], cards,
+                               rng.integers(0, cards, size=(n_rows, 7)))
+        for _ in range(12):
+            cols = rng.choice(7, size=int(rng.integers(1, 8)), replace=False).tolist()
+            shape = tuple(cards[c] for c in cols)
+            counted.add(np.prod(shape) <= n_rows)
+            code = np.ravel_multi_index(tuple(data.column(c) for c in cols), shape)
+            rows, mult = np.unique(code, return_counts=True)
+            view = data.distinct(cols)
+            for c, digits in zip(cols, np.unravel_index(rows, shape)):
+                np.testing.assert_array_equal(view.digits[c], digits)
+            np.testing.assert_array_equal(view.weights, mult.astype(np.float64))
+            assert view.weights.dtype == np.float64
+    assert counted == {True, False}  # both branches ran
 
 
 THREE_COLUMNS = DiscreteDataset(["a", "b", "c"], [2, 3, 2],

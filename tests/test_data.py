@@ -13,8 +13,8 @@ from bnsl.data import (DiscreteDataset, GroundTruthNet, discretize,
                        serialize_network)
 from bnsl.errors import InvalidInput, NetworkFormatError
 
-from conftest import chain3
-from oracles import equal_frequency_codes
+from conftest import NETWORKS_DIR, chain3
+from oracles import argmax_forward_sample, equal_frequency_codes
 
 CHAIN_TEXT = """\
 # tiny chain
@@ -62,6 +62,8 @@ class TestParseNetwork:
         ("var a 2 x y\narc a b\n", "line 2"),
         ("var a 1 x\n", "line 1"),
         ("var a 2 x y\ncpt a : 0.7 0.7\n", "line 2"),
+        ("var a 2 x y\ncpt a : nan 0.5\n", "line 2"),
+        ("var a 2 x y\ncpt a : nan nan\n", "line 2"),
         ("var a 2 x y\ncpt a : 0.5 0.5\ncpt a : 0.5 0.5\n", "duplicate"),
         ("var a 2 x y\n", "cpt"),
     ])
@@ -94,6 +96,14 @@ class TestGroundTruthNet:
         with pytest.raises(InvalidInput, match="distributions"):
             GroundTruthNet(names=["a"], states=[("x", "y")], arcs=(),
                            cpts=[np.array([[0.6, 0.6]])])
+
+    @pytest.mark.parametrize("row", [[np.nan, 0.5], [np.nan, np.nan]])
+    def test_validation_rejects_nan(self, row):
+        # a NaN fails both "< 0" and "> tolerance", so a row is accepted
+        # only when it passes each check on the good side
+        with pytest.raises(InvalidInput, match="distributions"):
+            GroundTruthNet(names=["a"], states=[("x", "y")], arcs=(),
+                           cpts=[np.array([row])])
 
     def test_validation_rejects_shape_mismatch(self):
         with pytest.raises(InvalidInput, match="shape"):
@@ -155,6 +165,41 @@ class TestForwardSample:
         data = forward_sample(net, 4000, seed=5)
         a, c = data.column(0), data.column(2)
         assert np.array_equal(a, c)
+
+    @pytest.mark.parametrize("network", sorted(p.stem for p in NETWORKS_DIR.glob("*.net")))
+    def test_matches_the_argmax_sampler(self, network):
+        net = load_network(NETWORKS_DIR / f"{network}.net")
+        for seed, n in ((0, 0), (1, 1), (2, 7), (0, 3000), (5, 3000)):
+            got = forward_sample(net, n, seed).samples
+            assert np.array_equal(got, argmax_forward_sample(net, n, seed)), (seed, n)
+
+    def test_zero_probability_states_match_the_argmax_sampler(self):
+        net = GroundTruthNet(
+            names=["a", "b", "c"], states=[("x", "y", "z")] * 3,
+            arcs=((0, 1), (0, 2), (1, 2)),
+            cpts=[np.array([[0.0, 0.7, 0.3]]),
+                  np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.5]]),
+                  np.tile([[0.0, 1.0, 0.0], [0.2, 0.0, 0.8], [0.0, 0.0, 1.0]], (3, 1))])
+        for seed in range(4):
+            got = forward_sample(net, 2000, seed).samples
+            assert np.array_equal(got, argmax_forward_sample(net, 2000, seed))
+            assert not (got[:, 0] == 0).any() and not (got[:, 1] == 1).any()
+            cfg = got[:, 0] * 3 + got[:, 1]
+            assert (net.cpts[2][cfg, got[:, 2]] > 0).all()
+
+    def test_cumulative_sum_above_one_before_the_last_state(self):
+        # within the row-sum tolerance, yet the second step already exceeds
+        # 1.0, above any draw, so neither sampler draws the last state
+        row = np.array([0.5, 0.5 + 1e-12, 0.0])
+        assert np.cumsum(row)[1] > 1.0
+        net = GroundTruthNet(names=["a", "b"], states=[("x", "y", "z")] * 2,
+                             arcs=((0, 1),),
+                             cpts=[np.array([[0.1, 0.2, 0.7]]),
+                                   np.array([row, [0.1] * 2 + [0.8], [0.3, 0.3, 0.4]])])
+        for seed in range(4):
+            got = forward_sample(net, 5000, seed).samples
+            assert np.array_equal(got, argmax_forward_sample(net, 5000, seed))
+            assert not (got[got[:, 0] == 0, 1] == 2).any()
 
 
 class TestDiscretize:

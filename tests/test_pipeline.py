@@ -310,6 +310,17 @@ class TestRunPipeline:
         assert result.partition.communities == ((0,),)
         assert result.structure.nodes == (0,) and result.structure.edges == ()
 
+    @pytest.mark.parametrize("learner", ["modelavg", "greedy"])
+    def test_member_whose_only_window_is_itself_is_kept(self, learner):
+        # at n=50, seed 1, member 3 of community (2, 3) has an empty blanket
+        # and no inner-markov neighbour, so its only window is (3,), which
+        # is too small to learn
+        config = PipelineConfig(network=str(REPO_ROOT / "networks" / "fivehub.net"),
+                                n_samples=50, seed=1, learner=learner)
+        result = run_pipeline(config)
+        assert (2, 3) in result.partition.communities
+        assert result.structure.nodes == tuple(range(9))
+
     def test_greedy_learner_runs(self, chain_net_file):
         config = PipelineConfig(network=chain_net_file, n_samples=1000,
                                 seed=5, learner="greedy")
