@@ -30,14 +30,14 @@ parent j with probability 1 - Z(c, S - j) / Z(c, S), so
 This takes O(m^2 2^m) time and m 2^m floats for a window of m nodes.
 
 Every learner here scores its families through ``ScoreCache.window`` of
-its nodes.  The window shares the cache's memo with every other window
-and, at its first miss, codes its columns once into their distinct rows
-(``DiscreteDataset.distinct``); each miss is then counted on those rows,
-weighted by how many samples share each, which gives the full sample's
-score to the last bit.  A window of m columns over N samples has at most
-min(N, prod of cardinalities) distinct rows, usually far fewer than N,
-and a window that ``resolve`` re-learns finds every family in the memo
-and codes nothing.
+its nodes.  The window shares the dataset's memo for ``ess`` with every
+other window on that dataset and, at its first miss, codes its columns
+once into their distinct rows (``DiscreteDataset.distinct``); each miss
+is then counted on those rows, weighted by how many samples share each,
+which gives the full sample's score to the last bit.  A window of m
+columns over N samples has at most min(N, prod of cardinalities) distinct
+rows, usually far fewer than N, and a window that ``resolve`` re-learns
+finds every family in the memo and codes nothing.
 
 One ``_OrderScorer`` per window is the only code that lists and scores a
 child's parent sets under ``max_parents`` and the subset budget.  The DP
@@ -134,7 +134,8 @@ class LocalStructure:
 
 
 class ScoreCache:
-    """Memoizes BDeu family scores by (child, parent set) on one dataset.
+    """BDeu family scores by (child, parent set) on one dataset and ``ess``,
+    read from and added to the dataset's memo for that ``ess``.
 
     ``window(nodes)`` is a cache on the same memo whose misses are counted
     on the distinct rows of the window's columns, built at its first miss;
@@ -146,7 +147,7 @@ class ScoreCache:
             raise InvalidInput(f"ess must be finite and > 0, got {ess!r}")
         self.data = data
         self.ess = float(ess)
-        self._scores: dict[tuple[int, tuple[int, ...]], float] = {}
+        self._scores = data._family_scores.setdefault(self.ess, {})
         self._window: tuple[int, ...] | None = None
         self._rows: DiscreteDataset | DistinctRows | None = data
 
@@ -165,9 +166,6 @@ class ScoreCache:
             got = bdeu_family_score(self._rows, child, key[1], self.ess)
             self._scores[key] = got
         return got
-
-    def matches(self, data: DiscreteDataset, ess: float) -> bool:
-        return self.data is data and self.ess == float(ess)
 
 
 def bdeu_family_score(data: DiscreteDataset, child: int, parents,
@@ -282,7 +280,7 @@ def _log_marginal(terms) -> float:
     return ordered_sum(logz for logz, _ in terms)
 
 
-def _resolve(data, nodes, ess, cache) -> tuple[tuple[int, ...], ScoreCache]:
+def _resolve(data, nodes, ess) -> tuple[tuple[int, ...], ScoreCache]:
     if nodes is None:
         nodes = tuple(range(data.n_vars))
     else:
@@ -292,16 +290,11 @@ def _resolve(data, nodes, ess, cache) -> tuple[tuple[int, ...], ScoreCache]:
         for v in nodes:
             if not 0 <= v < data.n_vars:
                 raise InvalidInput(f"node {v} outside 0..{data.n_vars - 1}")
-    if cache is None:
-        cache = ScoreCache(data, ess)
-    elif not cache.matches(data, ess):
-        raise InvalidInput("cache was built for different data or ess")
-    return nodes, cache.window(nodes)
+    return nodes, ScoreCache(data, ess).window(nodes)
 
 
 def feature_posterior_given_order(data: DiscreteDataset, order,
                                   max_parents: int = 3, ess: float = 10.0,
-                                  cache: ScoreCache | None = None,
                                   budget: int = DEFAULT_SUBSET_BUDGET) -> EdgePosterior:
     """Exact edge posteriors conditional on one total order.
 
@@ -309,18 +302,18 @@ def feature_posterior_given_order(data: DiscreteDataset, order,
     posterior of j -> i is zero unless j precedes i.
     """
     order = tuple(int(v) for v in order)
-    _, cache = _resolve(data, order, ess, cache)
+    _, cache = _resolve(data, order, ess)
     scorer = _OrderScorer(cache, order, max_parents, budget)
     return EdgePosterior(scorer.nodes,
                          scorer.posterior([scorer.pos[v] for v in order]))
 
 
 def order_log_marginal(data: DiscreteDataset, order, max_parents: int = 3,
-                       ess: float = 10.0, cache: ScoreCache | None = None,
+                       ess: float = 10.0,
                        budget: int = DEFAULT_SUBSET_BUDGET) -> float:
     """log P(D | order): per-child log-sum over admissible parent sets."""
     order = tuple(int(v) for v in order)
-    _, cache = _resolve(data, order, ess, cache)
+    _, cache = _resolve(data, order, ess)
     scorer = _OrderScorer(cache, order, max_parents, budget)
     return scorer.log_marginal([scorer.pos[v] for v in order])
 
@@ -348,14 +341,14 @@ def _log_z_table(scorer: _OrderScorer) -> np.ndarray:
 
 
 def exact_order_average(data: DiscreteDataset, nodes=None, max_parents: int = 3,
-                        ess: float = 10.0, cache: ScoreCache | None = None,
+                        ess: float = 10.0,
                         budget: int = DEFAULT_SUBSET_BUDGET) -> EdgePosterior:
     """Average edge posteriors over every order, weighted by exp(marginal).
 
     Exact, by the subset dynamic program of the module docstring, for up
     to ``EXACT_MAX_NODES`` nodes.
     """
-    nodes, cache = _resolve(data, nodes, ess, cache)
+    nodes, cache = _resolve(data, nodes, ess)
     if len(nodes) > EXACT_MAX_NODES:
         raise InvalidInput(f"exact averaging is limited to {EXACT_MAX_NODES} nodes")
     scorer = _OrderScorer(cache, nodes, max_parents, budget)
@@ -399,7 +392,7 @@ def exact_order_average(data: DiscreteDataset, nodes=None, max_parents: int = 3,
 
 def order_mcmc(data: DiscreteDataset, T: int = 100, burn_in: int | None = None,
                thin: int | None = None, max_parents: int = 3, ess: float = 10.0,
-               seed: int = 0, nodes=None, cache: ScoreCache | None = None,
+               seed: int = 0, nodes=None,
                budget: int = DEFAULT_SUBSET_BUDGET) -> EdgePosterior:
     """Metropolis-Hastings over orders; returns the mean edge posterior.
 
@@ -409,7 +402,7 @@ def order_mcmc(data: DiscreteDataset, T: int = 100, burn_in: int | None = None,
     walks the proposed order whole through the window's memo and adds its
     log marginal from first to last, exactly as ``order_log_marginal`` does.
     """
-    nodes, cache = _resolve(data, nodes, ess, cache)
+    nodes, cache = _resolve(data, nodes, ess)
     m = len(nodes)
     if T < 1:
         raise InvalidInput("T must be >= 1")
@@ -467,7 +460,7 @@ def threshold_edges(post: EdgePosterior, t_avg: float = 0.5) -> LocalStructure:
 
 
 def greedy_learn(data: DiscreteDataset, nodes=None, max_parents: int = 3,
-                 ess: float = 10.0, cache: ScoreCache | None = None) -> LocalStructure:
+                 ess: float = 10.0) -> LocalStructure:
     """Steepest-ascent hill climbing with add/delete/reverse moves.
 
     The search is fully deterministic (fixed move ordering, ties to the
@@ -475,7 +468,7 @@ def greedy_learn(data: DiscreteDataset, nodes=None, max_parents: int = 3,
     """
     if max_parents < 0:
         raise InvalidInput(f"max_parents must be >= 0, got {max_parents!r}")
-    nodes, cache = _resolve(data, nodes, ess, cache)
+    nodes, cache = _resolve(data, nodes, ess)
     nodes = tuple(sorted(nodes))
     parents: dict[int, set[int]] = {v: set() for v in nodes}
 
@@ -564,8 +557,7 @@ class LearnerConfig:
                 raise InvalidInput(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
-def learn_structure(data: DiscreteDataset, nodes, config: LearnerConfig,
-                    cache: ScoreCache | None = None) -> LocalStructure:
+def learn_structure(data: DiscreteDataset, nodes, config: LearnerConfig) -> LocalStructure:
     """Run the configured learner on a node subset.
 
     Model averaging thresholds the exact order-averaged posteriors, so it
@@ -573,8 +565,8 @@ def learn_structure(data: DiscreteDataset, nodes, config: LearnerConfig,
     ``InvalidInput`` on a larger one.
     """
     if config.learner == "greedy":
-        return greedy_learn(data, nodes, config.max_parents, config.ess, cache)
-    post = exact_order_average(data, nodes, config.max_parents, config.ess, cache)
+        return greedy_learn(data, nodes, config.max_parents, config.ess)
+    post = exact_order_average(data, nodes, config.max_parents, config.ess)
     return threshold_edges(post, config.t_avg)
 
 

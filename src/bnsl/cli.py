@@ -60,10 +60,15 @@ def _write_json(obj: dict, path: str | None) -> None:
 
 def _load_pool(path: str) -> list:
     """The structures of a ``{"structures": [...]}`` file from ``bnsl learn``;
-    a malformed entry raises ``InvalidInput`` naming the file and the entry."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    a malformed file raises ``InvalidInput`` naming it and any malformed entry."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise InvalidInput(f"{path}: not valid JSON: {e}") from e
     if not isinstance(raw, dict) or "structures" not in raw:
         raise InvalidInput(f"{path}: missing 'structures'")
+    if not isinstance(raw["structures"], list):
+        raise InvalidInput(f"{path}: 'structures' is not a list")
     pool = []
     for k, d in enumerate(raw["structures"]):
         try:

@@ -15,12 +15,12 @@ sample.  The cardinalities line keeps a state that no row holds; a file
 without it gets each variable's largest observed state + 1.
 
 :func:`forward_sample` draws each state as the number of steps of its CDF
-row at or below a uniform draw.  A :class:`DiscreteDataset` carries a memo
-of count-table entropies for the conditional mutual information of the
-blanket searches, keyed by the ordered column tuple of the table.  The
-memo belongs to one dataset and is shared by its distinct-row views, so
-the searches of every community of a run share each entropy, while a new
-dataset starts with an empty memo.
+row at or below a uniform draw.  A :class:`DiscreteDataset` memoizes the
+entropies of its count tables, keyed by their ordered columns, for the
+CMI of the blanket searches, and per ``ess`` the BDeu score of each
+(child, parent set), for every :class:`bnsl.averaging.ScoreCache` on it.
+Its distinct-row views share the entropies.  So every community of a run
+shares each statistic, while a new dataset starts with empty memos.
 """
 
 from __future__ import annotations
@@ -164,8 +164,8 @@ class DiscreteDataset:
     :class:`PairTables`) for every one- and two-column table from one
     one-hot product, which is what the pairwise MI of the weights reads.
 
-    ``_entropies`` is the dataset's entropy memo (see the module docstring);
-    every :meth:`distinct` view shares it, and :meth:`select` starts a new one.
+    ``_entropies`` and ``_family_scores`` are its memos (module docstring);
+    :meth:`distinct` views share the entropies, :meth:`select` starts anew.
     """
 
     names: tuple[str, ...]
@@ -173,6 +173,8 @@ class DiscreteDataset:
     samples: np.ndarray = field(repr=False)
     _entropies: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
+    _family_scores: dict = field(default_factory=dict, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         self.names = tuple(self.names)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Sequence
 
-from .averaging import LearnerConfig, LocalStructure, ScoreCache, learn_structure
+from .averaging import LearnerConfig, LocalStructure, learn_structure
 from .data import DiscreteDataset, ordered_sum
 from .errors import InvalidInput
 from .partition import link_communities
@@ -112,7 +112,6 @@ def collect_triplets(g: WeightedGraph, t_tri: float) -> TripletGraph:
 
 def resolve(structure: LocalStructure, g: WeightedGraph, data: DiscreteDataset,
             config: LearnerConfig, t_tri: float | None = None,
-            cache: ScoreCache | None = None,
             windows: list | None = None) -> LocalStructure:
     """Re-learn tightly coupled triangles of the structure's neighborhood.
 
@@ -134,13 +133,11 @@ def resolve(structure: LocalStructure, g: WeightedGraph, data: DiscreteDataset,
     clusters = [set(c) for c in link_communities(trip.graph).communities if len(c) > 1]
     if not clusters:
         return structure
-    if cache is None:
-        cache = ScoreCache(data, config.ess)
     relearned = []
     for cl in sorted(clusters, key=sorted):
         if windows is not None:
             windows.append(len(cl))
-        relearned.append(learn_structure(data, sorted(cl), config, cache))
+        relearned.append(learn_structure(data, sorted(cl), config))
     outside = [e for e in structure.edges
                if not any(e[0] in cl and e[1] in cl for cl in clusters)]
     # the clusters lie inside the structure's nodes, so the node set is unchanged
@@ -161,8 +158,7 @@ class MergeResult:
 
 
 def merge_all(pool: Sequence[LocalStructure], g: WeightedGraph,
-              data: DiscreteDataset, config: LearnerConfig,
-              cache: ScoreCache | None = None) -> MergeResult:
+              data: DiscreteDataset, config: LearnerConfig) -> MergeResult:
     """Fold a pool of structures into one by repeated max-Jaccard merging.
 
     Each round merges the pair of structures whose node sets have the
@@ -179,8 +175,6 @@ def merge_all(pool: Sequence[LocalStructure], g: WeightedGraph,
     """
     if not pool:
         raise InvalidInput("empty pool")
-    if cache is None:
-        cache = ScoreCache(data, config.ess)
     evals = 0
     conflicts: list = []
     sequence: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -226,7 +220,7 @@ def merge_all(pool: Sequence[LocalStructure], g: WeightedGraph,
                     scope.add(y)
                 if y in overlap:
                     scope.add(x)
-            merged = resolve(merged, g.subgraph(scope), data, config, cache=cache)
+            merged = resolve(merged, g.subgraph(scope), data, config)
         enter(merged)
         if len(ranks) > len(entries) * (len(entries) - 1):
             ranks[:] = [r for r in ranks if r[4] in entries and r[5] in entries]

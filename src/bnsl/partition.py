@@ -37,6 +37,8 @@ class Partition:
     communities: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise InvalidInput(f"n must be >= 0, got {self.n!r}")
         comms = tuple(tuple(sorted(set(int(x) for x in c))) for c in self.communities)
         object.__setattr__(self, "communities", comms)
         seen = set()
@@ -315,13 +317,15 @@ def load_partition(path) -> Partition:
             try:
                 if line.startswith("# nodes"):
                     n = int(line.split()[2])
+                    if n < 0:
+                        raise ValueError(n)
                     continue
                 line = line.split("#", 1)[0].strip()
                 if line:
                     comms.append(tuple(int(t) for t in line.split()))
             except (ValueError, IndexError) as e:
-                raise InvalidInput(f"{path}, line {line_no}: expected '# nodes <n>' "
-                                   f"or node indices, got {line.strip()!r}") from e
+                raise InvalidInput(f"{path}, line {line_no}: expected '# nodes <n>' with "
+                                   f"n >= 0 or node indices, got {line.strip()!r}") from e
     if n is None:
         n = 1 + max(v for c in comms for v in c) if comms else 0
     return Partition(n, tuple(comms))

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .averaging import (EXACT_MAX_NODES, LearnerConfig, LocalStructure,
-                        ScoreCache, learn_structure, save_structure)
+                        learn_structure, save_structure)
 from .blankets import community_blanket, inner_markov_graph, rnn_sample
 from .data import (DiscreteDataset, GroundTruthNet, forward_sample,
                    load_dataset, load_network, save_dataset)
@@ -61,6 +61,10 @@ class PipelineConfig:
             if fn not in WEIGHT_FUNCTIONS:
                 raise InvalidInput(f"unknown weight function {fn!r}")
         self.learner_config()  # checks the learner and its settings
+        for name in ("network", "dataset", "emit_intermediate"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise InvalidInput(f"{name} must be a path string or null, got {value!r}")
         check_number_types(self, reals=("alpha", "t_co"), integers=(
             "n_samples", "seed", "max_comm", "max_learn_size"))
         for name, ok, rule in (
@@ -173,7 +177,6 @@ def build_substrate(source: DiscreteDataset | PairStats) -> WeightedGraph:
 
 def learn_communities(data: DiscreteDataset, partition: Partition,
                       substrate: WeightedGraph, config: PipelineConfig,
-                      cache: ScoreCache | None = None,
                       run_report: dict | None = None) -> list[LocalStructure]:
     """Blanket-isolate, sample and learn every community; one structure each.
 
@@ -184,8 +187,6 @@ def learn_communities(data: DiscreteDataset, partition: Partition,
     if partition.n != data.n_vars:
         raise InvalidInput(f"partition covers {partition.n} nodes, "
                            f"the dataset has {data.n_vars} variables")
-    if cache is None:
-        cache = ScoreCache(data, config.ess)
     lc = config.learner_config()
     pool = []
     detail = []
@@ -202,13 +203,13 @@ def learn_communities(data: DiscreteDataset, partition: Partition,
                 continue
             seen.add(sc.members)
             windows.append(len(sc.members))
-            learned.append(learn_structure(data, sc.members, lc, cache))
+            learned.append(learn_structure(data, sc.members, lc))
         conflicts: list = []
         if learned:
             # the edgeless community keeps a member whose only window was
             # itself, which no learned structure holds
             ens = combine_structures(learned + [LocalStructure(comm, ())], conflicts)
-            pool.append(resolve(ens, substrate, data, lc, cache=cache, windows=windows))
+            pool.append(resolve(ens, substrate, data, lc, windows=windows))
         else:  # lone node with an empty blanket
             pool.append(LocalStructure(comm, (), {}))
         detail.append({"community": ci, "size": len(comm),
@@ -223,14 +224,13 @@ def learn_communities(data: DiscreteDataset, partition: Partition,
 
 def merge_communities(data: DiscreteDataset, pool: list[LocalStructure],
                       substrate: WeightedGraph, config: PipelineConfig,
-                      cache: ScoreCache | None = None,
                       run_report: dict | None = None) -> MergeResult:
     """Merge the pool; ``run_report`` gets the merge sequence, the Jaccard
     evaluation count and the conflicts."""
     outside = sorted({v for s in pool for v in s.nodes if not 0 <= v < data.n_vars})
     if outside:
         raise InvalidInput(f"pool nodes {outside} outside 0..{data.n_vars - 1}")
-    merged = merge_all(pool, substrate, data, config.learner_config(), cache)
+    merged = merge_all(pool, substrate, data, config.learner_config())
     if run_report is not None:
         run_report["merge_sequence"] = [[list(a), list(b)]
                                         for a, b in merged.merge_sequence]
@@ -257,11 +257,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         stats, config.weight_fns, config.t_co, config.max_comm))
     run_report["partition"] = [list(c) for c in partition.communities]
 
-    cache = ScoreCache(data, config.ess)
     pool = stages.run("learn", lambda: learn_communities(
-        data, partition, substrate, config, cache, run_report))
+        data, partition, substrate, config, run_report))
     merged = stages.run("merge", lambda: merge_communities(
-        data, pool, substrate, config, cache, run_report))
+        data, pool, substrate, config, run_report))
 
     report = None
     if truth is not None:

@@ -495,7 +495,7 @@ def naive_merge_sequence(keys):
 def order_mcmc_reference(data, T: int = 100, burn_in: int | None = None,
                          thin: int | None = None, max_parents: int = 3,
                          ess: float = 10.0, seed: int = 0, nodes=None,
-                         cache=None, budget: int = 2 ** 20):
+                         budget: int = 2 ** 20):
     """The transposition chain of ``order_mcmc``, rescoring whole orders.
 
     Same random stream and acceptance rule as the library, but the memo is
@@ -509,8 +509,7 @@ def order_mcmc_reference(data, T: int = 100, burn_in: int | None = None,
 
     from bnsl.averaging import EdgePosterior, ScoreCache
 
-    if cache is None:
-        cache = ScoreCache(data, ess)
+    cache = ScoreCache(data, ess)
     nodes = tuple(sorted(range(data.n_vars) if nodes is None else nodes))
     m = len(nodes)
     pos = {v: a for a, v in enumerate(nodes)}
@@ -575,7 +574,7 @@ def order_mcmc_reference(data, T: int = 100, burn_in: int | None = None,
 # ---------------------------------------------------------------------------
 
 def exact_order_average_by_enumeration(data, nodes=None, max_parents: int = 3,
-                                       ess: float = 10.0, cache=None,
+                                       ess: float = 10.0,
                                        budget: int = 2 ** 20):
     """Edge posteriors averaged over all m! orders, weighted by exp(marginal).
 
@@ -585,8 +584,7 @@ def exact_order_average_by_enumeration(data, nodes=None, max_parents: int = 3,
     """
     from bnsl.averaging import EdgePosterior, ScoreCache, _OrderScorer, logsumexp
 
-    if cache is None:
-        cache = ScoreCache(data, ess)
+    cache = ScoreCache(data, ess)
     nodes = tuple(range(data.n_vars)) if nodes is None else tuple(nodes)
     scorer = _OrderScorer(cache, nodes, max_parents, budget)
     perms = list(itertools.permutations(range(len(nodes))))

@@ -95,18 +95,6 @@ class TestBdeuFamilyScore:
             again = cache.family_score(child, parents)
             assert fresh == cached == again
 
-    def test_cache_matches_guard(self, chain_data):
-        cache = ScoreCache(chain_data, 10.0)
-        assert cache.matches(chain_data, 10.0)
-        assert not cache.matches(chain_data, 5.0)
-
-    def test_mismatched_cache_rejected(self, chain_data):
-        cache = ScoreCache(chain_data, 10.0)
-        with pytest.raises(InvalidInput):
-            order_log_marginal(chain_data, [0, 1, 2], ess=5.0, cache=cache)
-        with pytest.raises(InvalidInput):
-            greedy_learn(chain_data.select([0, 1]), cache=cache)
-
 
 class TestOrderPosteriors:
     def test_entries_are_probabilities(self, chain_data):
@@ -126,9 +114,8 @@ class TestOrderPosteriors:
         assert post.matrix[1, 2] > 0.9
 
     def test_order_log_marginal_consistency(self, chain_data):
-        cache = ScoreCache(chain_data, 10.0)
-        a = order_log_marginal(chain_data, [0, 1, 2], cache=cache)
-        b = order_log_marginal(chain_data, [2, 1, 0], cache=cache)
+        a = order_log_marginal(chain_data, [0, 1, 2])
+        b = order_log_marginal(chain_data, [2, 1, 0])
         assert np.isfinite(a) and np.isfinite(b)
         # the generative order should not be less likely
         assert a >= b - 1e-9
@@ -369,7 +356,6 @@ class TestLearnStructure:
         m = EXACT_MAX_NODES
         rng = np.random.default_rng(58)
         data = make_data(rng.integers(0, 2, size=(20, m)), [2] * m)
-        cache = ScoreCache(data, 5.0)
         signature = inspect.signature(exact_order_average)
         calls = []
 
@@ -383,11 +369,11 @@ class TestLearnStructure:
 
         monkeypatch.setattr(av, "exact_order_average", spy)
         for nodes in (tuple(range(m)), None):
-            got = learn_structure(data, nodes, self.MODELAVG, cache=cache)
+            got = learn_structure(data, nodes, self.MODELAVG)
             assert got.edges == ((0, 1),)
         assert len(calls) == 2
         for got, nodes in zip(calls, (tuple(range(m)), None)):
-            assert got["data"] is data and got["cache"] is cache
+            assert got["data"] is data
             assert got["nodes"] == nodes
             assert (got["max_parents"], got["ess"]) == (1, 5.0)
 

@@ -187,9 +187,10 @@ def test_merge_pool_node_outside_the_dataset_exits_one(workdir, tmp_path, capsys
     ({"structures": [{"nodes": [0, 1], "edges": [[0]]}]}, ", entry 0: "),
     ({"structures": [{"nodes": [0, 1], "edges": [[0, 1]], "support": {"0,1": "high"}}]},
      ", entry 0: "),
-    ({"structures": [5]}, ", entry 0: ")],
+    ({"structures": [5]}, ", entry 0: "),
+    ({"structures": 5}, ": 'structures' is not a list")],
     ids=["no_structures", "no_edges", "bad_support_key", "nan_support", "short_edge",
-         "text_support", "not_an_object"])
+         "text_support", "not_an_object", "structures_not_a_list"])
 def test_merge_malformed_structures_file_names_the_entry(workdir, tmp_path, capsys,
                                                          raw, message):
     structures = tmp_path / "structures.json"
@@ -197,6 +198,14 @@ def test_merge_malformed_structures_file_names_the_entry(workdir, tmp_path, caps
     assert main(["merge", "--dataset", str(workdir / "data.tsv"),
                  "--structures", str(structures), "--out", str(tmp_path / "m.edges")]) == 1
     assert f"{structures}{message}" in capsys.readouterr().err
+
+
+def test_merge_structures_file_that_is_not_json_is_named(workdir, tmp_path, capsys):
+    structures = tmp_path / "structures.json"
+    structures.write_text('{"structures": [', encoding="utf-8")
+    assert main(["merge", "--dataset", str(workdir / "data.tsv"),
+                 "--structures", str(structures), "--out", str(tmp_path / "m.edges")]) == 1
+    assert f"{structures}: not valid JSON: " in capsys.readouterr().err
 
 
 def test_diagnose_subcommand(workdir, capsys):
@@ -260,7 +269,7 @@ def test_removed_config_key_exits_one_before_any_stage(tmp_path, capsys, key):
 @pytest.mark.parametrize("field, value", [
     ("alpha", 1.5), ("max_learn_size", 0), ("max_learn_size", 17), ("t_co", 7.0),
     ("seed", -1), ("seed", 1.5), ("n_samples", 2000.5), ("max_parents", 1.5),
-    ("max_parents", True), ("ess", "10")])
+    ("max_parents", True), ("ess", "10"), ("network", 2)])
 def test_out_of_range_config_exits_one_before_any_stage(tmp_path, capsys, field, value):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"network": str(NETWORKS_DIR / "alarm.net"),

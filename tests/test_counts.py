@@ -6,7 +6,9 @@ per-caller encoders they replaced (see ``oracles.py``): the kernel must
 produce the same codes, so every statistic keeps its last bit.  The
 distinct-row view that windows and blanket searches count on is checked
 the same way against the dataset, and the learners and the blanket search
-on degenerate inputs against their results on all rows.
+on degenerate inputs against their results on all rows.  The family-score
+memo of each dataset is checked to compute each family once per dataset
+and ``ess``, to the score on all rows.
 """
 
 from collections import Counter
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bnsl.averaging as av
 from bnsl.averaging import (ScoreCache, bdeu_family_score, exact_order_average,
                             greedy_learn)
 from bnsl.blankets import community_blanket, conditional_mutual_information
@@ -185,19 +188,68 @@ def views_built(monkeypatch):
 
 
 def test_a_window_builds_its_view_at_its_first_miss(views_built):
+    # a dataset of its own, so its family-score memo starts empty
     data = forward_sample(load_network(NETWORKS_DIR / "alarm.net"), 2000, seed=0)
-    cache = ScoreCache(data)
-    window = cache.window((4, 5, 6))
+    window = ScoreCache(data).window((4, 5, 6))
     assert views_built == []
     window.family_score(5, (4,))
     window.family_score(6, (4, 5))
     assert views_built == [[4, 5, 6]]
-    first = exact_order_average(data, (4, 5, 6), cache=cache)
+    first = exact_order_average(data, (4, 5, 6))
     assert views_built == [[4, 5, 6]] * 2
-    # a re-learn of the same window finds every family in the shared memo
-    again = exact_order_average(data, (4, 5, 6), cache=cache)
+    # a re-learn of the same window finds every family in the dataset's memo
+    again = exact_order_average(data, (4, 5, 6))
     assert views_built == [[4, 5, 6]] * 2
     np.testing.assert_array_equal(again.matrix, first.matrix)
+
+
+@pytest.fixture
+def families(monkeypatch):
+    """The families looked up and the families computed, as lists of
+    ``(child, parents, ess)`` in call order, each emptied by ``clear()``."""
+    lookup, compute = ScoreCache.family_score, av.bdeu_family_score
+    looked, computed = [], []
+
+    def looking(self, child, parents):
+        looked.append((child, tuple(sorted(parents)), self.ess))
+        return lookup(self, child, parents)
+
+    def computing(data, child, parents, ess=10.0, **kwargs):
+        computed.append((child, tuple(sorted(parents)), ess))
+        return compute(data, child, parents, ess, **kwargs)
+
+    monkeypatch.setattr(ScoreCache, "family_score", looking)
+    monkeypatch.setattr(av, "bdeu_family_score", computing)
+    return looked, computed
+
+
+def test_learners_on_one_dataset_score_each_family_once(families):
+    looked, computed = families
+    data = forward_sample(load_network(NETWORKS_DIR / "alarm.net"), 2000, seed=0)
+    nodes = (4, 5, 6, 7, 8)
+    exact_order_average(data, nodes)
+    by_dp = set(looked)
+    assert sorted(computed) == sorted(by_dp)  # each family computed once
+    looked.clear()
+    computed.clear()
+    greedy_learn(data, nodes)
+    assert set(looked) & by_dp  # the two learners share families
+    assert not set(computed) & by_dp
+    assert len(computed) == len(set(computed))
+
+    # a copy of the dataset and another ess each start with an empty memo
+    for run in (lambda: greedy_learn(data.select(range(data.n_vars)), nodes),
+                lambda: greedy_learn(data, nodes, ess=5.0)):
+        looked.clear()
+        computed.clear()
+        run()
+        assert sorted(computed) == sorted(set(looked))
+
+    # every memoized score is the score on all rows, to the last bit
+    for ess, scores in data._family_scores.items():
+        for (child, parents), got in scores.items():
+            assert got == bdeu_family_score(data, child, parents, ess)
+    assert set(data._family_scores) == {10.0, 5.0}
 
 
 def test_community_blanket_counts_on_one_view(views_built):
@@ -218,11 +270,12 @@ def constant_column_data():
     return DiscreteDataset(["a", "b", "c", "d"], [3, 3, 2, 3], samples)
 
 
-def on_all_rows(monkeypatch, run):
-    """``run()`` with every window and blanket search counting on the dataset."""
+def on_all_rows(monkeypatch, run, data):
+    """``run`` on a copy of ``data``, whose memos start empty, with every
+    window and blanket search counting on all of its rows."""
     with monkeypatch.context() as m:
         m.setattr(DiscreteDataset, "distinct", lambda self, cols: self)
-        return run()
+        return run(data.select(range(data.n_vars)))
 
 
 def learned(data, nodes):
@@ -236,12 +289,13 @@ def test_small_windows_and_a_constant_column(constant_column_data, monkeypatch, 
     data = constant_column_data
     if not nodes:
         # the empty window has a posterior but no structure: a structure needs a node
-        post = on_all_rows(monkeypatch, lambda: exact_order_average(data, nodes))
+        post = on_all_rows(monkeypatch, lambda d: exact_order_average(d, nodes), data)
         assert post.nodes == exact_order_average(data, nodes).nodes == ()
         with pytest.raises(InvalidInput, match="nonempty node set"):
             greedy_learn(data, nodes)
         return
-    assert learned(data, nodes) == on_all_rows(monkeypatch, lambda: learned(data, nodes))
+    assert learned(data, nodes) == on_all_rows(monkeypatch, lambda d: learned(d, nodes),
+                                               data)
 
 
 def test_zero_row_dataset(monkeypatch):
@@ -251,7 +305,7 @@ def test_zero_row_dataset(monkeypatch):
     got = rows.counts((1, 0))
     assert (got.shape, got.dtype, got.sum()) == ((3, 2), np.int64, 0)
     assert bdeu_family_score(rows, 0, (1, 2)) == bdeu_family_score(data, 0, (1, 2)) == 0.0
-    assert learned(data, None) == on_all_rows(monkeypatch, lambda: learned(data, None))
+    assert learned(data, None) == on_all_rows(monkeypatch, lambda d: learned(d, None), data)
     assert learned(data, None)[2] == ()
     with pytest.raises(InvalidInput, match="empty"):
         conditional_mutual_information(rows, 0, 1)
@@ -265,6 +319,7 @@ def test_blankets_with_a_constant_column_and_no_candidates(constant_column_data,
     data = constant_column_data
     g = WeightedGraph(4, {(0, 1): 1.0, (1, 3): 0.5})
     got = community_blanket(data, g, community)
-    assert got == on_all_rows(monkeypatch, lambda: community_blanket(data, g, community))
+    assert got == on_all_rows(monkeypatch, lambda d: community_blanket(d, g, community),
+                              data)
     if community == [2]:  # a lone community with no candidates: a one-column view
         assert got.blankets == {2: frozenset()} and got.expanded == (2,)

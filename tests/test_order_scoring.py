@@ -45,7 +45,7 @@ def pipeline_windows(network: str, seed: int) -> list[dict]:
         a = bound.arguments
         lc = a["config"]
         windows.append(dict(data=a["data"], max_parents=lc.max_parents, ess=lc.ess,
-                            seed=len(windows), nodes=a["nodes"], cache=a["cache"]))
+                            seed=len(windows), nodes=a["nodes"]))
         return real(*args, **kwargs)
 
     mp = pytest.MonkeyPatch()
@@ -77,9 +77,8 @@ def test_exact_average_matches_order_enumeration(data):
     window = data.draw(st.lists(st.integers(0, SMALL.n_vars - 1), min_size=2,
                                 max_size=7, unique=True), label="window")
     max_parents = data.draw(st.integers(0, 3), label="max_parents")
-    got = av.exact_order_average(SMALL, window, max_parents, cache=SMALL_CACHE)
-    want = exact_order_average_by_enumeration(SMALL, window, max_parents,
-                                              cache=SMALL_CACHE)
+    got = av.exact_order_average(SMALL, window, max_parents)
+    want = exact_order_average_by_enumeration(SMALL, window, max_parents)
     assert got.nodes == want.nodes
     assert np.abs(got.matrix - want.matrix).max() <= 1e-9
 
@@ -120,7 +119,7 @@ def test_rescored_terms_equal_a_fresh_walk(data):
     for logz, _ in got:
         total += logz
     assert total == av.order_log_marginal(SMALL, [scorer.nodes[k] for k in order],
-                                          max_parents, cache=SMALL_CACHE)
+                                          max_parents)
 
 
 @settings(max_examples=40, deadline=None)
@@ -129,7 +128,7 @@ def test_rescored_terms_equal_a_fresh_walk(data):
        max_parents=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
 def test_order_mcmc_matches_full_rescoring(window, T, burn_in, thin, max_parents, seed):
     args = dict(T=T, burn_in=burn_in, thin=thin, max_parents=max_parents, seed=seed,
-                nodes=window, cache=SMALL_CACHE)
+                nodes=window)
     got = av.order_mcmc(SMALL, **args)
     want = order_mcmc_reference(SMALL, **args)
     assert got.nodes == want.nodes

@@ -111,6 +111,10 @@ class TestPartition:
         with pytest.raises(InvalidInput):
             Partition(4, communities)
 
+    def test_negative_node_count_rejected(self):
+        with pytest.raises(InvalidInput, match="n must be >= 0, got -3"):
+            Partition(-3, ())
+
     def test_node_repeats_normalized(self):
         p = Partition(4, ((0, 0, 1), (3, 2)))
         assert p.communities == ((0, 1), (2, 3))
@@ -124,7 +128,8 @@ class TestPartition:
     @pytest.mark.parametrize("text, line", [
         ("# nodes 3\n0 1\n1 two\n", 3),
         ("# nodes\n0 1\n", 1),
-        ("# nodes three\n0 1 2\n", 1)])
+        ("# nodes three\n0 1 2\n", 1),
+        ("# nodes -3\n", 1)])
     def test_malformed_file_names_the_line(self, tmp_path, text, line):
         path = tmp_path / "bad.txt"
         path.write_text(text, encoding="utf-8")

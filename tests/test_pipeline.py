@@ -74,7 +74,14 @@ class TestPipelineConfig:
         ({"weight_fns": "MI"}, "non-empty list"),
         ({"weight_fns": []}, "non-empty list"),
         ({"weight_fns": ["MI", "MI_x"]}, "unknown weight function 'MI_x'"),
-    ], ids=["learner", "weight_fns-string", "weight_fns-empty", "weight_fns-entry"])
+        # open() of an int reads that file descriptor and closes it
+        ({"network": 2}, "network must be a path string or null, got 2"),
+        ({"network": 1}, "network must be a path string or null, got 1"),
+        ({"dataset": 0}, "dataset must be a path string or null, got 0"),
+        ({"emit_intermediate": True},
+         "emit_intermediate must be a path string or null, got True"),
+    ], ids=["learner", "weight_fns-string", "weight_fns-empty", "weight_fns-entry",
+            "network-stderr", "network-stdout", "dataset-stdin", "emit_intermediate-bool"])
     def test_bad_name_rejected(self, raw, message):
         with pytest.raises(InvalidInput, match=message):
             PipelineConfig.from_json(json.dumps(raw))
