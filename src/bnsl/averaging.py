@@ -40,7 +40,7 @@ rows, usually far fewer than N, and a window that ``resolve`` re-learns
 finds every family in the memo and codes nothing.
 
 One ``_OrderScorer`` per window is the only code that lists and scores a
-child's parent sets under ``max_parents`` and the subset budget.  The DP
+child's parent sets under ``max_parents`` and ``SUBSET_BUDGET``.  The DP
 reads it once per child for the table above.  For the per-order and
 sampled posteriors and the order marginal it memoizes, by child and a
 bitmask of its predecessors, the log normalizer of the sum above and the
@@ -58,11 +58,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .data import DiscreteDataset, DistinctRows, check_columns, ordered_sum
+from .data import DiscreteDataset, DistinctRows, check_columns, ordered_sum, reading
 from .errors import BudgetExceeded, FamilyTooLarge, InvalidInput, check_number_types
 
-DEFAULT_MAX_CELLS = 2 ** 22
-DEFAULT_SUBSET_BUDGET = 2 ** 20
+MAX_FAMILY_CELLS = 2 ** 22
+SUBSET_BUDGET = 2 ** 20
 # the largest window the DP averages, and so the largest modelavg window;
 # its log Z table then holds 16 * 2^16 floats (8 MB)
 EXACT_MAX_NODES = 16
@@ -169,11 +169,12 @@ class ScoreCache:
 
 
 def bdeu_family_score(data: DiscreteDataset, child: int, parents,
-                      ess: float = 10.0, max_cells: int = DEFAULT_MAX_CELLS) -> float:
+                      ess: float = 10.0) -> float:
     """BDeu log marginal likelihood of one child given a parent set.
 
     Pseudo-counts are ``ess / (q * r)`` per cell, q the number of parent
-    configurations and r the child cardinality.  An empty dataset scores 0.
+    configurations and r the child cardinality.  An empty dataset scores 0,
+    and more than ``MAX_FAMILY_CELLS`` cells raise ``FamilyTooLarge``.
     """
     parents = tuple(sorted(set(int(p) for p in parents)))
     check_columns(data, (child,) + parents)
@@ -184,7 +185,7 @@ def bdeu_family_score(data: DiscreteDataset, child: int, parents,
     cards = data.cardinalities
     r = cards[child]
     q = math.prod(cards[p] for p in parents)
-    if q * r > max_cells:
+    if q * r > MAX_FAMILY_CELLS:
         raise FamilyTooLarge(
             f"family ({child} | {parents}) needs {q * r} count cells")
     counts = data.counts(parents + (child,)).reshape(q, r).astype(np.float64)
@@ -206,21 +207,20 @@ class _OrderScorer:
     ``nodes[k]``, the window's k-th smallest node.  ``parent_sets(c, mask)``
     scores, through the score cache, the parent sets of position c among
     the predecessors in the bitmask ``mask`` (bit k set for position k), up
-    to ``max_parents`` and within the budget.  ``child(c, mask)`` keeps
+    to ``max_parents`` and within ``SUBSET_BUDGET``.  ``child(c, mask)`` keeps
     log Z = log sum_U exp(score(c, U)) over them with the row
     P(j -> c | predecessors), and ``walk`` returns these terms position by
     position: the order marginal adds their log Z from first to last and
     the posterior fills one column per row.
     """
 
-    def __init__(self, cache: ScoreCache, nodes, max_parents: int, budget: int):
+    def __init__(self, cache: ScoreCache, nodes, max_parents: int):
         if max_parents < 0:
             raise InvalidInput(f"max_parents must be >= 0, got {max_parents!r}")
         self.cache = cache
         self.nodes = tuple(sorted(nodes))
         self.pos = {v: a for a, v in enumerate(self.nodes)}
         self.max_parents = max_parents
-        self.budget = budget
         self._memo: dict[tuple[int, int], _Term] = {}
 
     def parent_sets(self, c: int, mask: int) -> tuple[list[tuple[int, ...]], list[float]]:
@@ -229,9 +229,9 @@ class _OrderScorer:
         ps = [k for k in range(len(self.nodes)) if mask >> k & 1]
         top = min(self.max_parents, len(ps))
         total = sum(math.comb(len(ps), s) for s in range(top + 1))
-        if total > self.budget:
+        if total > SUBSET_BUDGET:
             raise BudgetExceeded(f"child {self.nodes[c]}: {total} parent sets "
-                                 f"exceed the budget of {self.budget}")
+                                 f"exceed the budget of {SUBSET_BUDGET}")
         sets = [u for size in range(top + 1) for u in itertools.combinations(ps, size)]
         nodes = self.nodes
         scores = [self.cache.family_score(nodes[c], tuple(nodes[k] for k in u))
@@ -294,8 +294,8 @@ def _resolve(data, nodes, ess) -> tuple[tuple[int, ...], ScoreCache]:
 
 
 def feature_posterior_given_order(data: DiscreteDataset, order,
-                                  max_parents: int = 3, ess: float = 10.0,
-                                  budget: int = DEFAULT_SUBSET_BUDGET) -> EdgePosterior:
+                                  max_parents: int = 3,
+                                  ess: float = 10.0) -> EdgePosterior:
     """Exact edge posteriors conditional on one total order.
 
     ``order`` lists node indices from first (no predecessors) to last; the
@@ -303,18 +303,17 @@ def feature_posterior_given_order(data: DiscreteDataset, order,
     """
     order = tuple(int(v) for v in order)
     _, cache = _resolve(data, order, ess)
-    scorer = _OrderScorer(cache, order, max_parents, budget)
+    scorer = _OrderScorer(cache, order, max_parents)
     return EdgePosterior(scorer.nodes,
                          scorer.posterior([scorer.pos[v] for v in order]))
 
 
 def order_log_marginal(data: DiscreteDataset, order, max_parents: int = 3,
-                       ess: float = 10.0,
-                       budget: int = DEFAULT_SUBSET_BUDGET) -> float:
+                       ess: float = 10.0) -> float:
     """log P(D | order): per-child log-sum over admissible parent sets."""
     order = tuple(int(v) for v in order)
     _, cache = _resolve(data, order, ess)
-    scorer = _OrderScorer(cache, order, max_parents, budget)
+    scorer = _OrderScorer(cache, order, max_parents)
     return scorer.log_marginal([scorer.pos[v] for v in order])
 
 
@@ -341,8 +340,7 @@ def _log_z_table(scorer: _OrderScorer) -> np.ndarray:
 
 
 def exact_order_average(data: DiscreteDataset, nodes=None, max_parents: int = 3,
-                        ess: float = 10.0,
-                        budget: int = DEFAULT_SUBSET_BUDGET) -> EdgePosterior:
+                        ess: float = 10.0) -> EdgePosterior:
     """Average edge posteriors over every order, weighted by exp(marginal).
 
     Exact, by the subset dynamic program of the module docstring, for up
@@ -351,7 +349,7 @@ def exact_order_average(data: DiscreteDataset, nodes=None, max_parents: int = 3,
     nodes, cache = _resolve(data, nodes, ess)
     if len(nodes) > EXACT_MAX_NODES:
         raise InvalidInput(f"exact averaging is limited to {EXACT_MAX_NODES} nodes")
-    scorer = _OrderScorer(cache, nodes, max_parents, budget)
+    scorer = _OrderScorer(cache, nodes, max_parents)
     m = len(scorer.nodes)
     lz = _log_z_table(scorer)
     full = (1 << m) - 1
@@ -392,8 +390,7 @@ def exact_order_average(data: DiscreteDataset, nodes=None, max_parents: int = 3,
 
 def order_mcmc(data: DiscreteDataset, T: int = 100, burn_in: int | None = None,
                thin: int | None = None, max_parents: int = 3, ess: float = 10.0,
-               seed: int = 0, nodes=None,
-               budget: int = DEFAULT_SUBSET_BUDGET) -> EdgePosterior:
+               seed: int = 0, nodes=None) -> EdgePosterior:
     """Metropolis-Hastings over orders; returns the mean edge posterior.
 
     Proposals transpose two uniformly chosen positions and are accepted
@@ -410,7 +407,7 @@ def order_mcmc(data: DiscreteDataset, T: int = 100, burn_in: int | None = None,
         raise InvalidInput("burn_in must be >= 0")
     if thin is not None and thin < 1:
         raise InvalidInput("thin must be >= 1")
-    scorer = _OrderScorer(cache, nodes, max_parents, budget)
+    scorer = _OrderScorer(cache, nodes, max_parents)
     if m == 1:
         return EdgePosterior(scorer.nodes, np.zeros((1, 1)))
     burn_in = 10 * m if burn_in is None else burn_in
@@ -580,7 +577,7 @@ def save_structure(s: LocalStructure, path) -> None:
 def load_structure(path) -> LocalStructure:
     nodes: tuple[int, ...] = ()
     edges = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             try:
                 if line.startswith("# nodes"):
@@ -594,8 +591,8 @@ def load_structure(path) -> LocalStructure:
                     raise ValueError(arrow)
                 edges.append((int(a), int(b)))
             except ValueError as e:
-                raise InvalidInput(f"{path}, line {line_no}: expected '<a> -> <b>' "
+                raise InvalidInput(f"line {line_no}: expected '<a> -> <b>' "
                                    f"or '# nodes <v>...', got {line.strip()!r}") from e
-    if not nodes:
-        nodes = tuple(sorted({v for e in edges for v in e}))
-    return LocalStructure(nodes, tuple(edges))
+        if not nodes:
+            nodes = tuple(sorted({v for e in edges for v in e}))
+        return LocalStructure(nodes, tuple(edges))

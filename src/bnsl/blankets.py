@@ -9,10 +9,11 @@ of the community and its candidates, so each CI test counts the few
 distinct rows of those columns rather than every sample, with the same
 result to the last bit.  Every CMI reads its entropies from the dataset's
 memo, so an entropy that the searches of several communities need is
-computed once per dataset.  Learning windows ("sub-communities") are sampled
-by walking an inner markov graph and padding each core with the blankets
-of its members, which is what lets a community be learned in isolation
-from the rest of the network.
+computed once per dataset; a CMI of more than ``MAX_CMI_CELLS`` cells is
+refused.  Learning windows ("sub-communities") are sampled by walking an
+inner markov graph and padding each core with the blankets of its members,
+which is what lets a community be learned in isolation from the rest of
+the network.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .data import DiscreteDataset, check_columns, ordered_sum
 from .errors import ConditioningSetTooLarge, InvalidInput
 from .weights import WeightedGraph, entropy
 
-DEFAULT_CMI_CELLS = 2 ** 22
+MAX_CMI_CELLS = 2 ** 22
 
 
 def mb_candidates(g: WeightedGraph, x: int) -> frozenset[int]:
@@ -41,8 +42,7 @@ def mb_candidates(g: WeightedGraph, x: int) -> frozenset[int]:
 
 
 def conditional_mutual_information(data: DiscreteDataset, x: int, y: int,
-                                   z: Sequence[int] = (),
-                                   max_cells: int = DEFAULT_CMI_CELLS) -> float:
+                                   z: Sequence[int] = ()) -> float:
     """CMI(X; Y | Z) in nats, as H(ZX) + H(ZY) - H(ZXY) - H(Z), Z sorted.
 
     The four entropies come from the entropy memo of one dataset, shared by
@@ -52,7 +52,7 @@ def conditional_mutual_information(data: DiscreteDataset, x: int, y: int,
     miss the (Z, X, Y) table is counted once and only the missing entries
     are filled from it and its marginals, so every value equals the one
     computed without the memo.  A stand-in without a memo computes all four.
-    Every input check runs before the memo is read.
+    Every input check, ``MAX_CMI_CELLS`` too, runs before the memo is read.
     """
     if data.n_rows == 0:
         raise InvalidInput("dataset is empty")
@@ -62,7 +62,7 @@ def conditional_mutual_information(data: DiscreteDataset, x: int, y: int,
         raise InvalidInput("x, y and z must be disjoint")
     cards = data.cardinalities
     cells = math.prod(cards[v] for v in z + (x, y))
-    if cells > max_cells:
+    if cells > MAX_CMI_CELLS:
         raise ConditioningSetTooLarge(
             f"CMI({x}; {y} | {z}) needs {cells} count cells")
     memo = getattr(data, "_entropies", {})

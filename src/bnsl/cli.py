@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .averaging import load_structure, save_structure
-from .data import forward_sample, load_dataset, load_network, save_dataset
+from .data import forward_sample, load_dataset, load_network, reading, save_dataset
 from .errors import InvalidInput, PipelineStageError
 from .evaluate import partition_diagnostics, score_structure
 from .partition import consensus_partition, load_partition, save_partition
@@ -41,10 +41,10 @@ def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
 
 
 def _config(args: argparse.Namespace) -> PipelineConfig:
+    cfg = PipelineConfig()
     if args.config:
-        cfg = PipelineConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
-    else:
-        cfg = PipelineConfig()
+        with reading(args.config) as fh:
+            cfg = PipelineConfig.from_json(fh.read())
     # a flag given on the command line overrides the config field it is named after
     return replace(cfg, **{k: v for k, v in vars(args).items()
                            if k in PipelineConfig.__dataclass_fields__ and v is not None})
@@ -61,10 +61,11 @@ def _write_json(obj: dict, path: str | None) -> None:
 def _load_pool(path: str) -> list:
     """The structures of a ``{"structures": [...]}`` file from ``bnsl learn``;
     a malformed file raises ``InvalidInput`` naming it and any malformed entry."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise InvalidInput(f"{path}: not valid JSON: {e}") from e
+    with reading(path) as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise InvalidInput(f"not valid JSON: {e}") from e
     if not isinstance(raw, dict) or "structures" not in raw:
         raise InvalidInput(f"{path}: missing 'structures'")
     if not isinstance(raw["structures"], list):

@@ -28,6 +28,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Sequence
@@ -48,6 +49,31 @@ def ordered_sum(values: Iterable[float]) -> float:
     used: from Python 3.12 it compensates float rounding, so its result
     can differ in the last bit between Python versions."""
     return reduce(operator.add, values, 0.0)
+
+
+def _row_codes(digits: Sequence[np.ndarray], radices: Sequence[int], n: int) -> np.ndarray:
+    """Row k of ``digits`` as one int64 in mixed radix ``radices``, first column
+    slowest, by a loop: ``np.ravel_multi_index`` is slower on long columns."""
+    if not digits:
+        return np.zeros(n, dtype=np.int64)
+    code = np.asarray(digits[0], dtype=np.int64)
+    for d, r in zip(digits[1:], radices[1:]):
+        code = code * r + d
+    return code
+
+
+@contextmanager
+def reading(path):
+    """``path`` opened as UTF-8 text; a ``ValueError`` raised while it is open,
+    a decode error too, raises ``InvalidInput`` with the path as a prefix."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except InvalidInput as e:  # keeps its class and attributes
+            e.args = (f"{path}: {e}",)
+            raise
+        except ValueError as e:
+            raise InvalidInput(f"{path}: {e}") from e
 
 
 def check_columns(data, cols: Iterable[int]) -> None:
@@ -210,13 +236,9 @@ class DiscreteDataset:
     def counts(self, cols: Sequence[int]) -> np.ndarray:
         """Contingency table of ``cols`` (at least one column), shaped by their
         cardinalities: entry ``[s0, s1, ...]`` counts the rows with column
-        ``cols[k]`` in state ``s_k``.  Rows are coded in mixed radix, first
-        column slowest, and the codes counted by one int64 ``np.bincount``
-        over all N rows."""
+        ``cols[k]`` in state ``s_k``, by one ``np.bincount`` of the row codes."""
         shape = tuple(self.cardinalities[c] for c in cols)
-        code = self.column(cols[0]).astype(np.int64)
-        for c, r in zip(cols[1:], shape[1:]):
-            code = code * r + self.column(c)
+        code = _row_codes([self.column(c) for c in cols], shape, self.n_rows)
         return np.bincount(code, minlength=math.prod(shape)).reshape(shape)
 
     def distinct(self, cols: Sequence[int]) -> "DistinctRows | DiscreteDataset":
@@ -231,9 +253,7 @@ class DiscreteDataset:
         size = math.prod(shape)
         if size > np.iinfo(np.int64).max:
             return self
-        code = np.zeros(self.n_rows, dtype=np.int64)
-        for c, r in zip(cols, shape):
-            code = code * r + self.column(c)
+        code = _row_codes([self.column(c) for c in cols], shape, self.n_rows)
         if size <= self.n_rows:  # a table no larger than the code array
             mult = np.bincount(code, minlength=size)
             rows = np.flatnonzero(mult)
@@ -294,9 +314,7 @@ class DistinctRows:
     def counts(self, cols: Sequence[int]) -> np.ndarray:
         """:meth:`DiscreteDataset.counts` of ``cols``, from the distinct rows."""
         shape = tuple(self.cardinalities[c] for c in cols)
-        code = self.digits[cols[0]]
-        for c, r in zip(cols[1:], shape[1:]):
-            code = code * r + self.digits[c]
+        code = _row_codes([self.digits[c] for c in cols], shape, len(self.weights))
         return np.bincount(code, self.weights, math.prod(shape)).astype(
             np.int64).reshape(shape)
 
@@ -445,19 +463,14 @@ def serialize_network(net: GroundTruthNet) -> str:
         pars = net.parents_of(i)
         dims = [len(net.states[p]) for p in pars]
         for cfg in range(net.cpts[i].shape[0]):
-            labels = []
-            rem = cfg
-            for d in reversed(range(len(pars))):
-                labels.append(net.states[pars[d]][rem % dims[d]])
-                rem //= dims[d]
-            labels.reverse()
+            labels = [net.states[p][k] for p, k in zip(pars, np.unravel_index(cfg, dims))]
             probs = " ".join(repr(float(v)) for v in net.cpts[i][cfg])
             out.append(f"cpt {name} | " + " ".join(labels) + " : " + probs)
     return "\n".join(out) + "\n"
 
 
 def load_network(path) -> GroundTruthNet:
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path) as fh:
         return parse_network(fh.read())
 
 
@@ -479,9 +492,7 @@ def forward_sample(net: GroundTruthNet, n: int, seed: int) -> DiscreteDataset:
     out = np.zeros((n, net.n_vars), dtype=np.int32, order="F")
     for i in net.topological_order():
         pars = net.parents_of(i)
-        cfg = np.zeros(n, dtype=np.int64)
-        for p in pars:
-            cfg = cfg * cards[p] + out[:, p]
+        cfg = _row_codes([out[:, p] for p in pars], [cards[p] for p in pars], n)
         cdf = np.cumsum(net.cpts[i], axis=1)
         u = rng.random(n)
         # the state is the number of CDF steps before the last at or below u:
@@ -549,7 +560,7 @@ def load_dataset(path) -> DiscreteDataset:
     line; a file without one gets the max observed state + 1, and at least
     2, so a constant column loads."""
     cardinalities = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path) as fh:
         header = fh.readline().rstrip("\n")
         if not header:
             raise InvalidInput("dataset file is empty")
@@ -561,10 +572,10 @@ def load_dataset(path) -> DiscreteDataset:
             try:
                 cardinalities = tuple(int(k) for k in fields)
             except ValueError as e:
-                raise InvalidInput(f"{path}: cardinalities must be integers, "
+                raise InvalidInput("cardinalities must be integers, "
                                    f"got {line.strip()!r}") from e
             if len(cardinalities) != len(names):
-                raise InvalidInput(f"{path}: {len(cardinalities)} cardinalities "
+                raise InvalidInput(f"{len(cardinalities)} cardinalities "
                                    f"for {len(names)} variables")
             start = fh.tell()
             line = fh.readline()
@@ -575,14 +586,11 @@ def load_dataset(path) -> DiscreteDataset:
             line = fh.readline()
         if line:
             fh.seek(start)
-            try:
-                body = np.loadtxt(fh, dtype=np.int64, delimiter="\t", ndmin=2)
-            except ValueError as e:
-                raise InvalidInput(f"{path}: {e}") from e
+            body = np.loadtxt(fh, dtype=np.int64, delimiter="\t", ndmin=2)
         else:
             body = np.empty((0, len(names)), dtype=np.int64)
-    if cardinalities is None:
-        if body.shape[0] == 0:
-            raise InvalidInput("cannot infer cardinalities from an empty dataset")
-        cardinalities = tuple(max(2, int(body[:, j].max()) + 1) for j in range(len(names)))
-    return DiscreteDataset(names, cardinalities, body)
+        if cardinalities is None:
+            if body.shape[0] == 0:
+                raise InvalidInput("cannot infer cardinalities from an empty dataset")
+            cardinalities = tuple(max(2, int(body[:, j].max()) + 1) for j in range(len(names)))
+        return DiscreteDataset(names, cardinalities, body)

@@ -10,7 +10,7 @@ to compare arcs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .averaging import LocalStructure
 from .data import GroundTruthNet
@@ -40,11 +40,7 @@ class EvalReport:
     directed: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp, "fp": self.fp, "fn": self.fn,
-            "precision": self.precision, "recall": self.recall,
-            "f_score": self.f_score, "directed": self.directed,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

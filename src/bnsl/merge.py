@@ -3,14 +3,14 @@
 Structures learned on overlapping node sets are combined in three layers:
 :func:`combine_structures` unions the edge sets of several structures (a
 community's sub-structures, or two pool entries), :func:`resolve`
-re-learns tightly connected triangles to repair edges that blanket
-isolation may have distorted, and the community pool is folded together
-pairwise, always merging the two structures with the largest node-set
-Jaccard similarity.  A merge round combines the pair's edges once; when
-the two node sets overlap, it hands the result to one :func:`resolve` on
-the weight subgraph of the overlap and its neighbours in the combined
-edges, so triangles are re-learned there and every other edge passes
-through.  Each pair's rank is computed once, when the later of its two
+re-learns the triangles above the elbow of its weight subgraph to repair
+edges that blanket isolation may have distorted, and the community pool
+is folded together pairwise, always merging the two structures with the
+largest node-set Jaccard similarity.  A merge round combines the pair's
+edges once; when the two node sets overlap, it hands the result to one
+:func:`resolve` on the weight subgraph of the overlap and its neighbours
+in the combined edges, so triangles are re-learned there and every other
+edge passes through.  Each pair's rank is computed once, when the later of its two
 structures enters the pool, so a pool of n structures costs (n - 1)^2
 Jaccard evaluations.  An entry's node set is built once, as it enters, so
 each evaluation is one set intersection; the union's size follows from
@@ -111,15 +111,14 @@ def collect_triplets(g: WeightedGraph, t_tri: float) -> TripletGraph:
 
 
 def resolve(structure: LocalStructure, g: WeightedGraph, data: DiscreteDataset,
-            config: LearnerConfig, t_tri: float | None = None,
-            windows: list | None = None) -> LocalStructure:
+            config: LearnerConfig, windows: list | None = None) -> LocalStructure:
     """Re-learn tightly coupled triangles of the structure's neighborhood.
 
     Triplets are collected from the weight subgraph induced by the
-    structure's nodes (``t_tri`` defaults to that subgraph's elbow
-    threshold), clustered with link communities, and each cluster is
-    re-learned with the configured learner; edges inside a cluster are
-    replaced by the re-learned ones, everything else passes through.
+    structure's nodes, above that subgraph's elbow threshold (an edge at the
+    elbow is in no triangle), clustered with link communities, and each
+    cluster is re-learned with the configured learner; edges inside a
+    cluster are replaced by the re-learned ones, everything else passes through.
     Never introduces an edge between nodes sharing neither a cluster nor a
     prior edge.  The size of each re-learned cluster is appended to
     ``windows`` when a list is supplied.
@@ -127,9 +126,7 @@ def resolve(structure: LocalStructure, g: WeightedGraph, data: DiscreteDataset,
     sub = g.subgraph(structure.nodes)
     if sub.m == 0:
         return structure
-    if t_tri is None:
-        t_tri = elbow_threshold([sub.weight(*e) for e in sub.edges()])
-    trip = collect_triplets(sub, t_tri)
+    trip = collect_triplets(sub, elbow_threshold([sub.weight(*e) for e in sub.edges()]))
     clusters = [set(c) for c in link_communities(trip.graph).communities if len(c) > 1]
     if not clusters:
         return structure

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DiscreteDataset, ordered_sum
+from .data import DiscreteDataset, ordered_sum, reading
 from .errors import InvalidInput
 from .weights import (WEIGHT_FUNCTIONS, PairStats, WeightedGraph, elbow_truncate,
                       pair_stats, weight_matrix)
@@ -312,7 +312,7 @@ def save_partition(p: Partition, path) -> None:
 def load_partition(path) -> Partition:
     n = None
     comms = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             try:
                 if line.startswith("# nodes"):
@@ -324,8 +324,8 @@ def load_partition(path) -> Partition:
                 if line:
                     comms.append(tuple(int(t) for t in line.split()))
             except (ValueError, IndexError) as e:
-                raise InvalidInput(f"{path}, line {line_no}: expected '# nodes <n>' with "
+                raise InvalidInput(f"line {line_no}: expected '# nodes <n>' with "
                                    f"n >= 0 or node indices, got {line.strip()!r}") from e
-    if n is None:
-        n = 1 + max(v for c in comms for v in c) if comms else 0
-    return Partition(n, tuple(comms))
+        if n is None:
+            n = 1 + max(v for c in comms for v in c) if comms else 0
+        return Partition(n, tuple(comms))

@@ -45,7 +45,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import DiscreteDataset, check_columns
+from .data import DiscreteDataset, check_columns, reading
 from .errors import InvalidInput
 
 WEIGHT_FUNCTIONS = ("MI", "MI_plus", "MI_sqrt", "MI_pr", "MI_sn", "Pearson", "Pearson_sn")
@@ -344,10 +344,10 @@ def save_weighted_graph(g: WeightedGraph, path) -> None:
 
 
 def load_weighted_graph(path) -> WeightedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path) as fh:
         header = fh.readline().split()
         if len(header) != 2 or header[0] != "nodes" or not header[1].isdecimal():
-            raise InvalidInput(f"{path}, line 1: expected a 'nodes <n>' header")
+            raise InvalidInput("line 1: expected a 'nodes <n>' header")
         g = WeightedGraph(int(header[1]))
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
@@ -356,12 +356,12 @@ def load_weighted_graph(path) -> WeightedGraph:
                 i, j, w = line.split()
                 i, j, w = int(i), int(j), float(w)
             except ValueError as e:
-                raise InvalidInput(f"{path}, line {line_no}: expected '<i> <j> <weight>', "
+                raise InvalidInput(f"line {line_no}: expected '<i> <j> <weight>', "
                                    f"got {line.strip()!r}") from e
             try:
                 if g.has_edge(i, j):
                     raise InvalidInput(f"pair ({i}, {j}) is listed twice")
                 g.add_edge(i, j, w)
             except InvalidInput as e:
-                raise InvalidInput(f"{path}, line {line_no}: {e}") from e
+                raise InvalidInput(f"line {line_no}: {e}") from e
     return g

@@ -494,8 +494,7 @@ def naive_merge_sequence(keys):
 
 def order_mcmc_reference(data, T: int = 100, burn_in: int | None = None,
                          thin: int | None = None, max_parents: int = 3,
-                         ess: float = 10.0, seed: int = 0, nodes=None,
-                         budget: int = 2 ** 20):
+                         ess: float = 10.0, seed: int = 0, nodes=None):
     """The transposition chain of ``order_mcmc``, rescoring whole orders.
 
     Same random stream and acceptance rule as the library, but the memo is
@@ -507,7 +506,7 @@ def order_mcmc_reference(data, T: int = 100, burn_in: int | None = None,
     """
     from scipy.special import logsumexp
 
-    from bnsl.averaging import EdgePosterior, ScoreCache
+    from bnsl.averaging import SUBSET_BUDGET, EdgePosterior, ScoreCache
 
     cache = ScoreCache(data, ess)
     nodes = tuple(sorted(range(data.n_vars) if nodes is None else nodes))
@@ -521,7 +520,7 @@ def order_mcmc_reference(data, T: int = 100, burn_in: int | None = None,
             ps = sorted(preds)
             top = min(max_parents, len(ps))
             total = sum(math.comb(len(ps), s) for s in range(top + 1))
-            if total > budget:
+            if total > SUBSET_BUDGET:
                 raise ValueError(f"child {c}: {total} parent sets over budget")
             sets = [u for size in range(top + 1)
                     for u in itertools.combinations(ps, size)]
@@ -574,8 +573,7 @@ def order_mcmc_reference(data, T: int = 100, burn_in: int | None = None,
 # ---------------------------------------------------------------------------
 
 def exact_order_average_by_enumeration(data, nodes=None, max_parents: int = 3,
-                                       ess: float = 10.0,
-                                       budget: int = 2 ** 20):
+                                       ess: float = 10.0):
     """Edge posteriors averaged over all m! orders, weighted by exp(marginal).
 
     Each order is walked through the library's ``_OrderScorer``, whose
@@ -586,7 +584,7 @@ def exact_order_average_by_enumeration(data, nodes=None, max_parents: int = 3,
 
     cache = ScoreCache(data, ess)
     nodes = tuple(range(data.n_vars)) if nodes is None else tuple(nodes)
-    scorer = _OrderScorer(cache, nodes, max_parents, budget)
+    scorer = _OrderScorer(cache, nodes, max_parents)
     perms = list(itertools.permutations(range(len(nodes))))
     logw = np.array([scorer.log_marginal(o) for o in perms])
     w = np.exp(logw - logsumexp(logw))

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import bnsl.averaging as av
+import bnsl.blankets
+import bnsl.merge
 from bnsl.averaging import (EXACT_MAX_NODES, EdgePosterior, LearnerConfig,
                             LocalStructure, ScoreCache, bdeu_family_score,
                             exact_order_average,
@@ -74,9 +76,11 @@ class TestBdeuFamilyScore:
         with pytest.raises(InvalidInput):
             bdeu_family_score(chain_data, 1, (1,))
 
-    def test_family_too_large(self, chain_data):
-        with pytest.raises(FamilyTooLarge):
-            bdeu_family_score(chain_data, 0, (1, 2), max_cells=4)
+    def test_family_too_large(self, chain_data, monkeypatch):
+        monkeypatch.setattr(av, "MAX_FAMILY_CELLS", 4)
+        with pytest.raises(FamilyTooLarge, match=r"\(0 \| \(1, 2\)\) needs 8 count cells"):
+            bdeu_family_score(chain_data, 0, (1, 2))
+        assert np.isfinite(bdeu_family_score(chain_data, 0, (1,)))
 
     @pytest.mark.parametrize("ess", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("score", [
@@ -141,9 +145,10 @@ class TestOrderPosteriors:
             assert order_log_marginal(data, order, max_parents=k) == \
                 pytest.approx(total, abs=1e-9)
 
-    def test_budget_exceeded(self, chain_data):
-        with pytest.raises(BudgetExceeded):
-            feature_posterior_given_order(chain_data, [0, 1, 2], budget=2)
+    def test_budget_exceeded(self, chain_data, monkeypatch):
+        monkeypatch.setattr(av, "SUBSET_BUDGET", 2)
+        with pytest.raises(BudgetExceeded, match="child 2: 4 parent sets exceed the budget of 2"):
+            feature_posterior_given_order(chain_data, [0, 1, 2])
 
 
 class TestExactOrderAverage:
@@ -178,14 +183,25 @@ class TestExactOrderAverage:
         assert exact_order_average(chain_data, nodes=[2]).matrix.tolist() == [[0.0]]
 
 
+def test_limits_are_constants_that_no_function_takes():
+    assert (av.SUBSET_BUDGET, av.MAX_FAMILY_CELLS, bnsl.blankets.MAX_CMI_CELLS) == \
+        (2 ** 20, 2 ** 22, 2 ** 22)
+    for fn in (exact_order_average, order_mcmc, feature_posterior_given_order,
+               order_log_marginal, av._OrderScorer.__init__, bdeu_family_score,
+               bnsl.blankets.conditional_mutual_information, bnsl.merge.resolve):
+        assert not {"budget", "max_cells", "t_tri"} & set(inspect.signature(fn).parameters)
+
+
 @pytest.mark.parametrize("engine", [exact_order_average, order_mcmc])
 class TestLimitsOfBothEngines:
     """The exact and the sampled average refuse the same windows."""
 
-    def test_budget_exceeded(self, engine, chain_data):
+    def test_budget_exceeded(self, engine, chain_data, monkeypatch):
+        monkeypatch.setattr(av, "SUBSET_BUDGET", 3)
         with pytest.raises(BudgetExceeded, match="4 parent sets exceed the budget of 3"):
-            engine(chain_data, budget=3)  # 4 parent sets per child
-        engine(chain_data, budget=4)
+            engine(chain_data)  # 4 parent sets per child
+        monkeypatch.setattr(av, "SUBSET_BUDGET", 4)
+        engine(chain_data)
 
     def test_family_too_large(self, engine):
         # 60^4 count cells for a child with three parents, 60^3 with two

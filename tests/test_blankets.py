@@ -56,10 +56,12 @@ class TestConditionalMutualInformation:
         screened = conditional_mutual_information(chain_data, 0, 2, [1])
         assert screened < raw / 5
 
-    def test_cell_budget_enforced(self, chain_data):
-        with pytest.raises(ConditioningSetTooLarge):
-            conditional_mutual_information(chain_data, 0, 1, [2],
-                                           max_cells=4)
+    def test_cell_budget_enforced(self, chain_data, monkeypatch):
+        monkeypatch.setattr(bnsl.blankets, "MAX_CMI_CELLS", 4)
+        with pytest.raises(ConditioningSetTooLarge,
+                           match=r"CMI\(0; 1 \| \(2,\)\) needs 8 count cells"):
+            conditional_mutual_information(chain_data, 0, 1, [2])
+        assert conditional_mutual_information(chain_data, 0, 1) > 0.0
 
 
 @pytest.fixture
@@ -106,12 +108,13 @@ class TestEntropyMemo:
         conditional_mutual_information(data, 1, 0, [2, 3])
         assert len(tables_counted) == 2
 
-    def test_checks_run_after_a_memo_hit(self):
+    def test_checks_run_after_a_memo_hit(self, monkeypatch):
         data = random_dataset(np.random.default_rng(6), 200, [2, 3, 2, 3])
         for _ in range(2):
             conditional_mutual_information(data, 0, 1, [2])
+        monkeypatch.setattr(bnsl.blankets, "MAX_CMI_CELLS", 11)
         with pytest.raises(ConditioningSetTooLarge):
-            conditional_mutual_information(data, 0, 1, [2], max_cells=11)
+            conditional_mutual_information(data, 0, 1, [2])
         for x, y, z in ((0, 1, [1, 2]), (0, 0, [2]), (1, 1, ())):
             with pytest.raises(InvalidInput, match="disjoint"):
                 conditional_mutual_information(data, x, y, z)

@@ -1,13 +1,18 @@
 """Command line interface, driven in process through main(argv)."""
 
+import argparse
 import json
 import math
 
 import pytest
 
+from bnsl import cli
+from bnsl.averaging import load_structure
 from bnsl.cli import main
 from bnsl.data import forward_sample, load_dataset, load_network, save_network
+from bnsl.errors import InvalidInput, NetworkFormatError
 from bnsl.partition import load_partition
+from bnsl.weights import load_weighted_graph
 
 from conftest import NETWORKS_DIR, chain3
 
@@ -206,6 +211,54 @@ def test_merge_structures_file_that_is_not_json_is_named(workdir, tmp_path, caps
     assert main(["merge", "--dataset", str(workdir / "data.tsv"),
                  "--structures", str(structures), "--out", str(tmp_path / "m.edges")]) == 1
     assert f"{structures}: not valid JSON: " in capsys.readouterr().err
+
+
+NOT_UTF8 = b"\xff\xfe\x00a"
+DECODE = "'utf-8' codec can't decode byte 0xff in position 0"
+NO_CPT = b"var a 2 x y\nvar b 2 x y\narc a b\ncpt a : 0.5 0.5\n"
+
+
+# each reader, a file it cannot read, the error's class, line and message
+# after the path, and the command line that reaches the reader, if one does
+@pytest.mark.parametrize("read, content, error, line, message, argv", [
+    (load_dataset, NOT_UTF8, InvalidInput, None, DECODE,
+     ["partition", "--dataset", "{bad}", "--out", "{tmp}/p.txt"]),
+    (load_dataset, b"", InvalidInput, None, "dataset file is empty",
+     ["partition", "--dataset", "{bad}", "--out", "{tmp}/p.txt"]),
+    (load_network, NOT_UTF8, InvalidInput, None, DECODE,
+     ["sample", "--network", "{bad}", "--out", "{tmp}/d.tsv"]),
+    (load_network, NO_CPT, NetworkFormatError, None, "'b' needs 2 cpt rows, got 0",
+     ["sample", "--network", "{bad}", "--out", "{tmp}/d.tsv"]),
+    (load_network, b"var a 2 x\n", NetworkFormatError, 1,
+     "line 1: expected 2 distinct state labels", None),
+    (load_partition, NOT_UTF8, InvalidInput, None, DECODE,
+     ["learn", "--dataset", "{data}", "--partition", "{bad}", "--out", "{tmp}/s.json"]),
+    (load_partition, b"# nodes 3\n0 1\n", InvalidInput, None,
+     "communities must cover every node",
+     ["learn", "--dataset", "{data}", "--partition", "{bad}", "--out", "{tmp}/s.json"]),
+    (load_structure, NOT_UTF8, InvalidInput, None, DECODE,
+     ["evaluate", "--learned", "{bad}", "--network", "{net}"]),
+    (load_weighted_graph, NOT_UTF8, InvalidInput, None, DECODE, None),
+    (cli._load_pool, NOT_UTF8, InvalidInput, None, DECODE,
+     ["merge", "--dataset", "{data}", "--structures", "{bad}", "--out", "{tmp}/m.edges"]),
+    (lambda path: cli._config(argparse.Namespace(config=path)), NOT_UTF8, InvalidInput,
+     None, DECODE, ["pipeline", "--config", "{bad}"])],
+    ids=["dataset", "empty_dataset", "network", "network_without_cpt", "network_line",
+         "partition", "partition_not_covering", "structure", "weighted_graph",
+         "structures_json", "config"])
+def test_reader_names_the_file(workdir, tmp_path, capsys, read, content, error, line,
+                               message, argv):
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    with pytest.raises(InvalidInput) as e:
+        read(str(bad))
+    assert type(e.value) is error and getattr(e.value, "line", None) == line
+    assert str(e.value).startswith(f"{bad}: {message}")
+    if argv:
+        fill = dict(bad=bad, tmp=tmp_path, data=workdir / "data.tsv",
+                    net=workdir / "chain.net")
+        assert main([a.format(**fill) for a in argv]) == 1
+        assert f"stage '{argv[0]}' failed: {bad}: {message}" in capsys.readouterr().err
 
 
 def test_diagnose_subcommand(workdir, capsys):

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bnsl.averaging as av
+import bnsl.data
 from bnsl.averaging import (ScoreCache, bdeu_family_score, exact_order_average,
                             greedy_learn)
 from bnsl.blankets import community_blanket, conditional_mutual_information
@@ -126,6 +127,22 @@ def test_distinct_rows_equal_np_unique():
             np.testing.assert_array_equal(view.weights, mult.astype(np.float64))
             assert view.weights.dtype == np.float64
     assert counted == {True, False}  # both branches ran
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_row_codes_equal_ravel_multi_index(data):
+    # the one row encoder of counts, distinct, DistinctRows and forward_sample,
+    # on int32 columns as a dataset holds them and int64 digits as a view does
+    n = data.draw(st.integers(0, 30), label="rows")
+    radices = data.draw(st.lists(st.integers(2, 60), min_size=1, max_size=8), label="radices")
+    dtype = data.draw(st.sampled_from([np.int32, np.int64]), label="dtype")
+    digits = [np.array(data.draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n)),
+                       dtype=dtype) for r in radices]
+    got = bnsl.data._row_codes(digits, radices, n)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, np.ravel_multi_index(digits, radices))
+    np.testing.assert_array_equal(bnsl.data._row_codes([], [], n), np.zeros(n))
 
 
 THREE_COLUMNS = DiscreteDataset(["a", "b", "c"], [2, 3, 2],

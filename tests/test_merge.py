@@ -136,33 +136,39 @@ class TestResolve:
         g.add_edge(0, 1, 1.0)
         g.add_edge(1, 2, 0.9)
         s = LocalStructure((0, 1, 2), ((0, 1), (1, 2)), {})
-        out = resolve(s, g, chain_data, LearnerConfig(learner="greedy"),
-                      t_tri=0.5)
+        out = resolve(s, g, chain_data, LearnerConfig(learner="greedy"))
         assert out is s
+
+    @staticmethod
+    def _graph():
+        # the elbow of these weights is 0.85, and a triangle needs all three
+        # weights strictly above it, so {0, 1, 2} is the only cluster
+        g = WeightedGraph(4)
+        for (a, b), w in (((0, 1), 1.0), ((1, 2), 0.95), ((0, 2), 0.9),
+                          ((2, 3), 0.85), ((0, 3), 0.1)):
+            g.add_edge(a, b, w)
+        return g
 
     def test_spurious_triangle_edge_removed(self, chain_data):
         # data follow a chain a -> b -> c; the structure carries an extra
         # 0 -> 2 edge inside a tight triangle, which re-learning drops
-        g = WeightedGraph(3)
-        g.add_edge(0, 1, 1.0)
-        g.add_edge(1, 2, 0.9)
-        g.add_edge(0, 2, 0.8)
-        s = LocalStructure((0, 1, 2), ((0, 1), (1, 2), (0, 2)),
+        s = LocalStructure((0, 1, 2, 3), ((0, 1), (1, 2), (0, 2)),
                            {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0})
-        out = resolve(s, g, chain_data, LearnerConfig(learner="greedy"),
-                      t_tri=0.5)
+        windows = []
+        out = resolve(s, self._graph(), chain_data, LearnerConfig(learner="greedy"),
+                      windows=windows)
+        assert windows == [3]
         assert out.skeleton() == {frozenset({0, 1}), frozenset({1, 2})}
-        assert out.nodes == (0, 1, 2)
+        assert out.nodes == (0, 1, 2, 3)
 
     def test_edges_outside_clusters_pass_through(self, chain_data):
-        g = WeightedGraph(4)
-        g.add_edge(0, 1, 1.0)
-        g.add_edge(1, 2, 0.9)
-        g.add_edge(0, 2, 0.8)
         s = LocalStructure((0, 1, 2, 3), ((0, 1), (1, 2), (0, 2), (3, 0)),
                            {(3, 0): 0.42})
-        out = resolve(s, g, chain_data, LearnerConfig(learner="greedy"),
-                      t_tri=0.5)
+        windows = []
+        out = resolve(s, self._graph(), chain_data, LearnerConfig(learner="greedy"),
+                      windows=windows)
+        assert windows == [3]
+        assert (0, 2) not in out.edges
         assert (3, 0) in out.edges
         assert out.support[(3, 0)] == pytest.approx(0.42)
 
