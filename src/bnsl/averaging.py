@@ -29,12 +29,12 @@ parent j with probability 1 - Z(c, S - j) / Z(c, S), so
 
 This takes O(m^2 2^m) time and m 2^m floats for a window of m nodes.
 
-Every learner here scores its families through ``ScoreCache.window`` of
-its nodes.  The window shares the dataset's memo for ``ess`` with every
-other window on that dataset and, at its first miss, codes its columns
-once into their distinct rows (``DiscreteDataset.distinct``); each miss
-is then counted on those rows, weighted by how many samples share each,
-which gives the full sample's score to the last bit.  A window of m
+Every learner call scores its families through one ``ScoreCache``: the
+window of its nodes.  The window shares the dataset's memo for ``ess``
+with every other window on that dataset and, at its first miss, codes its
+columns once into their distinct rows (``DiscreteDataset.distinct``); each
+miss is then counted on those rows, weighted by how many samples share
+each, which gives the full sample's score to the last bit.  A window of m
 columns over N samples has at most min(N, prod of cardinalities) distinct
 rows, usually far fewer than N, and a window that ``resolve`` re-learns
 finds every family in the memo and codes nothing.
@@ -50,7 +50,6 @@ whole at one memo lookup per position.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -58,8 +57,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .data import DiscreteDataset, DistinctRows, check_columns, ordered_sum, reading
-from .errors import BudgetExceeded, FamilyTooLarge, InvalidInput, check_number_types
+from .data import DiscreteDataset, check_columns, ordered_sum, reading
+from .errors import (BudgetExceeded, FamilyTooLarge, InvalidInput, check_number,
+                     check_number_types)
 
 MAX_FAMILY_CELLS = 2 ** 22
 SUBSET_BUDGET = 2 ** 20
@@ -134,37 +134,34 @@ class LocalStructure:
 
 
 class ScoreCache:
-    """BDeu family scores by (child, parent set) on one dataset and ``ess``,
-    read from and added to the dataset's memo for that ``ess``.
+    """BDeu family scores by (child, parent set) within the window ``nodes``
+    of one dataset (every column when None; kept sorted), read from and
+    added to the dataset's memo for ``ess``.  A miss is counted on the
+    distinct rows of the window, built at the first miss; a family outside
+    the window then raises ``InvalidInput``."""
 
-    ``window(nodes)`` is a cache on the same memo whose misses are counted
-    on the distinct rows of the window's columns, built at its first miss;
-    the learners score every family through such a window.
-    """
-
-    def __init__(self, data: DiscreteDataset, ess: float = 10.0):
+    def __init__(self, data: DiscreteDataset, ess: float = 10.0, nodes=None):
         if not 0 < ess < math.inf:  # NaN too
             raise InvalidInput(f"ess must be finite and > 0, got {ess!r}")
+        nodes = range(data.n_vars) if nodes is None else tuple(int(v) for v in nodes)
+        if len(set(nodes)) != len(nodes):
+            raise InvalidInput("duplicate nodes")
+        for v in nodes:
+            if not 0 <= v < data.n_vars:
+                raise InvalidInput(f"node {v} outside 0..{data.n_vars - 1}")
         self.data = data
         self.ess = float(ess)
+        self.nodes = tuple(sorted(nodes))
         self._scores = data._family_scores.setdefault(self.ess, {})
-        self._window: tuple[int, ...] | None = None
-        self._rows: DiscreteDataset | DistinctRows | None = data
-
-    def window(self, nodes) -> "ScoreCache":
-        """A cache sharing this memo, for families within ``nodes``."""
-        w = copy.copy(self)
-        w._window, w._rows = tuple(nodes), None
-        return w
+        self._rows = None
 
     def family_score(self, child: int, parents) -> float:
         key = (child, tuple(sorted(parents)))
         got = self._scores.get(key)
         if got is None:
             if self._rows is None:
-                self._rows = self.data.distinct(self._window)
-            got = bdeu_family_score(self._rows, child, key[1], self.ess)
-            self._scores[key] = got
+                self._rows = self.data.distinct(self.nodes)
+            got = self._scores[key] = bdeu_family_score(self._rows, child, key[1], self.ess)
         return got
 
 
@@ -204,21 +201,20 @@ class _OrderScorer:
     """Order scores of one learning window, memoized by (child, predecessors).
 
     Orders here are sequences of window positions: position k stands for
-    ``nodes[k]``, the window's k-th smallest node.  ``parent_sets(c, mask)``
-    scores, through the score cache, the parent sets of position c among
-    the predecessors in the bitmask ``mask`` (bit k set for position k), up
-    to ``max_parents`` and within ``SUBSET_BUDGET``.  ``child(c, mask)`` keeps
-    log Z = log sum_U exp(score(c, U)) over them with the row
-    P(j -> c | predecessors), and ``walk`` returns these terms position by
-    position: the order marginal adds their log Z from first to last and
-    the posterior fills one column per row.
+    ``nodes[k]``, the k-th smallest node of the cache's window.
+    ``parent_sets(c, mask)`` scores, through the cache, the parent sets of
+    position c among the predecessors in the bitmask ``mask`` (bit k set
+    for position k), up to ``max_parents`` and within ``SUBSET_BUDGET``.
+    ``child(c, mask)`` keeps log Z = log sum_U exp(score(c, U)) over them
+    with the row P(j -> c | predecessors), and ``walk`` returns these terms
+    position by position: the order marginal adds their log Z from first to
+    last and the posterior fills one column per row.
     """
 
-    def __init__(self, cache: ScoreCache, nodes, max_parents: int):
-        if max_parents < 0:
-            raise InvalidInput(f"max_parents must be >= 0, got {max_parents!r}")
+    def __init__(self, cache: ScoreCache, max_parents: int):
+        check_number("max_parents", max_parents, least=0)
         self.cache = cache
-        self.nodes = tuple(sorted(nodes))
+        self.nodes = cache.nodes
         self.pos = {v: a for a, v in enumerate(self.nodes)}
         self.max_parents = max_parents
         self._memo: dict[tuple[int, int], _Term] = {}
@@ -280,19 +276,6 @@ def _log_marginal(terms) -> float:
     return ordered_sum(logz for logz, _ in terms)
 
 
-def _resolve(data, nodes, ess) -> tuple[tuple[int, ...], ScoreCache]:
-    if nodes is None:
-        nodes = tuple(range(data.n_vars))
-    else:
-        nodes = tuple(int(v) for v in nodes)
-        if len(set(nodes)) != len(nodes):
-            raise InvalidInput("duplicate nodes")
-        for v in nodes:
-            if not 0 <= v < data.n_vars:
-                raise InvalidInput(f"node {v} outside 0..{data.n_vars - 1}")
-    return nodes, ScoreCache(data, ess).window(nodes)
-
-
 def feature_posterior_given_order(data: DiscreteDataset, order,
                                   max_parents: int = 3,
                                   ess: float = 10.0) -> EdgePosterior:
@@ -302,8 +285,7 @@ def feature_posterior_given_order(data: DiscreteDataset, order,
     posterior of j -> i is zero unless j precedes i.
     """
     order = tuple(int(v) for v in order)
-    _, cache = _resolve(data, order, ess)
-    scorer = _OrderScorer(cache, order, max_parents)
+    scorer = _OrderScorer(ScoreCache(data, ess, order), max_parents)
     return EdgePosterior(scorer.nodes,
                          scorer.posterior([scorer.pos[v] for v in order]))
 
@@ -312,8 +294,7 @@ def order_log_marginal(data: DiscreteDataset, order, max_parents: int = 3,
                        ess: float = 10.0) -> float:
     """log P(D | order): per-child log-sum over admissible parent sets."""
     order = tuple(int(v) for v in order)
-    _, cache = _resolve(data, order, ess)
-    scorer = _OrderScorer(cache, order, max_parents)
+    scorer = _OrderScorer(ScoreCache(data, ess, order), max_parents)
     return scorer.log_marginal([scorer.pos[v] for v in order])
 
 
@@ -346,10 +327,10 @@ def exact_order_average(data: DiscreteDataset, nodes=None, max_parents: int = 3,
     Exact, by the subset dynamic program of the module docstring, for up
     to ``EXACT_MAX_NODES`` nodes.
     """
-    nodes, cache = _resolve(data, nodes, ess)
-    if len(nodes) > EXACT_MAX_NODES:
+    cache = ScoreCache(data, ess, nodes)
+    if len(cache.nodes) > EXACT_MAX_NODES:
         raise InvalidInput(f"exact averaging is limited to {EXACT_MAX_NODES} nodes")
-    scorer = _OrderScorer(cache, nodes, max_parents)
+    scorer = _OrderScorer(cache, max_parents)
     m = len(scorer.nodes)
     lz = _log_z_table(scorer)
     full = (1 << m) - 1
@@ -399,15 +380,15 @@ def order_mcmc(data: DiscreteDataset, T: int = 100, burn_in: int | None = None,
     walks the proposed order whole through the window's memo and adds its
     log marginal from first to last, exactly as ``order_log_marginal`` does.
     """
-    nodes, cache = _resolve(data, nodes, ess)
-    m = len(nodes)
-    if T < 1:
-        raise InvalidInput("T must be >= 1")
-    if burn_in is not None and burn_in < 0:
-        raise InvalidInput("burn_in must be >= 0")
-    if thin is not None and thin < 1:
-        raise InvalidInput("thin must be >= 1")
-    scorer = _OrderScorer(cache, nodes, max_parents)
+    cache = ScoreCache(data, ess, nodes)
+    m = len(cache.nodes)
+    for name, value, least in (("T", T, 1), ("burn_in", burn_in, 0), ("thin", thin, 1)):
+        if value is not None or name == "T":
+            check_number(name, value)
+            if value < least:
+                raise InvalidInput(f"{name} must be >= {least}")
+    check_number("seed", seed, least=0)
+    scorer = _OrderScorer(cache, max_parents)
     if m == 1:
         return EdgePosterior(scorer.nodes, np.zeros((1, 1)))
     burn_in = 10 * m if burn_in is None else burn_in
@@ -463,10 +444,9 @@ def greedy_learn(data: DiscreteDataset, nodes=None, max_parents: int = 3,
     The search is fully deterministic (fixed move ordering, ties to the
     lexicographically smallest move).
     """
-    if max_parents < 0:
-        raise InvalidInput(f"max_parents must be >= 0, got {max_parents!r}")
-    nodes, cache = _resolve(data, nodes, ess)
-    nodes = tuple(sorted(nodes))
+    check_number("max_parents", max_parents, least=0)
+    cache = ScoreCache(data, ess, nodes)
+    nodes = cache.nodes
     parents: dict[int, set[int]] = {v: set() for v in nodes}
 
     def creates_cycle(tail: int, head: int) -> bool:

@@ -18,8 +18,9 @@ without it gets each variable's largest observed state + 1.
 row at or below a uniform draw.  A :class:`DiscreteDataset` memoizes the
 entropies of its count tables, keyed by their ordered columns, for the
 CMI of the blanket searches, and per ``ess`` the BDeu score of each
-(child, parent set), for every :class:`bnsl.averaging.ScoreCache` on it.
-Its distinct-row views share the entropies.  So every community of a run
+(child, parent set), for the scoring window (a
+:class:`bnsl.averaging.ScoreCache`) of every learner call on it.  Its
+distinct-row views share the entropies.  So every community of a run
 shares each statistic, while a new dataset starts with empty memos.
 """
 
@@ -299,7 +300,8 @@ class DistinctRows:
     ``weights`` how many of the ``n_rows`` samples share that row.  It
     stands in for the dataset wherever a statistic reads only ``n_rows``,
     ``cardinalities`` (the dataset's, indexed by its column numbers) and
-    ``counts``, which is the dataset's table for any subset of the columns.
+    ``counts``, which is the dataset's table for any subset of the columns
+    and raises ``InvalidInput`` for a column the view does not hold.
     The multiplicities are whole numbers below 2^53, so the float sums of
     ``np.bincount`` are exact and every statistic keeps its last bit.
     ``_entropies`` is the entropy memo of the dataset the view came from.
@@ -314,7 +316,12 @@ class DistinctRows:
     def counts(self, cols: Sequence[int]) -> np.ndarray:
         """:meth:`DiscreteDataset.counts` of ``cols``, from the distinct rows."""
         shape = tuple(self.cardinalities[c] for c in cols)
-        code = _row_codes([self.digits[c] for c in cols], shape, len(self.weights))
+        try:
+            digits = [self.digits[c] for c in cols]
+        except KeyError as e:
+            raise InvalidInput(f"column {e.args[0]} is not one of this view's columns "
+                               f"{tuple(self.digits)}") from None
+        code = _row_codes(digits, shape, len(self.weights))
         return np.bincount(code, self.weights, math.prod(shape)).astype(
             np.int64).reshape(shape)
 

@@ -1,4 +1,4 @@
-"""Shared exception types, and the check of a config's number fields."""
+"""Shared exception types, and the checks of number arguments and fields."""
 
 from __future__ import annotations
 
@@ -9,15 +9,23 @@ class InvalidInput(ValueError):
     """Raised when an argument violates a documented precondition."""
 
 
+def check_number(name: str, value, real: bool = False, least=None) -> None:
+    """Raise ``InvalidInput`` unless ``value`` is an integer, or a real number
+    when ``real`` (a bool is neither), and, given ``least``, at least that."""
+    kind, what = (numbers.Real, "a real number") if real else (numbers.Integral, "an integer")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InvalidInput(f"{name} must be {what}, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidInput(f"{name} must be >= {least}, got {value!r}")
+
+
 def check_number_types(config, integers=(), reals=()) -> None:
-    """Raise ``InvalidInput`` unless each named field of ``config`` is an
-    integer (``integers``) or a real number (``reals``); a bool is neither."""
-    for names, kind, what in ((integers, numbers.Integral, "an integer"),
-                              (reals, numbers.Real, "a real number")):
-        for name in names:
-            value = getattr(config, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise InvalidInput(f"{name} must be {what}, got {value!r}")
+    """``check_number`` of each named field of ``config``: ``integers`` must
+    be integers and ``reals`` real numbers."""
+    for name in integers:
+        check_number(name, getattr(config, name))
+    for name in reals:
+        check_number(name, getattr(config, name), real=True)
 
 
 class NetworkFormatError(InvalidInput):

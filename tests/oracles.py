@@ -582,10 +582,8 @@ def exact_order_average_by_enumeration(data, nodes=None, max_parents: int = 3,
     """
     from bnsl.averaging import EdgePosterior, ScoreCache, _OrderScorer, logsumexp
 
-    cache = ScoreCache(data, ess)
-    nodes = tuple(range(data.n_vars)) if nodes is None else tuple(nodes)
-    scorer = _OrderScorer(cache, nodes, max_parents)
-    perms = list(itertools.permutations(range(len(nodes))))
+    scorer = _OrderScorer(ScoreCache(data, ess, nodes), max_parents)
+    perms = list(itertools.permutations(range(len(scorer.nodes))))
     logw = np.array([scorer.log_marginal(o) for o in perms])
     w = np.exp(logw - logsumexp(logw))
     w /= w.sum()

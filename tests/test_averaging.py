@@ -216,17 +216,74 @@ class TestLimitsOfBothEngines:
         with pytest.raises(InvalidInput, match=f"node {nodes[1]} outside 0..2"):
             engine(chain_data, nodes=nodes)
 
+    @pytest.mark.parametrize("nodes", [(0, 0), (1, 0, 1)])
+    def test_duplicate_nodes(self, engine, chain_data, nodes):
+        with pytest.raises(InvalidInput, match="^duplicate nodes$"):
+            engine(chain_data, nodes=nodes)
+
     def test_negative_max_parents(self, engine, chain_data):
         with pytest.raises(InvalidInput, match="max_parents must be >= 0, got -1"):
             engine(chain_data, max_parents=-1)
 
+    @pytest.mark.parametrize("value", [1.5, True, "2"])
+    def test_max_parents_must_be_an_integer(self, engine, chain_data, value):
+        with pytest.raises(InvalidInput, match=f"max_parents must be an integer, got {value!r}"):
+            engine(chain_data, max_parents=value)
+        got = engine(chain_data, max_parents=np.int64(1)).matrix
+        assert np.array_equal(got, engine(chain_data, max_parents=1).matrix)
 
-@pytest.mark.parametrize("learn", [feature_posterior_given_order, order_log_marginal,
-                                   greedy_learn])
+
+PER_ORDER_AND_GREEDY = [feature_posterior_given_order, order_log_marginal, greedy_learn]
+
+
+@pytest.mark.parametrize("learn", PER_ORDER_AND_GREEDY)
 @pytest.mark.parametrize("nodes", [(0, -1), (0, 3)])  # 3 columns
 def test_per_order_and_greedy_reject_nodes_out_of_range(learn, nodes, chain_data):
     with pytest.raises(InvalidInput, match=f"node {nodes[1]} outside 0..2"):
         learn(chain_data, nodes)
+
+
+@pytest.mark.parametrize("learn", PER_ORDER_AND_GREEDY)
+@pytest.mark.parametrize("nodes", [(0, 0), (1, 0, 1)])
+def test_per_order_and_greedy_reject_duplicate_nodes(learn, nodes, chain_data):
+    with pytest.raises(InvalidInput, match="^duplicate nodes$"):
+        learn(chain_data, nodes)
+
+
+@pytest.mark.parametrize("learn", PER_ORDER_AND_GREEDY)
+@pytest.mark.parametrize("value", [1.5, True])
+def test_per_order_and_greedy_max_parents_must_be_an_integer(learn, value, chain_data):
+    with pytest.raises(InvalidInput, match=f"max_parents must be an integer, got {value!r}"):
+        learn(chain_data, (0, 1, 2), max_parents=value)
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ((0, 0), "^duplicate nodes$"), ((1, 0, 1), "^duplicate nodes$"),
+    ((0, -1), "node -1 outside 0..2"), ((0, 3), "node 3 outside 0..2")])
+def test_score_cache_checks_its_window(chain_data, nodes, message):
+    with pytest.raises(InvalidInput, match=message):
+        ScoreCache(chain_data, nodes=nodes)
+    assert ScoreCache(chain_data, nodes=(2, 0)).nodes == (0, 2)
+    assert ScoreCache(chain_data).nodes == (0, 1, 2)
+
+
+@pytest.mark.parametrize("learn", [
+    exact_order_average, lambda data: order_mcmc(data, T=2),
+    lambda data: feature_posterior_given_order(data, (2, 0, 1)),
+    lambda data: order_log_marginal(data, (2, 0, 1)), greedy_learn],
+    ids=["exact_order_average", "order_mcmc", "feature_posterior_given_order",
+         "order_log_marginal", "greedy_learn"])
+def test_each_engine_call_builds_one_score_cache(learn, chain_data, monkeypatch):
+    built = []
+
+    class Counted(ScoreCache):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(av, "ScoreCache", Counted)
+    learn(chain_data)
+    assert len(built) == 1
 
 
 class TestOrderMcmc:
@@ -241,7 +298,9 @@ class TestOrderMcmc:
         b = order_mcmc(chain_data, T=20, burn_in=10, seed=4)
         assert np.array_equal(a.matrix, b.matrix)
 
-    @pytest.mark.parametrize("name, value", [("T", 0), ("burn_in", -5), ("thin", 0)])
+    @pytest.mark.parametrize("name, value", [
+        ("T", 0), ("burn_in", -5), ("thin", 0), ("T", 1.5), ("T", True), ("T", None),
+        ("burn_in", 0.5), ("thin", 1.5), ("seed", -1), ("seed", 1.5)])
     def test_bad_schedule_rejected(self, chain_data, name, value):
         with pytest.raises(InvalidInput, match=f"^{name} must be"):
             order_mcmc(chain_data, **{name: value})

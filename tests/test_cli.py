@@ -59,7 +59,7 @@ def test_learn_merge_evaluate_chain(workdir, config_file):
                  "--config", config_file, "--seed", "3",
                  "--out", str(structures)])
     assert code == 0
-    raw = json.loads(structures.read_text())
+    raw = json.loads(structures.read_text(encoding="utf-8"))
     assert raw["structures"]
 
     merged = workdir / "merged.edges"
@@ -69,19 +69,19 @@ def test_learn_merge_evaluate_chain(workdir, config_file):
                  "--out", str(merged),
                  "--report", str(merge_report)])
     assert code == 0
-    assert "jaccard_evaluations" in json.loads(merge_report.read_text())
+    assert "jaccard_evaluations" in json.loads(merge_report.read_text(encoding="utf-8"))
 
     eval_out = workdir / "eval.json"
     code = main(["evaluate", "--learned", str(merged),
                  "--network", str(workdir / "chain.net"),
                  "--out", str(eval_out)])
     assert code == 0
-    report = json.loads(eval_out.read_text())
+    report = json.loads(eval_out.read_text(encoding="utf-8"))
     assert report["f_score"] == 100.0
 
 
 def test_pipeline_subcommand(workdir, config_file, capsys):
-    cfg = json.loads(open(config_file).read())
+    cfg = json.loads(open(config_file, encoding="utf-8").read())
     cfg["network"] = str(workdir / "chain.net")
     cfg["n_samples"] = 1500
     full = workdir / "full_config.json"
@@ -283,7 +283,8 @@ def test_pipeline_stage_error_exits_two(capsys):
     assert code == 1  # unreadable config fails before any stage
     cfg_missing_net = {"network": "/nonexistent/x.net"}
     import tempfile
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
+    with tempfile.NamedTemporaryFile("w", encoding="utf-8", suffix=".json",
+                                     delete=False) as fh:
         json.dump(cfg_missing_net, fh)
         path = fh.name
     code = main(["pipeline", "--config", path])

@@ -22,7 +22,7 @@ import bnsl.averaging as av
 import bnsl.data
 from bnsl.averaging import (ScoreCache, bdeu_family_score, exact_order_average,
                             greedy_learn)
-from bnsl.blankets import community_blanket, conditional_mutual_information
+from bnsl.blankets import community_blanket, conditional_mutual_information, iamb
 from bnsl.data import DiscreteDataset, DistinctRows, forward_sample, load_network
 from bnsl.errors import InvalidInput
 from bnsl.weights import WeightedGraph, mutual_information
@@ -175,10 +175,24 @@ def test_bdeu_rejects_a_column_outside_the_dataset(bad):
 @pytest.mark.parametrize("bad", [-1, 3])
 def test_score_cache_rejects_a_column_outside_the_dataset(bad):
     cache = ScoreCache(THREE_COLUMNS)
-    for scores in (cache, cache.window(range(3))):
-        for child, parents in ((bad, (0,)), (0, (bad,))):
-            with pytest.raises(InvalidInput, match=rf"column index {bad} outside 0\.\.2"):
-                scores.family_score(child, parents)
+    for child, parents in ((bad, (0,)), (0, (bad,))):
+        with pytest.raises(InvalidInput, match=rf"column index {bad} outside 0\.\.2"):
+            cache.family_score(child, parents)
+
+
+def test_a_view_rejects_a_column_it_does_not_hold():
+    data = DiscreteDataset([f"v{k}" for k in range(5)], [2] * 5,
+                           np.random.default_rng(5).integers(0, 2, size=(40, 5)))
+    window = ScoreCache(data, nodes=(2, 0, 1))
+    lacks = "is not one of this view's columns"
+    for child, parents, bad in ((3, (0,), 3), (0, (1, 4), 4)):
+        with pytest.raises(InvalidInput, match=rf"column {bad} {lacks} \(0, 1, 2\)"):
+            window.family_score(child, parents)
+    with pytest.raises(InvalidInput, match=rf"column 2 {lacks} \(0, 1\)"):
+        iamb(data.distinct((0, 1)), 0, [1, 2])
+    # a family in the dataset's memo is read, not counted, by any window
+    assert ScoreCache(data).family_score(3, (0,)) == bdeu_family_score(data, 3, (0,))
+    assert window.family_score(3, (0,)) == bdeu_family_score(data, 3, (0,))
 
 
 def test_window_past_int64_codes_counts_on_the_dataset():
@@ -187,7 +201,7 @@ def test_window_past_int64_codes_counts_on_the_dataset():
                            rng.integers(0, 16, size=(5, 16)))
     assert data.distinct(range(16)) is data  # 16^16 = 2^64 codes
     assert isinstance(data.distinct(range(15)), DistinctRows)  # 2^60 codes
-    window = ScoreCache(data).window(range(16))
+    window = ScoreCache(data, nodes=range(16))
     assert window.family_score(0, (1, 2, 3)) == bdeu_family_score(data, 0, (1, 2, 3))
 
 
@@ -207,7 +221,7 @@ def views_built(monkeypatch):
 def test_a_window_builds_its_view_at_its_first_miss(views_built):
     # a dataset of its own, so its family-score memo starts empty
     data = forward_sample(load_network(NETWORKS_DIR / "alarm.net"), 2000, seed=0)
-    window = ScoreCache(data).window((4, 5, 6))
+    window = ScoreCache(data, nodes=(4, 5, 6))
     assert views_built == []
     window.family_score(5, (4,))
     window.family_score(6, (4, 5))

@@ -24,5 +24,5 @@ def test_demo_runs(demo, tmp_path):
     # a numeric warning fails a demo, as it fails a library test
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=300)
+                          encoding="utf-8", timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -84,7 +84,7 @@ def test_exact_average_matches_order_enumeration(data):
 
 
 def test_parent_sets_by_size_then_lexicographically(monkeypatch):
-    scorer = av._OrderScorer(SMALL_CACHE, (5, 1, 3, 0), 2)
+    scorer = av._OrderScorer(av.ScoreCache(SMALL, nodes=(5, 1, 3, 0)), 2)
     assert scorer.nodes == (0, 1, 3, 5)
     sets, scores = scorer.parent_sets(0, 0b1110)
     assert sets == [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
@@ -101,14 +101,14 @@ def test_rescored_terms_equal_a_fresh_walk(data):
     window = data.draw(st.lists(st.integers(0, SMALL.n_vars - 1), min_size=2,
                                 unique=True), label="window")
     max_parents = data.draw(st.integers(1, 3), label="max_parents")
-    scorer = av._OrderScorer(SMALL_CACHE, window, max_parents)
+    scorer = av._OrderScorer(av.ScoreCache(SMALL, nodes=window), max_parents)
     order = data.draw(st.permutations(range(len(window))), label="order")
     a, b = data.draw(st.lists(st.integers(0, len(window) - 1), min_size=2,
                               max_size=2, unique=True), label="swap")
     scorer.walk(order)
     order[a], order[b] = order[b], order[a]
     got = scorer.walk(order)  # as the sampler walks a proposal, on a warm memo
-    fresh = av._OrderScorer(SMALL_CACHE, window, max_parents).walk(order)
+    fresh = av._OrderScorer(av.ScoreCache(SMALL, nodes=window), max_parents).walk(order)
     assert len(got) == len(fresh) == len(window)
     mask = 0
     for c, term, (logz, row) in zip(order, got, fresh):

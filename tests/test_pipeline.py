@@ -269,7 +269,7 @@ class TestRunPipeline:
                      "merged.edges", "run_report.json", "evaluation.json"):
             assert want in names, want
         assert any(n.startswith("community_") for n in names)
-        rr = json.loads((out / "run_report.json").read_text())
+        rr = json.loads((out / "run_report.json").read_text(encoding="utf-8"))
         assert rr["config"]["seed"] == 2
 
     def test_stage_attribution_on_failure(self):

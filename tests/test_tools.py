@@ -17,7 +17,7 @@ def test_make_networks_rewrites_the_bundled_networks(tmp_path):
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "make_networks.py"),
                            "--out-dir", str(tmp_path)],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=300)
+                          encoding="utf-8", timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert sorted(p.name for p in tmp_path.iterdir()) == list(BUNDLED)
     for name in BUNDLED:
