@@ -143,15 +143,16 @@ class ScoreCache:
     def __init__(self, data: DiscreteDataset, ess: float = 10.0, nodes=None):
         if not 0 < ess < math.inf:  # NaN too
             raise InvalidInput(f"ess must be finite and > 0, got {ess!r}")
-        nodes = range(data.n_vars) if nodes is None else tuple(int(v) for v in nodes)
+        nodes = range(data.n_vars) if nodes is None else tuple(nodes)
         if len(set(nodes)) != len(nodes):
             raise InvalidInput("duplicate nodes")
         for v in nodes:
+            check_number("node", v)
             if not 0 <= v < data.n_vars:
                 raise InvalidInput(f"node {v} outside 0..{data.n_vars - 1}")
         self.data = data
         self.ess = float(ess)
-        self.nodes = tuple(sorted(nodes))
+        self.nodes = tuple(sorted(map(int, nodes)))
         self._scores = data._family_scores.setdefault(self.ess, {})
         self._rows = None
 
@@ -284,7 +285,7 @@ def feature_posterior_given_order(data: DiscreteDataset, order,
     ``order`` lists node indices from first (no predecessors) to last; the
     posterior of j -> i is zero unless j precedes i.
     """
-    order = tuple(int(v) for v in order)
+    order = tuple(order)
     scorer = _OrderScorer(ScoreCache(data, ess, order), max_parents)
     return EdgePosterior(scorer.nodes,
                          scorer.posterior([scorer.pos[v] for v in order]))
@@ -293,7 +294,7 @@ def feature_posterior_given_order(data: DiscreteDataset, order,
 def order_log_marginal(data: DiscreteDataset, order, max_parents: int = 3,
                        ess: float = 10.0) -> float:
     """log P(D | order): per-child log-sum over admissible parent sets."""
-    order = tuple(int(v) for v in order)
+    order = tuple(order)
     scorer = _OrderScorer(ScoreCache(data, ess, order), max_parents)
     return scorer.log_marginal([scorer.pos[v] for v in order])
 
@@ -442,72 +443,57 @@ def greedy_learn(data: DiscreteDataset, nodes=None, max_parents: int = 3,
     """Steepest-ascent hill climbing with add/delete/reverse moves.
 
     The search is fully deterministic (fixed move ordering, ties to the
-    lexicographically smallest move).
+    lexicographically smallest move).  Adding u -> v is legal iff v is not
+    an ancestor of u, and reversing u -> v iff u is not an ancestor of any
+    other parent p of v (a path from u to p cannot use u -> v, as p -> v
+    would close a cycle).
     """
     check_number("max_parents", max_parents, least=0)
     cache = ScoreCache(data, ess, nodes)
     nodes = cache.nodes
-    parents: dict[int, set[int]] = {v: set() for v in nodes}
+    parents = {v: frozenset() for v in nodes}
+    current = {v: cache.family_score(v, ()) for v in nodes}
+    anc: dict[int, set[int]] = {}  # in the current graph, filled on first use
 
-    def creates_cycle(tail: int, head: int) -> bool:
-        # adding tail -> head closes a cycle iff head is an ancestor of tail
-        stack, seen = [tail], set()
-        while stack:
-            x = stack.pop()
-            if x == head:
-                return True
-            for p in parents[x]:
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-        return False
+    def ancestors(x: int) -> set[int]:
+        if x not in anc:
+            got = anc[x] = set()
+            stack = [x]
+            while stack:
+                new = parents[stack.pop()] - got
+                got |= new
+                stack += new
+        return anc[x]
 
-    def family(v: int) -> float:
-        return cache.family_score(v, tuple(parents[v]))
-
-    current = {v: family(v) for v in nodes}
-    while True:
-        best: tuple | None = None
-
-        def consider(delta: float, key: tuple, move: tuple) -> None:
-            nonlocal best
-            if delta <= 0.0:
-                return
-            if best is None or delta > best[0] or (delta == best[0] and key < best[1]):
-                best = (delta, key, move)
-
+    def moves():
+        """Each legal move as its delta, its tie key, and the child, new
+        parent set and score of every child it changes."""
         for u in nodes:
             for v in nodes:
                 if u == v:
                     continue
-                if u in parents[v]:
-                    without = cache.family_score(v, tuple(parents[v] - {u}))
-                    consider(without - current[v], (1, u, v), ("del", u, v, without, None))
-                    if len(parents[u]) < max_parents:
-                        parents[v].discard(u)
-                        cyc = creates_cycle(v, u)
-                        parents[v].add(u)
-                        if not cyc:
-                            nu = cache.family_score(u, tuple(parents[u] | {v}))
-                            delta = (without - current[v]) + (nu - current[u])
-                            consider(delta, (2, u, v), ("rev", u, v, without, nu))
-                elif len(parents[v]) < max_parents and not creates_cycle(u, v):
-                    nv = cache.family_score(v, tuple(parents[v] | {u}))
-                    consider(nv - current[v], (0, u, v), ("add", u, v, nv, None))
-        if best is None:
-            break
-        _, _, (kind, u, v, sv, su) = best
-        if kind == "add":
-            parents[v].add(u)
-            current[v] = sv
-        elif kind == "del":
-            parents[v].remove(u)
-            current[v] = sv
-        else:
-            parents[v].remove(u)
-            parents[u].add(v)
-            current[v] = sv
-            current[u] = su
+                pv = parents[v]
+                if u in pv:
+                    without = pv - {u}
+                    sv = cache.family_score(v, without)
+                    yield sv - current[v], (1, u, v), ((v, without, sv),)
+                    if (len(parents[u]) < max_parents
+                            and not any(u in ancestors(p) for p in without)):
+                        nu = parents[u] | {v}
+                        su = cache.family_score(u, nu)
+                        yield ((sv - current[v]) + (su - current[u]), (2, u, v),
+                               ((v, without, sv), (u, nu, su)))
+                elif len(pv) < max_parents and v not in ancestors(u):
+                    nv = pv | {u}
+                    sv = cache.family_score(v, nv)
+                    yield sv - current[v], (0, u, v), ((v, nv, sv),)
+
+    # each round applies the move of largest gain, ties to the smallest key
+    while best := min((m for m in moves() if m[0] > 0.0), key=lambda m: (-m[0], m[1]),
+                      default=None):
+        for v, pv, sv in best[2]:
+            parents[v], current[v] = pv, sv
+        anc.clear()
     edges = tuple(sorted((u, v) for v in nodes for u in parents[v]))
     return LocalStructure(nodes, edges, {e: 1.0 for e in edges})
 

@@ -179,8 +179,7 @@ def link_communities(g: WeightedGraph) -> Partition:
 def membership(partitions: Sequence[Partition]) -> np.ndarray:
     """The (R, n) 0/1 matrix with one row per community of every partition,
     in partition order and then community order.  Node v's partition
-    support matrix is the rows that hold v.  The dtype is int64 so that its
-    Gram product counts shared communities without wrapping."""
+    support matrix is the rows that hold v."""
     if not partitions:
         raise InvalidInput("need at least one partition")
     n = partitions[0].n
@@ -196,7 +195,9 @@ def membership(partitions: Sequence[Partition]) -> np.ndarray:
 def co_occurrence(partitions: Sequence[Partition]) -> np.ndarray:
     """The (n, n) matrix whose entry [v, u] is the fraction of v's
     membership rows that also contain u; the diagonal is 1."""
-    m = membership(partitions)
+    # in float64, which BLAS multiplies; the counts of shared communities
+    # are integers far below 2^53, so they come out exact
+    m = membership(partitions).astype(np.float64)
     gram = m.T @ m
     return gram / np.diag(gram)[:, None]
 

@@ -85,6 +85,17 @@ def random_binary_net(rng: np.random.Generator, n_vars: int,
                           cpts=cpts)
 
 
+# (rng seed, variables, arc probability, sample seed) of dense networks,
+# which give a greedy search many reversals that its cycle test must refuse
+DENSE_NETS = [(54, 6, 0.5, 8), (61, 8, 0.7, 9), (62, 9, 0.9, 10), (63, 10, 0.4, 11)]
+
+
+def dense_data(net_seed: int, n_vars: int, arc_prob: float, seed: int):
+    """2000 samples of the ``DENSE_NETS`` network of these settings."""
+    net = random_binary_net(np.random.default_rng(net_seed), n_vars, arc_prob=arc_prob)
+    return forward_sample(net, 2000, seed=seed)
+
+
 @pytest.fixture(scope="session")
 def chain_net():
     return chain3()

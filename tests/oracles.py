@@ -3,7 +3,8 @@
 Every helper here recomputes a quantity with a deliberately different
 algorithm from the one in the library (plain dict loops instead of
 vectorized counting, threshold sweeps instead of agglomerative merges,
-sequential predictive products instead of gamma-function algebra), so a
+sequential predictive products instead of gamma-function algebra, a
+graph walk per candidate move instead of one ancestor map per round), so a
 test that compares the two exercises independent code paths.  The one
 exception is the section of earlier per-caller encoders, which repeat the
 library's arithmetic on purpose so that a test can compare with ``==``.
@@ -589,3 +590,86 @@ def exact_order_average_by_enumeration(data, nodes=None, max_parents: int = 3,
     w /= w.sum()
     avg = np.tensordot(w, np.stack([scorer.posterior(o) for o in perms]), axes=1)
     return EdgePosterior(scorer.nodes, avg)
+
+
+# ---------------------------------------------------------------------------
+# Greedy hill climbing with a graph walk per candidate move.
+# ---------------------------------------------------------------------------
+
+def greedy_learn_reference(data, nodes=None, max_parents: int = 3, ess: float = 10.0):
+    """The steepest-ascent search of ``greedy_learn``, checking each
+    candidate move by its own walk up the parents.
+
+    Same move order, tie key ``(0|1|2, u, v)`` and score deltas as the
+    library, but parent sets are mutable sets, a reversal is tested by
+    taking u -> v out of the graph, walking from v and putting it back,
+    and the best move is applied by its kind.  Family scores are read
+    through ``ScoreCache.family_score``.  Returns the edges as a sorted
+    tuple.
+    """
+    from bnsl.averaging import ScoreCache
+
+    cache = ScoreCache(data, ess, nodes)
+    nodes = cache.nodes
+    parents: dict[int, set[int]] = {v: set() for v in nodes}
+
+    def creates_cycle(tail: int, head: int) -> bool:
+        # adding tail -> head closes a cycle iff head is an ancestor of tail
+        stack, seen = [tail], set()
+        while stack:
+            x = stack.pop()
+            if x == head:
+                return True
+            for p in parents[x]:
+                if p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+        return False
+
+    def family(v: int) -> float:
+        return cache.family_score(v, tuple(parents[v]))
+
+    current = {v: family(v) for v in nodes}
+    while True:
+        best = None
+
+        def consider(delta: float, key: tuple, move: tuple) -> None:
+            nonlocal best
+            if delta <= 0.0:
+                return
+            if best is None or delta > best[0] or (delta == best[0] and key < best[1]):
+                best = (delta, key, move)
+
+        for u in nodes:
+            for v in nodes:
+                if u == v:
+                    continue
+                if u in parents[v]:
+                    without = cache.family_score(v, tuple(parents[v] - {u}))
+                    consider(without - current[v], (1, u, v), ("del", u, v, without, None))
+                    if len(parents[u]) < max_parents:
+                        parents[v].discard(u)
+                        cyc = creates_cycle(v, u)
+                        parents[v].add(u)
+                        if not cyc:
+                            nu = cache.family_score(u, tuple(parents[u] | {v}))
+                            delta = (without - current[v]) + (nu - current[u])
+                            consider(delta, (2, u, v), ("rev", u, v, without, nu))
+                elif len(parents[v]) < max_parents and not creates_cycle(u, v):
+                    nv = cache.family_score(v, tuple(parents[v] | {u}))
+                    consider(nv - current[v], (0, u, v), ("add", u, v, nv, None))
+        if best is None:
+            break
+        _, _, (kind, u, v, sv, su) = best
+        if kind == "add":
+            parents[v].add(u)
+            current[v] = sv
+        elif kind == "del":
+            parents[v].remove(u)
+            current[v] = sv
+        else:
+            parents[v].remove(u)
+            parents[u].add(v)
+            current[v] = sv
+            current[u] = su
+    return tuple(sorted((u, v) for v in nodes for u in parents[v]))

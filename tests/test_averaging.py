@@ -23,7 +23,7 @@ from bnsl.averaging import (EXACT_MAX_NODES, EdgePosterior, LearnerConfig,
 from bnsl.data import DiscreteDataset, forward_sample
 from bnsl.errors import BudgetExceeded, FamilyTooLarge, InvalidInput
 
-from conftest import chain3, random_binary_net
+from conftest import DENSE_NETS, chain3, dense_data, random_binary_net
 from oracles import dag_enumeration_posterior, family_log_predictive
 
 
@@ -192,6 +192,17 @@ def test_limits_are_constants_that_no_function_takes():
         assert not {"budget", "max_cells", "t_tri"} & set(inspect.signature(fn).parameters)
 
 
+# windows of a 3-column dataset whose second node is out of range or not an
+# integer (a float or a bool used to be truncated to a node)
+BAD_NODES = [(0, -1), (0, 3), (0, 0.5), (0, True)]
+
+
+def bad_node_message(v) -> str:
+    if type(v) is int:
+        return f"node {v} outside 0..2"
+    return f"node must be an integer, got {v!r}"
+
+
 @pytest.mark.parametrize("engine", [exact_order_average, order_mcmc])
 class TestLimitsOfBothEngines:
     """The exact and the sampled average refuse the same windows."""
@@ -211,9 +222,9 @@ class TestLimitsOfBothEngines:
             engine(data, max_parents=3)
         engine(data, max_parents=2)
 
-    @pytest.mark.parametrize("nodes", [(0, -1), (0, 3)])  # 3 columns
+    @pytest.mark.parametrize("nodes", BAD_NODES)
     def test_node_out_of_range(self, engine, chain_data, nodes):
-        with pytest.raises(InvalidInput, match=f"node {nodes[1]} outside 0..2"):
+        with pytest.raises(InvalidInput, match=bad_node_message(nodes[1])):
             engine(chain_data, nodes=nodes)
 
     @pytest.mark.parametrize("nodes", [(0, 0), (1, 0, 1)])
@@ -237,9 +248,9 @@ PER_ORDER_AND_GREEDY = [feature_posterior_given_order, order_log_marginal, greed
 
 
 @pytest.mark.parametrize("learn", PER_ORDER_AND_GREEDY)
-@pytest.mark.parametrize("nodes", [(0, -1), (0, 3)])  # 3 columns
+@pytest.mark.parametrize("nodes", BAD_NODES)
 def test_per_order_and_greedy_reject_nodes_out_of_range(learn, nodes, chain_data):
-    with pytest.raises(InvalidInput, match=f"node {nodes[1]} outside 0..2"):
+    with pytest.raises(InvalidInput, match=bad_node_message(nodes[1])):
         learn(chain_data, nodes)
 
 
@@ -259,7 +270,9 @@ def test_per_order_and_greedy_max_parents_must_be_an_integer(learn, value, chain
 
 @pytest.mark.parametrize("nodes, message", [
     ((0, 0), "^duplicate nodes$"), ((1, 0, 1), "^duplicate nodes$"),
-    ((0, -1), "node -1 outside 0..2"), ((0, 3), "node 3 outside 0..2")])
+    ((0, -1), "node -1 outside 0..2"), ((0, 3), "node 3 outside 0..2"),
+    ((0, 0.5), "node must be an integer, got 0.5"),
+    ((0, True), "node must be an integer, got True")])
 def test_score_cache_checks_its_window(chain_data, nodes, message):
     with pytest.raises(InvalidInput, match=message):
         ScoreCache(chain_data, nodes=nodes)
@@ -367,12 +380,8 @@ class TestGreedyLearn:
         assert s.skeleton() == {frozenset({0, 1}), frozenset({1, 2})}
 
     def test_result_is_acyclic(self):
-        # (rng seed, variables, arc probability, sample seed); dense networks
-        # give the search many reversals that the cycle test must refuse
-        for net_seed, n_vars, arc_prob, seed in [(54, 6, 0.5, 8), (61, 8, 0.7, 9),
-                                                 (62, 9, 0.9, 10), (63, 10, 0.4, 11)]:
-            net = random_binary_net(np.random.default_rng(net_seed), n_vars, arc_prob=arc_prob)
-            s = greedy_learn(forward_sample(net, 2000, seed=seed))
+        for spec in DENSE_NETS:
+            s = greedy_learn(dense_data(*spec))
             children = {v: [] for v in s.nodes}
             indeg = {v: 0 for v in s.nodes}
             for p, c in s.edges:
@@ -387,7 +396,7 @@ class TestGreedyLearn:
                     indeg[c] -= 1
                     if indeg[c] == 0:
                         queue.append(c)
-            assert seen == len(s.nodes), (net_seed, s.edges)
+            assert seen == len(s.nodes), (spec, s.edges)
 
     def test_respects_max_parents(self):
         rng = np.random.default_rng(55)

@@ -193,9 +193,19 @@ def test_merge_pool_node_outside_the_dataset_exits_one(workdir, tmp_path, capsys
     ({"structures": [{"nodes": [0, 1], "edges": [[0, 1]], "support": {"0,1": "high"}}]},
      ", entry 0: "),
     ({"structures": [5]}, ", entry 0: "),
-    ({"structures": 5}, ": 'structures' is not a list")],
+    ({"structures": 5}, ": 'structures' is not a list"),
+    # a node that is not an integer used to be truncated or parsed
+    ({"structures": [{"nodes": [0.5, 1], "edges": []}]},
+     ", entry 0: node must be an integer, got 0.5"),
+    ({"structures": [{"nodes": [0, 1], "edges": []}, {"nodes": [0, "1"], "edges": []}]},
+     ", entry 1: node must be an integer, got '1'"),
+    ({"structures": [{"nodes": [0, True], "edges": []}]},
+     ", entry 0: node must be an integer, got True"),
+    ({"structures": [{"nodes": [0, 1], "edges": [[0, 1.5]]}]},
+     ", entry 0: edge endpoint must be an integer, got 1.5")],
     ids=["no_structures", "no_edges", "bad_support_key", "nan_support", "short_edge",
-         "text_support", "not_an_object", "structures_not_a_list"])
+         "text_support", "not_an_object", "structures_not_a_list", "float_node",
+         "text_node", "bool_node", "float_endpoint"])
 def test_merge_malformed_structures_file_names_the_entry(workdir, tmp_path, capsys,
                                                          raw, message):
     structures = tmp_path / "structures.json"
@@ -278,16 +288,12 @@ def test_missing_file_exits_one(workdir, capsys):
     assert "bnsl evaluate" in err and "failed" in err
 
 
-def test_pipeline_stage_error_exits_two(capsys):
+def test_pipeline_stage_error_exits_two(tmp_path, capsys):
     code = main(["pipeline", "--config", "/dev/null"])
     assert code == 1  # unreadable config fails before any stage
-    cfg_missing_net = {"network": "/nonexistent/x.net"}
-    import tempfile
-    with tempfile.NamedTemporaryFile("w", encoding="utf-8", suffix=".json",
-                                     delete=False) as fh:
-        json.dump(cfg_missing_net, fh)
-        path = fh.name
-    code = main(["pipeline", "--config", path])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"network": "/nonexistent/x.net"}), encoding="utf-8")
+    code = main(["pipeline", "--config", str(path)])
     assert code == 2
     assert "stage 'data' failed" in capsys.readouterr().err
 

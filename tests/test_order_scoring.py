@@ -1,10 +1,13 @@
-"""Order scoring, order MCMC and the exact average against references.
+"""Order scoring, order MCMC, the exact average and greedy search against
+references.
 
 The sampler walks each proposed order through the window's memo; it must
 give exactly what a fresh full rescore gives, both taking
 ``scipy.special.logsumexp``.  The subset dynamic program, which
 reads its parent-set scores from the same scorer, must give what averaging
-over every order gives, to 1e-9.
+over every order gives, to 1e-9.  Greedy search, which checks its moves
+against one ancestor map per round, must learn exactly the edges of a
+search that walks the graph for every candidate move.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ import bnsl.pipeline
 from bnsl.data import forward_sample, load_network
 from bnsl.pipeline import PipelineConfig, run_pipeline
 
-from conftest import NETWORKS_DIR, random_binary_net
-from oracles import exact_order_average_by_enumeration, order_mcmc_reference
+from conftest import DENSE_NETS, NETWORKS_DIR, dense_data, random_binary_net
+from oracles import (exact_order_average_by_enumeration, greedy_learn_reference,
+                     order_mcmc_reference)
 
 SMALL = forward_sample(random_binary_net(np.random.default_rng(62), 7, arc_prob=0.5),
                        300, seed=12)
@@ -133,6 +137,20 @@ def test_order_mcmc_matches_full_rescoring(window, T, burn_in, thin, max_parents
     want = order_mcmc_reference(SMALL, **args)
     assert got.nodes == want.nodes
     assert np.array_equal(got.matrix, want.matrix)
+
+
+GREEDY_DATA = [SMALL] + [dense_data(*spec) for spec in DENSE_NETS]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_greedy_matches_a_walk_per_move(data):
+    dataset = GREEDY_DATA[data.draw(st.integers(0, len(GREEDY_DATA) - 1), label="dataset")]
+    window = data.draw(st.none() | st.lists(st.integers(0, dataset.n_vars - 1),
+                                            min_size=1, unique=True), label="window")
+    max_parents = data.draw(st.integers(0, 3), label="max_parents")
+    got = av.greedy_learn(dataset, window, max_parents)
+    assert got.edges == greedy_learn_reference(dataset, window, max_parents)
 
 
 @pytest.fixture(scope="module")

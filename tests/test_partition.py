@@ -220,6 +220,20 @@ class TestSupportMatrices:
         assert c[6, 0] == 0.0
         assert c[6, 6] == 1.0
 
+    def test_co_occurrence_equals_the_integer_gram_fractions(self):
+        # 2,000 random membership rows over 300 nodes, in ten partitions
+        rng = np.random.default_rng(73)
+        n = 300
+        parts = []
+        for _ in range(10):
+            rows = rng.random((200, n)) < 0.1
+            rows[rng.integers(0, 200, size=n), np.arange(n)] = True  # cover every node
+            parts.append(Partition(n, tuple(tuple(np.flatnonzero(r)) for r in rows)))
+        m = membership(parts)
+        assert m.shape == (2000, n)
+        gram = m.T @ m  # int64
+        assert np.array_equal(co_occurrence(parts), gram / np.diag(gram)[:, None])
+
     def test_row_order_follows_partitions(self):
         # node 3: one community in each partition
         m = membership(psm_fixture())
