@@ -57,9 +57,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .data import DiscreteDataset, check_columns, ordered_sum, reading
-from .errors import (BudgetExceeded, FamilyTooLarge, InvalidInput, check_number,
-                     check_number_types)
+from .data import DiscreteDataset, ordered_sum, reading
+from .errors import (BudgetExceeded, FamilyTooLarge, InvalidInput, check_nodes,
+                     check_number, check_number_types)
 
 MAX_FAMILY_CELLS = 2 ** 22
 SUBSET_BUDGET = 2 ** 20
@@ -85,7 +85,7 @@ class EdgePosterior:
         m = np.clip(m, 0.0, 1.0)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "nodes", tuple(int(v) for v in self.nodes))
+        object.__setattr__(self, "nodes", check_nodes("node", self.nodes))
 
 
 def _plain_edge(e) -> tuple[int, int]:
@@ -95,7 +95,7 @@ def _plain_edge(e) -> tuple[int, int]:
     if type(e) is tuple and len(e) == 2 and type(e[0]) is int and type(e[1]) is int:
         return e
     a, b = e
-    return int(a), int(b)
+    return check_nodes("edge endpoint", (a, b))
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ class LocalStructure:
     support: dict[tuple[int, int], float] = field(default_factory=dict)
 
     def __post_init__(self):
-        nodes = tuple(sorted(set(int(v) for v in self.nodes)))
+        nodes = tuple(sorted(set(check_nodes("node", self.nodes))))
         if not nodes:
             raise InvalidInput("a structure needs a nonempty node set")
         object.__setattr__(self, "nodes", nodes)
@@ -143,16 +143,13 @@ class ScoreCache:
     def __init__(self, data: DiscreteDataset, ess: float = 10.0, nodes=None):
         if not 0 < ess < math.inf:  # NaN too
             raise InvalidInput(f"ess must be finite and > 0, got {ess!r}")
-        nodes = range(data.n_vars) if nodes is None else tuple(nodes)
+        nodes = (range(data.n_vars) if nodes is None
+                 else check_nodes("node", nodes, data.n_vars))
         if len(set(nodes)) != len(nodes):
             raise InvalidInput("duplicate nodes")
-        for v in nodes:
-            check_number("node", v)
-            if not 0 <= v < data.n_vars:
-                raise InvalidInput(f"node {v} outside 0..{data.n_vars - 1}")
         self.data = data
         self.ess = float(ess)
-        self.nodes = tuple(sorted(map(int, nodes)))
+        self.nodes = tuple(sorted(nodes))
         self._scores = data._family_scores.setdefault(self.ess, {})
         self._rows = None
 
@@ -174,8 +171,8 @@ def bdeu_family_score(data: DiscreteDataset, child: int, parents,
     configurations and r the child cardinality.  An empty dataset scores 0,
     and more than ``MAX_FAMILY_CELLS`` cells raise ``FamilyTooLarge``.
     """
-    parents = tuple(sorted(set(int(p) for p in parents)))
-    check_columns(data, (child,) + parents)
+    child, *parents = check_nodes("column index", (child, *parents), len(data.cardinalities))
+    parents = tuple(sorted(set(parents)))
     if child in parents:
         raise InvalidInput("child cannot be its own parent")
     if not 0 < ess < math.inf:  # NaN too
@@ -385,9 +382,7 @@ def order_mcmc(data: DiscreteDataset, T: int = 100, burn_in: int | None = None,
     m = len(cache.nodes)
     for name, value, least in (("T", T, 1), ("burn_in", burn_in, 0), ("thin", thin, 1)):
         if value is not None or name == "T":
-            check_number(name, value)
-            if value < least:
-                raise InvalidInput(f"{name} must be >= {least}")
+            check_number(name, value, least=least)
     check_number("seed", seed, least=0)
     scorer = _OrderScorer(cache, max_parents)
     if m == 1:
@@ -420,8 +415,12 @@ def threshold_edges(post: EdgePosterior, t_avg: float = 0.5) -> LocalStructure:
     """Keep directed edges whose posterior exceeds ``t_avg``.
 
     If both directions clear the threshold only the larger survives; exact
-    ties keep the lexicographically smaller direction.
+    ties keep the lexicographically smaller direction.  ``t_avg`` must be a
+    real number in [0, 1].
     """
+    check_number("t_avg", t_avg, real=True)
+    if not 0 <= t_avg <= 1:  # NaN too
+        raise InvalidInput(f"t_avg must be in [0, 1], got {t_avg!r}")
     edges = []
     support = {}
     k = len(post.nodes)

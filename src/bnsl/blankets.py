@@ -25,8 +25,8 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import chdtrc  # chi2.sf without importing scipy.stats
 
-from .data import DiscreteDataset, check_columns, ordered_sum
-from .errors import ConditioningSetTooLarge, InvalidInput
+from .data import DiscreteDataset, ordered_sum
+from .errors import ConditioningSetTooLarge, InvalidInput, check_nodes, check_number
 from .weights import WeightedGraph, entropy
 
 MAX_CMI_CELLS = 2 ** 22
@@ -56,8 +56,8 @@ def conditional_mutual_information(data: DiscreteDataset, x: int, y: int,
     """
     if data.n_rows == 0:
         raise InvalidInput("dataset is empty")
-    z = tuple(sorted(set(int(v) for v in z)))
-    check_columns(data, (x, y) + z)
+    x, y, *z = check_nodes("column index", (x, y, *z), len(data.cardinalities))
+    z = tuple(sorted(set(z)))
     if x == y or x in z or y in z:
         raise InvalidInput("x, y and z must be disjoint")
     cards = data.cardinalities
@@ -79,7 +79,7 @@ def conditional_mutual_information(data: DiscreteDataset, x: int, y: int,
 def g_test(data: DiscreteDataset, x: int, y: int,
            z: Sequence[int] = ()) -> tuple[float, int, float]:
     """G statistic, degrees of freedom and p-value for X vs Y given Z."""
-    z = tuple(sorted(set(int(v) for v in z)))
+    z = tuple(sorted(set(check_nodes("column index", z))))
     return _g_of_cmi(data, x, y, z, conditional_mutual_information(data, x, y, z))
 
 
@@ -104,7 +104,8 @@ def iamb(data: DiscreteDataset, x: int, candidates: Sequence[int],
     """
     if not (0 < alpha < 1):
         raise InvalidInput("alpha must be in (0, 1)")
-    cand = sorted(set(int(c) for c in candidates) - {x})
+    x, *cand = check_nodes("column index", (x, *candidates), len(data.cardinalities))
+    cand = sorted(set(cand) - {x})
     cmb: list[int] = []
     while True:
         rest = [c for c in cand if c not in cmb]
@@ -140,7 +141,7 @@ def community_blanket(data: DiscreteDataset, g: WeightedGraph,
     """IAMB blanket of every community member, searched over the member's
     weight-graph candidates plus the rest of the community.  Every search
     counts on the distinct rows of the community and all its candidates."""
-    comm = tuple(sorted(set(int(v) for v in community)))
+    comm = tuple(sorted(set(check_nodes("node", community, data.n_vars))))
     if not comm:
         raise InvalidInput("empty community")
     cands = {x: (set(mb_candidates(g, x)) | set(comm)) - {x} for x in comm}
@@ -155,7 +156,7 @@ def community_blanket(data: DiscreteDataset, g: WeightedGraph,
 def inner_markov_graph(community: Sequence[int],
                        blankets: Mapping[int, frozenset[int]]) -> dict[int, set[int]]:
     """Adjacency on the community: x ~ y iff either is in the other's blanket."""
-    comm = sorted(set(int(v) for v in community))
+    comm = sorted(set(check_nodes("node", community)))
     adj: dict[int, set[int]] = {v: set() for v in comm}
     for i, x in enumerate(comm):
         for y in comm[i + 1:]:
@@ -189,8 +190,7 @@ def rnn_sample(img: Mapping[int, set[int]], blankets: Mapping[int, frozenset[int
     nodes = sorted(img)
     if not nodes:
         raise InvalidInput("empty inner markov graph")
-    if max_learn_size < 1:
-        raise InvalidInput("max_learn_size must be >= 1")
+    check_number("max_learn_size", max_learn_size, least=1)
     k = -(-2 * len(nodes) // max_learn_size)
     rng = np.random.default_rng(seed)
     visited: set[int] = set()

@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, NetworkFormatError
+from .errors import InvalidInput, NetworkFormatError, check_nodes, check_number
 
 _PROB_TOL = 1e-9
 # rows per block of the one-hot product in DiscreteDataset.pair_tables: a
@@ -75,15 +75,6 @@ def reading(path):
             raise
         except ValueError as e:
             raise InvalidInput(f"{path}: {e}") from e
-
-
-def check_columns(data, cols: Iterable[int]) -> None:
-    """Raise ``InvalidInput`` unless every index in ``cols`` names a column of
-    ``data`` (``0 <= c < V``, V the length of ``data.cardinalities``)."""
-    v = len(data.cardinalities)
-    for c in cols:
-        if not 0 <= c < v:
-            raise InvalidInput(f"column index {c} outside 0..{v - 1}")
 
 
 @dataclass(eq=False)
@@ -249,7 +240,7 @@ class DiscreteDataset:
         the code space is no larger than the row count, otherwise sorted by
         ``np.unique``; both give the rows in ascending code order.  The view
         shares the dataset's entropy memo."""
-        cols = tuple(int(c) for c in cols)
+        cols = check_nodes("column index", cols, self.n_vars)
         shape = tuple(self.cardinalities[c] for c in cols)
         size = math.prod(shape)
         if size > np.iinfo(np.int64).max:
@@ -284,7 +275,7 @@ class DiscreteDataset:
 
     def select(self, indices: Sequence[int]) -> "DiscreteDataset":
         """Column subset in the given order (names kept, indices renumbered)."""
-        idx = list(indices)
+        idx = list(check_nodes("column index", indices, self.n_vars))
         return DiscreteDataset(
             names=tuple(self.names[i] for i in idx),
             cardinalities=tuple(self.cardinalities[i] for i in idx),
@@ -492,8 +483,8 @@ def forward_sample(net: GroundTruthNet, n: int, seed: int) -> DiscreteDataset:
     Deterministic for a fixed ``(net, n, seed)``; variables are drawn in
     topological order (lowest index first among ready nodes).
     """
-    if n < 0:
-        raise InvalidInput("n must be >= 0")
+    check_number("n", n, least=0)
+    check_number("seed", seed, least=0)
     rng = np.random.default_rng(seed)
     cards = net.cardinalities
     out = np.zeros((n, net.n_vars), dtype=np.int32, order="F")
@@ -522,8 +513,7 @@ def discretize(table, bins: int, names: Sequence[str] | None = None) -> Discrete
     a = np.asarray(table, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] == 0:
         raise InvalidInput("table must be a nonempty 2-D array")
-    if bins < 2:
-        raise InvalidInput("bins must be >= 2")
+    check_number("bins", bins, least=2)
     n, v = a.shape
     if names is None:
         names = tuple(f"x{j}" for j in range(v))

@@ -1,4 +1,5 @@
-"""Shared exception types, and the checks of number arguments and fields."""
+"""Shared exception types, and the checks of number arguments, node indices
+and fields."""
 
 from __future__ import annotations
 
@@ -12,11 +13,27 @@ class InvalidInput(ValueError):
 def check_number(name: str, value, real: bool = False, least=None) -> None:
     """Raise ``InvalidInput`` unless ``value`` is an integer, or a real number
     when ``real`` (a bool is neither), and, given ``least``, at least that."""
-    kind, what = (numbers.Real, "a real number") if real else (numbers.Integral, "an integer")
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise InvalidInput(f"{name} must be {what}, got {value!r}")
+    if type(value) is not int:  # a plain int is both; a bool is neither
+        kind, what = ((numbers.Real, "a real number") if real
+                      else (numbers.Integral, "an integer"))
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise InvalidInput(f"{name} must be {what}, got {value!r}")
     if least is not None and value < least:
         raise InvalidInput(f"{name} must be >= {least}, got {value!r}")
+
+
+def check_nodes(name: str, values, n=None) -> tuple[int, ...]:
+    """``values`` as a tuple of plain ints.  Raise ``InvalidInput`` unless
+    each is an integer (``check_number``) and, given ``n``, in 0..n-1."""
+    out = []
+    for v in values:
+        if type(v) is not int:  # a bool is not a plain int
+            check_number(name, v)
+            v = int(v)
+        if n is not None and not 0 <= v < n:
+            raise InvalidInput(f"{name} {v} outside 0..{n - 1}")
+        out.append(v)
+    return tuple(out)
 
 
 def check_number_types(config, integers=(), reals=()) -> None:

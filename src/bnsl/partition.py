@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import DiscreteDataset, ordered_sum, reading
-from .errors import InvalidInput
+from .errors import InvalidInput, check_nodes, check_number
 from .weights import (WEIGHT_FUNCTIONS, PairStats, WeightedGraph, elbow_truncate,
                       pair_stats, weight_matrix)
 
@@ -37,17 +37,15 @@ class Partition:
     communities: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InvalidInput(f"n must be >= 0, got {self.n!r}")
-        comms = tuple(tuple(sorted(set(int(x) for x in c))) for c in self.communities)
+        check_number("n", self.n, least=0)
+        comms = tuple(tuple(sorted(set(check_nodes("node", c, self.n))))
+                      for c in self.communities)
         object.__setattr__(self, "communities", comms)
         seen = set()
         covered = set()
         for c in comms:
             if not c:
                 raise InvalidInput("empty community")
-            if c[0] < 0 or c[-1] >= self.n:
-                raise InvalidInput(f"community {c} outside 0..{self.n - 1}")
             if c in seen:
                 raise InvalidInput(f"duplicate community {c}")
             seen.add(c)
@@ -115,28 +113,26 @@ def link_communities(g: WeightedGraph) -> Partition:
 
     incl, norm2 = _inclusive_vectors(g)
 
-    eindex = {e: k for k, e in enumerate(edges)}
+    # incident[k] holds (edge index, other endpoint) of each edge at node k
     incident: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n)}
-    for e in edges:
-        incident[e[0]].append(e)
-        incident[e[1]].append(e)
+    for i, (a, b) in enumerate(edges):
+        incident[a].append((i, b))
+        incident[b].append((i, a))
 
     # edge pairs sharing node k are scored by their outer endpoints (u, v);
     # incident[k] lists those in ascending order, so u < v and the similarity
-    # of each pair is computed once, always with the same argument order
+    # of each pair is computed once, always with the same argument order.
+    # The edges are sorted, so edge indices tie-break as the edges would.
     sims = []
     memo: dict[tuple[int, int], float] = {}
     for k in range(g.n):
         inc = incident[k]
-        for a in range(len(inc)):
-            for b in range(a + 1, len(inc)):
-                e1, e2 = inc[a], inc[b]
-                u = e1[0] if e1[1] == k else e1[1]
-                v = e2[0] if e2[1] == k else e2[1]
+        for a, (k1, u) in enumerate(inc):
+            for k2, v in inc[a + 1:]:
                 s = memo.get((u, v))
                 if s is None:
                     s = memo[(u, v)] = -_tanimoto(incl[u], incl[v], norm2[u], norm2[v])
-                sims.append((s, e1, e2))
+                sims.append((s, k1, k2))
     sims.sort()
 
     # merge one level of equal similarity at a time and keep the densest cut.
@@ -150,9 +146,9 @@ def link_communities(g: WeightedGraph) -> Partition:
     terms: dict[int, float] = {}
     best_density, best_end, end = 0.0, 0, 0
     for _, level in itertools.groupby(sims, key=lambda t: t[0]):
-        for _, e1, e2 in level:
+        for _, k1, k2 in level:
             end += 1
-            ra, rb = uf.find(eindex[e1]), uf.find(eindex[e2])
+            ra, rb = uf.find(k1), uf.find(k2)
             if uf.union(ra, rb):  # ra stays the root
                 n_edges[ra] += n_edges[rb]
                 nodes[ra] |= nodes[rb]
@@ -166,8 +162,8 @@ def link_communities(g: WeightedGraph) -> Partition:
             best_density, best_end = d, end
 
     uf = _UnionFind(m)
-    for _, e1, e2 in sims[:best_end]:
-        uf.union(eindex[e1], eindex[e2])
+    for _, k1, k2 in sims[:best_end]:
+        uf.union(k1, k2)
     best: dict[int, set[int]] = {}
     for k, e in enumerate(edges):
         best.setdefault(uf.find(k), set()).update(e)
@@ -239,8 +235,7 @@ def consensus_partition(source: DiscreteDataset | PairStats,
     """
     if not fns:
         raise InvalidInput("need at least one weight function")
-    if max_comm < 1:
-        raise InvalidInput(f"max_comm must be >= 1, got {max_comm!r}")
+    check_number("max_comm", max_comm, least=1)
     n = source.n_vars
     data = source.data if isinstance(source, PairStats) else source
     if data.n_rows == 0:

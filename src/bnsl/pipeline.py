@@ -20,7 +20,7 @@ from .averaging import (EXACT_MAX_NODES, LearnerConfig, LocalStructure,
 from .blankets import community_blanket, inner_markov_graph, rnn_sample
 from .data import (DiscreteDataset, GroundTruthNet, forward_sample,
                    load_dataset, load_network, save_dataset)
-from .errors import InvalidInput, PipelineStageError, check_number, check_number_types
+from .errors import InvalidInput, PipelineStageError, check_number_types
 from .evaluate import EvalReport, score_structure
 from .merge import MergeResult, combine_structures, merge_all, resolve
 from .partition import Partition, consensus_partition, save_partition
@@ -128,11 +128,6 @@ def structure_from_dict(d: dict) -> LocalStructure:
     for key in ("nodes", "edges"):
         if key not in d:
             raise InvalidInput(f"missing {key!r}")
-    for v in d["nodes"]:
-        check_number("node", v)
-    for e in d["edges"]:
-        for v in e:
-            check_number("edge endpoint", v)
     support = {}
     for k, v in d.get("support", {}).items():
         try:

@@ -45,8 +45,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import DiscreteDataset, check_columns, reading
-from .errors import InvalidInput
+from .data import DiscreteDataset, reading
+from .errors import InvalidInput, check_nodes, check_number
 
 WEIGHT_FUNCTIONS = ("MI", "MI_plus", "MI_sqrt", "MI_pr", "MI_sn", "Pearson", "Pearson_sn")
 _DAMPING, _TOL = 0.85, 1e-10  # PageRank
@@ -61,8 +61,7 @@ class WeightedGraph:
     """
 
     def __init__(self, n: int, weights: dict[tuple[int, int], float] | None = None):
-        if n < 0:
-            raise InvalidInput("n must be >= 0")
+        check_number("n", n, least=0)
         self.n = n
         self._adj: dict[int, dict[int, float]] = {}
         for (i, j), w in (weights or {}).items():
@@ -132,7 +131,7 @@ def mutual_information(data: DiscreteDataset, i: int, j: int) -> float:
     """Empirical MI in nats between columns i and j; zero cells are skipped."""
     if data.n_rows == 0:
         raise InvalidInput("dataset is empty")
-    check_columns(data, (i, j))
+    i, j = check_nodes("column index", (i, j), len(data.cardinalities))
     return _mi_from_joint(data.counts((i, j)).astype(np.float64))
 
 

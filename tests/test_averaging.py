@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -349,6 +350,20 @@ class TestThresholdEdges:
         s = threshold_edges(post)
         assert s.support[(2, 1)] == pytest.approx(0.9)
 
+    # a NaN threshold used to keep both directions of every pair, and a text
+    # one to fail inside numpy
+    @pytest.mark.parametrize("t_avg, message", [
+        (math.nan, "t_avg must be in [0, 1], got nan"),
+        (2, "t_avg must be in [0, 1], got 2"),
+        (-1, "t_avg must be in [0, 1], got -1"),
+        ("0.5", "t_avg must be a real number, got '0.5'")])
+    def test_threshold_outside_the_unit_interval_rejected(self, t_avg, message):
+        post = self._posterior({(0, 1): 0.6, (1, 0): 0.6, (1, 2): 0.7, (2, 1): 0.7,
+                                (0, 2): 0.8, (2, 0): 0.8})
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            threshold_edges(post, t_avg)
+        assert threshold_edges(post, np.float64(0.5)) == threshold_edges(post, 0.5)
+
     # a coarse grid mixed in, so that ties and values at the threshold occur
     PROBABILITY = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
 
@@ -501,13 +516,19 @@ class TestLocalStructure:
 
     @pytest.mark.parametrize("edge, want", [
         ([np.int64(0), np.int64(1)], (0, 1)),
-        ((np.int64(1), 0), (1, 0)),
-        ((True, False), (1, 0)),
-        ((0, 1.0), (0, 1))])
+        ((np.int64(1), 0), (1, 0))])
     def test_other_edges_become_plain_int_tuples(self, edge, want):
         (e,) = LocalStructure((0, 1), (edge,)).edges
         assert e == want
         assert type(e) is tuple and all(type(v) is int for v in e)
+
+    # a bool or a float endpoint used to be truncated to a node
+    @pytest.mark.parametrize("edge, message", [
+        ((True, False), "^edge endpoint must be an integer, got True$"),
+        ((0, 1.0), "^edge endpoint must be an integer, got 1.0$")], ids=["bool", "float"])
+    def test_edges_that_are_not_integers_rejected(self, edge, message):
+        with pytest.raises(InvalidInput, match=message):
+            LocalStructure((0, 1), (edge,))
 
     def test_support_outside_the_edges_rejected(self):
         with pytest.raises(InvalidInput):

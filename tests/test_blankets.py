@@ -1,5 +1,9 @@
 """Conditional independence tests, IAMB, and sub-community sampling."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.stats import chi2, chi2_contingency
@@ -13,7 +17,7 @@ from bnsl.errors import ConditioningSetTooLarge, InvalidInput
 from bnsl.pipeline import PipelineConfig, run_pipeline
 from bnsl.weights import WeightedGraph, mutual_information
 
-from conftest import NETWORKS_DIR, chain3, collider3, random_binary_net
+from conftest import NETWORKS_DIR, REPO_ROOT, chain3, collider3, random_binary_net
 from oracles import cmi_by_four_bincounts, conditional_mi_of, markov_blanket_of
 
 
@@ -132,6 +136,20 @@ class TestEntropyMemo:
             got = conditional_mutual_information(other, 0, 1, [2])
             assert tables_counted == [(2, 0, 1)]
             assert got == cmi_by_four_bincounts(other, 0, 1, [2])
+
+
+def test_import_loads_no_scipy_stats():
+    # g_test reads its p-value from scipy.special.chdtrc for this reason:
+    # scipy.stats nearly doubles the memory that importing bnsl takes
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, bnsl; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, encoding="utf-8", timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 class TestGTest:
