@@ -8,7 +8,9 @@ sample learning windows (:mod:`bnsl.blankets`), average structures over
 node orders (:mod:`bnsl.averaging`), and merge the community structures
 back into one network (:mod:`bnsl.merge`).  :mod:`bnsl.pipeline` wires the
 stages together and :mod:`bnsl.evaluate` scores results against a known
-ground truth.
+ground truth.  :mod:`bnsl.special` computes the log-gamma, log-sum-exp and
+chi-squared tail of the stages as scipy does, so the pipeline never imports
+scipy.
 """
 
 from .averaging import (EdgePosterior, LearnerConfig, LocalStructure, ScoreCache,

@@ -55,11 +55,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .data import DiscreteDataset, ordered_sum, reading
 from .errors import (BudgetExceeded, FamilyTooLarge, InvalidInput, check_nodes,
                      check_number, check_number_types)
+from .special import gammaln, logsumexp
 
 MAX_FAMILY_CELLS = 2 ** 22
 SUBSET_BUDGET = 2 ** 20
@@ -170,6 +170,8 @@ def bdeu_family_score(data: DiscreteDataset, child: int, parents,
     Pseudo-counts are ``ess / (q * r)`` per cell, q the number of parent
     configurations and r the child cardinality.  An empty dataset scores 0,
     and more than ``MAX_FAMILY_CELLS`` cells raise ``FamilyTooLarge``.
+    log Gamma(a + n) is read from the dataset's table for the pseudo-count
+    a (``_gammaln_table``), filled where this family needs it.
     """
     child, *parents = check_nodes("column index", (child, *parents), len(data.cardinalities))
     parents = tuple(sorted(set(parents)))
@@ -183,13 +185,44 @@ def bdeu_family_score(data: DiscreteDataset, child: int, parents,
     if q * r > MAX_FAMILY_CELLS:
         raise FamilyTooLarge(
             f"family ({child} | {parents}) needs {q * r} count cells")
-    counts = data.counts(parents + (child,)).reshape(q, r).astype(np.float64)
-    a_jk = ess / (q * r)
-    a_j = ess / q
+    counts = data.counts(parents + (child,)).reshape(q, r)
     nj = counts.sum(axis=1)
-    score = (gammaln(a_j) - gammaln(a_j + nj)).sum()
-    score += (gammaln(a_jk + counts) - gammaln(a_jk)).sum()
+    tables = getattr(data, "_gammaln", {})  # a stand-in without tables fills anew
+    a_j, a_jk = ess / q, ess / (q * r)
+    t_j = _gammaln_table(tables, a_j, data.n_rows)
+    t_jk = _gammaln_table(tables, a_jk, data.n_rows)
+    score = _bdeu_sum(t_j, t_jk, nj, counts)
+    if math.isnan(score):  # an entry not filled yet
+        _fill(t_j, a_j, nj)
+        _fill(t_jk, a_jk, counts)
+        score = _bdeu_sum(t_j, t_jk, nj, counts)
     return float(score)
+
+
+def _gammaln_table(tables: dict, a: float, n_rows: int) -> np.ndarray:
+    """The table of log Gamma(a + n) for the counts n = 0..``n_rows``, kept in
+    ``tables``.  An entry not filled yet is NaN, so a sum that reads one is NaN."""
+    t = tables.get(a)
+    if t is None:
+        t = tables[a] = np.full(n_rows + 1, np.nan)
+        t[0] = gammaln(a)
+    return t
+
+
+def _fill(t: np.ndarray, a: float, n: np.ndarray) -> None:
+    """Fill the entries of ``t`` at the counts ``n`` that are not filled yet."""
+    for k in set(n[np.isnan(t[n])].tolist()):
+        t[k] = gammaln(a + k)
+
+
+def _bdeu_sum(t_j: np.ndarray, t_jk: np.ndarray, nj: np.ndarray,
+              counts: np.ndarray) -> np.float64:
+    """The BDeu sum over the parent configurations, then over the cells.  The
+    terms keep this order and shape, and so numpy's pairwise sums: a score
+    one ulp off can break a tie between Markov-equivalent directions."""
+    score = (t_j[0] - t_j[nj]).sum()
+    score += (t_jk[counts] - t_jk[0]).sum()
+    return score
 
 
 _Term = tuple[float, np.ndarray]  # (log Z, row) of one position of an order

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import chdtrc  # chi2.sf without importing scipy.stats
 
 from .data import DiscreteDataset, ordered_sum
 from .errors import ConditioningSetTooLarge, InvalidInput, check_nodes, check_number
+from .special import chi2_sf_below
 from .weights import WeightedGraph, entropy
 
 MAX_CMI_CELLS = 2 ** 22
@@ -78,18 +78,31 @@ def conditional_mutual_information(data: DiscreteDataset, x: int, y: int,
 
 def g_test(data: DiscreteDataset, x: int, y: int,
            z: Sequence[int] = ()) -> tuple[float, int, float]:
-    """G statistic, degrees of freedom and p-value for X vs Y given Z."""
+    """G statistic, degrees of freedom and p-value for X vs Y given Z; the
+    p-value is ``scipy.special.chdtrc``'s, imported here so that importing
+    bnsl does not load scipy."""
+    from scipy.special import chdtrc  # chi2.sf without importing scipy.stats
+
     z = tuple(sorted(set(check_nodes("column index", z))))
-    return _g_of_cmi(data, x, y, z, conditional_mutual_information(data, x, y, z))
+    g, df = _g_of_cmi(data, x, y, z, conditional_mutual_information(data, x, y, z))
+    return g, df, float(chdtrc(df, g))
 
 
 def _g_of_cmi(data: DiscreteDataset, x: int, y: int, z: Sequence[int],
-              cmi: float) -> tuple[float, int, float]:
-    """``g_test`` of X vs Y given Z from CMI(X; Y | Z), already computed."""
-    g = 2.0 * data.n_rows * cmi
+              cmi: float) -> tuple[float, int]:
+    """G statistic and degrees of freedom of X vs Y given Z from
+    CMI(X; Y | Z), already computed."""
     cards = data.cardinalities
-    df = (cards[x] - 1) * (cards[y] - 1) * math.prod(cards[v] for v in z)
-    return g, df, float(chdtrc(df, g))
+    return (2.0 * data.n_rows * cmi,
+            (cards[x] - 1) * (cards[y] - 1) * math.prod(cards[v] for v in z))
+
+
+def _dependent(data: DiscreteDataset, x: int, y: int, z: Sequence[int],
+               cmi: float, alpha: float) -> bool:
+    """Whether the G-test of X vs Y given Z, from CMI(X; Y | Z), rejects
+    independence at ``alpha``: the decision of ``g_test``'s p-value < alpha."""
+    g, df = _g_of_cmi(data, x, y, z, cmi)
+    return chi2_sf_below(df, g, alpha)
 
 
 def iamb(data: DiscreteDataset, x: int, candidates: Sequence[int],
@@ -100,7 +113,9 @@ def iamb(data: DiscreteDataset, x: int, candidates: Sequence[int],
     (ties to the smallest index) while the G-test rejects independence at
     ``alpha``; stop the first time the best candidate fails.  The test
     reuses the CMI that chose the candidate.  Backward phase: drop any
-    member that tests independent given the others.
+    member that tests independent given the others.  Each test decides
+    as ``g_test``'s p-value would, without importing scipy
+    (:func:`bnsl.special.chi2_sf_below`).
     """
     if not (0 < alpha < 1):
         raise InvalidInput("alpha must be in (0, 1)")
@@ -114,15 +129,14 @@ def iamb(data: DiscreteDataset, x: int, candidates: Sequence[int],
         cmi = [conditional_mutual_information(data, x, c, cmb) for c in rest]
         k = max(range(len(rest)), key=cmi.__getitem__)  # the first of ties
         best = rest[k]
-        _, _, p = _g_of_cmi(data, x, best, cmb, cmi[k])
-        if p < alpha:
+        if _dependent(data, x, best, cmb, cmi[k], alpha):
             cmb.append(best)
         else:
             break
     for y in sorted(cmb):
         others = [c for c in cmb if c != y]
-        _, _, p = g_test(data, x, y, others)
-        if p >= alpha:
+        if not _dependent(data, x, y, others,
+                          conditional_mutual_information(data, x, y, others), alpha):
             cmb.remove(y)
     return frozenset(cmb)
 
@@ -191,6 +205,7 @@ def rnn_sample(img: Mapping[int, set[int]], blankets: Mapping[int, frozenset[int
     if not nodes:
         raise InvalidInput("empty inner markov graph")
     check_number("max_learn_size", max_learn_size, least=1)
+    check_number("seed", seed, least=0)
     k = -(-2 * len(nodes) // max_learn_size)
     rng = np.random.default_rng(seed)
     visited: set[int] = set()

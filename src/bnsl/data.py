@@ -17,11 +17,13 @@ without it gets each variable's largest observed state + 1.
 :func:`forward_sample` draws each state as the number of steps of its CDF
 row at or below a uniform draw.  A :class:`DiscreteDataset` memoizes the
 entropies of its count tables, keyed by their ordered columns, for the
-CMI of the blanket searches, and per ``ess`` the BDeu score of each
+CMI of the blanket searches, per ``ess`` the BDeu score of each
 (child, parent set), for the scoring window (a
-:class:`bnsl.averaging.ScoreCache`) of every learner call on it.  Its
-distinct-row views share the entropies.  So every community of a run
-shares each statistic, while a new dataset starts with empty memos.
+:class:`bnsl.averaging.ScoreCache`) of every learner call on it, and per
+pseudo-count the log-gamma table of the BDeu scores.  Its distinct-row
+views share the entropies and the log-gamma tables.  So every community
+of a run shares each statistic, while a new dataset starts with empty
+memos.
 """
 
 from __future__ import annotations
@@ -95,8 +97,9 @@ class GroundTruthNet:
     def __post_init__(self):
         self.names = tuple(self.names)
         self.states = tuple(tuple(s) for s in self.states)
-        self.arcs = tuple(sorted(set((int(p), int(c)) for p, c in self.arcs)))
         n = len(self.names)
+        self.arcs = tuple(sorted(set(check_nodes("arc endpoint", (p, c), n)
+                                     for p, c in self.arcs)))
         if len(set(self.names)) != n:
             raise InvalidInput("duplicate variable names")
         if len(self.states) != n or len(self.cpts) != n:
@@ -105,7 +108,7 @@ class GroundTruthNet:
             if len(s) < 2:
                 raise InvalidInput("every variable needs at least 2 states")
         for p, c in self.arcs:
-            if p == c or not (0 <= p < n and 0 <= c < n):
+            if p == c:
                 raise InvalidInput(f"bad arc ({p}, {c})")
         self.topological_order()  # raises on a cycle
         cpts = []
@@ -182,8 +185,9 @@ class DiscreteDataset:
     :class:`PairTables`) for every one- and two-column table from one
     one-hot product, which is what the pairwise MI of the weights reads.
 
-    ``_entropies`` and ``_family_scores`` are its memos (module docstring);
-    :meth:`distinct` views share the entropies, :meth:`select` starts anew.
+    ``_entropies``, ``_family_scores`` and ``_gammaln`` are its memos (module
+    docstring); :meth:`distinct` views share the entropies and the log-gamma
+    tables, :meth:`select` starts anew.
     """
 
     names: tuple[str, ...]
@@ -193,9 +197,12 @@ class DiscreteDataset:
                              compare=False)
     _family_scores: dict = field(default_factory=dict, init=False, repr=False,
                                  compare=False)
+    _gammaln: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.names = tuple(self.names)
+        for c in self.cardinalities:
+            check_number("cardinality", c)
         self.cardinalities = tuple(int(c) for c in self.cardinalities)
         if len(set(self.names)) != len(self.names):
             raise InvalidInput("duplicate variable names")
@@ -239,7 +246,7 @@ class DiscreteDataset:
         would overflow int64.  The codes are counted by ``np.bincount`` when
         the code space is no larger than the row count, otherwise sorted by
         ``np.unique``; both give the rows in ascending code order.  The view
-        shares the dataset's entropy memo."""
+        shares the dataset's entropy memo and log-gamma tables."""
         cols = check_nodes("column index", cols, self.n_vars)
         shape = tuple(self.cardinalities[c] for c in cols)
         size = math.prod(shape)
@@ -254,7 +261,7 @@ class DiscreteDataset:
             rows, mult = np.unique(code, return_counts=True)
         return DistinctRows(self.n_rows, self.cardinalities,
                             dict(zip(cols, np.unravel_index(rows, shape))),
-                            mult.astype(np.float64), self._entropies)
+                            mult.astype(np.float64), self._entropies, self._gammaln)
 
     def pair_tables(self) -> "PairTables":
         """Every one- and two-column table of the dataset, for :meth:`counts`
@@ -295,7 +302,8 @@ class DistinctRows:
     and raises ``InvalidInput`` for a column the view does not hold.
     The multiplicities are whole numbers below 2^53, so the float sums of
     ``np.bincount`` are exact and every statistic keeps its last bit.
-    ``_entropies`` is the entropy memo of the dataset the view came from.
+    ``_entropies`` and ``_gammaln`` are the entropy memo and log-gamma tables
+    of the dataset the view came from.
     """
 
     n_rows: int
@@ -303,6 +311,7 @@ class DistinctRows:
     digits: dict[int, np.ndarray] = field(repr=False)
     weights: np.ndarray = field(repr=False)
     _entropies: dict = field(default_factory=dict, repr=False, compare=False)
+    _gammaln: dict = field(default_factory=dict, repr=False, compare=False)
 
     def counts(self, cols: Sequence[int]) -> np.ndarray:
         """:meth:`DiscreteDataset.counts` of ``cols``, from the distinct rows."""

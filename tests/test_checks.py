@@ -8,8 +8,9 @@ import re
 import numpy as np
 import pytest
 
-from bnsl import (EdgePosterior, LocalStructure, Partition, ScoreCache, WeightedGraph,
-                  bdeu_family_score, community_blanket, conditional_mutual_information,
+from bnsl import (DiscreteDataset, EdgePosterior, GroundTruthNet, LocalStructure,
+                  Partition, ScoreCache, WeightedGraph, bdeu_family_score,
+                  community_blanket, conditional_mutual_information,
                   consensus_partition, discretize, forward_sample, g_test, iamb,
                   inner_markov_graph, load_network, mutual_information, order_mcmc,
                   rnn_sample)
@@ -22,6 +23,7 @@ NET = load_network(NETWORKS_DIR / "fivehub.net")
 DATA = forward_sample(NET, 200, seed=0)  # 9 columns
 TABLE = np.random.default_rng(0).normal(size=(20, 2))
 IMG = {0: {1}, 1: {0}, 2: set()}
+CPTS = [np.full((1, 2), 0.5), np.full((2, 2), 0.5)]  # a -> b
 
 # (name in the message, a valid plain int, the call of the site on v)
 SITES = {
@@ -51,6 +53,11 @@ SITES = {
     "forward_sample_seed": ("seed", 1, lambda v: forward_sample(NET, 5, v).samples.tolist()),
     "discretize": ("bins", 2, lambda v: discretize(TABLE, v).samples.tolist()),
     "rnn_sample": ("max_learn_size", 2, lambda v: rnn_sample(IMG, {}, max_learn_size=v)),
+    "rnn_sample_seed": ("seed", 1, lambda v: rnn_sample(IMG, {}, seed=v)),
+    "ground_truth_net": ("arc endpoint", 1, lambda v: GroundTruthNet(
+        ("a", "b"), (("x", "y"),) * 2, ((0, v),), CPTS).arcs),
+    "dataset_cardinality": ("cardinality", 3, lambda v: DiscreteDataset(
+        ("a", "b"), (v, 3), [[2, 0], [0, 2]]).cardinalities),
     "consensus_partition": ("max_comm", 4, lambda v: consensus_partition(DATA, max_comm=v)),
     "weighted_graph": ("n", 2, lambda v: WeightedGraph(v).n),
     "partition_n": ("n", 1, lambda v: Partition(v, ((0,),))),
@@ -86,6 +93,8 @@ def test_site_takes_a_numpy_integer_as_the_plain_int(site):
     ("forward_sample_seed", -1, "seed must be >= 0, got -1"),
     ("discretize", 1, "bins must be >= 2, got 1"),
     ("rnn_sample", 0, "max_learn_size must be >= 1, got 0"),
+    ("rnn_sample_seed", -1, "seed must be >= 0, got -1"),
+    ("ground_truth_net", 2, "arc endpoint 2 outside 0..1"),
     ("weighted_graph", -1, "n must be >= 0, got -1"),
     ("order_mcmc", 0, "T must be >= 1, got 0")])
 def test_site_rejects_an_index_out_of_range_or_a_count_too_small(site, value, message):
