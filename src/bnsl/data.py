@@ -176,9 +176,14 @@ class GroundTruthNet:
 class DiscreteDataset:
     """Complete discrete samples: an ``(N, V)`` integer matrix plus schema.
 
-    ``samples`` is a read-only int32 copy in column-major (Fortran) order,
+    ``samples`` is a read-only int32 array in column-major (Fortran) order,
     so ``column(i)``, which :meth:`counts` reads for every count statistic
-    (MI, entropy, CMI and BDeu), is a contiguous view.  Two stand-ins give
+    (MI, entropy, CMI and BDeu), is a contiguous view.  An input that is
+    already such an array and owns its memory (``base is None``), as
+    :func:`forward_sample` hands over, is kept without a copy; its maker must
+    not make it writable again.  Any other input is copied, a writable array
+    or a read-only view of one included, so a later write to it leaves the
+    dataset as it was.  Two stand-ins give
     the same counts from less work: :meth:`distinct` (a :class:`DistinctRows`)
     for a column subset from its distinct rows, which is what a learning
     window or a blanket search reads, and :meth:`pair_tables` (a
@@ -213,7 +218,9 @@ class DiscreteDataset:
         a = np.asarray(self.samples)
         if a.ndim != 2 or a.shape[1] != len(self.names):
             raise InvalidInput(f"samples must be (N, {len(self.names)})")
-        a = np.array(a, dtype=np.int32, order="F")
+        if not (a.dtype == np.int32 and a.flags.f_contiguous
+                and not a.flags.writeable and a.base is None):
+            a = np.array(a, dtype=np.int32, order="F")
         for j, c in enumerate(self.cardinalities):
             col = a[:, j]
             if col.size and (col.min() < 0 or col.max() >= c):
@@ -507,6 +514,7 @@ def forward_sample(net: GroundTruthNet, n: int, seed: int) -> DiscreteDataset:
         # the first state whose cumulative probability exceeds u, and the last
         # state takes the rest of [0, 1) however the row's sum rounds
         out[:, i] = (u >= cdf[:, :-1].T[:, cfg]).sum(axis=0, dtype=np.int32)
+    out.flags.writeable = False  # so the dataset keeps it without a copy
     return DiscreteDataset(net.names, cards, out)
 
 

@@ -139,17 +139,21 @@ def link_communities(g: WeightedGraph) -> Partition:
     # terms holds each cluster's partition density term, keyed by its root;
     # a cluster of 2 nodes adds nothing and has none.  A merged cluster's
     # term moves to the end, so the terms are added in order of last merge
-    # at every level.  The best level's clusters are rebuilt after the scan.
+    # at every level.  A level that merges nothing leaves the terms, and so
+    # the density, as the last level left them, so only a merging level sums
+    # them.  The best level's clusters are rebuilt after the scan.
     uf = _UnionFind(m)
     n_edges = [1] * m
     nodes = [set(e) for e in edges]
     terms: dict[int, float] = {}
     best_density, best_end, end = 0.0, 0, 0
     for _, level in itertools.groupby(sims, key=lambda t: t[0]):
+        merged = False
         for _, k1, k2 in level:
             end += 1
             ra, rb = uf.find(k1), uf.find(k2)
             if uf.union(ra, rb):  # ra stays the root
+                merged = True
                 n_edges[ra] += n_edges[rb]
                 nodes[ra] |= nodes[rb]
                 terms.pop(ra, None)
@@ -157,9 +161,10 @@ def link_communities(g: WeightedGraph) -> Partition:
                 mc, nc = n_edges[ra], len(nodes[ra])
                 if nc > 2:
                     terms[ra] = mc * (mc - nc + 1) / ((nc - 2) * (nc - 1))
-        d = 2.0 * ordered_sum(terms.values()) / m
-        if d > best_density:
-            best_density, best_end = d, end
+        if merged:
+            d = 2.0 * ordered_sum(terms.values()) / m
+            if d > best_density:
+                best_density, best_end = d, end
 
     uf = _UnionFind(m)
     for _, k1, k2 in sims[:best_end]:

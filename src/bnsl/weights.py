@@ -75,6 +75,8 @@ class WeightedGraph:
         return cls(w.shape[0], dict(zip(zip(i.tolist(), j.tolist()), w[i, j].tolist())))
 
     def add_edge(self, i: int, j: int, w: float) -> None:
+        if type(i) is not int or type(j) is not int:  # a bool is not a plain int
+            i, j = check_nodes("node", (i, j))
         i, j = (i, j) if i < j else (j, i)
         if i == j or not (0 <= i < self.n and 0 <= j < self.n):
             raise InvalidInput(f"bad edge ({i}, {j}) for n={self.n}")
@@ -286,9 +288,13 @@ def weight_matrix(source: DiscreteDataset | PairStats, fn: str) -> np.ndarray:
 
 
 def _abs_pearson(data: DiscreteDataset) -> np.ndarray:
-    """|rho| of every column pair on integer state codes, read-only."""
+    """|rho| of every column pair on integer state codes, read-only.
+
+    ``np.corrcoef`` takes the int32 codes as they are, so its float64
+    conversion is the one copy of the samples that the product needs.
+    """
     with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.corrcoef(data.samples.T.astype(np.float64))
+        corr = np.corrcoef(data.samples.T)
     w = np.abs(np.nan_to_num(corr, nan=0.0))  # constant columns carry no signal
     w.flags.writeable = False
     return w

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -132,6 +133,18 @@ class TestForwardSample:
         c = forward_sample(chain_net, 100, seed=4)
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
+
+    def test_peak_memory_is_one_sample_array(self):
+        # the sampler fills one int32 array and hands it to the dataset, so
+        # the run never holds a second copy of the samples
+        net = load_network(NETWORKS_DIR / "win95pts.net")
+        tracemalloc.start()
+        try:
+            data = forward_sample(net, 20000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * data.samples.nbytes, (peak, data.samples.nbytes)
 
     def test_shapes_and_ranges(self, chain_data):
         assert chain_data.samples.shape == (5000, 3)
@@ -293,6 +306,31 @@ class TestDiscreteDataset:
     def test_samples_copied_from_input(self):
         rows = np.zeros((5, 2), dtype=np.int32, order="F")
         ds = DiscreteDataset(["a", "b"], [2, 2], rows)
+        rows[0, 0] = 1
+        assert ds.samples[0, 0] == 0
+
+    def test_read_only_owned_int32_fortran_input_is_shared(self):
+        rows = np.zeros((5, 2), dtype=np.int32, order="F")
+        rows[:2, 1] = 1
+        rows.flags.writeable = False
+        ds = DiscreteDataset(["a", "b"], [2, 2], rows)
+        assert ds.samples is rows
+
+    @pytest.mark.parametrize("make", [
+        lambda rows: rows[:],  # a read-only view of a writable array
+        lambda rows: np.array(rows, order="C"),  # row-major
+        lambda rows: rows.astype(np.int64),  # another dtype
+        lambda rows: rows.astype(">i4"),  # another byte order
+    ], ids=["view", "c-order", "int64", "big-endian"])
+    def test_any_other_input_is_copied(self, make):
+        rows = np.zeros((5, 2), dtype=np.int32, order="F")
+        rows[:2, 1] = 1
+        given = make(rows)
+        given.flags.writeable = False
+        ds = DiscreteDataset(["a", "b"], [2, 2], given)
+        assert not np.shares_memory(ds.samples, given)
+        assert not np.shares_memory(ds.samples, rows)
+        assert np.array_equal(ds.samples, rows)
         rows[0, 0] = 1
         assert ds.samples[0, 0] == 0
 

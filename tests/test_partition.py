@@ -88,6 +88,21 @@ def pairwise_weights(c, t_co):
     return out
 
 
+def edge_pair_levels(g):
+    """The pairs of edges that share a node, grouped by the Tanimoto
+    similarity of their outer endpoints, most similar first."""
+    incl, norm2 = partition._inclusive_vectors(g)
+    by_sim: dict[float, list] = {}
+    for k in range(g.n):
+        incident = [e for e in g.edges() if k in e]
+        for a, e1 in enumerate(incident):
+            for e2 in incident[a + 1:]:
+                u, v = sorted((sum(e1) - k, sum(e2) - k))
+                s = partition._tanimoto(incl[u], incl[v], norm2[u], norm2[v])
+                by_sim.setdefault(s, []).append((e1, e2))
+    return [by_sim[s] for s in sorted(by_sim, reverse=True)]
+
+
 def psm_fixture():
     """Two partitions of 9 nodes with overlapping communities at node 6."""
     p1 = Partition(9, ((3, 6), (6, 7, 8), (0,), (1,), (2,), (4,), (5,)))
@@ -190,6 +205,51 @@ class TestLinkCommunities:
         assert len(calls) == len(outer) == 11
         assert got.communities == ((0, 1, 3, 4), (2, 3, 4, 5))
         assert got.communities == link_communities_of(g)
+
+    def test_density_is_summed_once_per_merging_level(self, monkeypatch):
+        # 11 similarity levels, and every level after the fifth merge only
+        # joins edges that one cluster already holds
+        g = WeightedGraph(6)
+        for k, (i, j) in enumerate([(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4),
+                                    (3, 5), (4, 5), (0, 1)]):
+            g.add_edge(i, j, 1.0 + 0.25 * k)
+        levels = edge_pair_levels(g)
+        merging = 0
+        cluster = {e: e for e in g.edges()}
+        for level in levels:
+            joined = False
+            for e1, e2 in level:
+                a, b = cluster[e1], cluster[e2]
+                if a != b:
+                    joined = True
+                    cluster = {e: a if c == b else c for e, c in cluster.items()}
+            merging += joined
+        assert (len(levels), merging) == (11, 5)
+
+        # every ordered_sum outside the similarity helpers is a density sum
+        sums, depth = [], [0]
+        ordered_sum = partition.ordered_sum
+
+        def counted(values):
+            if not depth[0]:
+                sums.append(1)
+            return ordered_sum(values)
+
+        def nested(fn):
+            def run(*args):
+                depth[0] += 1
+                try:
+                    return fn(*args)
+                finally:
+                    depth[0] -= 1
+            return run
+
+        monkeypatch.setattr(partition, "ordered_sum", counted)
+        for name in ("_tanimoto", "_inclusive_vectors"):
+            monkeypatch.setattr(partition, name, nested(getattr(partition, name)))
+        got = link_communities(g)
+        assert len(sums) == merging
+        assert got.communities == ((0, 1, 3, 4), (2, 3, 4, 5)) == link_communities_of(g)
 
     def test_weighted_ties_are_grouped(self):
         # uniform weights create equal similarities; merging must treat

@@ -6,19 +6,47 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from bnsl.data import forward_sample, load_dataset, load_network
+
 ROOT = Path(__file__).resolve().parents[1]
 BUNDLED = ("alarm.net", "fivehub.net", "insurance.net", "win95pts.net")
 
 
-def test_make_networks_rewrites_the_bundled_networks(tmp_path):
+def run_tool(script: str, *args, cwd) -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "make_networks.py"),
-                           "--out-dir", str(tmp_path)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / script), *args],
+                          cwd=cwd, env=env, capture_output=True, text=True,
                           encoding="utf-8", timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_make_networks_rewrites_the_bundled_networks(tmp_path):
+    run_tool("make_networks.py", "--out-dir", str(tmp_path), cwd=tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == list(BUNDLED)
     for name in BUNDLED:
         assert (tmp_path / name).read_bytes() == (ROOT / "networks" / name).read_bytes(), name
+
+
+def test_stack_places_one_seeded_sample_per_tile(tmp_path):
+    net = load_network(ROOT / "networks" / "fivehub.net")
+    run_tool("stack.py", str(ROOT / "networks" / "fivehub.net"), "--tiles", "2",
+             "--n-samples", "500", "--out-dir", str(tmp_path), cwd=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fivehubx2.net", "fivehubx2.tsv"]
+    data = load_dataset(tmp_path / "fivehubx2.tsv")
+    truth = load_network(tmp_path / "fivehubx2.net")
+    v = net.n_vars
+    assert data.n_rows == 500 and data.n_vars == 2 * v
+    assert data.cardinalities == truth.cardinalities == net.cardinalities * 2
+    assert truth.names == data.names
+    for t in range(2):
+        tile = slice(t * v, (t + 1) * v)
+        assert data.names[tile] == tuple(f"{name}_{t}" for name in net.names)
+        assert np.array_equal(data.samples[:, tile], forward_sample(net, 500, seed=t).samples)
+        assert truth.states[tile] == net.states
+        assert all(np.array_equal(a, b) for a, b in zip(truth.cpts[tile], net.cpts))
+    assert truth.arcs == tuple(sorted((p + t * v, c + t * v)
+                                      for t in range(2) for p, c in net.arcs))

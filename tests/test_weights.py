@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from bnsl.data import _ONE_HOT_BLOCK, DiscreteDataset, PairTables, forward_sample, load_network
 from bnsl.errors import InvalidInput
-from bnsl.weights import (WEIGHT_FUNCTIONS, PairStats, WeightedGraph, elbow_threshold,
-                          elbow_truncate, entropy, load_weighted_graph,
+from bnsl.weights import (WEIGHT_FUNCTIONS, PairStats, WeightedGraph, _abs_pearson,
+                          elbow_threshold, elbow_truncate, entropy, load_weighted_graph,
                           mutual_information, pagerank, pair_stats,
                           save_weighted_graph, weight_matrix)
 
@@ -27,6 +27,13 @@ def random_dataset(rng, n_rows, n_vars, max_card=4):
         cols[j][:c] = np.arange(c)
     samples = np.column_stack(cols).astype(np.int32)
     return DiscreteDataset([f"v{k}" for k in range(n_vars)], cards, samples)
+
+
+def float_copy_pearson(data):
+    """|rho| from a float64 copy of the codes made before ``np.corrcoef``."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = np.corrcoef(data.samples.T.astype(np.float64))
+    return np.abs(np.nan_to_num(corr, nan=0.0))
 
 
 SELECT_DATA = random_dataset(np.random.default_rng(44), 300, 12, max_card=5)
@@ -172,6 +179,34 @@ class TestWeightMatrix:
         for (i, j), w in pair_weights(weight_matrix(data, "Pearson")).items():
             rho = np.corrcoef(data.column(i), data.column(j))[0, 1]
             assert w == pytest.approx(abs(rho), abs=1e-12)
+
+    @pytest.mark.parametrize("network", ["alarm", "insurance", "win95pts", "fivehub"])
+    def test_pearson_equals_the_float_copy_reference(self, network):
+        net = load_network(NETWORKS_DIR / f"{network}.net")
+        for seed in (0, 1, 2):
+            data = forward_sample(net, 20000, seed=seed)
+            assert _abs_pearson(data).tobytes() == float_copy_pearson(data).tobytes()
+
+    def test_pearson_of_a_constant_column_equals_the_reference(self):
+        data = random_dataset(np.random.default_rng(11), 500, 6)
+        samples = np.array(data.samples)
+        samples[:, 2] = 1
+        flat = DiscreteDataset(data.names, data.cardinalities, samples)
+        got = _abs_pearson(flat)
+        assert got.tobytes() == float_copy_pearson(flat).tobytes()
+        assert not got[2].any() and not got[:, 2].any()
+
+    def test_pearson_peak_memory_is_one_float_copy(self):
+        # np.corrcoef converts the int32 codes itself; converting them
+        # beforehand would hold a second float64 copy under its own
+        data = random_dataset(np.random.default_rng(12), 20000, 76)
+        tracemalloc.start()
+        try:
+            _abs_pearson(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * data.n_vars * data.n_rows, peak
 
     def test_zero_entropy_column_rejected_for_normalized(self):
         samples = np.column_stack([
@@ -560,6 +595,26 @@ class TestWeightedGraph:
             g.add_edge(0, 3, 1.0)
         with pytest.raises(InvalidInput):
             g.add_edge(0, 1, float("nan"))
+
+    @pytest.mark.parametrize("i, j", [(0.5, 1), (1, 0.5), (True, 2), (2, False),
+                                      ("0", 1), (1.0, 2)])
+    def test_rejects_a_node_that_is_not_an_integer(self, i, j):
+        with pytest.raises(InvalidInput, match="node must be an integer"):
+            WeightedGraph(3, {(i, j): 1.0})
+        with pytest.raises(InvalidInput, match="node must be an integer"):
+            WeightedGraph(3).add_edge(i, j, 1.0)
+
+    def test_numpy_integer_nodes_become_plain_ints(self):
+        g = WeightedGraph(3, {(np.int64(2), np.int32(0)): 1.5})
+        assert g.edges() == [(0, 2)]
+        assert all(type(v) is int for e in g.edges() for v in e)
+        assert all(type(v) is int for v in g.neighbors(0) + g.neighbors(2))
+
+    @pytest.mark.parametrize("i, j", [(1, 1), (np.int64(1), 1), (0, 3), (-1, 2),
+                                      (np.int64(3), 0)])
+    def test_self_loop_and_range_keep_their_message(self, i, j):
+        with pytest.raises(InvalidInput, match=r"bad edge \(.*\) for n=3"):
+            WeightedGraph(3).add_edge(i, j, 1.0)
 
     def test_neighbors_sorted(self):
         g = WeightedGraph(5)
