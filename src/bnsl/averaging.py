@@ -136,9 +136,9 @@ class LocalStructure:
 class ScoreCache:
     """BDeu family scores by (child, parent set) within the window ``nodes``
     of one dataset (every column when None; kept sorted), read from and
-    added to the dataset's memo for ``ess``.  A miss is counted on the
-    distinct rows of the window, built at the first miss; a family outside
-    the window then raises ``InvalidInput``."""
+    added to the dataset's memo under ``("bdeu", ess)``.  A miss is counted
+    on the distinct rows of the window, built at the first miss; a family
+    outside the window then raises ``InvalidInput``."""
 
     def __init__(self, data: DiscreteDataset, ess: float = 10.0, nodes=None):
         if not 0 < ess < math.inf:  # NaN too
@@ -150,7 +150,7 @@ class ScoreCache:
         self.data = data
         self.ess = float(ess)
         self.nodes = tuple(sorted(nodes))
-        self._scores = data._family_scores.setdefault(self.ess, {})
+        self._scores = data.memo.setdefault(("bdeu", self.ess), {})
         self._rows = None
 
     def family_score(self, child: int, parents) -> float:
@@ -171,7 +171,7 @@ def bdeu_family_score(data: DiscreteDataset, child: int, parents,
     configurations and r the child cardinality.  An empty dataset scores 0,
     and more than ``MAX_FAMILY_CELLS`` cells raise ``FamilyTooLarge``.
     log Gamma(a + n) is read from the dataset's table for the pseudo-count
-    a (``_gammaln_table``), filled where this family needs it.
+    a, kept in its memo under ``"gammaln"`` (``_gammaln_table``).
     """
     child, *parents = check_nodes("column index", (child, *parents), len(data.cardinalities))
     parents = tuple(sorted(set(parents)))
@@ -187,32 +187,23 @@ def bdeu_family_score(data: DiscreteDataset, child: int, parents,
             f"family ({child} | {parents}) needs {q * r} count cells")
     counts = data.counts(parents + (child,)).reshape(q, r)
     nj = counts.sum(axis=1)
-    tables = getattr(data, "_gammaln", {})  # a stand-in without tables fills anew
-    a_j, a_jk = ess / q, ess / (q * r)
-    t_j = _gammaln_table(tables, a_j, data.n_rows)
-    t_jk = _gammaln_table(tables, a_jk, data.n_rows)
-    score = _bdeu_sum(t_j, t_jk, nj, counts)
-    if math.isnan(score):  # an entry not filled yet
-        _fill(t_j, a_j, nj)
-        _fill(t_jk, a_jk, counts)
-        score = _bdeu_sum(t_j, t_jk, nj, counts)
-    return float(score)
+    tables = data.memo.setdefault("gammaln", {})
+    t_j = _gammaln_table(tables, ess / q, data.n_rows, nj)
+    t_jk = _gammaln_table(tables, ess / (q * r), data.n_rows, counts)
+    return float(_bdeu_sum(t_j, t_jk, nj, counts))
 
 
-def _gammaln_table(tables: dict, a: float, n_rows: int) -> np.ndarray:
-    """The table of log Gamma(a + n) for the counts n = 0..``n_rows``, kept in
-    ``tables``.  An entry not filled yet is NaN, so a sum that reads one is NaN."""
+def _gammaln_table(tables: dict, a: float, n_rows: int, n: np.ndarray) -> np.ndarray:
+    """The table of log Gamma(a + k) for the counts k = 0..``n_rows``, kept in
+    ``tables`` and filled at 0 and at the counts ``n``.  An entry not filled
+    yet is NaN."""
     t = tables.get(a)
     if t is None:
         t = tables[a] = np.full(n_rows + 1, np.nan)
         t[0] = gammaln(a)
-    return t
-
-
-def _fill(t: np.ndarray, a: float, n: np.ndarray) -> None:
-    """Fill the entries of ``t`` at the counts ``n`` that are not filled yet."""
     for k in set(n[np.isnan(t[n])].tolist()):
         t[k] = gammaln(a + k)
+    return t
 
 
 def _bdeu_sum(t_j: np.ndarray, t_jk: np.ndarray, nj: np.ndarray,

@@ -45,14 +45,14 @@ def conditional_mutual_information(data: DiscreteDataset, x: int, y: int,
                                    z: Sequence[int] = ()) -> float:
     """CMI(X; Y | Z) in nats, as H(ZX) + H(ZY) - H(ZXY) - H(Z), Z sorted.
 
-    The four entropies come from the entropy memo of one dataset, shared by
-    its distinct-row views (see :mod:`bnsl.data`).  Each is keyed by the
+    The four entropies come from the dataset's memo, shared by its views
+    (see :mod:`bnsl.data`), under ``"entropy"``.  Each is keyed by the
     ordered column tuple of its table, such as ``z + (x,)``, never by a set,
     because the order of the cells fixes the order of summation.  On any
     miss the (Z, X, Y) table is counted once and only the missing entries
     are filled from it and its marginals, so every value equals the one
-    computed without the memo.  A stand-in without a memo computes all four.
-    Every input check, ``MAX_CMI_CELLS`` too, runs before the memo is read.
+    computed without the memo.  Every input check, ``MAX_CMI_CELLS`` too,
+    runs before the memo is read.
     """
     if data.n_rows == 0:
         raise InvalidInput("dataset is empty")
@@ -65,7 +65,7 @@ def conditional_mutual_information(data: DiscreteDataset, x: int, y: int,
     if cells > MAX_CMI_CELLS:
         raise ConditioningSetTooLarge(
             f"CMI({x}; {y} | {z}) needs {cells} count cells")
-    memo = getattr(data, "_entropies", {})
+    memo = data.memo.setdefault("entropy", {})
     keys = (z + (x,), z + (y,), z + (x, y), z)
     if any(k not in memo for k in keys):
         t = data.counts(keys[2]).reshape(-1, cards[x], cards[y])

@@ -15,15 +15,11 @@ sample.  The cardinalities line keeps a state that no row holds; a file
 without it gets each variable's largest observed state + 1.
 
 :func:`forward_sample` draws each state as the number of steps of its CDF
-row at or below a uniform draw.  A :class:`DiscreteDataset` memoizes the
-entropies of its count tables, keyed by their ordered columns, for the
-CMI of the blanket searches, per ``ess`` the BDeu score of each
-(child, parent set), for the scoring window (a
-:class:`bnsl.averaging.ScoreCache`) of every learner call on it, and per
-pseudo-count the log-gamma table of the BDeu scores.  Its distinct-row
-views share the entropies and the log-gamma tables.  So every community
-of a run shares each statistic, while a new dataset starts with empty
-memos.
+row at or below a uniform draw.  A :class:`DiscreteDataset` holds one
+``memo`` dict, the same object in every view it hands out, in which each
+statistic computed on the dataset keeps its own entries under keys of its
+own choosing.  So every community of a run shares each statistic, while a
+new dataset starts with an empty memo.
 """
 
 from __future__ import annotations
@@ -190,19 +186,14 @@ class DiscreteDataset:
     :class:`PairTables`) for every one- and two-column table from one
     one-hot product, which is what the pairwise MI of the weights reads.
 
-    ``_entropies``, ``_family_scores`` and ``_gammaln`` are its memos (module
-    docstring); :meth:`distinct` views share the entropies and the log-gamma
-    tables, :meth:`select` starts anew.
+    ``memo`` is the dataset's memo (module docstring); both stand-ins hold
+    the same dict, while :meth:`select` starts a new one.
     """
 
     names: tuple[str, ...]
     cardinalities: tuple[int, ...]
     samples: np.ndarray = field(repr=False)
-    _entropies: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
-    _family_scores: dict = field(default_factory=dict, init=False, repr=False,
-                                 compare=False)
-    _gammaln: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.names = tuple(self.names)
@@ -253,7 +244,7 @@ class DiscreteDataset:
         would overflow int64.  The codes are counted by ``np.bincount`` when
         the code space is no larger than the row count, otherwise sorted by
         ``np.unique``; both give the rows in ascending code order.  The view
-        shares the dataset's entropy memo and log-gamma tables."""
+        shares the dataset's memo."""
         cols = check_nodes("column index", cols, self.n_vars)
         shape = tuple(self.cardinalities[c] for c in cols)
         size = math.prod(shape)
@@ -268,14 +259,15 @@ class DiscreteDataset:
             rows, mult = np.unique(code, return_counts=True)
         return DistinctRows(self.n_rows, self.cardinalities,
                             dict(zip(cols, np.unravel_index(rows, shape))),
-                            mult.astype(np.float64), self._entropies, self._gammaln)
+                            mult.astype(np.float64), self.memo)
 
     def pair_tables(self) -> "PairTables":
         """Every one- and two-column table of the dataset, for :meth:`counts`
         of one or two columns, from the Gram matrix ``X^T X`` of the one-hot
         encoding ``X`` (N by the sum of the cardinalities).  ``X`` is built and
         multiplied ``_ONE_HOT_BLOCK`` rows at a time in float32, and the block
-        products are summed in float64, so every count is exact."""
+        products are summed in float64, so every count is exact.  The tables
+        share the dataset's memo."""
         offsets = np.cumsum((0,) + self.cardinalities)
         width = int(offsets[-1])
         gram = np.zeros((width, width))
@@ -285,7 +277,7 @@ class DiscreteDataset:
             np.put_along_axis(x, block, 1.0, axis=1)
             gram += x.T @ x
         return PairTables(self.names, self.n_rows, self.cardinalities,
-                          offsets, gram.astype(np.int64))
+                          offsets, gram.astype(np.int64), self.memo)
 
     def select(self, indices: Sequence[int]) -> "DiscreteDataset":
         """Column subset in the given order (names kept, indices renumbered)."""
@@ -309,16 +301,14 @@ class DistinctRows:
     and raises ``InvalidInput`` for a column the view does not hold.
     The multiplicities are whole numbers below 2^53, so the float sums of
     ``np.bincount`` are exact and every statistic keeps its last bit.
-    ``_entropies`` and ``_gammaln`` are the entropy memo and log-gamma tables
-    of the dataset the view came from.
+    ``memo`` is the memo of the dataset the view came from.
     """
 
     n_rows: int
     cardinalities: tuple[int, ...]
     digits: dict[int, np.ndarray] = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    _entropies: dict = field(default_factory=dict, repr=False, compare=False)
-    _gammaln: dict = field(default_factory=dict, repr=False, compare=False)
+    memo: dict = field(repr=False)
 
     def counts(self, cols: Sequence[int]) -> np.ndarray:
         """:meth:`DiscreteDataset.counts` of ``cols``, from the distinct rows."""
@@ -343,6 +333,7 @@ class PairTables:
     the table of column ``i``.  It stands in for the dataset wherever a
     statistic reads only ``names``, ``n_rows``, ``cardinalities`` and
     ``counts`` of one or two columns, as :func:`bnsl.weights.pair_stats` does.
+    ``memo`` is the memo of the dataset the tables came from.
     """
 
     names: tuple[str, ...]
@@ -350,6 +341,7 @@ class PairTables:
     cardinalities: tuple[int, ...]
     offsets: np.ndarray = field(repr=False)
     gram: np.ndarray = field(repr=False)
+    memo: dict = field(repr=False)
 
     def counts(self, cols: Sequence[int]) -> np.ndarray:
         """:meth:`DiscreteDataset.counts` of one or two columns, from the Gram

@@ -60,22 +60,12 @@ class Partition:
         return [k for k, c in enumerate(self.communities) if v in c]
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
+def _find(parent: list[int], x: int) -> int:
+    """The root of ``x`` in the union-find forest ``parent``, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def _tanimoto(a: dict[int, float], b: dict[int, float], na: float, nb: float) -> float:
@@ -142,7 +132,7 @@ def link_communities(g: WeightedGraph) -> Partition:
     # at every level.  A level that merges nothing leaves the terms, and so
     # the density, as the last level left them, so only a merging level sums
     # them.  The best level's clusters are rebuilt after the scan.
-    uf = _UnionFind(m)
+    parent = list(range(m))
     n_edges = [1] * m
     nodes = [set(e) for e in edges]
     terms: dict[int, float] = {}
@@ -151,8 +141,9 @@ def link_communities(g: WeightedGraph) -> Partition:
         merged = False
         for _, k1, k2 in level:
             end += 1
-            ra, rb = uf.find(k1), uf.find(k2)
-            if uf.union(ra, rb):  # ra stays the root
+            ra, rb = _find(parent, k1), _find(parent, k2)
+            if ra != rb:  # ra stays the root
+                parent[rb] = ra
                 merged = True
                 n_edges[ra] += n_edges[rb]
                 nodes[ra] |= nodes[rb]
@@ -166,12 +157,12 @@ def link_communities(g: WeightedGraph) -> Partition:
             if d > best_density:
                 best_density, best_end = d, end
 
-    uf = _UnionFind(m)
+    parent = list(range(m))
     for _, k1, k2 in sims[:best_end]:
-        uf.union(k1, k2)
+        parent[_find(parent, k2)] = _find(parent, k1)
     best: dict[int, set[int]] = {}
     for k, e in enumerate(edges):
-        best.setdefault(uf.find(k), set()).update(e)
+        best.setdefault(_find(parent, k), set()).update(e)
     comms = {tuple(sorted(s)) for s in best.values()}
     comms.update((v,) for v in isolated)
     return Partition(g.n, tuple(sorted(comms)))

@@ -81,7 +81,8 @@ def test_learn_merge_evaluate_chain(workdir, config_file):
 
 
 def test_pipeline_subcommand(workdir, config_file, capsys):
-    cfg = json.loads(open(config_file, encoding="utf-8").read())
+    with open(config_file, encoding="utf-8") as fh:
+        cfg = json.load(fh)
     cfg["network"] = str(workdir / "chain.net")
     cfg["n_samples"] = 1500
     full = workdir / "full_config.json"

@@ -277,10 +277,11 @@ def test_learners_on_one_dataset_score_each_family_once(families):
         assert sorted(computed) == sorted(set(looked))
 
     # every memoized score is the score on all rows, to the last bit
-    for ess, scores in data._family_scores.items():
+    bdeu = {key[1]: scores for key, scores in data.memo.items() if key[:1] == ("bdeu",)}
+    for ess, scores in bdeu.items():
         for (child, parents), got in scores.items():
             assert got == bdeu_family_score(data, child, parents, ess)
-    assert set(data._family_scores) == {10.0, 5.0}
+    assert set(bdeu) == {10.0, 5.0}
 
 
 def test_community_blanket_counts_on_one_view(views_built):

@@ -334,6 +334,15 @@ class TestDiscreteDataset:
         rows[0, 0] = 1
         assert ds.samples[0, 0] == 0
 
+    def test_views_share_the_memo_and_select_starts_a_new_one(self, chain_data):
+        data = DiscreteDataset(chain_data.names, chain_data.cardinalities,
+                               chain_data.samples)
+        data.memo["key"] = 1.0
+        assert data.distinct([0, 2]).memo is data.memo
+        assert data.pair_tables().memo is data.memo
+        sub = data.select([0, 1, 2])
+        assert sub.memo == {} and sub.memo is not data.memo
+
     def test_round_trip_exact(self, tmp_path, chain_data):
         path = tmp_path / "data.tsv"
         save_dataset(chain_data, path)

@@ -144,16 +144,31 @@ def test_bdeu_equals_the_oracle_from_cold_and_warm_tables():
     for child, parents, ess in families:
         want = bdeu_by_parent_loop(data, child, parents, ess)
         cold = fresh(data)
-        assert cold._gammaln == {}
+        assert cold.memo == {}
         view = fresh(data).distinct(sorted((child,) + parents))
-        assert isinstance(view, DistinctRows) and view._gammaln == {}
+        assert isinstance(view, DistinctRows) and view.memo == {}
         for d in (cold, cold, view, view):  # the second call of each reads warm tables
             assert bdeu_family_score(d, child, parents, ess) == want
-        assert len(cold._gammaln) == 2 and len(view._gammaln) == 2
+        assert len(cold.memo["gammaln"]) == 2 and len(view.memo["gammaln"]) == 2
     # one dataset's tables for every family, warm where an earlier family filled them
     for child, parents, ess in families:
         assert bdeu_family_score(data, child, parents, ess) == \
             bdeu_by_parent_loop(data, child, parents, ess)
+
+
+def test_bdeu_sums_once_from_cold_and_warm_tables(monkeypatch):
+    data = forward_sample(load_network(NETWORKS_DIR / "alarm.net"), 3000, seed=4)
+    rng = np.random.default_rng(12)
+    sums, bdeu_sum = [], av._bdeu_sum
+    monkeypatch.setattr(av, "_bdeu_sum", lambda *a: sums.append(a) or bdeu_sum(*a))
+    for _ in range(30):
+        child, *parents = rng.choice(data.n_vars, size=1 + int(rng.integers(0, 4)),
+                                     replace=False).tolist()
+        cold = fresh(data)
+        for _ in range(2):  # cold tables, then warm
+            sums.clear()
+            bdeu_family_score(cold, child, parents)
+            assert len(sums) == 1
 
 
 def test_import_and_pipelines_load_no_scipy():
