@@ -39,13 +39,13 @@ columns over N samples has at most min(N, prod of cardinalities) distinct
 rows, usually far fewer than N, and a window that ``resolve`` re-learns
 finds every family in the memo and codes nothing.
 
-One ``_OrderScorer`` per window is the only code that lists and scores a
+``ScoreCache.parent_sets`` is the only code that lists and scores a
 child's parent sets under ``max_parents`` and ``SUBSET_BUDGET``.  The DP
 reads it once per child for the table above.  For the per-order and
-sampled posteriors and the order marginal it memoizes, by child and a
-bitmask of its predecessors, the log normalizer of the sum above and the
-child's row of edge posteriors, so the sampler walks each proposed order
-whole at one memo lookup per position.
+sampled posteriors and the order marginal, ``_order_terms`` keeps in a
+memo, by child and a bitmask of its predecessors, the log normalizer of
+the sum above and the child's row of edge posteriors, so the sampler walks
+each proposed order whole at one memo lookup per position.
 """
 
 from __future__ import annotations
@@ -138,7 +138,8 @@ class ScoreCache:
     of one dataset (every column when None; kept sorted), read from and
     added to the dataset's memo under ``("bdeu", ess)``.  A miss is counted
     on the distinct rows of the window, built at the first miss; a family
-    outside the window then raises ``InvalidInput``."""
+    outside the window then raises ``InvalidInput``.  ``parent_sets`` lists
+    and scores a child's parent sets for the order engines."""
 
     def __init__(self, data: DiscreteDataset, ess: float = 10.0, nodes=None):
         if not 0 < ess < math.inf:  # NaN too
@@ -161,6 +162,23 @@ class ScoreCache:
                 self._rows = self.data.distinct(self.nodes)
             got = self._scores[key] = bdeu_family_score(self._rows, child, key[1], self.ess)
         return got
+
+    def parent_sets(self, c: int, mask: int,
+                    max_parents: int) -> tuple[list[tuple[int, ...]], list[float]]:
+        """The parent sets of window position c (``nodes[c]``) among the
+        positions in the bitmask ``mask`` (bit k set for ``nodes[k]``), up
+        to ``max_parents`` and within ``SUBSET_BUDGET``, as tuples of
+        positions by size and then lexicographically, with their scores."""
+        nodes = self.nodes
+        ps = [k for k in range(len(nodes)) if mask >> k & 1]
+        top = min(max_parents, len(ps))
+        total = sum(math.comb(len(ps), s) for s in range(top + 1))
+        if total > SUBSET_BUDGET:
+            raise BudgetExceeded(f"child {nodes[c]}: {total} parent sets "
+                                 f"exceed the budget of {SUBSET_BUDGET}")
+        sets = [u for size in range(top + 1) for u in itertools.combinations(ps, size)]
+        scores = [self.family_score(nodes[c], tuple(nodes[k] for k in u)) for u in sets]
+        return sets, scores
 
 
 def bdeu_family_score(data: DiscreteDataset, child: int, parents,
@@ -219,79 +237,32 @@ def _bdeu_sum(t_j: np.ndarray, t_jk: np.ndarray, nj: np.ndarray,
 _Term = tuple[float, np.ndarray]  # (log Z, row) of one position of an order
 
 
-class _OrderScorer:
-    """Order scores of one learning window, memoized by (child, predecessors).
+def _order_terms(cache: ScoreCache, max_parents: int, order, memo: dict) -> list[_Term]:
+    """(log Z, row) of every position of ``order``, first to last.
 
-    Orders here are sequences of window positions: position k stands for
-    ``nodes[k]``, the k-th smallest node of the cache's window.
-    ``parent_sets(c, mask)`` scores, through the cache, the parent sets of
-    position c among the predecessors in the bitmask ``mask`` (bit k set
-    for position k), up to ``max_parents`` and within ``SUBSET_BUDGET``.
-    ``child(c, mask)`` keeps log Z = log sum_U exp(score(c, U)) over them
-    with the row P(j -> c | predecessors), and ``walk`` returns these terms
-    position by position: the order marginal adds their log Z from first to
-    last and the posterior fills one column per row.
+    ``order`` lists window positions (position k stands for
+    ``cache.nodes[k]``).  The term of position c with the predecessors in
+    the bitmask S is log Z = log sum_U exp(score(c, U)) over the parent sets
+    U that ``cache.parent_sets`` lists, with the row P(j -> c | S); ``memo``
+    keeps it by (c, S).  The order marginal adds the log Z from first to
+    last, and the posterior fills one column per row.
     """
-
-    def __init__(self, cache: ScoreCache, max_parents: int):
-        check_number("max_parents", max_parents, least=0)
-        self.cache = cache
-        self.nodes = cache.nodes
-        self.pos = {v: a for a, v in enumerate(self.nodes)}
-        self.max_parents = max_parents
-        self._memo: dict[tuple[int, int], _Term] = {}
-
-    def parent_sets(self, c: int, mask: int) -> tuple[list[tuple[int, ...]], list[float]]:
-        """The parent sets of position c within ``mask``, as tuples of
-        positions by size and then lexicographically, with their scores."""
-        ps = [k for k in range(len(self.nodes)) if mask >> k & 1]
-        top = min(self.max_parents, len(ps))
-        total = sum(math.comb(len(ps), s) for s in range(top + 1))
-        if total > SUBSET_BUDGET:
-            raise BudgetExceeded(f"child {self.nodes[c]}: {total} parent sets "
-                                 f"exceed the budget of {SUBSET_BUDGET}")
-        sets = [u for size in range(top + 1) for u in itertools.combinations(ps, size)]
-        nodes = self.nodes
-        scores = [self.cache.family_score(nodes[c], tuple(nodes[k] for k in u))
-                  for u in sets]
-        return sets, scores
-
-    def child(self, c: int, mask: int) -> _Term:
-        key = (c, mask)
-        got = self._memo.get(key)
+    mask = 0
+    terms = []
+    for c in order:
+        got = memo.get((c, mask))
         if got is None:
-            got = self._memo[key] = self._enumerate(c, mask)
-        return got
-
-    def _enumerate(self, c: int, mask: int) -> _Term:
-        sets, scores = self.parent_sets(c, mask)
-        logz = float(logsumexp(scores))
-        members = np.array([k for u in sets for k in u], dtype=np.intp)
-        weights = np.repeat(np.exp(np.array(scores) - logz), [len(u) for u in sets])
-        # a parent held by every set that carries weight gets a sum of
-        # exp(score - log Z) that rounding can lift above 1 by a few ulps
-        row = np.bincount(members, weights, minlength=len(self.nodes))
-        return logz, np.minimum(row, 1.0)
-
-    def walk(self, order) -> list[_Term]:
-        """(log Z, row) of every position of ``order``, first to last."""
-        mask = 0
-        terms = []
-        for c in order:
-            terms.append(self.child(c, mask))
-            mask |= 1 << c
-        return terms
-
-    def log_marginal(self, order) -> float:
-        """log P(D | order), the per-child log Z added from first to last."""
-        return _log_marginal(self.walk(order))
-
-    def posterior(self, order) -> np.ndarray:
-        """Edge posteriors given the order; column of c is P(. -> c)."""
-        mat = np.zeros((len(self.nodes), len(self.nodes)))
-        for c, (_, row) in zip(order, self.walk(order)):
-            mat[:, c] = row
-        return mat
+            sets, scores = cache.parent_sets(c, mask, max_parents)
+            logz = float(logsumexp(scores))
+            members = np.array([k for u in sets for k in u], dtype=np.intp)
+            weights = np.repeat(np.exp(np.array(scores) - logz), [len(u) for u in sets])
+            # a parent held by every set that carries weight gets a sum of
+            # exp(score - log Z) that rounding can lift above 1 by a few ulps
+            row = np.bincount(members, weights, minlength=len(cache.nodes))
+            got = memo[c, mask] = (logz, np.minimum(row, 1.0))
+        terms.append(got)
+        mask |= 1 << c
+    return terms
 
 
 def _log_marginal(terms) -> float:
@@ -307,33 +278,40 @@ def feature_posterior_given_order(data: DiscreteDataset, order,
     posterior of j -> i is zero unless j precedes i.
     """
     order = tuple(order)
-    scorer = _OrderScorer(ScoreCache(data, ess, order), max_parents)
-    return EdgePosterior(scorer.nodes,
-                         scorer.posterior([scorer.pos[v] for v in order]))
+    cache = ScoreCache(data, ess, order)
+    check_number("max_parents", max_parents, least=0)
+    order = [cache.nodes.index(v) for v in order]
+    mat = np.zeros((len(order), len(order)))
+    for c, (_, row) in zip(order, _order_terms(cache, max_parents, order, {})):
+        mat[:, c] = row  # column of c is P(. -> c)
+    return EdgePosterior(cache.nodes, mat)
 
 
 def order_log_marginal(data: DiscreteDataset, order, max_parents: int = 3,
                        ess: float = 10.0) -> float:
     """log P(D | order): per-child log-sum over admissible parent sets."""
     order = tuple(order)
-    scorer = _OrderScorer(ScoreCache(data, ess, order), max_parents)
-    return scorer.log_marginal([scorer.pos[v] for v in order])
+    cache = ScoreCache(data, ess, order)
+    check_number("max_parents", max_parents, least=0)
+    return _log_marginal(_order_terms(cache, max_parents,
+                                      [cache.nodes.index(v) for v in order], {}))
 
 
-def _log_z_table(scorer: _OrderScorer) -> np.ndarray:
+def _log_z_table(cache: ScoreCache, max_parents: int) -> np.ndarray:
     """log Z(c, S) for every window position c and predecessor bitmask S.
 
     Row c starts as score(c, U) at the mask of every parent set U that
-    ``scorer`` lists for c among all other positions, and -inf elsewhere.
-    A zeta transform in log space over the bits of the other positions
-    turns each entry into log sum_{U in S} exp(score(c, U)); masks holding
-    c itself stay -inf, which keeps c out of its own predecessors below.
+    ``cache.parent_sets`` lists for c among all other positions, and -inf
+    elsewhere.  A zeta transform in log space over the bits of the other
+    positions turns each entry into log sum_{U in S} exp(score(c, U));
+    masks holding c itself stay -inf, which keeps c out of its own
+    predecessors below.
     """
-    m = len(scorer.nodes)
+    m = len(cache.nodes)
     full = (1 << m) - 1
     lz = np.full((m, 1 << m), -np.inf)
     for c in range(m):
-        sets, scores = scorer.parent_sets(c, full ^ (1 << c))
+        sets, scores = cache.parent_sets(c, full ^ (1 << c), max_parents)
         lz[c, [sum(1 << k for k in u) for u in sets]] = scores
         for k in range(m):
             if k != c:
@@ -352,9 +330,9 @@ def exact_order_average(data: DiscreteDataset, nodes=None, max_parents: int = 3,
     cache = ScoreCache(data, ess, nodes)
     if len(cache.nodes) > EXACT_MAX_NODES:
         raise InvalidInput(f"exact averaging is limited to {EXACT_MAX_NODES} nodes")
-    scorer = _OrderScorer(cache, max_parents)
-    m = len(scorer.nodes)
-    lz = _log_z_table(scorer)
+    check_number("max_parents", max_parents, least=0)
+    m = len(cache.nodes)
+    lz = _log_z_table(cache, max_parents)
     full = (1 << m) - 1
     masks = np.arange(1 << m)
     bits = (1 << np.arange(m))[:, None]
@@ -388,7 +366,7 @@ def exact_order_average(data: DiscreteDataset, nodes=None, max_parents: int = 3,
             pair = lzc.reshape(-1, 2, 1 << j)
             rows = -np.expm1(pair[:, 0] - pair[:, 1])  # 1 - Z(c, S - j) / Z(c, S)
             post[j, c] = (w.reshape(-1, 2, 1 << j)[:, 1] * rows).sum()
-    return EdgePosterior(scorer.nodes, post)
+    return EdgePosterior(cache.nodes, post)
 
 
 def order_mcmc(data: DiscreteDataset, T: int = 100, burn_in: int | None = None,
@@ -408,21 +386,22 @@ def order_mcmc(data: DiscreteDataset, T: int = 100, burn_in: int | None = None,
         if value is not None or name == "T":
             check_number(name, value, least=least)
     check_number("seed", seed, least=0)
-    scorer = _OrderScorer(cache, max_parents)
+    check_number("max_parents", max_parents, least=0)
     if m == 1:
-        return EdgePosterior(scorer.nodes, np.zeros((1, 1)))
+        return EdgePosterior(cache.nodes, np.zeros((1, 1)))
     burn_in = 10 * m if burn_in is None else burn_in
     thin = m if thin is None else thin
     rng = np.random.default_rng(seed)
     order = rng.permutation(m).tolist()
-    terms = scorer.walk(order)
+    memo: dict[tuple[int, int], _Term] = {}
+    terms = _order_terms(cache, max_parents, order, memo)
     cur = _log_marginal(terms)
     acc = np.zeros((m, m))
     kept = 0
     for step in range(1, burn_in + T * thin + 1):
         a, b = rng.choice(m, size=2, replace=False).tolist()
         order[a], order[b] = order[b], order[a]
-        moved = scorer.walk(order)
+        moved = _order_terms(cache, max_parents, order, memo)
         new = _log_marginal(moved)
         if math.log(rng.random()) < new - cur:
             terms, cur = moved, new
@@ -432,7 +411,7 @@ def order_mcmc(data: DiscreteDataset, T: int = 100, burn_in: int | None = None,
             for c, (_, row) in zip(order, terms):
                 acc[:, c] += row
             kept += 1
-    return EdgePosterior(scorer.nodes, acc / kept)
+    return EdgePosterior(cache.nodes, acc / kept)
 
 
 def threshold_edges(post: EdgePosterior, t_avg: float = 0.5) -> LocalStructure:

@@ -20,8 +20,7 @@ from .errors import InvalidInput, PipelineStageError
 from .evaluate import partition_diagnostics, score_structure
 from .partition import consensus_partition, load_partition, save_partition
 from .pipeline import (PipelineConfig, build_substrate, learn_communities,
-                       merge_communities, run_pipeline, structure_from_dict,
-                       structure_to_dict)
+                       merge_communities, run_pipeline, save_pool, structure_from_dict)
 
 
 _FLAGS = {
@@ -158,7 +157,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         learn_report: dict = {}
         pool = learn_communities(data, part, build_substrate(data), cfg,
                                  run_report=learn_report)
-        _write_json({"structures": [structure_to_dict(s) for s in pool]}, args.out)
+        save_pool(pool, args.out)
         if args.report:
             _write_json(learn_report, args.report)
     elif cmd == "merge":

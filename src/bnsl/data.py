@@ -238,18 +238,21 @@ class DiscreteDataset:
         code = _row_codes([self.column(c) for c in cols], shape, self.n_rows)
         return np.bincount(code, minlength=math.prod(shape)).reshape(shape)
 
-    def distinct(self, cols: Sequence[int]) -> "DistinctRows | DiscreteDataset":
+    def distinct(self, cols: Sequence[int]) -> "DistinctRows":
         """The rows of ``cols`` counted once each, for :meth:`counts` of any
-        subset of ``cols``; the dataset itself when their mixed-radix code
-        would overflow int64.  The codes are counted by ``np.bincount`` when
-        the code space is no larger than the row count, otherwise sorted by
-        ``np.unique``; both give the rows in ascending code order.  The view
-        shares the dataset's memo."""
+        subset of ``cols``.  The codes are counted by ``np.bincount`` when the
+        code space is no larger than the row count, otherwise sorted by
+        ``np.unique``; both give the rows in ascending code order.  When
+        their mixed-radix code would overflow int64, the view holds the
+        columns as they are, every row once with weight 1.  The view shares
+        the dataset's memo."""
         cols = check_nodes("column index", cols, self.n_vars)
         shape = tuple(self.cardinalities[c] for c in cols)
         size = math.prod(shape)
         if size > np.iinfo(np.int64).max:
-            return self
+            return DistinctRows(self.n_rows, self.cardinalities,
+                                {c: self.column(c) for c in cols},
+                                np.ones(self.n_rows), self.memo)
         code = _row_codes([self.column(c) for c in cols], shape, self.n_rows)
         if size <= self.n_rows:  # a table no larger than the code array
             mult = np.bincount(code, minlength=size)
@@ -564,7 +567,9 @@ def save_dataset(ds: DiscreteDataset, path) -> None:
 def load_dataset(path) -> DiscreteDataset:
     """Read a TSV dataset.  Cardinalities come from its ``# cardinalities``
     line; a file without one gets the max observed state + 1, and at least
-    2, so a constant column loads."""
+    2, so a constant column loads.  The body is parsed as int32, so the
+    dataset's column-major copy is the only other copy of the samples, and
+    a cell that is not an int32 raises ``InvalidInput`` naming the file."""
     cardinalities = None
     with reading(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -592,9 +597,9 @@ def load_dataset(path) -> DiscreteDataset:
             line = fh.readline()
         if line:
             fh.seek(start)
-            body = np.loadtxt(fh, dtype=np.int64, delimiter="\t", ndmin=2)
+            body = np.loadtxt(fh, dtype=np.int32, delimiter="\t", ndmin=2)
         else:
-            body = np.empty((0, len(names)), dtype=np.int64)
+            body = np.empty((0, len(names)), dtype=np.int32)
         if cardinalities is None:
             if body.shape[0] == 0:
                 raise InvalidInput("cannot infer cardinalities from an empty dataset")

@@ -138,6 +138,14 @@ def structure_from_dict(d: dict) -> LocalStructure:
     return LocalStructure(tuple(d["nodes"]), tuple(tuple(e) for e in d["edges"]), support)
 
 
+def save_pool(pool: list[LocalStructure], path) -> None:
+    """The pool as ``{"structures": [...]}``, the file that ``bnsl learn``
+    writes and ``bnsl merge --structures`` reads."""
+    text = json.dumps({"structures": [structure_to_dict(s) for s in pool]},
+                      indent=2, sort_keys=True)
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
 class _Stages:
     """Tiny helper tracking wall-clock per named stage."""
 
@@ -210,7 +218,7 @@ def learn_communities(data: DiscreteDataset, partition: Partition,
             # itself, which no learned structure holds
             ens = combine_structures(learned + [LocalStructure(comm, ())], conflicts)
             pool.append(resolve(ens, substrate, data, lc, windows=windows))
-        else:  # lone node with an empty blanket
+        else:  # every window held one member, as with empty blankets: no edge
             pool.append(LocalStructure(comm, (), {}))
         detail.append({"community": ci, "size": len(comm),
                        "expanded": len(br.expanded),
@@ -280,8 +288,7 @@ def _emit(config, data, substrate, partition, pool, merged, report, run_report):
     save_dataset(data, out / "dataset.tsv")
     save_weighted_graph(substrate, out / "substrate.tsv")
     save_partition(partition, out / "partition.txt")
-    for k, s in enumerate(pool):
-        save_structure(s, out / f"community_{k}.edges")
+    save_pool(pool, out / "structures.json")
     save_structure(merged.structure, out / "merged.edges")
     (out / "run_report.json").write_text(
         json.dumps(run_report, indent=2, sort_keys=True), encoding="utf-8")

@@ -577,19 +577,29 @@ def exact_order_average_by_enumeration(data, nodes=None, max_parents: int = 3,
                                        ess: float = 10.0):
     """Edge posteriors averaged over all m! orders, weighted by exp(marginal).
 
-    Each order is walked through the library's ``_OrderScorer``, whose
-    per-order terms the sampler tests check separately, and the order
-    weights are normalized by their own sum.  Feasible for about 8 nodes.
+    Each order is walked through the library's ``_order_terms``, whose
+    per-order terms the sampler tests check separately, on one memo for all
+    orders, and the order weights are normalized by their own sum.
+    Feasible for about 8 nodes.
     """
-    from bnsl.averaging import EdgePosterior, ScoreCache, _OrderScorer, logsumexp
+    from bnsl.averaging import (EdgePosterior, ScoreCache, _log_marginal, _order_terms,
+                                logsumexp)
 
-    scorer = _OrderScorer(ScoreCache(data, ess, nodes), max_parents)
-    perms = list(itertools.permutations(range(len(scorer.nodes))))
-    logw = np.array([scorer.log_marginal(o) for o in perms])
+    cache = ScoreCache(data, ess, nodes)
+    m = len(cache.nodes)
+    memo: dict = {}
+    logw, posts = [], []
+    for o in itertools.permutations(range(m)):
+        terms = _order_terms(cache, max_parents, o, memo)
+        logw.append(_log_marginal(terms))
+        post = np.zeros((m, m))
+        for c, (_, row) in zip(o, terms):
+            post[:, c] = row
+        posts.append(post)
+    logw = np.array(logw)
     w = np.exp(logw - logsumexp(logw))
     w /= w.sum()
-    avg = np.tensordot(w, np.stack([scorer.posterior(o) for o in perms]), axes=1)
-    return EdgePosterior(scorer.nodes, avg)
+    return EdgePosterior(cache.nodes, np.tensordot(w, np.stack(posts), axes=1))
 
 
 # ---------------------------------------------------------------------------

@@ -188,8 +188,9 @@ def test_limits_are_constants_that_no_function_takes():
     assert (av.SUBSET_BUDGET, av.MAX_FAMILY_CELLS, bnsl.blankets.MAX_CMI_CELLS) == \
         (2 ** 20, 2 ** 22, 2 ** 22)
     for fn in (exact_order_average, order_mcmc, feature_posterior_given_order,
-               order_log_marginal, av._OrderScorer.__init__, bdeu_family_score,
-               bnsl.blankets.conditional_mutual_information, bnsl.merge.resolve):
+               order_log_marginal, av.ScoreCache.parent_sets, av._order_terms,
+               bdeu_family_score, bnsl.blankets.conditional_mutual_information,
+               bnsl.merge.resolve):
         assert not {"budget", "max_cells", "t_tri"} & set(inspect.signature(fn).parameters)
 
 

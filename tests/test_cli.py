@@ -134,6 +134,7 @@ def _stage_by_stage_matches_pipeline(tmp_path, capsys, n, seed, learner):
     assert (emitted / "dataset.tsv").read_bytes() == data.read_bytes()
     assert load_partition(part) == load_partition(emitted / "partition.txt")
     assert edges.read_bytes() == (tmp_path / "pipeline.edges").read_bytes()
+    assert (emitted / "structures.json").read_bytes() == structures.read_bytes()
     staged = json.loads(merge_report.read_text(encoding="utf-8"))
     run = json.loads((emitted / "run_report.json").read_text(encoding="utf-8"))
     assert set(staged) == {"merge_sequence", "jaccard_evaluations", "conflicts"}

@@ -197,12 +197,18 @@ def test_a_view_rejects_a_column_it_does_not_hold():
 
 def test_window_past_int64_codes_counts_on_the_dataset():
     rng = np.random.default_rng(3)
-    data = DiscreteDataset([f"v{k}" for k in range(16)], [16] * 16,
-                           rng.integers(0, 16, size=(5, 16)))
-    assert data.distinct(range(16)) is data  # 16^16 = 2^64 codes
+    data = DiscreteDataset([f"v{k}" for k in range(18)], [16] * 18,
+                           rng.integers(0, 16, size=(5, 18)))
+    rows = data.distinct(range(16))  # 16^16 = 2^64 codes: every row once
+    assert isinstance(rows, DistinctRows) and rows.memo is data.memo
+    assert list(rows.digits) == list(range(16))
+    assert all(np.array_equal(rows.digits[c], data.column(c)) for c in range(16))
+    assert rows.weights.tolist() == [1.0] * 5
     assert isinstance(data.distinct(range(15)), DistinctRows)  # 2^60 codes
     window = ScoreCache(data, nodes=range(16))
     assert window.family_score(0, (1, 2, 3)) == bdeu_family_score(data, 0, (1, 2, 3))
+    with pytest.raises(InvalidInput, match="column 17 is not one of this view's columns"):
+        window.family_score(0, (17,))  # outside the window, as for a narrower one
 
 
 @pytest.fixture

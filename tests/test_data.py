@@ -376,15 +376,30 @@ class TestDiscreteDataset:
             load_dataset(path)
 
     @pytest.mark.parametrize("body, where", [
-        ("0\tx\n", "string 'x' to int64 at row 0, column 2"),
-        ("0\t1\n2.5\t0\n", "string '2.5' to int64 at row 1, column 1"),
+        ("0\tx\n", "string 'x' to int32 at row 0, column 2"),
+        ("0\t1\n2.5\t0\n", "string '2.5' to int32 at row 1, column 1"),
         ("0\t1\n1\n", "changed from 2 to 1 at row 2"),
-    ], ids=["letter", "fraction", "short-row"])
+        ("0\t1\n0\t2147483648\n", "string '2147483648' to int32 at row 1, column 2"),
+    ], ids=["letter", "fraction", "short-row", "beyond-int32"])
     def test_bad_cell_names_the_file(self, tmp_path, body, where):
         path = tmp_path / "data.tsv"
         path.write_text("a\tb\n" + body, encoding="utf-8")
         with pytest.raises(InvalidInput, match=f"^{re.escape(str(path))}: .*{where}"):
             load_dataset(path)
+
+    def test_load_peak_memory_is_two_sample_arrays(self, tmp_path):
+        # loadtxt parses int32, and the dataset makes its one column-major copy
+        data = forward_sample(load_network(NETWORKS_DIR / "alarm.net"), 2000, seed=0)
+        path = tmp_path / "data.tsv"
+        save_dataset(data, path)
+        tracemalloc.start()
+        try:
+            back = load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.samples, data.samples)
+        assert peak < 2.25 * data.samples.nbytes, (peak, data.samples.nbytes)
 
     def test_load_infers_cardinalities(self, tmp_path, chain_data):
         path = tmp_path / "data.tsv"

@@ -2,9 +2,9 @@
 references.
 
 The sampler walks each proposed order through the window's memo; it must
-give exactly what a fresh full rescore gives, both taking
-``scipy.special.logsumexp``.  The subset dynamic program, which
-reads its parent-set scores from the same scorer, must give what averaging
+give exactly what a fresh full rescore gives, both taking the library's
+``logsumexp``.  The subset dynamic program, which reads its parent-set
+scores from the same ``ScoreCache.parent_sets``, must give what averaging
 over every order gives, to 1e-9.  Greedy search, which checks its moves
 against one ancestor map per round, must learn exactly the edges of a
 search that walks the graph for every candidate move.
@@ -88,15 +88,15 @@ def test_exact_average_matches_order_enumeration(data):
 
 
 def test_parent_sets_by_size_then_lexicographically(monkeypatch):
-    scorer = av._OrderScorer(av.ScoreCache(SMALL, nodes=(5, 1, 3, 0)), 2)
-    assert scorer.nodes == (0, 1, 3, 5)
-    sets, scores = scorer.parent_sets(0, 0b1110)
+    cache = av.ScoreCache(SMALL, nodes=(5, 1, 3, 0))
+    assert cache.nodes == (0, 1, 3, 5)
+    sets, scores = cache.parent_sets(0, 0b1110, 2)
     assert sets == [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
-    assert scores == [SMALL_CACHE.family_score(0, tuple(scorer.nodes[k] for k in u))
+    assert scores == [SMALL_CACHE.family_score(0, tuple(cache.nodes[k] for k in u))
                       for u in sets]
     monkeypatch.setattr(av, "SUBSET_BUDGET", 6)
     with pytest.raises(av.BudgetExceeded, match="child 0: 7 parent sets exceed"):
-        scorer.parent_sets(0, 0b1110)
+        cache.parent_sets(0, 0b1110, 2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -105,24 +105,25 @@ def test_rescored_terms_equal_a_fresh_walk(data):
     window = data.draw(st.lists(st.integers(0, SMALL.n_vars - 1), min_size=2,
                                 unique=True), label="window")
     max_parents = data.draw(st.integers(1, 3), label="max_parents")
-    scorer = av._OrderScorer(av.ScoreCache(SMALL, nodes=window), max_parents)
+    cache, memo = av.ScoreCache(SMALL, nodes=window), {}
     order = data.draw(st.permutations(range(len(window))), label="order")
     a, b = data.draw(st.lists(st.integers(0, len(window) - 1), min_size=2,
                               max_size=2, unique=True), label="swap")
-    scorer.walk(order)
+    av._order_terms(cache, max_parents, order, memo)
     order[a], order[b] = order[b], order[a]
-    got = scorer.walk(order)  # as the sampler walks a proposal, on a warm memo
-    fresh = av._OrderScorer(av.ScoreCache(SMALL, nodes=window), max_parents).walk(order)
+    # as the sampler walks a proposal, on a warm memo
+    got = av._order_terms(cache, max_parents, order, memo)
+    fresh = av._order_terms(av.ScoreCache(SMALL, nodes=window), max_parents, order, {})
     assert len(got) == len(fresh) == len(window)
     mask = 0
     for c, term, (logz, row) in zip(order, got, fresh):
-        assert term is scorer.child(c, mask)  # the memoized term itself
+        assert term is memo[c, mask]  # the memoized term itself
         assert term[0] == logz and np.array_equal(term[1], row)
         mask |= 1 << c
     total = 0.0
     for logz, _ in got:
         total += logz
-    assert total == av.order_log_marginal(SMALL, [scorer.nodes[k] for k in order],
+    assert total == av.order_log_marginal(SMALL, [cache.nodes[k] for k in order],
                                           max_parents)
 
 

@@ -265,12 +265,14 @@ class TestRunPipeline:
                                 emit_intermediate=str(out))
         run_pipeline(config)
         names = {p.name for p in out.iterdir()}
-        for want in ("dataset.tsv", "substrate.tsv", "partition.txt",
-                     "merged.edges", "run_report.json", "evaluation.json"):
-            assert want in names, want
-        assert any(n.startswith("community_") for n in names)
+        assert names == {"dataset.tsv", "substrate.tsv", "partition.txt", "structures.json",
+                         "merged.edges", "run_report.json", "evaluation.json"}
         rr = json.loads((out / "run_report.json").read_text(encoding="utf-8"))
         assert rr["config"]["seed"] == 2
+        # one structure per community, with its supports
+        pool = json.loads((out / "structures.json").read_text(encoding="utf-8"))
+        assert len(pool["structures"]) == len(rr["partition"])
+        assert all("support" in d for d in pool["structures"])
 
     def test_stage_attribution_on_failure(self):
         config = PipelineConfig(network="/nonexistent/x.net")

@@ -1,5 +1,5 @@
 """The scripts under tools/ run as fresh processes and reproduce the files
-bundled with the repository."""
+bundled with the repository or the figures the library computes."""
 
 import os
 import subprocess
@@ -8,13 +8,17 @@ from pathlib import Path
 
 import numpy as np
 
+from bnsl.averaging import greedy_learn
 from bnsl.data import forward_sample, load_dataset, load_network
+from bnsl.evaluate import score_structure
+from bnsl.pipeline import PipelineConfig, run_pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 BUNDLED = ("alarm.net", "fivehub.net", "insurance.net", "win95pts.net")
 
 
-def run_tool(script: str, *args, cwd) -> None:
+def run_tool(script: str, *args, cwd) -> str:
+    """The script's standard output; it must exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -22,6 +26,7 @@ def run_tool(script: str, *args, cwd) -> None:
                           cwd=cwd, env=env, capture_output=True, text=True,
                           encoding="utf-8", timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
 
 
 def test_make_networks_rewrites_the_bundled_networks(tmp_path):
@@ -50,3 +55,21 @@ def test_stack_places_one_seeded_sample_per_tile(tmp_path):
         assert all(np.array_equal(a, b) for a, b in zip(truth.cpts[tile], net.cpts))
     assert truth.arcs == tuple(sorted((p + t * v, c + t * v)
                                       for t in range(2) for p, c in net.arcs))
+
+
+def test_baselines_prints_each_methods_skeleton_f(tmp_path):
+    out = run_tool("baselines.py", "--networks", "fivehub", "--seeds", "0",
+                   "--n-samples", "2000", cwd=tmp_path)
+    rows = [line.split(" | ") for line in out.splitlines() if line.startswith("| fivehub")]
+    net_file = ROOT / "networks" / "fivehub.net"
+    net = load_network(net_file)
+    want = {f"pipeline, {learner}": run_pipeline(PipelineConfig(
+        network=str(net_file), n_samples=2000, seed=0, learner=learner)).report
+        for learner in ("modelavg", "greedy")}
+    want["global greedy"] = score_structure(
+        greedy_learn(forward_sample(net, 2000, seed=0), max_parents=3), net)
+    assert [row[1] for row in rows] == list(want)
+    for _, method, got in rows:
+        r = want[method]
+        assert got.startswith(f"{r.f_score:.2f} ({r.tp}/{r.fp}/{r.fn}) "), (method, got)
+        assert got.endswith(" s |")
