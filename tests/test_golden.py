@@ -10,7 +10,10 @@ that the default pipeline never reaches.  The weight-layer pin holds, for
 the same sample, the kept edges of the elbow cut of each weight function
 and of the substrate with the ``repr`` of each kept weight, and the
 ``repr`` of the MI PageRank vector, so that a last-bit drift in a weight
-shows here before it moves a partition.  A change that moves them on
+shows here before it moves a partition.  It also holds the first-level
+link communities of each of those weight graphs and of the second-order
+network they form, so that a last-bit drift in an edge-pair similarity
+shows here before it moves a consensus.  A change that moves them on
 purpose re-pins with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -28,7 +31,7 @@ from pathlib import Path
 import pytest
 
 from bnsl.data import forward_sample, load_network
-from bnsl.partition import consensus_partition
+from bnsl.partition import consensus_partition, link_communities, second_order_network
 from bnsl.pipeline import PipelineConfig, build_substrate, run_pipeline
 from bnsl.weights import WEIGHT_FUNCTIONS, elbow_truncate, pagerank, pair_stats, weight_matrix
 
@@ -85,7 +88,11 @@ def pinned_weights(network: str, seed: int) -> dict:
             for fn in WEIGHT_FUNCTIONS}
     cuts["substrate"] = pinned_cut(build_substrate(stats))
     pr = pagerank(weight_matrix(stats, "MI"))
-    return {"cuts": cuts, "pagerank": [repr(float(v)) for v in pr]}
+    parts = {fn: link_communities(elbow_truncate(weight_matrix(stats, fn)))
+             for fn in WEIGHT_FUNCTIONS}
+    parts["second_order"] = link_communities(second_order_network(list(parts.values())))
+    return {"cuts": cuts, "pagerank": [repr(float(v)) for v in pr],
+            "partitions": {k: [list(c) for c in p.communities] for k, p in parts.items()}}
 
 
 @pytest.mark.parametrize("network,seed,learner", RUNS,
@@ -116,6 +123,9 @@ def test_weight_layer_matches_pinned_outputs(network, seed):
     for name, cut in got["cuts"].items():
         assert cut == want["cuts"][name], name
     assert got["pagerank"] == want["pagerank"]
+    assert got["partitions"].keys() == want["partitions"].keys()
+    for name, communities in got["partitions"].items():
+        assert communities == want["partitions"][name], name
 
 
 if __name__ == "__main__":
