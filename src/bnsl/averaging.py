@@ -449,12 +449,20 @@ def greedy_learn(data: DiscreteDataset, nodes=None, max_parents: int = 3,
     an ancestor of u, and reversing u -> v iff u is not an ancestor of any
     other parent p of v (a path from u to p cannot use u -> v, as p -> v
     would close a cycle).
+
+    Each child keeps the score of its family with one candidate parent
+    toggled, read from the score cache the first time a move that needs
+    it is legal.  A move changes the families of one or two children, so
+    only their toggled scores are dropped; every other child's are reused
+    in the next round, and each round's scan only compares numbers.
     """
     check_number("max_parents", max_parents, least=0)
     cache = ScoreCache(data, ess, nodes)
+    family = cache.family_score
     nodes = cache.nodes
     parents = {v: frozenset() for v in nodes}
-    current = {v: cache.family_score(v, ()) for v in nodes}
+    current = {v: family(v, ()) for v in nodes}
+    toggled: dict[int, dict[int, float]] = {v: {} for v in nodes}  # by child, then parent
     anc: dict[int, set[int]] = {}  # in the current graph, filled on first use
 
     def ancestors(x: int) -> set[int]:
@@ -467,34 +475,48 @@ def greedy_learn(data: DiscreteDataset, nodes=None, max_parents: int = 3,
                 stack += new
         return anc[x]
 
-    def moves():
-        """Each legal move as its delta, its tie key, and the child, new
-        parent set and score of every child it changes."""
-        for u in nodes:
-            for v in nodes:
+    # each round applies the move of largest gain, ties to the smallest
+    # key (kind, u, v) with kinds add 0, delete 1, reverse 2
+    while True:
+        best = (0.0, ())  # (-gain, key): a move must gain more than 0
+        rows = [(v, parents[v], toggled[v], current[v], len(parents[v]) < max_parents)
+                for v in nodes]
+        for u, pu, tu, cu, u_room in rows:
+            au = ancestors(u)
+            for v, pv, tv, cv, v_room in rows:
                 if u == v:
                     continue
-                pv = parents[v]
                 if u in pv:
-                    without = pv - {u}
-                    sv = cache.family_score(v, without)
-                    yield sv - current[v], (1, u, v), ((v, without, sv),)
-                    if (len(parents[u]) < max_parents
-                            and not any(u in ancestors(p) for p in without)):
-                        nu = parents[u] | {v}
-                        su = cache.family_score(u, nu)
-                        yield ((sv - current[v]) + (su - current[u]), (2, u, v),
-                               ((v, without, sv), (u, nu, su)))
-                elif len(pv) < max_parents and v not in ancestors(u):
-                    nv = pv | {u}
-                    sv = cache.family_score(v, nv)
-                    yield sv - current[v], (0, u, v), ((v, nv, sv),)
-
-    # each round applies the move of largest gain, ties to the smallest key
-    while best := min((m for m in moves() if m[0] > 0.0), key=lambda m: (-m[0], m[1]),
-                      default=None):
-        for v, pv, sv in best[2]:
-            parents[v], current[v] = pv, sv
+                    sv = tv.get(u)
+                    if sv is None:
+                        sv = tv[u] = family(v, pv - {u})
+                    gain = sv - cv
+                    if -gain <= best[0] and (-gain, (1, u, v)) < best:
+                        best = (-gain, (1, u, v), sv)
+                    if u_room and not any(u in ancestors(p) for p in pv if p != u):
+                        su = tu.get(v)
+                        if su is None:
+                            su = tu[v] = family(u, pu | {v})
+                        both = gain + (su - cu)
+                        if -both <= best[0] and (-both, (2, u, v)) < best:
+                            best = (-both, (2, u, v), sv, su)
+                elif v_room and v not in au:
+                    sv = tv.get(u)
+                    if sv is None:
+                        sv = tv[u] = family(v, pv | {u})
+                    gain = sv - cv
+                    if -gain <= best[0] and (-gain, (0, u, v)) < best:
+                        best = (-gain, (0, u, v), sv)
+        if not best[1]:
+            break
+        kind, u, v = best[1]
+        parents[v] = parents[v] ^ {u}
+        current[v] = best[2]
+        toggled[v] = {}
+        if kind == 2:
+            parents[u] = parents[u] | {v}
+            current[u] = best[3]
+            toggled[u] = {}
         anc.clear()
     edges = tuple(sorted((u, v) for v in nodes for u in parents[v]))
     return LocalStructure(nodes, edges, {e: 1.0 for e in edges})

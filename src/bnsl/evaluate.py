@@ -13,7 +13,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from .averaging import LocalStructure
-from .data import GroundTruthNet
+from .data import GroundTruthNet, ordered_sum
 from .errors import InvalidInput
 from .partition import Partition
 from .weights import WeightedGraph
@@ -106,7 +106,7 @@ def partition_diagnostics(p: Partition, g: WeightedGraph) -> dict:
         "sizes": sizes,
         "avg_size": sum(sizes) / len(sizes),
         "size_histogram": hist,
-        "avg_shortest_path": sum(avg_paths) / len(avg_paths),
+        "avg_shortest_path": ordered_sum(avg_paths) / len(avg_paths),
         "avg_diameter": sum(diameters) / len(diameters),
         "per_community_avg_path": avg_paths,
         "per_community_diameter": diameters,

@@ -120,16 +120,18 @@ def resolve(structure: LocalStructure, g: WeightedGraph, data: DiscreteDataset,
     cluster is re-learned with the configured learner; edges inside a
     cluster are replaced by the re-learned ones, everything else passes through.
     Never introduces an edge between nodes sharing neither a cluster nor a
-    prior edge.  The size of each re-learned cluster is appended to
+    prior edge, and returns the structure as it is when no triangle clears
+    the threshold.  The size of each re-learned cluster is appended to
     ``windows`` when a list is supplied.
     """
     sub = g.subgraph(structure.nodes)
     if sub.m == 0:
         return structure
     trip = collect_triplets(sub, elbow_threshold([sub.weight(*e) for e in sub.edges()]))
-    clusters = [set(c) for c in link_communities(trip.graph).communities if len(c) > 1]
-    if not clusters:
+    if not trip.triangles:
         return structure
+    # every edge of the triangles lands in a cluster of at least 2 nodes
+    clusters = [set(c) for c in link_communities(trip.graph).communities if len(c) > 1]
     relearned = []
     for cl in sorted(clusters, key=sorted):
         if windows is not None:

@@ -7,6 +7,17 @@ level of maximum average partition density, and each edge cluster projects
 to the union of its endpoints.  A node then belongs to every community one
 of its edges landed in, which is what makes the partitions overlapping.
 
+A call scores every pair of edges that share a node with array
+operations, once per distinct pair of outer endpoints, and adds each dot
+product left to right in the key order of the first endpoint's vector,
+as a loop over its keys would.  Single linkage joins two clusters only
+along the minimum spanning forest of the edge-pair graph (Gower & Ross
+1969, "Minimum spanning trees and single linkage cluster analysis", JRSS
+C 18), so Borůvka rounds over those arrays find the forest's at most
+m - 1 entries, and the union-find and the partition density run on them
+alone.  Apart from the singletons of isolated nodes, a call's cost grows
+with the edges and the edge pairs of its graph, not with its node count.
+
 A consensus partition re-runs this under several weight functions and
 stacks every community of every partition as one row of a 0/1 membership
 matrix M.  Node v's partition support matrix is the rows of M that hold v,
@@ -68,103 +79,206 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _tanimoto(a: dict[int, float], b: dict[int, float], na: float, nb: float) -> float:
-    """Tanimoto similarity of two vectors given their squared norms."""
-    dot = ordered_sum(w * b[k] for k, w in a.items() if k in b)
+def _tanimoto(dot: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """Tanimoto similarity of vector pairs given their dot products and
+    squared norms; 0 where the denominator is not positive."""
     den = na + nb - dot
-    return dot / den if den > 0 else 0.0
+    out = np.zeros_like(dot)
+    np.divide(dot, den, out=out, where=den > 0)
+    return out
 
 
-def _inclusive_vectors(g: WeightedGraph) -> tuple[dict[int, dict[int, float]],
-                                                   dict[int, float]]:
-    """Each non-isolated node's weighted inclusive neighborhood (its own
-    entry is its mean incident weight) and that vector's squared norm."""
-    incl: dict[int, dict[int, float]] = {}
-    for v in range(g.n):
+def _inclusive_vectors(g: WeightedGraph, nodes: list[int]) -> tuple[
+        dict[tuple[int, int], int], np.ndarray, np.ndarray]:
+    """The weighted inclusive neighborhood of each node of ``nodes``, each
+    of which has an edge: its adjacency in insertion order, then its own
+    entry, the mean incident weight.  Returns the position of key k in
+    node v's vector under ``(v, k)``, and each node's own entry and squared
+    norm (in the order of ``nodes``), each added left to right."""
+    pos: dict[tuple[int, int], int] = {}
+    own, norm2 = [], []
+    for v in nodes:
         adj = g.adjacency(v)
-        if adj:
-            vec = dict(adj)
-            vec[v] = ordered_sum(adj.values()) / len(adj)
-            incl[v] = vec
-    norm2 = {v: ordered_sum(w * w for w in vec.values()) for v, vec in incl.items()}
-    return incl, norm2
+        mean = ordered_sum(adj.values()) / len(adj)
+        own.append(mean)
+        norm2.append(ordered_sum(w * w for w in itertools.chain(adj.values(), (mean,))))
+        pos.update(((v, k), p) for p, k in enumerate(adj))
+        pos[v, v] = len(adj)
+    return pos, np.array(own), np.array(norm2)
+
+
+def _edge_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of edges that share a node, as edge indices k1 < k2 and
+    the shared node, for edges (a[k], b[k]) with a < b in lexicographic
+    order.  The outer endpoint of k1 is then below that of k2."""
+    m = a.size
+    # each node's incident edges, contiguous: first those where it is b,
+    # then those where it is a, each in edge order, so in ascending order
+    # of the other endpoint and of edge index
+    shared = np.concatenate((b, a))
+    order = np.argsort(shared, kind="stable")
+    shared, edge = shared[order], np.concatenate((np.arange(m), np.arange(m)))[order]
+    later = np.cumsum(np.bincount(shared))[shared] - np.arange(2 * m) - 1
+    first = np.repeat(np.arange(2 * m), later)
+    offset = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+    return edge[first], edge[first + 1 + offset], shared[first]
+
+
+def _similarities(g: WeightedGraph, edges: list[tuple[int, int]]) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of the sorted ``edges`` that shares a node, as edge
+    indices k1 < k2, with the Tanimoto similarity of the inclusive vectors
+    of the pair's outer endpoints u < v.
+
+    Each distinct outer pair is scored once.  Its dot product adds the
+    common keys left to right in the key order of u's vector: the nodes
+    that u and v both neighbour (the shared nodes of its edge pairs), and
+    v and u themselves when u and v are adjacent.
+    """
+    nodes = sorted({v for e in edges for v in e})
+    n = len(nodes)
+    at = {v: i for i, v in enumerate(nodes)}
+    pos, own, norm2 = _inclusive_vectors(g, nodes)
+    a = np.array([at[x] for x, _ in edges])
+    b = np.array([at[y] for _, y in edges])
+    w = np.array([g.weight(*e) for e in edges])
+    ab = np.array([pos[e] for e in edges])  # where b sits in a's vector
+    ba = np.array([pos[y, x] for x, y in edges])  # where a sits in b's vector
+    deg = np.array([pos[v, v] for v in nodes])  # where v sits in its own vector
+
+    k1, k2, shared = _edge_pairs(a, b)
+    u = a[k1] + b[k1] - shared
+    key = u * n + (a[k2] + b[k2] - shared)
+    # number the distinct outer pairs in ascending order of (u, v)
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    new = np.ones(key.size, dtype=bool)
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=new[1:])
+    pair = np.empty_like(order)
+    pair[order] = np.cumsum(new) - 1
+    pair_key = sorted_key[new]
+    pu, pv = pair_key // n, pair_key % n
+
+    # the terms of each dot: one per edge pair at the shared node, and two
+    # for an adjacent outer pair, which edge e = (u, v) joins
+    ends = a * n + b  # ascending, as the edges are sorted
+    e = np.minimum(np.searchsorted(ends, pair_key), len(edges) - 1)
+    adjacent = np.flatnonzero(ends[e] == pair_key)
+    e = e[adjacent]
+    of = np.concatenate((pair, adjacent, adjacent))
+    at_key = np.concatenate((np.where(b[k1] == shared, ab[k1], ba[k1]), ab[e], deg[pu[adjacent]]))
+    term = np.concatenate((w[k1] * w[k2], w[e] * own[pv[adjacent]], own[pu[adjacent]] * w[e]))
+    order = np.argsort(of * (deg.max() + 1) + at_key)
+    dot = np.zeros(pair_key.size)
+    np.add.at(dot, of[order], term[order])  # one term at a time, so left to right
+    return k1, k2, _tanimoto(dot, norm2[pu], norm2[pv])[pair]
+
+
+def _spanning_forest(k1: np.ndarray, k2: np.ndarray, m: int) -> np.ndarray:
+    """The minimum spanning forest of the graph on ``m`` vertices whose
+    edge of rank r joins k1[r] and k2[r], as its ranks in ascending order.
+
+    The ranks are distinct, so the forest is unique, and it holds exactly
+    the edges at which Kruskal's scan in rank order joins two trees.
+    Borůvka rounds find it: each tree takes its lightest edge to another
+    tree, and the trees so joined merge, which at least halves their count.
+    """
+    ids = np.arange(m)
+    comp = ids
+    rank = np.arange(k1.size)
+    in_forest = np.zeros(k1.size, dtype=bool)
+    while True:
+        ca, cb = comp[k1], comp[k2]
+        live = np.flatnonzero(ca != cb)
+        if not live.size:
+            return np.flatnonzero(in_forest)
+        k1, k2, rank, ca, cb = k1[live], k2[live], rank[live], ca[live], cb[live]
+        # each tree's lightest edge to another tree, as its position in
+        # these arrays, which keep rank order
+        lightest = np.full(m, live.size)
+        np.minimum.at(lightest, ca, np.arange(live.size))
+        np.minimum.at(lightest, cb, np.arange(live.size))
+        trees = np.flatnonzero(lightest < live.size)
+        at = lightest[trees]
+        in_forest[rank[at]] = True
+        # each tree points at the tree across that edge; two trees that
+        # chose the same edge point at each other, and the lower one
+        # becomes the root of the trees that now merge
+        to = ids.copy()
+        to[trees] = np.where(ca[at] == trees, cb[at], ca[at])
+        roots = np.flatnonzero((to[to] == ids) & (to > ids))
+        to[roots] = roots
+        while not np.array_equal(hop := to[to], to):
+            to = hop
+        comp = to[comp]
 
 
 def link_communities(g: WeightedGraph) -> Partition:
     """Edge clustering cut at maximum partition density.
 
-    Deterministic: edges are taken in lexicographic order and similarity
-    ties resolve the same way.  Isolated nodes come back as singleton
-    communities; an edgeless graph is all singletons.
+    Edge pairs are merged by single linkage on their similarity (most
+    similar first; ties to the lexicographically smaller pair of edge
+    indices, with the edges in lexicographic order), one level of equal
+    similarity at a time.  Single linkage joins two clusters only along
+    the minimum spanning forest of the edge-pair graph (Gower & Ross 1969,
+    JRSS C 18), so the similarities of all edge pairs are computed as
+    arrays, the forest is found by array passes, and the merging and the
+    partition density run on its at most m - 1 entries alone.  Isolated
+    nodes come back as singleton communities, and apart from them the
+    cost grows with the edges and edge pairs, not with ``g.n``; an
+    edgeless graph is all singletons.
     """
     edges = g.edges()
     m = len(edges)
-    isolated = [v for v in range(g.n) if g.degree(v) == 0]
+    touched = {v for e in edges for v in e}
+    comms = {(v,) for v in range(g.n) if v not in touched}
+    if m == 0:
+        return Partition(g.n, tuple(sorted(comms)))
 
-    incl, norm2 = _inclusive_vectors(g)
+    k1, k2, sim = _similarities(g, edges)
+    # ascending (-similarity, k1, k2): the keys are unique, so any sort
+    # of them gives this order, and the stable sort by -similarity keeps it
+    order = np.argsort(k1 * m + k2)
+    order = order[np.argsort(-sim[order], kind="stable")]
+    k1, k2, sim = k1[order], k2[order], sim[order]
+    forest = _spanning_forest(k1, k2, m)
+    f1, f2, level = k1[forest].tolist(), k2[forest].tolist(), sim[forest]
+    # the forest entries that end a level of equal similarity
+    level_ends = (np.flatnonzero(level[1:] != level[:-1]) + 1).tolist() + [forest.size]
 
-    # incident[k] holds (edge index, other endpoint) of each edge at node k
-    incident: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n)}
-    for i, (a, b) in enumerate(edges):
-        incident[a].append((i, b))
-        incident[b].append((i, a))
-
-    # edge pairs sharing node k are scored by their outer endpoints (u, v);
-    # incident[k] lists those in ascending order, so u < v and the similarity
-    # of each pair is computed once, always with the same argument order.
-    # The edges are sorted, so edge indices tie-break as the edges would.
-    sims = []
-    memo: dict[tuple[int, int], float] = {}
-    for k in range(g.n):
-        inc = incident[k]
-        for a, (k1, u) in enumerate(inc):
-            for k2, v in inc[a + 1:]:
-                s = memo.get((u, v))
-                if s is None:
-                    s = memo[(u, v)] = -_tanimoto(incl[u], incl[v], norm2[u], norm2[v])
-                sims.append((s, k1, k2))
-    sims.sort()
-
-    # merge one level of equal similarity at a time and keep the densest cut.
-    # terms holds each cluster's partition density term, keyed by its root;
-    # a cluster of 2 nodes adds nothing and has none.  A merged cluster's
-    # term moves to the end, so the terms are added in order of last merge
-    # at every level.  A level that merges nothing leaves the terms, and so
-    # the density, as the last level left them, so only a merging level sums
-    # them.  The best level's clusters are rebuilt after the scan.
+    # merge one level at a time and keep the densest cut.  terms holds
+    # each cluster's partition density term, keyed by its root; a cluster
+    # of 2 nodes adds nothing and has none.  A merged cluster's term moves
+    # to the end, so the terms are added in order of last merge at every
+    # level.  The best level's clusters are rebuilt after the scan.
     parent = list(range(m))
     n_edges = [1] * m
     nodes = [set(e) for e in edges]
     terms: dict[int, float] = {}
-    best_density, best_end, end = 0.0, 0, 0
-    for _, level in itertools.groupby(sims, key=lambda t: t[0]):
-        merged = False
-        for _, k1, k2 in level:
-            end += 1
-            ra, rb = _find(parent, k1), _find(parent, k2)
-            if ra != rb:  # ra stays the root
-                parent[rb] = ra
-                merged = True
-                n_edges[ra] += n_edges[rb]
-                nodes[ra] |= nodes[rb]
-                terms.pop(ra, None)
-                terms.pop(rb, None)
-                mc, nc = n_edges[ra], len(nodes[ra])
-                if nc > 2:
-                    terms[ra] = mc * (mc - nc + 1) / ((nc - 2) * (nc - 1))
-        if merged:
-            d = 2.0 * ordered_sum(terms.values()) / m
-            if d > best_density:
-                best_density, best_end = d, end
+    best_density, best_end, start = 0.0, 0, 0
+    for end in level_ends:
+        for x, y in zip(f1[start:end], f2[start:end]):
+            ra, rb = _find(parent, x), _find(parent, y)
+            parent[rb] = ra  # ra stays the root
+            n_edges[ra] += n_edges[rb]
+            nodes[ra] |= nodes[rb]
+            terms.pop(ra, None)
+            terms.pop(rb, None)
+            mc, nc = n_edges[ra], len(nodes[ra])
+            if nc > 2:
+                terms[ra] = mc * (mc - nc + 1) / ((nc - 2) * (nc - 1))
+        d = 2.0 * ordered_sum(terms.values()) / m
+        if d > best_density:
+            best_density, best_end = d, end
+        start = end
 
     parent = list(range(m))
-    for _, k1, k2 in sims[:best_end]:
-        parent[_find(parent, k2)] = _find(parent, k1)
+    for x, y in zip(f1[:best_end], f2[:best_end]):
+        parent[_find(parent, y)] = _find(parent, x)
     best: dict[int, set[int]] = {}
     for k, e in enumerate(edges):
         best.setdefault(_find(parent, k), set()).update(e)
-    comms = {tuple(sorted(s)) for s in best.values()}
-    comms.update((v,) for v in isolated)
+    comms.update(tuple(sorted(s)) for s in best.values())
     return Partition(g.n, tuple(sorted(comms)))
 
 

@@ -229,6 +229,38 @@ def _tanimoto_of(a: dict[int, float], b: dict[int, float]) -> float:
     return dot / denom if denom > 0 else 0.0
 
 
+def edge_pair_similarities_of(g) -> dict[tuple[int, int], float]:
+    """The Tanimoto similarity of every pair of edges that share a node,
+    keyed by their indices k1 < k2 in ``g.edges()``, by dict loops that add
+    left to right.  A node's inclusive vector is its adjacency in insertion
+    order with its mean weight appended, and the dot product of the outer
+    endpoints u < v runs over u's keys."""
+    def add(values):
+        total = 0.0
+        for x in values:
+            total += x
+        return total
+
+    vec = {}
+    for v in range(g.n):
+        adj = g.adjacency(v)
+        if adj:
+            vec[v] = {**adj, v: add(adj.values()) / len(adj)}
+    norm2 = {v: add(w * w for w in x.values()) for v, x in vec.items()}
+    edges = g.edges()
+    out = {}
+    for k1, e1 in enumerate(edges):
+        for k2 in range(k1 + 1, len(edges)):
+            shared = set(e1) & set(edges[k2])
+            if shared:
+                (c,) = shared
+                u, v = sorted((sum(e1) - c, sum(edges[k2]) - c))
+                dot = add(w * vec[v][k] for k, w in vec[u].items() if k in vec[v])
+                den = norm2[u] + norm2[v] - dot
+                out[k1, k2] = dot / den if den > 0 else 0.0
+    return out
+
+
 def partition_density_of(clusters) -> float:
     """Average partition density of a list of edge lists."""
     m_total = sum(len(c) for c in clusters)

@@ -15,7 +15,8 @@ from bnsl.averaging import LocalStructure
 from bnsl.blankets import mb_candidates
 from bnsl.data import ordered_sum
 from bnsl.merge import combine_structures
-from bnsl.partition import _inclusive_vectors, _tanimoto
+from bnsl.evaluate import partition_diagnostics
+from bnsl.partition import Partition, _inclusive_vectors, _similarities
 from bnsl.weights import WeightedGraph
 
 
@@ -43,19 +44,32 @@ def test_ordered_sum_of_nothing_is_zero():
 
 
 def test_tanimoto_dot():
-    a = {k: 0.1 for k in range(10)}
-    b = {k: 1.0 for k in range(10)}
-    dot = left_to_right([0.1] * 10)
-    assert dot != math.fsum([0.1] * 10)
-    assert _tanimoto(a, b, 1.0, 1.0) == dot / (2.0 - dot)
+    # nodes 0 and 1 share the neighbours 2, 3 and 4, whose dot terms are
+    # 1e16, -1e16 and 1; node 0 lists them as 2, 4, 3 and node 1 as 3, 2, 4
+    big, one = 1e8, 1.0
+    g = WeightedGraph(5, {(0, 2): big, (0, 4): one, (0, 3): -big,
+                          (1, 3): big, (1, 2): big, (1, 4): one})
+    u = [big, one, -big]  # node 0's weights, in its key order
+    terms = [big * big, one * one, -big * big]
+    dot = left_to_right(terms)
+    assert dot == 0.0 != math.fsum(terms)  # 1.0, as is adding in key order 2, 3, 4
+    own = [left_to_right(u) / 3, left_to_right([big, big, one]) / 3]
+    na = left_to_right(w * w for w in u + own[:1])
+    nb = left_to_right(w * w for w in [big, big, one] + own[1:])
+    edges = g.edges()
+    k1, k2, sim = _similarities(g, edges)
+    across = [{edges[a][0], edges[b][0]} == {0, 1} for a, b in zip(k1, k2)]
+    assert sum(across) == 3
+    assert sim[across].tolist() == [dot / (na + nb - dot)] * 3
 
 
 def test_inclusive_vector_mean_and_norm():
-    incl, norm2 = _inclusive_vectors(star(6, 0.1))
+    pos, own, norm2 = _inclusive_vectors(star(6, 0.1), list(range(7)))
     mean = left_to_right([0.1] * 6) / 6
     assert mean != math.fsum([0.1] * 6) / 6
-    assert incl[0][0] == mean
-    assert norm2[0] == left_to_right(w * w for w in incl[0].values())
+    assert own[0] == mean
+    assert norm2[0] == left_to_right(w * w for w in [0.1] * 6 + [mean])
+    assert [pos[0, k] for k in range(7)] == [6, 0, 1, 2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("n_leaves", [6, 15])
@@ -72,3 +86,14 @@ def test_combined_support_mean():
     mean = left_to_right([0.1] * 6) / 6
     assert mean != math.fsum([0.1] * 6) / 6
     assert combine_structures(structs).support[(0, 1)] == mean
+
+
+def test_partition_diagnostics_average_path():
+    # ten 3-node paths, each with average shortest path 4/3
+    g = WeightedGraph(30, {(a + k, a + k + 1): 1.0 for a in range(0, 30, 3) for k in (0, 1)})
+    p = Partition(30, tuple((a, a + 1, a + 2) for a in range(0, 30, 3)))
+    paths = [4 / 3] * 10
+    assert left_to_right(paths) != math.fsum(paths)
+    got = partition_diagnostics(p, g)
+    assert got["per_community_avg_path"] == paths
+    assert got["avg_shortest_path"] == left_to_right(paths) / 10

@@ -6,8 +6,11 @@ give exactly what a fresh full rescore gives, both taking the library's
 ``logsumexp``.  The subset dynamic program, which reads its parent-set
 scores from the same ``ScoreCache.parent_sets``, must give what averaging
 over every order gives, to 1e-9.  Greedy search, which checks its moves
-against one ancestor map per round, must learn exactly the edges of a
-search that walks the graph for every candidate move.
+against one ancestor map per round and keeps each child's toggled family
+scores until a move changes that child, must learn exactly the edges of a
+search that walks the graph and reads the score cache for every candidate
+move, on generated windows and on every window that the greedy pipeline
+learns on alarm, insurance and win95pts.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ SMALL = forward_sample(random_binary_net(np.random.default_rng(62), 7, arc_prob=
 SMALL_CACHE = av.ScoreCache(SMALL)
 
 
-def pipeline_windows(network: str, seed: int) -> list[dict]:
-    """``order_mcmc`` arguments for every window one modelavg pipeline run
-    learns: the window and the run's scoring settings, with the sampler's
-    default schedule and the window's index as its seed.  The run averages
+def pipeline_windows(network: str, seed: int, learner: str = "modelavg") -> list[dict]:
+    """``order_mcmc`` arguments for every window one pipeline run learns:
+    the window and the run's scoring settings, with the sampler's default
+    schedule and the window's index as its seed.  A modelavg run averages
     these windows exactly, so the test runs the sampler itself."""
     real = av.learn_structure
     sig = inspect.signature(real)
@@ -57,7 +60,7 @@ def pipeline_windows(network: str, seed: int) -> list[dict]:
         mp.setattr(module, "learn_structure", recording)
     try:
         run_pipeline(PipelineConfig(network=str(NETWORKS_DIR / f"{network}.net"),
-                                    n_samples=20000, seed=seed, learner="modelavg"))
+                                    n_samples=20000, seed=seed, learner=learner))
     finally:
         mp.undo()
     return windows
@@ -157,6 +160,17 @@ def test_greedy_matches_a_walk_per_move(data):
 @pytest.fixture(scope="module")
 def alarm0():
     return forward_sample(load_network(NETWORKS_DIR / "alarm.net"), 20000, 0)
+
+
+@pytest.mark.parametrize("network,n_windows,largest",
+                         [("alarm", 46, 8), ("insurance", 28, 8), ("win95pts", 72, 11)])
+def test_greedy_pipeline_windows_match_a_walk_per_move(network, n_windows, largest):
+    # the windows of the greedy pipeline reach sizes that the generated ones do not
+    windows = pipeline_windows(network, 0, learner="greedy")
+    assert (len(windows), max(len(w["nodes"]) for w in windows)) == (n_windows, largest)
+    for w in windows:
+        args = (w["data"], w["nodes"], w["max_parents"], w["ess"])
+        assert av.greedy_learn(*args).edges == greedy_learn_reference(*args), w["nodes"]
 
 
 # Each call below once failed with "entries must lie in [0, 1]": a row sum

@@ -14,7 +14,7 @@ from bnsl.partition import (Partition, co_occurrence, consensus_partition,
 from bnsl.weights import WEIGHT_FUNCTIONS, WeightedGraph, pair_stats
 
 from conftest import chain3, random_binary_net
-from oracles import co_occurrence_of, link_communities_of
+from oracles import co_occurrence_of, edge_pair_similarities_of, link_communities_of
 
 
 def random_graph(rng, n, p=0.5, lo=0.2, hi=3.0):
@@ -39,6 +39,18 @@ def tied_graphs(draw):
         if w:
             g.add_edge(i, j, float(w))
     return g
+
+
+@st.composite
+def shuffled_graphs(draw):
+    """2-9 nodes with at least one edge, weighted in (0, 3], added in a
+    drawn order, so that a node's key order is not its neighbours' order."""
+    n = draw(st.integers(2, 9))
+    pairs = draw(st.lists(st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)]),
+                          min_size=1, unique=True))
+    weights = draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 1.0]) | st.floats(0.01, 3.0),
+                            min_size=len(pairs), max_size=len(pairs)))
+    return WeightedGraph(n, dict(zip(pairs, weights)))
 
 
 @st.composite
@@ -91,15 +103,11 @@ def pairwise_weights(c, t_co):
 def edge_pair_levels(g):
     """The pairs of edges that share a node, grouped by the Tanimoto
     similarity of their outer endpoints, most similar first."""
-    incl, norm2 = partition._inclusive_vectors(g)
+    edges = g.edges()
+    k1, k2, sim = partition._similarities(g, edges)
     by_sim: dict[float, list] = {}
-    for k in range(g.n):
-        incident = [e for e in g.edges() if k in e]
-        for a, e1 in enumerate(incident):
-            for e2 in incident[a + 1:]:
-                u, v = sorted((sum(e1) - k, sum(e2) - k))
-                s = partition._tanimoto(incl[u], incl[v], norm2[u], norm2[v])
-                by_sim.setdefault(s, []).append((e1, e2))
+    for a, b, s in zip(k1.tolist(), k2.tolist(), sim.tolist()):
+        by_sim.setdefault(s, []).append((edges[a], edges[b]))
     return [by_sim[s] for s in sorted(by_sim, reverse=True)]
 
 
@@ -183,6 +191,14 @@ class TestLinkCommunities:
     def test_matches_the_oracle_on_tied_weights(self, g):
         assert tuple(sorted(link_communities(g).communities)) == link_communities_of(g)
 
+    @settings(max_examples=200, deadline=None)
+    @given(g=shuffled_graphs() | tied_graphs().filter(lambda g: g.m))
+    def test_similarities_equal_the_loop_reference(self, g):
+        k1, k2, sim = partition._similarities(g, g.edges())
+        got = dict(zip(zip(k1.tolist(), k2.tolist()), sim.tolist()))
+        assert len(got) == k1.size
+        assert got == edge_pair_similarities_of(g)
+
     def test_each_similarity_is_computed_once_per_call(self, monkeypatch):
         # nodes 0, 1 and 2 share the neighbours 3 and 4, so the outer
         # endpoints (3, 4) meet at three nodes and (0, 1), (0, 2), (1, 2)
@@ -196,13 +212,13 @@ class TestLinkCommunities:
         calls = []
         tanimoto = partition._tanimoto
 
-        def counted(a, b, na, nb):
-            calls.append((a, b))
-            return tanimoto(a, b, na, nb)
+        def counted(dot, na, nb):
+            calls.append(dot.size)
+            return tanimoto(dot, na, nb)
 
         monkeypatch.setattr(partition, "_tanimoto", counted)
         got = link_communities(g)
-        assert len(calls) == len(outer) == 11
+        assert calls == [len(outer)] and len(outer) == 11
         assert got.communities == ((0, 1, 3, 4), (2, 3, 4, 5))
         assert got.communities == link_communities_of(g)
 
@@ -226,7 +242,7 @@ class TestLinkCommunities:
             merging += joined
         assert (len(levels), merging) == (11, 5)
 
-        # every ordered_sum outside the similarity helpers is a density sum
+        # every ordered_sum outside the similarities is a density sum
         sums, depth = [], [0]
         ordered_sum = partition.ordered_sum
 
@@ -245,11 +261,26 @@ class TestLinkCommunities:
             return run
 
         monkeypatch.setattr(partition, "ordered_sum", counted)
-        for name in ("_tanimoto", "_inclusive_vectors"):
-            monkeypatch.setattr(partition, name, nested(getattr(partition, name)))
+        monkeypatch.setattr(partition, "_similarities", nested(partition._similarities))
         got = link_communities(g)
         assert len(sums) == merging
         assert got.communities == ((0, 1, 3, 4), (2, 3, 4, 5)) == link_communities_of(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda m: st.tuples(st.just(m), st.lists(
+        st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=40))))
+    def test_spanning_forest_holds_the_entries_where_kruskal_merges(self, case):
+        m, pairs = case
+        parent = list(range(m))
+        want = []
+        for rank, (a, b) in enumerate(pairs):
+            ra, rb = partition._find(parent, a), partition._find(parent, b)
+            if ra != rb:
+                parent[rb] = ra
+                want.append(rank)
+        k1 = np.array([a for a, _ in pairs], dtype=np.intp)
+        k2 = np.array([b for _, b in pairs], dtype=np.intp)
+        assert partition._spanning_forest(k1, k2, m).tolist() == want
 
     def test_weighted_ties_are_grouped(self):
         # uniform weights create equal similarities; merging must treat

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bnsl.averaging import greedy_learn
+from bnsl.averaging import LocalStructure, greedy_learn
 from bnsl.data import forward_sample, load_dataset, load_network
 from bnsl.evaluate import score_structure
 from bnsl.pipeline import PipelineConfig, run_pipeline
@@ -73,3 +73,26 @@ def test_baselines_prints_each_methods_skeleton_f(tmp_path):
         r = want[method]
         assert got.startswith(f"{r.f_score:.2f} ({r.tp}/{r.fp}/{r.fn}) "), (method, got)
         assert got.endswith(" s |")
+
+
+def test_stack_run_scores_each_tile_of_the_pipeline_run(tmp_path):
+    net = load_network(ROOT / "networks" / "fivehub.net")
+    run_tool("stack.py", str(ROOT / "networks" / "fivehub.net"), "--tiles", "2",
+             "--n-samples", "500", "--out-dir", str(tmp_path), cwd=tmp_path)
+    out = run_tool("stack.py", str(ROOT / "networks" / "fivehub.net"), "--tiles", "2",
+                   "--n-samples", "500", "--run", "greedy", cwd=tmp_path)
+    header, row, across = out.splitlines()
+    assert header.split(" | ")[1:-2] == ["V", "total", "data", "weights", "partition",
+                                        "learn", "merge"]
+    cells = row.strip("| ").split(" | ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fivehubx2.net", "fivehubx2.tsv"]
+    # the in-memory stack learns what the pipeline learns from its TSV
+    got = run_pipeline(PipelineConfig(dataset=str(tmp_path / "fivehubx2.tsv"),
+                                      learner="greedy")).structure
+    v = net.n_vars
+    tiles = [score_structure(LocalStructure(tuple(range(v)), tuple(
+        (a - t * v, b - t * v) for a, b in got.edges if a // v == b // v == t)), net).f_score
+        for t in range(2)]
+    assert cells[:2] == ["2", str(2 * v)]
+    assert cells[-2:] == [f"{tiles[0]:.2f}", f"{(tiles[0] + tiles[1]) / 2:.2f}"]
+    assert across == f"arcs joining two tiles: {sum(a // v != b // v for a, b in got.edges)}"
