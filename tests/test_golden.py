@@ -1,9 +1,10 @@
 """Pinned pipeline outputs: a refactor that keeps behaviour keeps these.
 
-Each run compares the learned edges, the ``repr`` of each edge's support,
-the partition and the merge sequence exactly against
-``golden_outputs.json``; a count that is off in one row moves a model
-averaging support long before it moves an edge.  Two more pins hold the
+Each of the 24 pipeline runs (alarm, insurance, win95pts and fivehub,
+seeds 0-2, both learners, 20000 samples) compares the learned edges, the
+``repr`` of each edge's support, the partition and the merge sequence
+exactly against ``golden_outputs.json``; a count that is off in one row
+moves a model averaging support long before it moves an edge.  Two more pins hold the
 consensus partition of the alarm seed-0 sample at a small ``max_comm``,
 which forces the recursive re-partition and the tighten-split fallback
 that the default pipeline never reaches.  The weight-layer pin holds, for
@@ -39,9 +40,8 @@ HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden_outputs.json"
 NETWORKS_DIR = HERE.parent / "networks"
 
-RUNS = ([("alarm", seed, learner) for seed in (0, 1, 2)
-         for learner in ("modelavg", "greedy")] + [("insurance", 0, "modelavg")]
-        + [("win95pts", 0, learner) for learner in ("modelavg", "greedy")])
+RUNS = [(network, seed, learner) for network in ("alarm", "insurance", "win95pts", "fivehub")
+        for seed in (0, 1, 2) for learner in ("modelavg", "greedy")]
 # (network, seed, max_comm): max_comm=3 recurses 5 times and reaches the
 # tighten-split; max_comm=4 recurses 4 times
 PARTITION_RUNS = [("alarm", 0, 3), ("alarm", 0, 4)]
