@@ -33,11 +33,12 @@ MAX_CMI_CELLS = 2 ** 22
 
 
 def mb_candidates(g: WeightedGraph, x: int) -> frozenset[int]:
-    """Neighbors of x whose edge weight is at least x's mean incident weight."""
+    """Neighbors of x whose edge weight is at least x's mean incident weight,
+    added left to right in ascending neighbour order."""
     adj = g.adjacency(x)
     if not adj:
         return frozenset()
-    mean = ordered_sum(adj.values()) / len(adj)
+    mean = ordered_sum(adj[v] for v in sorted(adj)) / len(adj)
     return frozenset(v for v, w in adj.items() if w >= mean)
 
 

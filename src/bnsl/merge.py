@@ -89,25 +89,14 @@ class TripletGraph:
 
 def collect_triplets(g: WeightedGraph, t_tri: float) -> TripletGraph:
     """Triangles of g with all three edge weights strictly above t_tri."""
-    strong: dict[int, set[int]] = {}
-    for i, j in g.edges():
-        if g.weight(i, j) > t_tri:
-            strong.setdefault(i, set()).add(j)
-            strong.setdefault(j, set()).add(i)
-    triangles = []
-    kept = WeightedGraph(g.n)
-    for i in sorted(strong):
-        for j in sorted(strong[i]):
-            if j <= i:
-                continue
-            for k in sorted(strong[i] & strong[j]):
-                if k <= j:
-                    continue
-                triangles.append((i, j, k))
-                for a, b in ((i, j), (i, k), (j, k)):
-                    if not kept.has_edge(a, b):
-                        kept.add_edge(a, b, g.weight(a, b))
-    return TripletGraph(kept, tuple(triangles))
+    strong = [e for e in g.edges() if g.weight(*e) > t_tri]
+    above: dict[int, set[int]] = {}  # each node's strong neighbours above it
+    for i, j in strong:
+        above.setdefault(i, set()).add(j)
+    triangles = tuple((i, j, k) for i, j in strong
+                      for k in sorted(above[i] & above.get(j, set())))
+    kept = {e: g.weight(*e) for i, j, k in triangles for e in ((i, j), (i, k), (j, k))}
+    return TripletGraph(WeightedGraph(g.n, kept), triangles)
 
 
 def resolve(structure: LocalStructure, g: WeightedGraph, data: DiscreteDataset,
@@ -130,13 +119,18 @@ def resolve(structure: LocalStructure, g: WeightedGraph, data: DiscreteDataset,
     trip = collect_triplets(sub, elbow_threshold([sub.weight(*e) for e in sub.edges()]))
     if not trip.triangles:
         return structure
-    # every edge of the triangles lands in a cluster of at least 2 nodes
-    clusters = [set(c) for c in link_communities(trip.graph).communities if len(c) > 1]
+    # cluster on the triangles' nodes, relabelled in ascending order, which
+    # keeps the order of the edges and so the clusters
+    nodes = sorted({v for t in trip.triangles for v in t})
+    at = {v: k for k, v in enumerate(nodes)}
+    local = WeightedGraph(len(nodes), {(at[i], at[j]): trip.graph.weight(i, j)
+                                       for i, j in trip.graph.edges()})
+    clusters = [[nodes[k] for k in c] for c in link_communities(local).communities]
     relearned = []
-    for cl in sorted(clusters, key=sorted):
+    for cl in clusters:
         if windows is not None:
             windows.append(len(cl))
-        relearned.append(learn_structure(data, sorted(cl), config))
+        relearned.append(learn_structure(data, cl, config))
     outside = [e for e in structure.edges
                if not any(e[0] in cl and e[1] in cl for cl in clusters)]
     # the clusters lie inside the structure's nodes, so the node set is unchanged

@@ -7,16 +7,18 @@ level of maximum average partition density, and each edge cluster projects
 to the union of its endpoints.  A node then belongs to every community one
 of its edges landed in, which is what makes the partitions overlapping.
 
-A call scores every pair of edges that share a node with array
-operations, once per distinct pair of outer endpoints, and adds each dot
-product left to right in the key order of the first endpoint's vector,
-as a loop over its keys would.  Single linkage joins two clusters only
-along the minimum spanning forest of the edge-pair graph (Gower & Ross
-1969, "Minimum spanning trees and single linkage cluster analysis", JRSS
-C 18), so Borůvka rounds over those arrays find the forest's at most
-m - 1 entries, and the union-find and the partition density run on them
-alone.  Apart from the singletons of isolated nodes, a call's cost grows
-with the edges and the edge pairs of its graph, not with its node count.
+A node's inclusive vector lists its neighbours in ascending order, then
+the node itself with its mean edge weight, so a graph's communities depend
+on its weighted edges alone.  A call scores every pair of edges that share
+a node with array operations, once per distinct pair of outer endpoints,
+and adds each mean, norm and dot product left to right in key order.
+Single linkage joins two clusters only along the minimum spanning forest
+of the edge-pair graph (Gower & Ross 1969, "Minimum spanning trees and
+single linkage cluster analysis", JRSS C 18), so Borůvka rounds over
+those arrays find the forest's at most m - 1 entries, and the union-find
+and the partition density run on them alone.  Apart from the singletons
+of isolated nodes, a call's cost grows with the edges and the edge pairs
+of its graph, not with its node count.
 
 A consensus partition re-runs this under several weight functions and
 stacks every community of every partition as one row of a 0/1 membership
@@ -28,7 +30,6 @@ and that second-order network is clustered the same way.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -88,25 +89,6 @@ def _tanimoto(dot: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inclusive_vectors(g: WeightedGraph, nodes: list[int]) -> tuple[
-        dict[tuple[int, int], int], np.ndarray, np.ndarray]:
-    """The weighted inclusive neighborhood of each node of ``nodes``, each
-    of which has an edge: its adjacency in insertion order, then its own
-    entry, the mean incident weight.  Returns the position of key k in
-    node v's vector under ``(v, k)``, and each node's own entry and squared
-    norm (in the order of ``nodes``), each added left to right."""
-    pos: dict[tuple[int, int], int] = {}
-    own, norm2 = [], []
-    for v in nodes:
-        adj = g.adjacency(v)
-        mean = ordered_sum(adj.values()) / len(adj)
-        own.append(mean)
-        norm2.append(ordered_sum(w * w for w in itertools.chain(adj.values(), (mean,))))
-        pos.update(((v, k), p) for p, k in enumerate(adj))
-        pos[v, v] = len(adj)
-    return pos, np.array(own), np.array(norm2)
-
-
 def _edge_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every pair of edges that share a node, as edge indices k1 < k2 and
     the shared node, for edges (a[k], b[k]) with a < b in lexicographic
@@ -124,6 +106,22 @@ def _edge_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return edge[first], edge[first + 1 + offset], shared[first]
 
 
+def _own_and_norm2(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple[
+        np.ndarray, np.ndarray]:
+    """Each node's own entry, the mean weight of its edges, and the squared
+    norm of its inclusive vector, for the sorted edges (a[k], b[k]) of
+    weight w[k] on nodes 0..n-1 that each have one.  The (b, a)
+    concatenation lists each node's edges in ascending neighbour order, the
+    order of its vector, and both add them left to right."""
+    at, ww = np.concatenate((b, a)), np.concatenate((w, w))
+    own = np.zeros(at.max() + 1)
+    np.add.at(own, at, ww)  # one term at a time, so left to right
+    own /= np.bincount(at)
+    norm2 = np.zeros_like(own)
+    np.add.at(norm2, at, ww * ww)
+    return own, norm2 + own * own
+
+
 def _similarities(g: WeightedGraph, edges: list[tuple[int, int]]) -> tuple[
         np.ndarray, np.ndarray, np.ndarray]:
     """Every pair of the sorted ``edges`` that shares a node, as edge
@@ -131,20 +129,15 @@ def _similarities(g: WeightedGraph, edges: list[tuple[int, int]]) -> tuple[
     of the pair's outer endpoints u < v.
 
     Each distinct outer pair is scored once.  Its dot product adds the
-    common keys left to right in the key order of u's vector: the nodes
-    that u and v both neighbour (the shared nodes of its edge pairs), and
-    v and u themselves when u and v are adjacent.
+    common keys left to right in the order of u's vector (its neighbours in
+    ascending order, then u): the nodes that u and v both neighbour (the
+    shared nodes of its edge pairs) and, when u and v are adjacent, v and u.
     """
-    nodes = sorted({v for e in edges for v in e})
-    n = len(nodes)
-    at = {v: i for i, v in enumerate(nodes)}
-    pos, own, norm2 = _inclusive_vectors(g, nodes)
-    a = np.array([at[x] for x, _ in edges])
-    b = np.array([at[y] for _, y in edges])
+    nodes, ends = np.unique(np.array(edges), return_inverse=True)
+    n = nodes.size
+    a, b = ends.reshape(-1, 2).T
     w = np.array([g.weight(*e) for e in edges])
-    ab = np.array([pos[e] for e in edges])  # where b sits in a's vector
-    ba = np.array([pos[y, x] for x, y in edges])  # where a sits in b's vector
-    deg = np.array([pos[v, v] for v in nodes])  # where v sits in its own vector
+    own, norm2 = _own_and_norm2(a, b, w)
 
     k1, k2, shared = _edge_pairs(a, b)
     u = a[k1] + b[k1] - shared
@@ -159,16 +152,16 @@ def _similarities(g: WeightedGraph, edges: list[tuple[int, int]]) -> tuple[
     pair_key = sorted_key[new]
     pu, pv = pair_key // n, pair_key % n
 
-    # the terms of each dot: one per edge pair at the shared node, and two
-    # for an adjacent outer pair, which edge e = (u, v) joins
-    ends = a * n + b  # ascending, as the edges are sorted
-    e = np.minimum(np.searchsorted(ends, pair_key), len(edges) - 1)
-    adjacent = np.flatnonzero(ends[e] == pair_key)
+    # each dot's terms by key: one per edge pair at the shared node, and for
+    # an adjacent outer pair, which edge e joins, one at v and one at u, last
+    ab = a * n + b  # ascending, as the edges are sorted
+    e = np.minimum(np.searchsorted(ab, pair_key), len(edges) - 1)
+    adjacent = np.flatnonzero(ab[e] == pair_key)
     e = e[adjacent]
     of = np.concatenate((pair, adjacent, adjacent))
-    at_key = np.concatenate((np.where(b[k1] == shared, ab[k1], ba[k1]), ab[e], deg[pu[adjacent]]))
+    at_key = np.concatenate((shared, pv[adjacent], np.full(adjacent.size, n)))
     term = np.concatenate((w[k1] * w[k2], w[e] * own[pv[adjacent]], own[pu[adjacent]] * w[e]))
-    order = np.argsort(of * (deg.max() + 1) + at_key)
+    order = np.argsort(of * (n + 1) + at_key)
     dot = np.zeros(pair_key.size)
     np.add.at(dot, of[order], term[order])  # one term at a time, so left to right
     return k1, k2, _tanimoto(dot, norm2[pu], norm2[pv])[pair]
@@ -223,10 +216,12 @@ def link_communities(g: WeightedGraph) -> Partition:
     the minimum spanning forest of the edge-pair graph (Gower & Ross 1969,
     JRSS C 18), so the similarities of all edge pairs are computed as
     arrays, the forest is found by array passes, and the merging and the
-    partition density run on its at most m - 1 entries alone.  Isolated
-    nodes come back as singleton communities, and apart from them the
-    cost grows with the edges and edge pairs, not with ``g.n``; an
-    edgeless graph is all singletons.
+    partition density run on its at most m - 1 entries alone.  An inclusive
+    vector is the node's neighbours in ascending order, then the node
+    itself, so only the weighted edges matter, not the order they were
+    added in.  Isolated nodes come back as singleton communities, and apart
+    from them the cost grows with the edges and edge pairs, not with
+    ``g.n``; an edgeless graph is all singletons.
     """
     edges = g.edges()
     m = len(edges)

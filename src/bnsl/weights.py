@@ -31,9 +31,11 @@ Every pair has a weight, so :func:`weight_matrix` returns a dense
 upper triangle in row-major order, and only the pairs the elbow cut keeps
 become a sparse :class:`WeightedGraph`.  That graph stores each weight
 once, in one adjacency map with an entry only for a node that has an edge,
-so building it or taking a subgraph costs in its edges, not in ``n``.  Each
-node's map keeps the order in which its edges were added, because
-``ordered_sum`` adds ``adjacency(v).values()`` left to right.
+so building it or taking a subgraph costs in its edges, not in ``n``.  A
+graph is its node count and its weighted edges: two graphs that hold the
+same ones compare equal, whatever order their edges were added in, and
+link communities and blanket candidates add a node's weights in
+ascending neighbour order.
 """
 
 from __future__ import annotations
@@ -56,8 +58,7 @@ class WeightedGraph:
     """Undirected weighted graph on nodes ``0..n-1``; absent pair = no edge.
 
     One map, ``_adj[i][j] == _adj[j][i]``, holds each weight; only a node
-    with an edge has an entry.  Each node's map keeps its edges' first-added
-    order, since callers add ``adjacency(v).values()`` with ``ordered_sum``.
+    with an edge has an entry.
     """
 
     def __init__(self, n: int, weights: dict[tuple[int, int], float] | None = None):

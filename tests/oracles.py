@@ -232,9 +232,9 @@ def _tanimoto_of(a: dict[int, float], b: dict[int, float]) -> float:
 def edge_pair_similarities_of(g) -> dict[tuple[int, int], float]:
     """The Tanimoto similarity of every pair of edges that share a node,
     keyed by their indices k1 < k2 in ``g.edges()``, by dict loops that add
-    left to right.  A node's inclusive vector is its adjacency in insertion
-    order with its mean weight appended, and the dot product of the outer
-    endpoints u < v runs over u's keys."""
+    left to right.  A node's inclusive vector is its adjacency in ascending
+    neighbour order with its mean weight appended, and the dot product of
+    the outer endpoints u < v runs over u's keys."""
     def add(values):
         total = 0.0
         for x in values:
@@ -243,7 +243,7 @@ def edge_pair_similarities_of(g) -> dict[tuple[int, int], float]:
 
     vec = {}
     for v in range(g.n):
-        adj = g.adjacency(v)
+        adj = {k: g.weight(v, k) for k in g.neighbors(v)}
         if adj:
             vec[v] = {**adj, v: add(adj.values()) / len(adj)}
     norm2 = {v: add(w * w for w in x.values()) for v, x in vec.items()}

@@ -259,6 +259,13 @@ class TestBlanketHelpers:
         assert mb_candidates(g, 1) == {0}
         assert mb_candidates(WeightedGraph(2), 0) == frozenset()
 
+    def test_mb_candidates_do_not_depend_on_the_order_edges_were_added(self):
+        leaf = {1: .3, 2: .6, 3: .7, 4: .1, 5: .1, 6: .1, 7: .2}
+        ascending = WeightedGraph(8, {(0, v): w for v, w in leaf.items()})
+        shuffled = WeightedGraph(8, {(0, v): leaf[v] for v in (3, 1, 2, 5, 4, 7, 6)})
+        assert shuffled == ascending
+        assert mb_candidates(shuffled, 0) == mb_candidates(ascending, 0)
+
     def test_community_blanket_fields(self, chain_data):
         g = WeightedGraph(3)
         g.add_edge(0, 1, 1.0)

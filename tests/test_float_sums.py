@@ -9,6 +9,7 @@ differ, so a compensated sum would fail it.
 
 import math
 
+import numpy as np
 import pytest
 
 from bnsl.averaging import LocalStructure
@@ -16,7 +17,7 @@ from bnsl.blankets import mb_candidates
 from bnsl.data import ordered_sum
 from bnsl.merge import combine_structures
 from bnsl.evaluate import partition_diagnostics
-from bnsl.partition import Partition, _inclusive_vectors, _similarities
+from bnsl.partition import Partition, _own_and_norm2, _similarities
 from bnsl.weights import WeightedGraph
 
 
@@ -45,17 +46,19 @@ def test_ordered_sum_of_nothing_is_zero():
 
 def test_tanimoto_dot():
     # nodes 0 and 1 share the neighbours 2, 3 and 4, whose dot terms are
-    # 1e16, -1e16 and 1; node 0 lists them as 2, 4, 3 and node 1 as 3, 2, 4
+    # 1e16, 1 and -1e16 in ascending key order; the edges are added in
+    # another order
     big, one = 1e8, 1.0
-    g = WeightedGraph(5, {(0, 2): big, (0, 4): one, (0, 3): -big,
+    g = WeightedGraph(5, {(0, 4): -big * big, (0, 2): big, (0, 3): one / big,
                           (1, 3): big, (1, 2): big, (1, 4): one})
-    u = [big, one, -big]  # node 0's weights, in its key order
-    terms = [big * big, one * one, -big * big]
+    u, v = [big, one / big, -big * big], [big, big, one]  # in ascending key order
+    terms = [x * y for x, y in zip(u, v)]
+    assert terms == [big * big, one, -big * big]
     dot = left_to_right(terms)
-    assert dot == 0.0 != math.fsum(terms)  # 1.0, as is adding in key order 2, 3, 4
-    own = [left_to_right(u) / 3, left_to_right([big, big, one]) / 3]
+    assert dot == 0.0 != math.fsum(terms)  # 1.0, as is adding in the order added
+    own = [left_to_right(u) / 3, left_to_right(v) / 3]
     na = left_to_right(w * w for w in u + own[:1])
-    nb = left_to_right(w * w for w in [big, big, one] + own[1:])
+    nb = left_to_right(w * w for w in v + own[1:])
     edges = g.edges()
     k1, k2, sim = _similarities(g, edges)
     across = [{edges[a][0], edges[b][0]} == {0, 1} for a, b in zip(k1, k2)]
@@ -64,12 +67,13 @@ def test_tanimoto_dot():
 
 
 def test_inclusive_vector_mean_and_norm():
-    pos, own, norm2 = _inclusive_vectors(star(6, 0.1), list(range(7)))
+    a, b = np.array(star(6, 0.1).edges()).T
+    own, norm2 = _own_and_norm2(a, b, np.full(6, 0.1))
     mean = left_to_right([0.1] * 6) / 6
     assert mean != math.fsum([0.1] * 6) / 6
-    assert own[0] == mean
+    assert own.tolist() == [mean] + [0.1] * 6
     assert norm2[0] == left_to_right(w * w for w in [0.1] * 6 + [mean])
-    assert [pos[0, k] for k in range(7)] == [6, 0, 1, 2, 3, 4, 5]
+    assert norm2[1:].tolist() == [left_to_right([0.1 * 0.1, 0.1 * 0.1])] * 6
 
 
 @pytest.mark.parametrize("n_leaves", [6, 15])

@@ -118,6 +118,24 @@ class TestCollectTriplets:
         trip = collect_triplets(g, 0.5)
         assert trip.triangles == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_every_node_triple(self, data):
+        n = data.draw(st.integers(1, 8))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        weights = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                     min_size=len(pairs), max_size=len(pairs)))
+        g = WeightedGraph(n, {e: w for e, w in zip(pairs, weights) if w})
+        t = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        strong = {e for e in g.edges() if g.weight(*e) > t}
+        want = tuple(c for c in itertools.combinations(range(n), 3)
+                     if set(itertools.combinations(c, 2)) <= strong)
+        trip = collect_triplets(g, t)
+        assert trip.triangles == want
+        assert trip.graph.n == n
+        assert {e: trip.graph.weight(*e) for e in trip.graph.edges()} == {
+            e: g.weight(*e) for c in want for e in itertools.combinations(c, 2)}
+
     def test_no_edges(self):
         trip = collect_triplets(WeightedGraph(4), 0.0)
         assert trip.triangles == ()

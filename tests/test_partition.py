@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnsl import partition
+from bnsl.blankets import mb_candidates
 from bnsl.data import DiscreteDataset, forward_sample
 from bnsl.errors import InvalidInput
 from bnsl.partition import (Partition, co_occurrence, consensus_partition,
@@ -190,6 +191,33 @@ class TestLinkCommunities:
     @given(g=tied_graphs())
     def test_matches_the_oracle_on_tied_weights(self, g):
         assert tuple(sorted(link_communities(g).communities)) == link_communities_of(g)
+
+    def test_communities_do_not_depend_on_the_order_edges_were_added(self):
+        weights = {(0, 1): .1, (0, 2): .3, (0, 4): .2, (0, 5): .1, (0, 6): .3, (1, 3): .2,
+                   (1, 4): .6, (1, 6): .7, (2, 4): .6, (2, 5): .6, (3, 4): .7, (3, 6): .6,
+                   (4, 6): .2}
+        order = [(0, 4), (3, 6), (2, 5), (3, 4), (0, 1), (2, 4), (1, 6), (0, 6), (1, 3),
+                 (4, 6), (0, 5), (1, 4), (0, 2)]
+        shuffled = WeightedGraph(7, {e: weights[e] for e in order})
+        assert shuffled == WeightedGraph(7, weights)
+        assert link_communities(shuffled) == link_communities(WeightedGraph(7, weights))
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=shuffled_graphs(), data=st.data())
+    def test_a_graph_is_read_by_its_edges_alone(self, g, data):
+        # the same edges added in ascending order, and relabelled onto a
+        # larger n by an increasing map, added in descending order
+        ascending = WeightedGraph(g.n, {e: g.weight(*e) for e in g.edges()})
+        got = link_communities(g)
+        assert got == link_communities(ascending)
+        assert all(mb_candidates(g, v) == mb_candidates(ascending, v) for v in range(g.n))
+        big = g.n + data.draw(st.integers(0, 5))
+        label = sorted(data.draw(st.sets(st.integers(0, big - 1), min_size=g.n, max_size=g.n)))
+        moved = WeightedGraph(big, {(label[i], label[j]): g.weight(i, j)
+                                    for i, j in reversed(g.edges())})
+        want = {tuple(label[v] for v in c) for c in got.communities}
+        want |= {(v,) for v in range(big) if v not in label}
+        assert set(link_communities(moved).communities) == want
 
     @settings(max_examples=200, deadline=None)
     @given(g=shuffled_graphs() | tied_graphs().filter(lambda g: g.m))
