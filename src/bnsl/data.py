@@ -15,11 +15,12 @@ sample.  The cardinalities line keeps a state that no row holds; a file
 without it gets each variable's largest observed state + 1.
 
 :func:`forward_sample` draws each state as the number of steps of its CDF
-row at or below a uniform draw.  A :class:`DiscreteDataset` holds one
-``memo`` dict, the same object in every view it hands out, in which each
-statistic computed on the dataset keeps its own entries under keys of its
-own choosing.  So every community of a run shares each statistic, while a
-new dataset starts with an empty memo.
+row, the last step excluded, at or below a uniform draw, adding each
+step's comparison into the variable's column in turn.  A
+:class:`DiscreteDataset` holds one ``memo`` dict, the same object in every
+view it hands out, in which each statistic computed on the dataset keeps
+its own entries under keys of its own choosing.  So every community of a
+run shares each statistic, while a new dataset starts with an empty memo.
 """
 
 from __future__ import annotations
@@ -260,8 +261,9 @@ class DiscreteDataset:
             mult = mult[rows]
         else:
             rows, mult = np.unique(code, return_counts=True)
-        return DistinctRows(self.n_rows, self.cardinalities,
-                            dict(zip(cols, np.unravel_index(rows, shape))),
+        # no columns: one row of weight n_rows, or none on an empty dataset
+        digits = np.unravel_index(rows, shape) if cols else ()
+        return DistinctRows(self.n_rows, self.cardinalities, dict(zip(cols, digits)),
                             mult.astype(np.float64), self.memo)
 
     def pair_tables(self) -> "PairTables":
@@ -305,6 +307,13 @@ class DistinctRows:
     The multiplicities are whole numbers below 2^53, so the float sums of
     ``np.bincount`` are exact and every statistic keeps its last bit.
     ``memo`` is the memo of the dataset the view came from.
+
+    The view keeps one prefix slot: the columns of its latest ``counts``
+    call but the last one, and their row code.  A call that starts with the
+    same columns extends that code by its last column with one multiply and
+    one add, so the CMI tables of one IAMB forward round, (Z, x, y) for
+    every candidate y, code Z + x once.  The integers are those of
+    ``_row_codes``, so every table is the same.
     """
 
     n_rows: int
@@ -312,16 +321,22 @@ class DistinctRows:
     digits: dict[int, np.ndarray] = field(repr=False)
     weights: np.ndarray = field(repr=False)
     memo: dict = field(repr=False)
+    _prefix: dict = field(default_factory=dict, init=False, repr=False)
 
     def counts(self, cols: Sequence[int]) -> np.ndarray:
-        """:meth:`DiscreteDataset.counts` of ``cols``, from the distinct rows."""
+        """:meth:`DiscreteDataset.counts` of ``cols``, from the distinct rows,
+        extending the prefix slot's code when ``cols[:-1]`` matches it."""
         shape = tuple(self.cardinalities[c] for c in cols)
         try:
             digits = [self.digits[c] for c in cols]
         except KeyError as e:
             raise InvalidInput(f"column {e.args[0]} is not one of this view's columns "
                                f"{tuple(self.digits)}") from None
-        code = _row_codes(digits, shape, len(self.weights))
+        head, slot = tuple(cols[:-1]), self._prefix
+        if slot.get("cols") != head:
+            slot["cols"] = head
+            slot["code"] = _row_codes(digits[:-1], shape[:-1], len(self.weights))
+        code = slot["code"] * shape[-1] + digits[-1] if shape else slot["code"]
         return np.bincount(code, self.weights, math.prod(shape)).astype(
             np.int64).reshape(shape)
 
@@ -492,7 +507,11 @@ def forward_sample(net: GroundTruthNet, n: int, seed: int) -> DiscreteDataset:
     """Ancestral sampling: draw each variable given its sampled parents.
 
     Deterministic for a fixed ``(net, n, seed)``; variables are drawn in
-    topological order (lowest index first among ready nodes).
+    topological order (lowest index first among ready nodes), one uniform
+    draw u per row each.  A row's state is the number of steps k < r - 1 of
+    its CDF row (the parents' configuration) with ``u >= cdf[k]``: each
+    step's comparison over all rows is added into the variable's int32
+    column, one step at a time, so no (r - 1) by ``n`` array is built.
     """
     check_number("n", n, least=0)
     check_number("seed", seed, least=0)
@@ -507,8 +526,11 @@ def forward_sample(net: GroundTruthNet, n: int, seed: int) -> DiscreteDataset:
         # the state is the number of CDF steps before the last at or below u:
         # a cumulative sum of nonnegative terms never decreases, so that is
         # the first state whose cumulative probability exceeds u, and the last
-        # state takes the rest of [0, 1) however the row's sum rounds
-        out[:, i] = (u >= cdf[:, :-1].T[:, cfg]).sum(axis=0, dtype=np.int32)
+        # state takes the rest of [0, 1) however the row's sum rounds.  Each
+        # step's comparison is added into the column as it is made
+        col = out[:, i]
+        for k in range(cdf.shape[1] - 1):
+            col += u >= cdf[:, k][cfg]
     out.flags.writeable = False  # so the dataset keeps it without a copy
     return DiscreteDataset(net.names, cards, out)
 

@@ -17,7 +17,8 @@ pair and the entropy of every column, each computed once per dataset by
 :func:`pair_stats`.  It counts every one- and two-column table at once, in
 one blocked product of the dataset's one-hot encoding
 (:meth:`DiscreteDataset.pair_tables`), then makes one
-:func:`mutual_information` call per pair on those tables.  MI and MI_sn
+:func:`mutual_information` call per pair on those tables, which reads
+each column's marginal from the dataset's memo.  MI and MI_sn
 read the MI matrix, MI_plus and MI_sqrt divide it elementwise by the
 entropies, and MI_pr divides it by the PageRank of the MI graph.  Share
 one ``PairStats`` between callers (and slice it with
@@ -131,20 +132,27 @@ def entropy(counts) -> float:
 
 
 def mutual_information(data: DiscreteDataset, i: int, j: int) -> float:
-    """Empirical MI in nats between columns i and j; zero cells are skipped."""
+    """Empirical MI in nats between columns i and j; zero cells are skipped.
+
+    Each column's probability vector, its counts / ``n_rows``, comes from
+    the dataset's memo, shared by its views (see :mod:`bnsl.data`), under
+    ``"marginal"``, keyed by the column, so it is counted once per column
+    per dataset.  Every table sums to ``n_rows``, and a float sum of
+    integer counts is exact, so the vector equals the joint table's
+    ``sum(axis) / sum()`` bit for bit.  The joint table is counted before
+    the memo is read, so a column that the view does not hold raises first.
+    """
     if data.n_rows == 0:
         raise InvalidInput("dataset is empty")
     i, j = check_nodes("column index", (i, j), len(data.cardinalities))
-    return _mi_from_joint(data.counts((i, j)).astype(np.float64))
-
-
-def _mi_from_joint(joint: np.ndarray) -> float:
-    n = joint.sum()
-    pi = joint.sum(axis=1) / n
-    pj = joint.sum(axis=0) / n
+    joint = data.counts((i, j)).astype(np.float64)
+    marginals = data.memo.setdefault("marginal", {})
+    for c in (i, j):
+        if c not in marginals:
+            marginals[c] = data.counts((c,)) / data.n_rows
     mask = joint > 0
-    pij = joint[mask] / n
-    outer = np.outer(pi, pj)[mask]
+    pij = joint[mask] / data.n_rows
+    outer = np.outer(marginals[i], marginals[j])[mask]
     return float(max((pij * np.log(pij / outer)).sum(), 0.0))
 
 
@@ -234,8 +242,11 @@ def pair_stats(source: DiscreteDataset | PairStats) -> PairStats:
 
     The tables come from one blocked one-hot product,
     :meth:`DiscreteDataset.pair_tables`; then one :func:`mutual_information`
-    per pair and one :func:`entropy` per column read them.  The tables equal
-    the dataset's own, so every value keeps its last bit.
+    per pair and one :func:`entropy` per column read them.  Each MI call
+    counts only its joint table and reads both column marginals from the
+    dataset's memo, where the tables share it, so a column's marginal is
+    computed once for all its pairs, and once for the dataset's views too.
+    The tables equal the dataset's own, so every value keeps its last bit.
     """
     if isinstance(source, PairStats):
         return source

@@ -361,3 +361,91 @@ def test_blankets_with_a_constant_column_and_no_candidates(constant_column_data,
                               data)
     if community == [2]:  # a lone community with no candidates: a one-column view
         assert got.blankets == {2: frozenset()} and got.expanded == (2,)
+
+
+@pytest.mark.parametrize("n_rows", [0, 7])
+def test_a_view_of_no_columns(n_rows):
+    # one row that every sample shares, or no row when there is no sample
+    data = DiscreteDataset(["a", "b"], [2, 3],
+                           np.random.default_rng(2).integers(0, 2, size=(n_rows, 2)))
+    view = data.distinct(())
+    assert view.digits == {}
+    assert view.weights.tolist() == ([float(n_rows)] if n_rows else [])
+    got, want = view.counts(()), data.counts(())
+    assert (got.shape, got.dtype) == (want.shape, want.dtype) == ((), np.int64)
+    assert got == want == n_rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=datasets(), pick=st.randoms(use_true_random=False))
+def test_prefix_slot_keeps_every_table(data, pick):
+    # two views of one dataset, each with its own prefix slot; the narrow one
+    # lacks a column.  Each call's columns are drawn from the view's previous
+    # call: the same leading columns with another last one, a shorter or a
+    # longer tuple, one column, no column, any columns, or a column outside
+    # the view, which raises and leaves the next call's table right
+    every = list(range(data.n_vars))
+    held = sorted(pick.sample(every, pick.randint(1, len(every) - 1)))
+    wide, narrow = data.distinct(every), data.distinct(held)
+    outside = sorted(set(every) - set(held))
+
+    def check(view, cols):
+        got, want = view.counts(cols), data.counts(cols)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype), cols
+        np.testing.assert_array_equal(got, want)
+
+    # the same leading columns on both views, in turn
+    head = pick.sample(held, pick.randint(0, len(held) - 1))
+    for view, cols in ((wide, every), (narrow, held), (wide, every), (narrow, held)):
+        check(view, head + [pick.choice(cols)])
+
+    previous = {id(wide): head, id(narrow): head}
+    for _ in range(20):
+        view, cols = pick.choice(((wide, every), (narrow, held)))
+        prev = previous[id(view)]
+        move = pick.choice(("same head", "shorter", "longer", "one", "none", "any",
+                            "outside"))
+        if move == "outside" and view is narrow:
+            bad = pick.choice(outside)
+            for wrong in (prev[:-1] + [bad], [bad] + prev):
+                with pytest.raises(InvalidInput, match="not one of this view's columns"):
+                    view.counts(wrong)
+            continue
+        if move == "same head" and prev:
+            new = prev[:-1] + [pick.choice(cols)]
+        elif move == "shorter" and prev:
+            new = prev[:pick.randint(0, len(prev) - 1)]
+        elif move == "longer":
+            new = prev + [pick.choice(cols)]
+        elif move == "one":
+            new = [pick.choice(cols)]
+        elif move == "none":
+            new = []
+        else:
+            new = pick.sample(cols, pick.randint(1, len(cols)))
+        check(view, new)
+        previous[id(view)] = new
+
+
+def test_every_cmi_of_an_alarm_run_equals_the_oracle(monkeypatch):
+    # IAMB's forward rounds extend one prefix code per round; every CMI they
+    # and the backward phase compute must equal the four-bincount oracle on
+    # all the samples
+    import bnsl.blankets
+    from bnsl.pipeline import PipelineConfig, run_pipeline
+
+    real, seen = bnsl.blankets.conditional_mutual_information, []
+
+    def recording(data, x, y, z=()):
+        value = real(data, x, y, z)
+        seen.append((x, y, tuple(z), value))
+        return value
+
+    monkeypatch.setattr(bnsl.blankets, "conditional_mutual_information", recording)
+    net = NETWORKS_DIR / "alarm.net"
+    run_pipeline(PipelineConfig(network=str(net), n_samples=20000, seed=0,
+                                learner="modelavg"))
+    data = forward_sample(load_network(net), 20000, seed=0)
+    assert len(seen) > 500 and any(z for _, _, z, _ in seen)
+    for x, y, z, value in seen:
+        assert value == cmi_by_four_bincounts(data, x, y, z), (x, y, z)

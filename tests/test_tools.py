@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from bnsl.averaging import LocalStructure, greedy_learn
 from bnsl.data import forward_sample, load_dataset, load_network
@@ -96,3 +97,28 @@ def test_stack_run_scores_each_tile_of_the_pipeline_run(tmp_path):
     assert cells[:2] == ["2", str(2 * v)]
     assert cells[-2:] == [f"{tiles[0]:.2f}", f"{(tiles[0] + tiles[1]) / 2:.2f}"]
     assert across == f"arcs joining two tiles: {sum(a // v != b // v for a, b in got.edges)}"
+
+
+def test_pairs_summary_counts_wins_by_each_metrics_direction():
+    import importlib.util
+    spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+
+    a = [{"wall_s": w, "skeleton_f": f} for w, f in ((1.0, 80.0), (1.2, 80.0), (1.1, 80.0),
+                                                      (1.3, 80.0), (1.0, 80.0))]
+    b = [{"wall_s": w, "skeleton_f": f} for w, f in ((0.9, 81.0), (1.0, 80.0), (1.1, 79.0),
+                                                      (1.0, 81.0), (0.8, 81.0))]
+    wall, f = pairs.summarize(a, b, {"wall_s": "lower", "skeleton_f": "higher"})
+    assert wall["a"] == (1.0, 1.1, 1.2) and wall["b"] == (0.9, 1.0, 1.0)
+    assert (wall["won"], wall["lost"], wall["tied"]) == (4, 0, 1)
+    assert not wall["gap_over_spread"]  # 0.1 apart against A's spread of 0.2
+    assert (f["won"], f["lost"], f["tied"]) == (3, 1, 1)
+    assert f["a"] == (80.0, 80.0, 80.0) and f["gap_over_spread"]  # 81 against a spread of 0
+    one = pairs.summarize(a[:1], b[:1], {"wall_s": "lower"})[0]
+    assert one["a"] == (1.0, 1.0, 1.0) and one["won"] == 1
+    table = pairs.format_rows([wall, f], {"wall_s": "s"})
+    assert table.splitlines()[1].split()[:3] == ["wall_s", "s", "1.1"]
+    assert "4/0/1" in table
+    with pytest.raises(ValueError):
+        pairs.summarize(a, b[:2], {"wall_s": "lower"})

@@ -16,7 +16,8 @@ from bnsl.weights import (WEIGHT_FUNCTIONS, PairStats, WeightedGraph, _abs_pears
                           save_weighted_graph, weight_matrix)
 
 from conftest import NETWORKS_DIR
-from oracles import entropy_of, mutual_information_of, pagerank_of, pair_weights_of
+from oracles import (entropy_of, mi_by_pair_code, mutual_information_of, pagerank_of,
+                     pair_weights_of)
 
 
 def random_dataset(rng, n_rows, n_vars, max_card=4):
@@ -740,3 +741,50 @@ class TestWeightedGraph:
         assert sub.edges() == [(0, 1), (1, 2)] and sub.n == 100_000
         assert built < 64 * 2**10, built
         assert sub_peak < 64 * 2**10, sub_peak
+
+
+@pytest.mark.parametrize("network", ["insurance", "win95pts"])
+def test_pair_stats_mi_equals_the_pair_code_oracle(network):
+    # the marginals come from the dataset's memo; every pair keeps its last bit
+    data = forward_sample(load_network(NETWORKS_DIR / f"{network}.net"), 20000, seed=0)
+    stats = pair_stats(data)
+    for i in range(data.n_vars):
+        for j in range(i + 1, data.n_vars):
+            assert stats.mi[i, j] == mi_by_pair_code(data, i, j), (i, j)
+
+
+class _Recorded(dict):
+    """A memo entry that records every key stored in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("first", ["pair_stats", "view"])
+def test_each_column_marginal_is_computed_once_per_dataset(first):
+    data = random_dataset(np.random.default_rng(45), 300, 6)
+    marginals = data.memo["marginal"] = _Recorded()
+    held = [1, 3, 4]
+    view = data.distinct(held)
+
+    def from_the_view():
+        return {(i, j): mutual_information(view, i, j) for i in held for j in held if i < j}
+
+    def from_pair_stats():
+        mi = pair_stats(data).mi
+        return {(i, j): mi[i, j] for i in held for j in held if i < j}
+
+    runs = [from_pair_stats, from_the_view]
+    got = [run() for run in (runs if first == "pair_stats" else runs[::-1])]
+    assert got[0] == got[1]
+    assert sorted(marginals.stored) == list(range(data.n_vars))
+    for c, p in marginals.items():
+        counts = data.counts((c,))
+        assert p.tobytes() == (counts / counts.sum()).tobytes()
+    for (i, j), value in got[0].items():
+        assert value == mi_by_pair_code(data, i, j)
