@@ -32,20 +32,29 @@ This takes O(m^2 2^m) time and m 2^m floats for a window of m nodes.
 Every learner call scores its families through one ``ScoreCache``: the
 window of its nodes.  The window shares the dataset's memo for ``ess``
 with every other window on that dataset and, at its first miss, codes its
-columns once into their distinct rows (``DiscreteDataset.distinct``); each
-miss is then counted on those rows, weighted by how many samples share
-each, which gives the full sample's score to the last bit.  A window of m
-columns over N samples has at most min(N, prod of cardinalities) distinct
-rows, usually far fewer than N, and a window that ``resolve`` re-learns
-finds every family in the memo and codes nothing.
+columns once into their distinct rows (``DiscreteDataset.distinct``),
+whose counts, weighted by how many samples share each row, give the full
+sample's tables.  A window of m columns over N samples has at most
+min(N, prod of cardinalities) distinct rows, usually far fewer than N,
+and a window that ``resolve`` re-learns finds every family in the memo
+and codes nothing.  The subset DP and the order engines hand all their
+misses to the window at once (``ScoreCache.scores``): each column set
+U + {c} is counted once, a set inside a larger needed one by summing an
+axis of that one's table (the cached sufficient statistics of Moore &
+Lee 1998, "Cached sufficient statistics for efficient machine learning
+with large datasets", JAIR 8), and the families of equal table shape are
+scored as one stack whose row sums are each family's own pairwise sums,
+so every score equals ``bdeu_family_score`` on all rows to the last bit.
+Greedy search reads one family at a time, as its moves need them.
 
-``ScoreCache.parent_sets`` is the only code that lists and scores a
-child's parent sets under ``max_parents`` and ``SUBSET_BUDGET``.  The DP
-reads it once per child for the table above.  For the per-order and
-sampled posteriors and the order marginal, ``_order_terms`` keeps in a
-memo, by child and a bitmask of its predecessors, the log normalizer of
-the sum above and the child's row of edge posteriors, so the sampler walks
-each proposed order whole at one memo lookup per position.
+``ScoreCache.listed_parent_sets`` is the only code that lists a child's
+parent sets under ``max_parents`` and ``SUBSET_BUDGET``.  The DP lists
+every child's sets, each within the budget, before it scores them all in
+one batch; ``ScoreCache.parent_sets`` scores one child's.  For the
+per-order and sampled posteriors and the order marginal, ``_order_terms``
+keeps in a memo, by child and a bitmask of its predecessors, the log
+normalizer of the sum above and the child's row of edge posteriors, so the
+sampler walks each proposed order whole at one memo lookup per position.
 """
 
 from __future__ import annotations
@@ -136,10 +145,17 @@ class LocalStructure:
 class ScoreCache:
     """BDeu family scores by (child, parent set) within the window ``nodes``
     of one dataset (every column when None; kept sorted), read from and
-    added to the dataset's memo under ``("bdeu", ess)``.  A miss is counted
-    on the distinct rows of the window, built at the first miss; a family
-    outside the window then raises ``InvalidInput``.  ``parent_sets`` lists
-    and scores a child's parent sets for the order engines."""
+    added to the dataset's memo under ``("bdeu", ess)``.  Misses are
+    counted on the distinct rows of the window, built at the first miss; a
+    family outside the window then raises ``InvalidInput``.
+
+    ``family_score`` scores one family and counts its miss alone, as
+    greedy search needs.  ``scores`` takes a batch of families by window
+    position and scores all its misses in one pass (``_score_families``):
+    each column set is counted or summed from a larger one once, and the
+    families of equal (q, r) share their arithmetic as one stack.  The
+    tables live only for the call.  ``listed_parent_sets`` lists a child's
+    parent sets for the order engines, and ``parent_sets`` scores them."""
 
     def __init__(self, data: DiscreteDataset, ess: float = 10.0, nodes=None):
         if not 0 < ess < math.inf:  # NaN too
@@ -151,34 +167,66 @@ class ScoreCache:
         self.data = data
         self.ess = float(ess)
         self.nodes = tuple(sorted(nodes))
-        self._scores = data.memo.setdefault(("bdeu", self.ess), {})
+        self._memo = data.memo.setdefault(("bdeu", self.ess), {})
         self._rows = None
+
+    def _view(self):
+        if self._rows is None:
+            self._rows = self.data.distinct(self.nodes)
+        return self._rows
 
     def family_score(self, child: int, parents) -> float:
         key = (child, tuple(sorted(parents)))
-        got = self._scores.get(key)
+        got = self._memo.get(key)
         if got is None:
-            if self._rows is None:
-                self._rows = self.data.distinct(self.nodes)
-            got = self._scores[key] = bdeu_family_score(self._rows, child, key[1], self.ess)
+            got = self._memo[key] = bdeu_family_score(self._view(), child, key[1], self.ess)
         return got
 
-    def parent_sets(self, c: int, mask: int,
-                    max_parents: int) -> tuple[list[tuple[int, ...]], list[float]]:
+    def scores(self, families) -> list[float]:
+        """The scores of ``families``, pairs (c, u) of a window position and
+        an ascending tuple of positions.  Every miss is checked against
+        ``MAX_FAMILY_CELLS`` before any is counted, and then all of them are
+        counted and scored in one pass."""
+        nodes, memo = self.nodes, self._memo
+        keys = [(nodes[c], tuple(nodes[k] for k in u)) for c, u in families]
+        missing = [key for key in dict.fromkeys(keys) if key not in memo]
+        if missing:
+            cards = self.data.cardinalities
+            for child, parents in missing:
+                _family_shape(cards, child, parents)
+            memo.update(zip(missing, _score_families(self._view(), missing, self.ess)))
+        return [memo[key] for key in keys]
+
+    def listed_parent_sets(self, c: int, mask: int,
+                           max_parents: int) -> list[tuple[int, ...]]:
         """The parent sets of window position c (``nodes[c]``) among the
         positions in the bitmask ``mask`` (bit k set for ``nodes[k]``), up
         to ``max_parents`` and within ``SUBSET_BUDGET``, as tuples of
-        positions by size and then lexicographically, with their scores."""
-        nodes = self.nodes
-        ps = [k for k in range(len(nodes)) if mask >> k & 1]
+        positions by size and then lexicographically."""
+        ps = [k for k in range(len(self.nodes)) if mask >> k & 1]
         top = min(max_parents, len(ps))
         total = sum(math.comb(len(ps), s) for s in range(top + 1))
         if total > SUBSET_BUDGET:
-            raise BudgetExceeded(f"child {nodes[c]}: {total} parent sets "
+            raise BudgetExceeded(f"child {self.nodes[c]}: {total} parent sets "
                                  f"exceed the budget of {SUBSET_BUDGET}")
-        sets = [u for size in range(top + 1) for u in itertools.combinations(ps, size)]
-        scores = [self.family_score(nodes[c], tuple(nodes[k] for k in u)) for u in sets]
-        return sets, scores
+        return [u for size in range(top + 1) for u in itertools.combinations(ps, size)]
+
+    def parent_sets(self, c: int, mask: int,
+                    max_parents: int) -> tuple[list[tuple[int, ...]], list[float]]:
+        """``listed_parent_sets`` with their scores."""
+        sets = self.listed_parent_sets(c, mask, max_parents)
+        return sets, self.scores([(c, u) for u in sets])
+
+
+def _family_shape(cards, child: int, parents: tuple[int, ...]) -> tuple[int, int]:
+    """(q, r) of the family's table: q parent configurations and r child
+    states.  More than ``MAX_FAMILY_CELLS`` cells raise ``FamilyTooLarge``."""
+    r = cards[child]
+    q = math.prod(cards[p] for p in parents)
+    if q * r > MAX_FAMILY_CELLS:
+        raise FamilyTooLarge(
+            f"family ({child} | {parents}) needs {q * r} count cells")
+    return q, r
 
 
 def bdeu_family_score(data: DiscreteDataset, child: int, parents,
@@ -189,7 +237,8 @@ def bdeu_family_score(data: DiscreteDataset, child: int, parents,
     configurations and r the child cardinality.  An empty dataset scores 0,
     and more than ``MAX_FAMILY_CELLS`` cells raise ``FamilyTooLarge``.
     log Gamma(a + n) is read from the dataset's table for the pseudo-count
-    a, kept in its memo under ``"gammaln"`` (``_gammaln_table``).
+    a, kept in its memo under ``"gammaln"`` (``_gammaln_table``).  The
+    family is scored as a stack of one by ``_bdeu_scores``.
     """
     child, *parents = check_nodes("column index", (child, *parents), len(data.cardinalities))
     parents = tuple(sorted(set(parents)))
@@ -197,18 +246,91 @@ def bdeu_family_score(data: DiscreteDataset, child: int, parents,
         raise InvalidInput("child cannot be its own parent")
     if not 0 < ess < math.inf:  # NaN too
         raise InvalidInput(f"ess must be finite and > 0, got {ess!r}")
-    cards = data.cardinalities
-    r = cards[child]
-    q = math.prod(cards[p] for p in parents)
-    if q * r > MAX_FAMILY_CELLS:
-        raise FamilyTooLarge(
-            f"family ({child} | {parents}) needs {q * r} count cells")
-    counts = data.counts(parents + (child,)).reshape(q, r)
-    nj = counts.sum(axis=1)
+    q, r = _family_shape(data.cardinalities, child, parents)
+    counts = data.counts(parents + (child,)).reshape(1, q, r)
+    return float(_bdeu_scores(data, counts, ess)[0])
+
+
+def _score_families(rows, families, ess: float) -> list[float]:
+    """The BDeu scores of ``families``, distinct (child, ascending parents)
+    pairs of columns that ``rows`` holds, each within ``MAX_FAMILY_CELLS``.
+
+    Family (c, U) reads the table of its column set S = U + {c}
+    (``_set_tables``) with the child's axis moved last, which is its (q, r)
+    table over the sorted parents.  The families of equal (q, r) are scored
+    as one stack by ``_bdeu_scores``.  The stacks are scored and emptied
+    whenever they reach ``MAX_FAMILY_CELLS`` cells, so they never hold more
+    than that plus the families of one column set.
+    """
+    by_set: dict[tuple[int, ...], list[int]] = {}
+    for k, (child, parents) in enumerate(families):
+        by_set.setdefault(tuple(sorted(parents + (child,))), []).append(k)
+    cards = rows.cardinalities
+    out = [0.0] * len(families)
+    stacks: dict[tuple[int, int], tuple[list[int], list[np.ndarray]]] = {}
+    held = 0
+    for s, t in _set_tables(rows, by_set):
+        for k in by_set[s]:
+            child = families[k][0]
+            q, r = t.size // cards[child], cards[child]
+            members, tables = stacks.setdefault((q, r), ([], []))
+            members.append(k)
+            tables.append(np.moveaxis(t, s.index(child), -1).reshape(q, r))
+            held += t.size
+        if held >= MAX_FAMILY_CELLS:
+            _score_stacks(rows, stacks, ess, out)
+            held = 0
+    _score_stacks(rows, stacks, ess, out)
+    return out
+
+
+def _set_tables(rows, need):
+    """(S, table of S) for every column set S in ``need``, once each.
+
+    The sets go largest first and then in lexicographic order, so
+    consecutive counts share the view's prefix slot.  After a set, depth
+    first, come the needed sets of one column fewer that have not come yet,
+    each summed over that column of the set's table; only a set with no
+    needed superset of one more column is counted by ``rows.counts``.
+    Integer sums are exact, so every table equals its count, and only the
+    tables along one such chain are held at a time.  The subset DP and an
+    order's parent sets need every subset of a needed set that holds its
+    child, so only their largest sets are counted.
+    """
+    done = set()
+
+    def down(s, t):
+        for i in range(len(s)):
+            sub = s[:i] + s[i + 1:]
+            if sub in need and sub not in done:
+                done.add(sub)
+                yield from down(sub, t.sum(axis=i))
+        yield s, t
+
+    for s in sorted(need, key=lambda s: (-len(s), s)):
+        if s not in done:
+            done.add(s)
+            yield from down(s, rows.counts(s))
+
+
+def _score_stacks(rows, stacks: dict, ess: float, out: list[float]) -> None:
+    """Score and empty ``stacks``, which map (q, r) to the indices of
+    families and their tables, writing each score at its index in ``out``."""
+    for members, tables in stacks.values():
+        for k, score in zip(members, _bdeu_scores(rows, np.stack(tables), ess).tolist()):
+            out[k] = score
+    stacks.clear()
+
+
+def _bdeu_scores(data, counts: np.ndarray, ess: float) -> np.ndarray:
+    """The BDeu scores of the families whose (q, r) tables ``counts``
+    stacks as one C-contiguous (n, q, r) array, all of ``data``."""
+    n, q, r = counts.shape
+    nj = counts.sum(axis=2)
     tables = data.memo.setdefault("gammaln", {})
     t_j = _gammaln_table(tables, ess / q, data.n_rows, nj)
     t_jk = _gammaln_table(tables, ess / (q * r), data.n_rows, counts)
-    return float(_bdeu_sum(t_j, t_jk, nj, counts))
+    return _bdeu_sum(t_j, t_jk, nj, counts)
 
 
 def _gammaln_table(tables: dict, a: float, n_rows: int, n: np.ndarray) -> np.ndarray:
@@ -225,13 +347,16 @@ def _gammaln_table(tables: dict, a: float, n_rows: int, n: np.ndarray) -> np.nda
 
 
 def _bdeu_sum(t_j: np.ndarray, t_jk: np.ndarray, nj: np.ndarray,
-              counts: np.ndarray) -> np.float64:
-    """The BDeu sum over the parent configurations, then over the cells.  The
-    terms keep this order and shape, and so numpy's pairwise sums: a score
-    one ulp off can break a tie between Markov-equivalent directions."""
-    score = (t_j[0] - t_j[nj]).sum()
-    score += (t_jk[counts] - t_jk[0]).sum()
-    return score
+              counts: np.ndarray) -> np.ndarray:
+    """Each family's BDeu sum over its parent configurations, then over its
+    cells, for the (n, q) ``nj`` and the (n, q, r) ``counts``.  Each sum is
+    the row sum of a C-contiguous (n, q) or (n, q * r) array, which is the
+    pairwise sum of that row alone, as ``np.sum`` takes it on one family:
+    a score one ulp off can break a tie between Markov-equivalent
+    directions.  (``np.add.reduceat`` would add each row left to right.)"""
+    n = len(counts)
+    return ((t_j[0] - t_j[nj]).sum(axis=1)
+            + (t_jk[counts] - t_jk[0]).reshape(n, -1).sum(axis=1))
 
 
 _Term = tuple[float, np.ndarray]  # (log Z, row) of one position of an order
@@ -301,18 +426,20 @@ def _log_z_table(cache: ScoreCache, max_parents: int) -> np.ndarray:
     """log Z(c, S) for every window position c and predecessor bitmask S.
 
     Row c starts as score(c, U) at the mask of every parent set U that
-    ``cache.parent_sets`` lists for c among all other positions, and -inf
-    elsewhere.  A zeta transform in log space over the bits of the other
-    positions turns each entry into log sum_{U in S} exp(score(c, U));
-    masks holding c itself stay -inf, which keeps c out of its own
-    predecessors below.
+    ``cache.listed_parent_sets`` lists for c among all other positions, and
+    -inf elsewhere.  Every child's sets are listed, each within the budget,
+    before one ``cache.scores`` call scores them all.  A zeta transform in
+    log space over the bits of the other positions turns each entry into
+    log sum_{U in S} exp(score(c, U)); masks holding c itself stay -inf,
+    which keeps c out of its own predecessors below.
     """
     m = len(cache.nodes)
     full = (1 << m) - 1
+    listed = [cache.listed_parent_sets(c, full ^ (1 << c), max_parents) for c in range(m)]
+    scores = iter(cache.scores([(c, u) for c, sets in enumerate(listed) for u in sets]))
     lz = np.full((m, 1 << m), -np.inf)
-    for c in range(m):
-        sets, scores = cache.parent_sets(c, full ^ (1 << c), max_parents)
-        lz[c, [sum(1 << k for k in u) for u in sets]] = scores
+    for c, sets in enumerate(listed):
+        lz[c, [sum(1 << k for k in u) for u in sets]] = list(itertools.islice(scores, len(sets)))
         for k in range(m):
             if k != c:
                 t = lz[c].reshape(-1, 2, 1 << k)  # t[:, 1] holds the masks with bit k

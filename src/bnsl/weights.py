@@ -113,8 +113,8 @@ class WeightedGraph:
     def subgraph(self, nodes: Iterable[int]) -> "WeightedGraph":
         """Induced subgraph; node indices are preserved (n stays the same)."""
         keep = set(nodes)
-        pairs = sorted((i, j) for i in keep for j in self.adjacency(i) if i < j and j in keep)
-        return WeightedGraph(self.n, {(i, j): self._adj[i][j] for i, j in pairs})
+        return WeightedGraph(self.n, {(i, j): w for i in keep for j, w in self.adjacency(i).items()
+                                      if i < j and j in keep})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):

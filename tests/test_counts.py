@@ -11,6 +11,8 @@ memo of each dataset is checked to compute each family once per dataset
 and ``ess``, to the score on all rows.
 """
 
+import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -20,11 +22,14 @@ from hypothesis import strategies as st
 
 import bnsl.averaging as av
 import bnsl.data
+import bnsl.merge
+import bnsl.pipeline
 from bnsl.averaging import (ScoreCache, bdeu_family_score, exact_order_average,
                             greedy_learn)
 from bnsl.blankets import community_blanket, conditional_mutual_information, iamb
 from bnsl.data import DiscreteDataset, DistinctRows, forward_sample, load_network
 from bnsl.errors import InvalidInput
+from bnsl.pipeline import PipelineConfig, run_pipeline
 from bnsl.weights import WeightedGraph, mutual_information
 
 from conftest import NETWORKS_DIR
@@ -229,8 +234,9 @@ def test_a_window_builds_its_view_at_its_first_miss(views_built):
     data = forward_sample(load_network(NETWORKS_DIR / "alarm.net"), 2000, seed=0)
     window = ScoreCache(data, nodes=(4, 5, 6))
     assert views_built == []
-    window.family_score(5, (4,))
-    window.family_score(6, (4, 5))
+    window.scores([(1, (0,))])  # a batch miss builds the view
+    window.family_score(6, (4, 5))  # a miss on its own reads the same view
+    window.scores([(0, ()), (2, (0, 1)), (1, (0,))])
     assert views_built == [[4, 5, 6]]
     first = exact_order_average(data, (4, 5, 6))
     assert views_built == [[4, 5, 6]] * 2
@@ -243,20 +249,36 @@ def test_a_window_builds_its_view_at_its_first_miss(views_built):
 @pytest.fixture
 def families(monkeypatch):
     """The families looked up and the families computed, as lists of
-    ``(child, parents, ess)`` in call order, each emptied by ``clear()``."""
-    lookup, compute = ScoreCache.family_score, av.bdeu_family_score
+    ``(child, parents, ess)`` in call order, each emptied by ``clear()``.
+    A family is looked up by ``ScoreCache.family_score`` or in a batch by
+    ``ScoreCache.scores``, and computed by ``bdeu_family_score`` or in a
+    batch by ``_score_families``."""
+    one, batch = ScoreCache.family_score, ScoreCache.scores
+    compute, compute_all = av.bdeu_family_score, av._score_families
     looked, computed = [], []
 
     def looking(self, child, parents):
         looked.append((child, tuple(sorted(parents)), self.ess))
-        return lookup(self, child, parents)
+        return one(self, child, parents)
+
+    def looking_up(self, positions):
+        positions = list(positions)
+        looked.extend((self.nodes[c], tuple(self.nodes[k] for k in u), self.ess)
+                      for c, u in positions)
+        return batch(self, positions)
 
     def computing(data, child, parents, ess=10.0, **kwargs):
         computed.append((child, tuple(sorted(parents)), ess))
         return compute(data, child, parents, ess, **kwargs)
 
+    def computing_all(rows, fams, ess):
+        computed.extend((child, parents, ess) for child, parents in fams)
+        return compute_all(rows, fams, ess)
+
     monkeypatch.setattr(ScoreCache, "family_score", looking)
+    monkeypatch.setattr(ScoreCache, "scores", looking_up)
     monkeypatch.setattr(av, "bdeu_family_score", computing)
+    monkeypatch.setattr(av, "_score_families", computing_all)
     return looked, computed
 
 
@@ -266,6 +288,7 @@ def test_learners_on_one_dataset_score_each_family_once(families):
     nodes = (4, 5, 6, 7, 8)
     exact_order_average(data, nodes)
     by_dp = set(looked)
+    assert len(by_dp) == 5 * 15  # each child's parent sets of up to 3 of 4 others
     assert sorted(computed) == sorted(by_dp)  # each family computed once
     looked.clear()
     computed.clear()
@@ -449,3 +472,103 @@ def test_every_cmi_of_an_alarm_run_equals_the_oracle(monkeypatch):
     assert len(seen) > 500 and any(z for _, _, z, _ in seen)
     for x, y, z, value in seen:
         assert value == cmi_by_four_bincounts(data, x, y, z), (x, y, z)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """The columns of every ``DistinctRows.counts`` and ``DiscreteDataset.counts``
+    call, in order."""
+    calls = []
+    for cls in (DistinctRows, DiscreteDataset):
+        real = cls.counts
+
+        def recording(self, cols, real=real):
+            calls.append(tuple(cols))
+            return real(self, cols)
+
+        monkeypatch.setattr(cls, "counts", recording)
+    return calls
+
+
+@pytest.mark.parametrize("window,max_parents", [((3, 4, 9, 10, 11, 20), 3),
+                                                ((3, 4, 9, 10, 11, 20), 1),
+                                                ((0, 5, 7), 3)])
+def test_the_dp_counts_each_largest_column_set_once(counted, window, max_parents):
+    # every family set is a subset of one of max_parents + 1 columns, so only
+    # those are counted, in lexicographic order for the view's prefix slot;
+    # the smaller ones are sums of their tables
+    data = forward_sample(load_network(NETWORKS_DIR / "alarm.net"), 2000, seed=0)
+    exact_order_average(data, window, max_parents)
+    size = min(max_parents + 1, len(window))
+    assert counted == list(itertools.combinations(window, size))
+    bdeu = data.memo[("bdeu", 10.0)]
+    assert len(bdeu) == len(window) * sum(
+        math.comb(len(window) - 1, k) for k in range(min(max_parents, len(window) - 1) + 1))
+    for (child, parents), got in bdeu.items():
+        assert got == bdeu_family_score(data, child, parents)
+
+
+def test_stacks_are_scored_whenever_they_reach_the_cell_limit(counted, monkeypatch):
+    # the window's largest column set has 81 cells and four families; at a
+    # limit of 200 cells the batch is scored in several rounds, and the
+    # counts and scores are those of one round
+    data = forward_sample(load_network(NETWORKS_DIR / "alarm.net"), 2000, seed=0)
+    window, rounds, score_stacks = (3, 4, 9, 10, 11, 20), [], av._score_stacks
+
+    def recording(rows, stacks, ess, out):
+        rounds.append(sum(t.size for _, tables in stacks.values() for t in tables))
+        score_stacks(rows, stacks, ess, out)
+
+    monkeypatch.setattr(av, "_score_stacks", recording)
+    monkeypatch.setattr(av, "MAX_FAMILY_CELLS", 200)
+    exact_order_average(data, window)
+    assert len(rounds) > 10 and max(rounds) < 200 + 4 * 81
+    assert counted == list(itertools.combinations(window, 4))
+    bdeu = data.memo[("bdeu", 10.0)]
+    assert len(bdeu) == 6 * 26
+    for (child, parents), got in bdeu.items():
+        assert got == bdeu_family_score(data, child, parents)
+
+
+def test_limits_raise_before_any_count(counted, views_built, monkeypatch):
+    # its last node has 8 states: every set of all four nodes needs 64 cells
+    rng = np.random.default_rng(8)
+    data = DiscreteDataset(["a", "b", "c", "d"], [2, 2, 2, 8],
+                           np.column_stack([rng.integers(0, 2, (200, 3)),
+                                            rng.integers(0, 8, 200)]))
+    monkeypatch.setattr(av, "MAX_FAMILY_CELLS", 32)
+    with pytest.raises(av.FamilyTooLarge,
+                       match=r"^family \(0 \| \(1, 2, 3\)\) needs 64 count cells$"):
+        exact_order_average(data)
+    monkeypatch.setattr(av, "SUBSET_BUDGET", 7)
+    with pytest.raises(av.BudgetExceeded,
+                       match="^child 0: 8 parent sets exceed the budget of 7$"):
+        exact_order_average(data)
+    assert counted == views_built == []
+    assert data.memo.get(("bdeu", 10.0)) == {}
+
+
+def test_every_family_of_the_modelavg_runs_equals_the_score_on_all_rows(monkeypatch):
+    # the sampled windows and resolve's re-learned ones, scored in batches
+    real, datasets = av.learn_structure, []
+
+    def recording(module):
+        def learning(data, nodes, config):
+            datasets.append((module.__name__, data))
+            return real(data, nodes, config)
+        return learning
+
+    for module in (bnsl.pipeline, bnsl.merge):
+        monkeypatch.setattr(module, "learn_structure", recording(module))
+    for network, n_families in (("alarm", 1574), ("insurance", 1100), ("win95pts", 8384)):
+        datasets.clear()
+        run_pipeline(PipelineConfig(network=str(NETWORKS_DIR / f"{network}.net"),
+                                    n_samples=20000, seed=0, learner="modelavg"))
+        assert {name for name, _ in datasets} == {"bnsl.pipeline", "bnsl.merge"}
+        data = datasets[0][1]
+        assert all(d is data for _, d in datasets)
+        scores = data.memo[("bdeu", 10.0)]
+        assert len(scores) == n_families
+        on_all = data.select(range(data.n_vars))  # the samples with an empty memo
+        for (child, parents), got in scores.items():
+            assert got == bdeu_family_score(on_all, child, parents), (network, child, parents)

@@ -102,6 +102,27 @@ def test_parent_sets_by_size_then_lexicographically(monkeypatch):
         cache.parent_sets(0, 0b1110, 2)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_batch_gives_the_per_family_scores(data):
+    # the DP's batch of every family of a window, or any sublist of it in
+    # any order and with repeats, on a memo that some families already fill
+    window = data.draw(st.lists(st.integers(0, SMALL.n_vars - 1), min_size=1,
+                                unique=True), label="window")
+    max_parents = data.draw(st.integers(0, 3), label="max_parents")
+    cache = av.ScoreCache(SMALL.select(range(SMALL.n_vars)), nodes=window)  # an empty memo
+    nodes, full = cache.nodes, (1 << len(window)) - 1
+    every = [(c, u) for c in range(len(nodes))
+             for u in cache.listed_parent_sets(c, full ^ (1 << c), max_parents)]
+    for c, u in data.draw(st.lists(st.sampled_from(every)), label="filled first"):
+        cache.family_score(nodes[c], [nodes[k] for k in u])
+    batch = data.draw(st.one_of(st.permutations(every), st.lists(st.sampled_from(every))),
+                      label="batch")
+    want = [av.bdeu_family_score(SMALL, nodes[c], [nodes[k] for k in u]) for c, u in batch]
+    assert cache.scores(batch) == want
+    assert cache.scores(batch) == want  # now every family is a hit
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_rescored_terms_equal_a_fresh_walk(data):

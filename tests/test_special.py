@@ -171,6 +171,26 @@ def test_bdeu_sums_once_from_cold_and_warm_tables(monkeypatch):
             assert len(sums) == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 33])
+def test_stacked_bdeu_sums_equal_each_familys_own_sums(n):
+    # numpy's pairwise sum switches from an unrolled loop to halving at 128
+    # terms; each row sum of a stack must be that row's own 1-D sum, as
+    # bdeu_family_score took it on one family, at every length
+    rng = np.random.default_rng(n)
+    n_rows = 500
+    t_j, t_jk = (rng.standard_normal(n_rows + 1) * 10.0 ** rng.integers(-3, 6, n_rows + 1)
+                 for _ in range(2))
+    shapes = [(q, 1) for q in range(1, 300)] + [(q, r) for q in (7, 64, 243) for r in (2, 3, 5)]
+    for q, r in shapes:
+        counts = rng.integers(0, n_rows + 1, size=(n, q, r))
+        nj = rng.integers(0, n_rows + 1, size=(n, q))
+        got = av._bdeu_sum(t_j, t_jk, nj, counts)
+        for k in range(n):
+            one = (t_j[0] - t_j[nj[k]]).sum()
+            one += (t_jk[counts[k]] - t_jk[0]).sum()
+            assert got[k] == one, (q, r, k)
+
+
 def test_import_and_pipelines_load_no_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -76,12 +76,13 @@ def test_baselines_prints_each_methods_skeleton_f(tmp_path):
         assert got.endswith(" s |")
 
 
-def test_stack_run_scores_each_tile_of_the_pipeline_run(tmp_path):
+@pytest.mark.parametrize("learner", ["greedy", "modelavg"])
+def test_stack_run_scores_each_tile_of_the_pipeline_run(tmp_path, learner):
     net = load_network(ROOT / "networks" / "fivehub.net")
     run_tool("stack.py", str(ROOT / "networks" / "fivehub.net"), "--tiles", "2",
              "--n-samples", "500", "--out-dir", str(tmp_path), cwd=tmp_path)
     out = run_tool("stack.py", str(ROOT / "networks" / "fivehub.net"), "--tiles", "2",
-                   "--n-samples", "500", "--run", "greedy", cwd=tmp_path)
+                   "--n-samples", "500", "--run", learner, cwd=tmp_path)
     header, row, across = out.splitlines()
     assert header.split(" | ")[1:-2] == ["V", "total", "data", "weights", "partition",
                                         "learn", "merge"]
@@ -89,7 +90,7 @@ def test_stack_run_scores_each_tile_of_the_pipeline_run(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fivehubx2.net", "fivehubx2.tsv"]
     # the in-memory stack learns what the pipeline learns from its TSV
     got = run_pipeline(PipelineConfig(dataset=str(tmp_path / "fivehubx2.tsv"),
-                                      learner="greedy")).structure
+                                      learner=learner)).structure
     v = net.n_vars
     tiles = [score_structure(LocalStructure(tuple(range(v)), tuple(
         (a - t * v, b - t * v) for a, b in got.edges if a // v == b // v == t)), net).f_score

@@ -717,7 +717,8 @@ class TestWeightedGraph:
         assert sub.n == n and sub.m == len(kept)
         assert sub.edges() == sorted(kept)
         assert all(sub.weight(*e) == w for e, w in kept.items())
-        assert all(list(sub.adjacency(v)) == sub.neighbors(v) for v in range(n))
+        assert all(sub.adjacency(v) == {b: w for e, w in kept.items() if v in e
+                                        for b in e if b != v} for v in range(n))
 
         assert g == WeightedGraph(n, dict(sorted(oracle.items(), reverse=True)))
         assert g != WeightedGraph(n + 1, oracle)
