@@ -32,9 +32,11 @@ This takes O(m^2 2^m) time and m 2^m floats for a window of m nodes.
 Every learner call scores its families through one ``ScoreCache``: the
 window of its nodes.  The window shares the dataset's memo for ``ess``
 with every other window on that dataset and, at its first miss, codes its
-columns once into their distinct rows (``DiscreteDataset.distinct``),
-whose counts, weighted by how many samples share each row, give the full
-sample's tables.  A window of m columns over N samples has at most
+columns once into their distinct rows (the ``distinct`` of the dataset or
+view it was given), whose counts, weighted by how many samples share each
+row, give the full sample's tables.  The pipeline gives each window its
+community's view, so the window codes that view's rows, not the N
+samples.  A window of m columns over N samples has at most
 min(N, prod of cardinalities) distinct rows, usually far fewer than N,
 and a window that ``resolve`` re-learns finds every family in the memo
 and codes nothing.  The subset DP and the order engines hand all their
@@ -160,8 +162,8 @@ class ScoreCache:
     def __init__(self, data: DiscreteDataset, ess: float = 10.0, nodes=None):
         if not 0 < ess < math.inf:  # NaN too
             raise InvalidInput(f"ess must be finite and > 0, got {ess!r}")
-        nodes = (range(data.n_vars) if nodes is None
-                 else check_nodes("node", nodes, data.n_vars))
+        n_vars = len(data.cardinalities)
+        nodes = range(n_vars) if nodes is None else check_nodes("node", nodes, n_vars)
         if len(set(nodes)) != len(nodes):
             raise InvalidInput("duplicate nodes")
         self.data = data
@@ -257,7 +259,8 @@ def _score_families(rows, families, ess: float) -> list[float]:
 
     Family (c, U) reads the table of its column set S = U + {c}
     (``_set_tables``) with the child's axis moved last, which is its (q, r)
-    table over the sorted parents.  The families of equal (q, r) are scored
+    table over the sorted parents; one ``transpose`` moves it, as
+    ``np.moveaxis`` costs several times more on these small tables.  The families of equal (q, r) are scored
     as one stack by ``_bdeu_scores``.  The stacks are scored and emptied
     whenever they reach ``MAX_FAMILY_CELLS`` cells, so they never hold more
     than that plus the families of one column set.
@@ -275,7 +278,9 @@ def _score_families(rows, families, ess: float) -> list[float]:
             q, r = t.size // cards[child], cards[child]
             members, tables = stacks.setdefault((q, r), ([], []))
             members.append(k)
-            tables.append(np.moveaxis(t, s.index(child), -1).reshape(q, r))
+            at = s.index(child)
+            axes = tuple(range(at)) + tuple(range(at + 1, len(s))) + (at,)
+            tables.append(t.transpose(axes).reshape(q, r))
             held += t.size
         if held >= MAX_FAMILY_CELLS:
             _score_stacks(rows, stacks, ess, out)

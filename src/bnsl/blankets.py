@@ -8,26 +8,29 @@ one community share one :meth:`~bnsl.data.DiscreteDataset.distinct` view
 of the community and its candidates, so each CI test counts the few
 distinct rows of those columns rather than every sample, with the same
 result to the last bit.  Every CMI reads its entropies from the dataset's
-memo, so an entropy that the searches of several communities need is
-computed once per dataset; a CMI of more than ``MAX_CMI_CELLS`` cells is
-refused.  Learning windows ("sub-communities") are sampled by walking an
-inner markov graph and padding each core with the blankets of its members,
-which is what lets a community be learned in isolation from the rest of
-the network.
+memo, one lookup each, so an entropy that the searches of several
+communities need is computed once per dataset; a miss is filled from the
+one table the CMI counts, without re-checking it.  A CMI of more than
+``MAX_CMI_CELLS`` cells is refused.  Learning windows ("sub-communities")
+are sampled by walking an inner markov graph and padding each core with
+the blankets of its members, which is what lets a community be learned in
+isolation from the rest of the network.  Every window lies inside the
+community and its blankets, so :func:`community_blanket` returns the view
+it searched on, and the pipeline learns the community's windows on it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import DiscreteDataset, ordered_sum
+from .data import DiscreteDataset, DistinctRows, ordered_sum
 from .errors import ConditioningSetTooLarge, InvalidInput, check_nodes, check_number
 from .special import chi2_sf_below
-from .weights import WeightedGraph, entropy
+from .weights import WeightedGraph, _entropy
 
 MAX_CMI_CELLS = 2 ** 22
 
@@ -68,12 +71,13 @@ def conditional_mutual_information(data: DiscreteDataset, x: int, y: int,
             f"CMI({x}; {y} | {z}) needs {cells} count cells")
     memo = data.memo.setdefault("entropy", {})
     keys = (z + (x,), z + (y,), z + (x, y), z)
-    if any(k not in memo for k in keys):
+    hs = [memo.get(k) for k in keys]
+    if None in hs:
         t = data.counts(keys[2]).reshape(-1, cards[x], cards[y])
-        for k, axes in zip(keys, (2, 1, (), (1, 2))):
-            if k not in memo:
-                memo[k] = entropy(t.sum(axis=axes))
-    h = memo[keys[0]] + memo[keys[1]] - memo[keys[2]] - memo[keys[3]]
+        for k, (key, axes) in enumerate(zip(keys, (2, 1, (), (1, 2)))):
+            if hs[k] is None:
+                hs[k] = memo[key] = _entropy(t.sum(axis=axes), data.n_rows)
+    h = hs[0] + hs[1] - hs[2] - hs[3]
     return max(float(h), 0.0)
 
 
@@ -144,18 +148,23 @@ def iamb(data: DiscreteDataset, x: int, candidates: Sequence[int],
 
 @dataclass(frozen=True)
 class BlanketResult:
-    """Per-member blankets of one community and the blanket-expanded set."""
+    """Per-member blankets of one community and the blanket-expanded set.
+
+    ``rows`` is the view the searches counted on, which holds every column
+    of ``expanded``; it is not compared."""
 
     community: tuple[int, ...]
     blankets: dict[int, frozenset[int]]
     expanded: tuple[int, ...]
+    rows: DistinctRows = field(repr=False, compare=False)
 
 
 def community_blanket(data: DiscreteDataset, g: WeightedGraph,
                       community: Sequence[int], alpha: float = 0.05) -> BlanketResult:
     """IAMB blanket of every community member, searched over the member's
     weight-graph candidates plus the rest of the community.  Every search
-    counts on the distinct rows of the community and all its candidates."""
+    counts on the distinct rows of the community and all its candidates,
+    which the result keeps as ``rows``."""
     comm = tuple(sorted(set(check_nodes("node", community, data.n_vars))))
     if not comm:
         raise InvalidInput("empty community")
@@ -165,7 +174,7 @@ def community_blanket(data: DiscreteDataset, g: WeightedGraph,
     expanded = set(comm)
     for b in blankets.values():
         expanded |= b
-    return BlanketResult(comm, blankets, tuple(sorted(expanded)))
+    return BlanketResult(comm, blankets, tuple(sorted(expanded)), rows)
 
 
 def inner_markov_graph(community: Sequence[int],

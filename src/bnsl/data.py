@@ -21,6 +21,10 @@ step's comparison into the variable's column in turn.  A
 view it hands out, in which each statistic computed on the dataset keeps
 its own entries under keys of its own choosing.  So every community of a
 run shares each statistic, while a new dataset starts with an empty memo.
+A :class:`DistinctRows` view hands out views of its own columns, built
+from its rows and weights by the one coding helper that the dataset's
+views come from, so a window inside a community's view codes that view's
+rows rather than every sample, and every view of a dataset holds its memo.
 """
 
 from __future__ import annotations
@@ -240,31 +244,12 @@ class DiscreteDataset:
         return np.bincount(code, minlength=math.prod(shape)).reshape(shape)
 
     def distinct(self, cols: Sequence[int]) -> "DistinctRows":
-        """The rows of ``cols`` counted once each, for :meth:`counts` of any
-        subset of ``cols``.  The codes are counted by ``np.bincount`` when the
-        code space is no larger than the row count, otherwise sorted by
-        ``np.unique``; both give the rows in ascending code order.  When
-        their mixed-radix code would overflow int64, the view holds the
-        columns as they are, every row once with weight 1.  The view shares
-        the dataset's memo."""
+        """The rows of ``cols`` counted once each, in ascending mixed-radix
+        code order, each weighted by how many samples hold it, for
+        :meth:`counts` of any subset of ``cols`` (``_distinct_rows``).  The
+        view shares the dataset's memo."""
         cols = check_nodes("column index", cols, self.n_vars)
-        shape = tuple(self.cardinalities[c] for c in cols)
-        size = math.prod(shape)
-        if size > np.iinfo(np.int64).max:
-            return DistinctRows(self.n_rows, self.cardinalities,
-                                {c: self.column(c) for c in cols},
-                                np.ones(self.n_rows), self.memo)
-        code = _row_codes([self.column(c) for c in cols], shape, self.n_rows)
-        if size <= self.n_rows:  # a table no larger than the code array
-            mult = np.bincount(code, minlength=size)
-            rows = np.flatnonzero(mult)
-            mult = mult[rows]
-        else:
-            rows, mult = np.unique(code, return_counts=True)
-        # no columns: one row of weight n_rows, or none on an empty dataset
-        digits = np.unravel_index(rows, shape) if cols else ()
-        return DistinctRows(self.n_rows, self.cardinalities, dict(zip(cols, digits)),
-                            mult.astype(np.float64), self.memo)
+        return _distinct_rows(self, cols, [self.column(c) for c in cols], None)
 
     def pair_tables(self) -> "PairTables":
         """Every one- and two-column table of the dataset, for :meth:`counts`
@@ -276,10 +261,11 @@ class DiscreteDataset:
         offsets = np.cumsum((0,) + self.cardinalities)
         width = int(offsets[-1])
         gram = np.zeros((width, width))
+        at = np.arange(_ONE_HOT_BLOCK)[:, None]
         for start in range(0, self.n_rows, _ONE_HOT_BLOCK):
             block = self.samples[start:start + _ONE_HOT_BLOCK] + offsets[:-1]
             x = np.zeros((block.shape[0], width), dtype=np.float32)
-            np.put_along_axis(x, block, 1.0, axis=1)
+            x[at[:block.shape[0]], block] = 1.0
             gram += x.T @ x
         return PairTables(self.names, self.n_rows, self.cardinalities,
                           offsets, gram.astype(np.int64), self.memo)
@@ -308,6 +294,9 @@ class DistinctRows:
     ``np.bincount`` are exact and every statistic keeps its last bit.
     ``memo`` is the memo of the dataset the view came from.
 
+    :meth:`distinct` gives the view of a subset of its columns from its
+    own rows, equal to the dataset's view of those columns.
+
     The view keeps one prefix slot: the columns of its latest ``counts``
     call but the last one, and their row code.  A call that starts with the
     same columns extends that code by its last column with one multiply and
@@ -327,11 +316,7 @@ class DistinctRows:
         """:meth:`DiscreteDataset.counts` of ``cols``, from the distinct rows,
         extending the prefix slot's code when ``cols[:-1]`` matches it."""
         shape = tuple(self.cardinalities[c] for c in cols)
-        try:
-            digits = [self.digits[c] for c in cols]
-        except KeyError as e:
-            raise InvalidInput(f"column {e.args[0]} is not one of this view's columns "
-                               f"{tuple(self.digits)}") from None
+        digits = self._columns(cols)
         head, slot = tuple(cols[:-1]), self._prefix
         if slot.get("cols") != head:
             slot["cols"] = head
@@ -339,6 +324,54 @@ class DistinctRows:
         code = slot["code"] * shape[-1] + digits[-1] if shape else slot["code"]
         return np.bincount(code, self.weights, math.prod(shape)).astype(
             np.int64).reshape(shape)
+
+    def distinct(self, cols: Sequence[int]) -> "DistinctRows":
+        """:meth:`DiscreteDataset.distinct` of ``cols``, a subset of this
+        view's columns, from this view's rows and their weights by
+        ``_distinct_rows``: the same rows and weights, in fewer rows."""
+        cols = check_nodes("column index", cols, len(self.cardinalities))
+        return _distinct_rows(self, cols, self._columns(cols), self.weights)
+
+    def _columns(self, cols: Sequence[int]) -> list[np.ndarray]:
+        try:
+            return [self.digits[c] for c in cols]
+        except KeyError as e:
+            raise InvalidInput(f"column {e.args[0]} is not one of this view's columns "
+                               f"{tuple(self.digits)}") from None
+
+
+def _distinct_rows(source, cols: tuple[int, ...], digits: Sequence[np.ndarray],
+                   weights: np.ndarray | None) -> DistinctRows:
+    """The distinct rows of ``digits``, the columns ``cols`` of ``source`` (a
+    dataset, or a view with its ``weights``; None weighs each row 1), with
+    the sum of the weights of the rows that share each.  The codes are
+    counted by ``np.bincount`` when the code space is no larger than the row
+    count, otherwise sorted by ``np.unique``; both give the rows in
+    ascending code order.  When their mixed-radix code would overflow
+    int64, the view holds the columns as they are, each row with its
+    weight.  The weights are whole numbers below 2^53, so their float sums
+    are exact, and a view of a view equals the dataset's view of the same
+    columns."""
+    shape = tuple(source.cardinalities[c] for c in cols)
+    size = math.prod(shape)
+    n = source.n_rows if weights is None else len(weights)
+    if size > np.iinfo(np.int64).max:
+        return DistinctRows(source.n_rows, source.cardinalities, dict(zip(cols, digits)),
+                            np.ones(n) if weights is None else weights, source.memo)
+    code = _row_codes(digits, shape, n)
+    if size <= n:  # a table no larger than the code array
+        mult = np.bincount(code, weights, size)
+        rows = np.flatnonzero(mult)
+        mult = mult[rows]
+    elif weights is None:
+        rows, mult = np.unique(code, return_counts=True)
+    else:
+        rows, inverse = np.unique(code, return_inverse=True)
+        mult = np.bincount(inverse, weights)
+    # no columns: one row of weight n_rows, or none on an empty dataset
+    digits = np.unravel_index(rows, shape) if cols else ()
+    return DistinctRows(source.n_rows, source.cardinalities, dict(zip(cols, digits)),
+                        mult.astype(np.float64, copy=False), source.memo)
 
 
 @dataclass(frozen=True, eq=False)

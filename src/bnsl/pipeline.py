@@ -188,6 +188,10 @@ def learn_communities(data: DiscreteDataset, partition: Partition,
                       run_report: dict | None = None) -> list[LocalStructure]:
     """Blanket-isolate, sample and learn every community; one structure each.
 
+    A community's windows, and the clusters its ``resolve`` re-learns, count
+    on the view its blanket search counted on (``BlanketResult.rows``),
+    which holds every column they can reach and shares the dataset's memo.
+
     ``run_report["communities"]`` gets one entry per community, with the
     sizes of the windows it learned: the sampled windows, then the
     clusters that ``resolve`` re-learned.
@@ -211,13 +215,13 @@ def learn_communities(data: DiscreteDataset, partition: Partition,
                 continue
             seen.add(sc.members)
             windows.append(len(sc.members))
-            learned.append(learn_structure(data, sc.members, lc))
+            learned.append(learn_structure(br.rows, sc.members, lc))
         conflicts: list = []
         if learned:
             # the edgeless community keeps a member whose only window was
             # itself, which no learned structure holds
             ens = combine_structures(learned + [LocalStructure(comm, ())], conflicts)
-            pool.append(resolve(ens, substrate, data, lc, windows=windows))
+            pool.append(resolve(ens, substrate, br.rows, lc, windows=windows))
         else:  # every window held one member, as with empty blankets: no edge
             pool.append(LocalStructure(comm, (), {}))
         detail.append({"community": ci, "size": len(comm),

@@ -123,11 +123,23 @@ class WeightedGraph:
 
 
 def entropy(counts) -> float:
-    """Shannon entropy in nats of a nonnegative count vector."""
+    """Shannon entropy in nats of a nonnegative count vector with a finite,
+    positive total."""
     c = np.asarray(counts, dtype=np.float64).ravel()
-    if c.size == 0 or (c < 0).any() or c.sum() <= 0:
-        raise InvalidInput("counts must be nonnegative with a positive total")
-    p = c[c > 0] / c.sum()
+    total = c.sum()
+    # each check asks for the good side, which a NaN never is
+    if not (c.size and (c >= 0).all() and 0 < total < math.inf):
+        raise InvalidInput("counts must be finite and nonnegative with a positive total")
+    p = c[c > 0] / total
+    return float(-(p * np.log(p)).sum())
+
+
+def _entropy(counts: np.ndarray, n_rows: int) -> float:
+    """:func:`entropy` of an integer table that the program counted, whose
+    total is ``n_rows`` > 0, without re-checking it.  The float sum of
+    integer counts is exact, so dividing by ``n_rows`` keeps every bit."""
+    c = counts.ravel()
+    p = c[c > 0] / n_rows
     return float(-(p * np.log(p)).sum())
 
 
@@ -145,14 +157,14 @@ def mutual_information(data: DiscreteDataset, i: int, j: int) -> float:
     if data.n_rows == 0:
         raise InvalidInput("dataset is empty")
     i, j = check_nodes("column index", (i, j), len(data.cardinalities))
-    joint = data.counts((i, j)).astype(np.float64)
+    joint = data.counts((i, j))
     marginals = data.memo.setdefault("marginal", {})
     for c in (i, j):
         if c not in marginals:
             marginals[c] = data.counts((c,)) / data.n_rows
     mask = joint > 0
     pij = joint[mask] / data.n_rows
-    outer = np.outer(marginals[i], marginals[j])[mask]
+    outer = (marginals[i][:, None] * marginals[j])[mask]
     return float(max((pij * np.log(pij / outer)).sum(), 0.0))
 
 

@@ -5,7 +5,8 @@ tuples.  MI, CMI and BDeu are checked with exact ``==`` against the
 per-caller encoders they replaced (see ``oracles.py``): the kernel must
 produce the same codes, so every statistic keeps its last bit.  The
 distinct-row view that windows and blanket searches count on is checked
-the same way against the dataset, and the learners and the blanket search
+the same way against the dataset, a view of a view against the dataset's
+view of the same columns, and the learners and the blanket search
 on degenerate inputs against their results on all rows.  The family-score
 memo of each dataset is checked to compute each family once per dataset
 and ``ess``, to the score on all rows.
@@ -214,6 +215,68 @@ def test_window_past_int64_codes_counts_on_the_dataset():
     assert window.family_score(0, (1, 2, 3)) == bdeu_family_score(data, 0, (1, 2, 3))
     with pytest.raises(InvalidInput, match="column 17 is not one of this view's columns"):
         window.family_score(0, (17,))  # outside the window, as for a narrower one
+
+
+@st.composite
+def views_of_views(draw, path):
+    """A dataset and column lists S and T, T drawn from S, for which
+    ``data.distinct(S).distinct(T)`` takes ``path``: "bincount" (a code
+    space no larger than the view's rows: the samples hold every state
+    combination of T), "unique" (a larger one: two or more columns of T
+    over at most three samples) or "overflow" (S's codes overflow int64,
+    so T is coded from every row)."""
+    if path == "overflow":
+        cards = [16] * draw(st.integers(16, 18))
+        least, rows = 16, draw(st.integers(1, 6))
+    else:
+        cards = draw(st.lists(st.integers(2, 4), min_size=2, max_size=6))
+        least = 2 if path == "unique" else 1
+        rows = draw(st.integers(1, 3) if path == "unique" else st.integers(0, 10))
+    n_vars = len(cards)
+    outer = draw(st.permutations(range(n_vars)))[:draw(st.integers(least, n_vars))]
+    inner = draw(st.permutations(outer))[:draw(st.integers(
+        2 if path == "unique" else 0, 3 if path == "bincount" else len(outer)))]
+    samples = [[draw(st.integers(0, c - 1)) for c in cards] for _ in range(rows)]
+    if path == "bincount":
+        for states in itertools.product(*(range(cards[c]) for c in inner)):
+            row = [draw(st.integers(0, c - 1)) for c in cards]
+            for c, state in zip(inner, states):
+                row[c] = state
+            samples.append(row)
+    data = DiscreteDataset([f"v{k}" for k in range(n_vars)], cards,
+                           np.array(samples, dtype=np.int32).reshape(-1, n_vars))
+    return data, list(outer), list(inner)
+
+
+@pytest.mark.parametrize("path", ["bincount", "unique", "overflow"])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_view_of_a_view_is_the_datasets_view(path, data):
+    dataset, outer, inner = data.draw(views_of_views(path))
+    view = dataset.distinct(outer)
+    size = math.prod(dataset.cardinalities[c] for c in inner)
+    assert path == "overflow" or (size <= len(view.weights)) == (path == "bincount")
+    got, want = view.distinct(inner), dataset.distinct(inner)
+    assert isinstance(got, DistinctRows) and got.memo is dataset.memo
+    assert (got.n_rows, got.cardinalities) == (dataset.n_rows, dataset.cardinalities)
+    assert list(got.digits) == list(want.digits) == inner
+    for c in inner:
+        np.testing.assert_array_equal(got.digits[c], want.digits[c])
+    assert got.weights.dtype == want.weights.dtype == np.float64
+    np.testing.assert_array_equal(got.weights, want.weights)
+    # every subset of T in T's order; a table of more than three 16-state
+    # columns would be too large to count
+    widest = 3 if path == "overflow" else len(inner)
+    for k in range(min(widest, len(inner)) + 1):
+        for cols in itertools.combinations(inner, k):
+            table, on_all = got.counts(cols), dataset.counts(cols)
+            assert (table.shape, table.dtype) == (on_all.shape, on_all.dtype), cols
+            np.testing.assert_array_equal(table, on_all)
+    for bad in sorted(set(range(dataset.n_vars)) - set(outer))[:1]:
+        with pytest.raises(InvalidInput, match=f"column {bad} is not one of this view's"):
+            view.distinct(inner + [bad])
+    with pytest.raises(InvalidInput, match="outside"):
+        view.distinct(inner + [dataset.n_vars])
 
 
 @pytest.fixture
@@ -450,12 +513,14 @@ def test_prefix_slot_keeps_every_table(data, pick):
         previous[id(view)] = new
 
 
-def test_every_cmi_of_an_alarm_run_equals_the_oracle(monkeypatch):
+@pytest.mark.parametrize("network,learner,n_cmis", [("alarm", "modelavg", 568),
+                                                    ("win95pts", "greedy", 1636)],
+                         ids=["alarm-modelavg", "win95pts-greedy"])
+def test_every_cmi_of_a_run_equals_the_oracle(monkeypatch, network, learner, n_cmis):
     # IAMB's forward rounds extend one prefix code per round; every CMI they
     # and the backward phase compute must equal the four-bincount oracle on
     # all the samples
     import bnsl.blankets
-    from bnsl.pipeline import PipelineConfig, run_pipeline
 
     real, seen = bnsl.blankets.conditional_mutual_information, []
 
@@ -465,11 +530,10 @@ def test_every_cmi_of_an_alarm_run_equals_the_oracle(monkeypatch):
         return value
 
     monkeypatch.setattr(bnsl.blankets, "conditional_mutual_information", recording)
-    net = NETWORKS_DIR / "alarm.net"
-    run_pipeline(PipelineConfig(network=str(net), n_samples=20000, seed=0,
-                                learner="modelavg"))
+    net = NETWORKS_DIR / f"{network}.net"
+    run_pipeline(PipelineConfig(network=str(net), n_samples=20000, seed=0, learner=learner))
     data = forward_sample(load_network(net), 20000, seed=0)
-    assert len(seen) > 500 and any(z for _, _, z, _ in seen)
+    assert len(seen) == n_cmis and any(z for _, _, z, _ in seen)
     for x, y, z, value in seen:
         assert value == cmi_by_four_bincounts(data, x, y, z), (x, y, z)
 
@@ -548,9 +612,15 @@ def test_limits_raise_before_any_count(counted, views_built, monkeypatch):
     assert data.memo.get(("bdeu", 10.0)) == {}
 
 
-def test_every_family_of_the_modelavg_runs_equals_the_score_on_all_rows(monkeypatch):
-    # the sampled windows and resolve's re-learned ones, scored in batches
-    real, datasets = av.learn_structure, []
+@pytest.mark.parametrize("learner,n_families", [
+    ("modelavg", (("alarm", 1574), ("insurance", 1100), ("win95pts", 8384))),
+    ("greedy", (("alarm", 527), ("insurance", 357), ("win95pts", 1296)))],
+    ids=["modelavg", "greedy"])
+def test_every_family_of_the_runs_equals_the_score_on_all_rows(monkeypatch, learner,
+                                                                n_families):
+    # the sampled windows and resolve's re-learned ones, which count on their
+    # community's view, and the merge's re-learned ones, on the dataset
+    real, datasets, loaded = av.learn_structure, [], []
 
     def recording(module):
         def learning(data, nodes, config):
@@ -558,17 +628,26 @@ def test_every_family_of_the_modelavg_runs_equals_the_score_on_all_rows(monkeypa
             return real(data, nodes, config)
         return learning
 
+    def loading(config, load=bnsl.pipeline.load_inputs):
+        got = load(config)
+        loaded.append(got[0])
+        return got
+
     for module in (bnsl.pipeline, bnsl.merge):
         monkeypatch.setattr(module, "learn_structure", recording(module))
-    for network, n_families in (("alarm", 1574), ("insurance", 1100), ("win95pts", 8384)):
+    monkeypatch.setattr(bnsl.pipeline, "load_inputs", loading)
+    for network, n in n_families:
         datasets.clear()
+        loaded.clear()
         run_pipeline(PipelineConfig(network=str(NETWORKS_DIR / f"{network}.net"),
-                                    n_samples=20000, seed=0, learner="modelavg"))
+                                    n_samples=20000, seed=0, learner=learner))
         assert {name for name, _ in datasets} == {"bnsl.pipeline", "bnsl.merge"}
-        data = datasets[0][1]
-        assert all(d is data for _, d in datasets)
+        data, = loaded
+        assert all(d.memo is data.memo for _, d in datasets)  # the run's memo
+        assert all(isinstance(d, DistinctRows) for name, d in datasets
+                   if name == "bnsl.pipeline")
         scores = data.memo[("bdeu", 10.0)]
-        assert len(scores) == n_families
+        assert len(scores) == n
         on_all = data.select(range(data.n_vars))  # the samples with an empty memo
         for (child, parents), got in scores.items():
             assert got == bdeu_family_score(on_all, child, parents), (network, child, parents)

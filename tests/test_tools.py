@@ -121,5 +121,12 @@ def test_pairs_summary_counts_wins_by_each_metrics_direction():
     table = pairs.format_rows([wall, f], {"wall_s": "s"})
     assert table.splitlines()[1].split()[:3] == ["wall_s", "s", "1.1"]
     assert "4/0/1" in table
+    assert len(table.splitlines()) == 3  # no operations row unless given
+    # the operation counts of each side's runs: medians 100 and 120
+    counted = pairs.format_rows([wall, f], {"wall_s": "s"},
+                                ([100, 98, 101, 100, 99], [120, 121, 118, 120, 122]))
+    assert counted.splitlines()[:3] == table.splitlines()
+    assert counted.splitlines()[3].split() == ["operations", "count", "100", "[99,", "100]",
+                                               "120", "[120,", "121]"]
     with pytest.raises(ValueError):
         pairs.summarize(a, b[:2], {"wall_s": "lower"})

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,12 @@ class TestEntropy:
             entropy(())
         with pytest.raises(InvalidInput):
             entropy((3, -1))
+        # a non-finite count or total raises, with no warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in ((math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf)):
+                with pytest.raises(InvalidInput, match="finite"):
+                    entropy(bad)
 
 
 class TestMutualInformation:

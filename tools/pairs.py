@@ -8,7 +8,10 @@ on both sides alike.  For each end-to-end metric of TREE_A's
 pairs B won, lost and tied (by the metric's ``better`` direction), and
 whether the gap between the medians is larger than A's quartile spread.
 A host whose speed drifts can move a median by more than one run's noise,
-so a gain is claimed only when B wins nearly every pair as well.
+so a gain is claimed only when B wins nearly every pair as well.  Each
+pair line and the summary also give each run's count of operations
+attempted: perfbench keeps every operation's result, so a side that fits
+more operations into its runs peaks higher in ``peak_rss_mb``.
 
 Run from the repository root, for example:
 
@@ -58,8 +61,11 @@ def summarize(runs_a: list[dict], runs_b: list[dict], better: dict[str, str]) ->
     return rows
 
 
-def format_rows(rows: list[dict], units: dict[str, str]) -> str:
-    """The summary as a fixed-width table."""
+def format_rows(rows: list[dict], units: dict[str, str],
+                operations: tuple[list[int], list[int]] | None = None) -> str:
+    """The summary as a fixed-width table; given ``operations``, the counts
+    of operations attempted by A's runs and by B's, a last row holds each
+    side's median and quartiles of them."""
     def side(q):
         return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
 
@@ -69,12 +75,15 @@ def format_rows(rows: list[dict], units: dict[str, str]) -> str:
         out.append(f"{r['metric']:<12} {units.get(r['metric'], ''):<5} {side(r['a']):<32} "
                    f"{side(r['b']):<32} {r['won']}/{r['lost']}/{r['tied']:<12} "
                    f"{'yes' if r['gap_over_spread'] else 'no'}")
+    if operations is not None:
+        a, b = (quartiles([float(n) for n in ops]) for ops in operations)
+        out.append(f"{'operations':<12} {'count':<5} {side(a):<32} {side(b)}")
     return "\n".join(out)
 
 
-def run_once(tree: Path, workload: str, seconds: float) -> dict:
-    """The end-to-end metrics of one untraced run in ``tree``; exits 1 if the
-    run fails."""
+def run_once(tree: Path, workload: str, seconds: float) -> tuple[dict, int]:
+    """The end-to-end metrics of one untraced run in ``tree`` and its count
+    of operations attempted; exits 1 if the run fails."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, encoding="utf-8")
@@ -83,7 +92,7 @@ def run_once(tree: Path, workload: str, seconds: float) -> dict:
     if result is None or not result["correct"] or result["failed"]:
         sys.stderr.write(proc.stderr[-4000:])
         raise SystemExit(f"pairs: the run in {tree} failed (exit code {proc.returncode})")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return {name: m["value"] for name, m in result["metrics"].items()}, result["attempted"]
 
 
 def main(argv=None) -> int:
@@ -100,17 +109,21 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     runs: dict[str, list[dict]] = {"A": [], "B": []}
+    ops: dict[str, list[int]] = {"A": [], "B": []}
     trees = {"A": args.tree_a, "B": args.tree_b}
     for k in range(args.pairs):
         order = ("A", "B") if k % 2 == 0 else ("B", "A")
         for side in order:
-            runs[side].append(run_once(trees[side], args.workload, args.seconds))
+            metrics, attempted = run_once(trees[side], args.workload, args.seconds)
+            runs[side].append(metrics)
+            ops[side].append(attempted)
         print(f"pair {k + 1} ({order[0]} first): "
               + "  ".join(f"{name} A {runs['A'][-1][name]:.6g} B {runs['B'][-1][name]:.6g}"
-                          for name in better), flush=True)
+                          for name in better)
+              + f"  operations A {ops['A'][-1]} B {ops['B'][-1]}", flush=True)
     print(f"{args.workload}: {args.pairs} alternating pairs of {args.seconds:g} s runs; "
           f"A = {args.tree_a}, B = {args.tree_b}")
-    print(format_rows(summarize(runs["A"], runs["B"], better), units))
+    print(format_rows(summarize(runs["A"], runs["B"], better), units, (ops["A"], ops["B"])))
     return 0
 
 
