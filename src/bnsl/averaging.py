@@ -77,6 +77,8 @@ SUBSET_BUDGET = 2 ** 20
 # the largest window the DP averages, and so the largest modelavg window;
 # its log Z table then holds 16 * 2^16 floats (8 MB)
 EXACT_MAX_NODES = 16
+# the local learners that ``learn_structure`` runs, by ``LearnerConfig.learner``
+LEARNERS = ("modelavg", "greedy")
 
 
 @dataclass(frozen=True)
@@ -658,13 +660,13 @@ def greedy_learn(data: DiscreteDataset, nodes=None, max_parents: int = 3,
 class LearnerConfig:
     """How a node subset gets its local structure learned."""
 
-    learner: str = "modelavg"  # "modelavg" or "greedy"
+    learner: str = "modelavg"  # one of LEARNERS
     max_parents: int = 3
     ess: float = 10.0
     t_avg: float = 0.5
 
     def __post_init__(self):
-        if self.learner not in ("modelavg", "greedy"):
+        if self.learner not in LEARNERS:
             raise InvalidInput(f"unknown learner '{self.learner}'")
         check_number_types(self, integers=("max_parents",), reals=("ess", "t_avg"))
         for name, ok, rule in (

@@ -14,19 +14,19 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .averaging import load_structure, save_structure
+from .averaging import LEARNERS, load_structure, save_structure
 from .data import forward_sample, load_dataset, load_network, reading, save_dataset
-from .errors import InvalidInput, PipelineStageError
+from .errors import PipelineStageError
 from .evaluate import partition_diagnostics, score_structure
 from .partition import consensus_partition, load_partition, save_partition
-from .pipeline import (PipelineConfig, build_substrate, learn_communities,
-                       merge_communities, run_pipeline, save_pool, structure_from_dict)
+from .pipeline import (PipelineConfig, build_substrate, learn_communities, load_pool,
+                       merge_communities, run_pipeline, save_pool)
 
 
 _FLAGS = {
     "--config": {"help": "JSON file of pipeline settings"},
     "--seed": {"type": int, "help": "master seed (overrides config)"},
-    "--learner": {"choices": ["modelavg", "greedy"],
+    "--learner": {"choices": LEARNERS,
                   "help": "local structure learner (overrides config)"},
     "--emit-intermediate": {"metavar": "DIR", "help": "directory for per-stage artifacts"},
 }
@@ -55,27 +55,6 @@ def _write_json(obj: dict, path: str | None) -> None:
         Path(path).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
-
-
-def _load_pool(path: str) -> list:
-    """The structures of a ``{"structures": [...]}`` file from ``bnsl learn``;
-    a malformed file raises ``InvalidInput`` naming it and any malformed entry."""
-    with reading(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InvalidInput(f"not valid JSON: {e}") from e
-    if not isinstance(raw, dict) or "structures" not in raw:
-        raise InvalidInput(f"{path}: missing 'structures'")
-    if not isinstance(raw["structures"], list):
-        raise InvalidInput(f"{path}: 'structures' is not a list")
-    pool = []
-    for k, d in enumerate(raw["structures"]):
-        try:
-            pool.append(structure_from_dict(d))
-        except (TypeError, ValueError) as e:  # InvalidInput too
-            raise InvalidInput(f"{path}, entry {k}: {e}") from e
-    return pool
 
 
 def main(argv=None) -> int:
@@ -163,7 +142,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif cmd == "merge":
         cfg = _config(args)
         data = load_dataset(cfg.dataset)
-        pool = _load_pool(args.structures)
+        pool = load_pool(args.structures)
         merge_report: dict = {}
         result = merge_communities(data, pool, build_substrate(data), cfg,
                                    run_report=merge_report)

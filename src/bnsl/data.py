@@ -239,6 +239,7 @@ class DiscreteDataset:
         """Contingency table of ``cols`` (at least one column), shaped by their
         cardinalities: entry ``[s0, s1, ...]`` counts the rows with column
         ``cols[k]`` in state ``s_k``, by one ``np.bincount`` of the row codes."""
+        cols = check_nodes("column index", cols, self.n_vars)
         shape = tuple(self.cardinalities[c] for c in cols)
         code = _row_codes([self.column(c) for c in cols], shape, self.n_rows)
         return np.bincount(code, minlength=math.prod(shape)).reshape(shape)

@@ -19,7 +19,7 @@ from .averaging import (EXACT_MAX_NODES, LearnerConfig, LocalStructure,
                         learn_structure, save_structure)
 from .blankets import community_blanket, inner_markov_graph, rnn_sample
 from .data import (DiscreteDataset, GroundTruthNet, forward_sample,
-                   load_dataset, load_network, save_dataset)
+                   load_dataset, load_network, reading, save_dataset)
 from .errors import InvalidInput, PipelineStageError, check_number_types
 from .evaluate import EvalReport, score_structure
 from .merge import MergeResult, combine_structures, merge_all, resolve
@@ -31,8 +31,9 @@ log = logging.getLogger("bnsl.pipeline")
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Everything a full run needs; JSON round-trippable.  Names, types and
+class PipelineConfig(LearnerConfig):
+    """Everything a full run needs: the ``LearnerConfig`` of its windows and
+    the other stages' settings; JSON round-trippable.  Names, types and
     ranges are checked when it is built, so a bad one fails before any stage
     runs.  With ``learner="modelavg"`` every window is averaged exactly, so
     ``max_learn_size`` may not exceed ``EXACT_MAX_NODES``."""
@@ -46,10 +47,6 @@ class PipelineConfig:
     alpha: float = 0.05
     max_comm: int = 25
     max_learn_size: int = 15
-    learner: str = "modelavg"
-    max_parents: int = 3
-    ess: float = 10.0
-    t_avg: float = 0.5
     emit_intermediate: str | None = None
 
     def __post_init__(self):
@@ -60,7 +57,7 @@ class PipelineConfig:
         for fn in self.weight_fns:
             if fn not in WEIGHT_FUNCTIONS:
                 raise InvalidInput(f"unknown weight function {fn!r}")
-        self.learner_config()  # checks the learner and its settings
+        super().__post_init__()  # checks the learner and its settings
         for name in ("network", "dataset", "emit_intermediate"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
@@ -79,9 +76,6 @@ class PipelineConfig:
                 ("seed", self.seed >= 0, ">= 0")):
             if not ok:
                 raise InvalidInput(f"{name} must be {rule}, got {getattr(self, name)!r}")
-
-    def learner_config(self) -> LearnerConfig:
-        return LearnerConfig(self.learner, self.max_parents, self.ess, self.t_avg)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -122,14 +116,20 @@ def structure_to_dict(s: LocalStructure) -> dict:
 
 
 def structure_from_dict(d: dict) -> LocalStructure:
-    """Inverse of :func:`structure_to_dict`; a missing ``"nodes"`` or
-    ``"edges"`` key, a node or edge endpoint that is not an integer, or a
-    support key other than ``"a,b"`` raises ``InvalidInput``."""
+    """Inverse of :func:`structure_to_dict`; an entry or ``"support"`` that
+    is not a JSON object, a missing ``"nodes"`` or ``"edges"`` key, a node
+    or edge endpoint that is not an integer, or a support key other than
+    ``"a,b"`` raises ``InvalidInput``."""
+    if not isinstance(d, dict):
+        raise InvalidInput("not a JSON object")
     for key in ("nodes", "edges"):
         if key not in d:
             raise InvalidInput(f"missing {key!r}")
+    raw = d.get("support", {})
+    if not isinstance(raw, dict):
+        raise InvalidInput("'support' is not a JSON object")
     support = {}
-    for k, v in d.get("support", {}).items():
+    for k, v in raw.items():
         try:
             a, b = (int(t) for t in k.split(","))
         except ValueError as e:
@@ -140,10 +140,31 @@ def structure_from_dict(d: dict) -> LocalStructure:
 
 def save_pool(pool: list[LocalStructure], path) -> None:
     """The pool as ``{"structures": [...]}``, the file that ``bnsl learn``
-    writes and ``bnsl merge --structures`` reads."""
+    writes and ``bnsl merge --structures`` reads (:func:`load_pool`)."""
     text = json.dumps({"structures": [structure_to_dict(s) for s in pool]},
                       indent=2, sort_keys=True)
     Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def load_pool(path) -> list[LocalStructure]:
+    """The structures of a :func:`save_pool` file; a malformed file raises
+    ``InvalidInput`` naming it and any malformed entry."""
+    with reading(path) as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise InvalidInput(f"not valid JSON: {e}") from e
+    if not isinstance(raw, dict) or "structures" not in raw:
+        raise InvalidInput(f"{path}: missing 'structures'")
+    if not isinstance(raw["structures"], list):
+        raise InvalidInput(f"{path}: 'structures' is not a list")
+    pool = []
+    for k, d in enumerate(raw["structures"]):
+        try:
+            pool.append(structure_from_dict(d))
+        except (TypeError, ValueError) as e:  # InvalidInput too
+            raise InvalidInput(f"{path}, entry {k}: {e}") from e
+    return pool
 
 
 class _Stages:
@@ -199,7 +220,6 @@ def learn_communities(data: DiscreteDataset, partition: Partition,
     if partition.n != data.n_vars:
         raise InvalidInput(f"partition covers {partition.n} nodes, "
                            f"the dataset has {data.n_vars} variables")
-    lc = config.learner_config()
     pool = []
     detail = []
     for ci, comm in enumerate(partition.communities):
@@ -215,13 +235,13 @@ def learn_communities(data: DiscreteDataset, partition: Partition,
                 continue
             seen.add(sc.members)
             windows.append(len(sc.members))
-            learned.append(learn_structure(br.rows, sc.members, lc))
+            learned.append(learn_structure(br.rows, sc.members, config))
         conflicts: list = []
         if learned:
             # the edgeless community keeps a member whose only window was
             # itself, which no learned structure holds
             ens = combine_structures(learned + [LocalStructure(comm, ())], conflicts)
-            pool.append(resolve(ens, substrate, br.rows, lc, windows=windows))
+            pool.append(resolve(ens, substrate, br.rows, config, windows=windows))
         else:  # every window held one member, as with empty blankets: no edge
             pool.append(LocalStructure(comm, (), {}))
         detail.append({"community": ci, "size": len(comm),
@@ -242,7 +262,7 @@ def merge_communities(data: DiscreteDataset, pool: list[LocalStructure],
     outside = sorted({v for s in pool for v in s.nodes if not 0 <= v < data.n_vars})
     if outside:
         raise InvalidInput(f"pool nodes {outside} outside 0..{data.n_vars - 1}")
-    merged = merge_all(pool, substrate, data, config.learner_config())
+    merged = merge_all(pool, substrate, data, config)
     if run_report is not None:
         run_report["merge_sequence"] = [[list(a), list(b)]
                                         for a, b in merged.merge_sequence]

@@ -130,16 +130,15 @@ def entropy(counts) -> float:
     # each check asks for the good side, which a NaN never is
     if not (c.size and (c >= 0).all() and 0 < total < math.inf):
         raise InvalidInput("counts must be finite and nonnegative with a positive total")
-    p = c[c > 0] / total
-    return float(-(p * np.log(p)).sum())
+    return _entropy(c, total)
 
 
-def _entropy(counts: np.ndarray, n_rows: int) -> float:
-    """:func:`entropy` of an integer table that the program counted, whose
-    total is ``n_rows`` > 0, without re-checking it.  The float sum of
-    integer counts is exact, so dividing by ``n_rows`` keeps every bit."""
+def _entropy(counts: np.ndarray, total: float) -> float:
+    """Entropy of a table whose sum is ``total`` > 0, unchecked: either
+    :func:`entropy` checked it, or the program counted it.  The float sum of
+    integer counts is exact, so dividing by ``total`` keeps every bit."""
     c = counts.ravel()
-    p = c[c > 0] / n_rows
+    p = c[c > 0] / total
     return float(-(p * np.log(p)).sum())
 
 

@@ -12,6 +12,7 @@ from bnsl.cli import main
 from bnsl.data import forward_sample, load_dataset, load_network, save_network
 from bnsl.errors import InvalidInput, NetworkFormatError
 from bnsl.partition import load_partition
+from bnsl.pipeline import load_pool
 from bnsl.weights import load_weighted_graph
 
 from conftest import NETWORKS_DIR, chain3
@@ -194,7 +195,9 @@ def test_merge_pool_node_outside_the_dataset_exits_one(workdir, tmp_path, capsys
     ({"structures": [{"nodes": [0, 1], "edges": [[0]]}]}, ", entry 0: "),
     ({"structures": [{"nodes": [0, 1], "edges": [[0, 1]], "support": {"0,1": "high"}}]},
      ", entry 0: "),
-    ({"structures": [5]}, ", entry 0: "),
+    ({"structures": [5]}, ", entry 0: not a JSON object"),
+    ({"structures": [{"nodes": [0, 1], "edges": [[0, 1]], "support": [1]}]},
+     ", entry 0: 'support' is not a JSON object"),
     ({"structures": 5}, ": 'structures' is not a list"),
     # a node that is not an integer used to be truncated or parsed
     ({"structures": [{"nodes": [0.5, 1], "edges": []}]},
@@ -206,7 +209,8 @@ def test_merge_pool_node_outside_the_dataset_exits_one(workdir, tmp_path, capsys
     ({"structures": [{"nodes": [0, 1], "edges": [[0, 1.5]]}]},
      ", entry 0: edge endpoint must be an integer, got 1.5")],
     ids=["no_structures", "no_edges", "bad_support_key", "nan_support", "short_edge",
-         "text_support", "not_an_object", "structures_not_a_list", "float_node",
+         "text_support", "not_an_object", "support_not_an_object",
+         "structures_not_a_list", "float_node",
          "text_node", "bool_node", "float_endpoint"])
 def test_merge_malformed_structures_file_names_the_entry(workdir, tmp_path, capsys,
                                                          raw, message):
@@ -251,7 +255,7 @@ NO_CPT = b"var a 2 x y\nvar b 2 x y\narc a b\ncpt a : 0.5 0.5\n"
     (load_structure, NOT_UTF8, InvalidInput, None, DECODE,
      ["evaluate", "--learned", "{bad}", "--network", "{net}"]),
     (load_weighted_graph, NOT_UTF8, InvalidInput, None, DECODE, None),
-    (cli._load_pool, NOT_UTF8, InvalidInput, None, DECODE,
+    (load_pool, NOT_UTF8, InvalidInput, None, DECODE,
      ["merge", "--dataset", "{data}", "--structures", "{bad}", "--out", "{tmp}/m.edges"]),
     (lambda path: cli._config(argparse.Namespace(config=path)), NOT_UTF8, InvalidInput,
      None, DECODE, ["pipeline", "--config", "{bad}"])],

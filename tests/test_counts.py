@@ -534,6 +534,8 @@ def test_every_cmi_of_a_run_equals_the_oracle(monkeypatch, network, learner, n_c
     run_pipeline(PipelineConfig(network=str(net), n_samples=20000, seed=0, learner=learner))
     data = forward_sample(load_network(net), 20000, seed=0)
     assert len(seen) == n_cmis and any(z for _, _, z, _ in seen)
+    # some (x, y, sorted Z) repeats, so the entropy memo is read, not only filled
+    assert len(seen) > len({(x, y, tuple(sorted(z))) for x, y, z, _ in seen})
     for x, y, z, value in seen:
         assert value == cmi_by_four_bincounts(data, x, y, z), (x, y, z)
 

@@ -262,12 +262,16 @@ class TestDiscretize:
 
 
 class TestDiscreteDataset:
-    def test_validation(self):
+    def test_validation(self, chain_data):
         with pytest.raises(InvalidInput):
             DiscreteDataset(["a"], [1], np.zeros((3, 1), dtype=np.int32))
         with pytest.raises(InvalidInput):
             DiscreteDataset(["a"], [2],
                             np.full((3, 1), 5, dtype=np.int32))
+        v = chain_data.n_vars
+        for cols, bad in (((-1,), -1), ((v,), v), ((0, -1), -1)):
+            with pytest.raises(InvalidInput, match=rf"column index {bad} outside 0\.\.{v - 1}"):
+                chain_data.counts(cols)
 
     def test_samples_read_only(self, chain_data):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from bnsl.errors import InvalidInput, PipelineStageError
 from bnsl.pipeline import (PipelineConfig, build_substrate, derive_seed,
                            learn_communities, load_inputs, merge_communities,
                            run_pipeline, structure_from_dict, structure_to_dict)
-from bnsl.averaging import LocalStructure
+from bnsl.averaging import LearnerConfig, LocalStructure
 from bnsl.partition import Partition
 from bnsl.weights import elbow_truncate, weight_matrix
 
@@ -126,14 +126,14 @@ class TestPipelineConfig:
     def test_weight_fns_list_becomes_tuple(self):
         assert PipelineConfig(weight_fns=["MI", "Pearson"]).weight_fns == ("MI", "Pearson")
 
-    def test_learner_config_projection(self):
+    def test_is_the_learner_config_it_was_given(self):
         config = PipelineConfig(learner="greedy", max_parents=2, ess=4.0,
                                 t_avg=0.6)
-        lc = config.learner_config()
-        assert lc.learner == "greedy"
-        assert lc.max_parents == 2
-        assert lc.ess == 4.0
-        assert lc.t_avg == 0.6
+        assert isinstance(config, LearnerConfig)
+        assert config.learner == "greedy"
+        assert config.max_parents == 2
+        assert config.ess == 4.0
+        assert config.t_avg == 0.6
 
 
 class TestStructureDict:
