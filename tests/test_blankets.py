@@ -12,11 +12,12 @@ import bnsl.blankets
 from bnsl.blankets import (BlanketResult, community_blanket,
                            conditional_mutual_information, g_test, iamb,
                            inner_markov_graph, mb_candidates, rnn_sample)
-from bnsl.data import DiscreteDataset, DistinctRows, forward_sample
+from bnsl.data import DiscreteDataset, DistinctRows, forward_sample, load_network
 from bnsl.errors import ConditioningSetTooLarge, InvalidInput
+from bnsl.pipeline import PipelineConfig, run_pipeline
 from bnsl.weights import WeightedGraph, mutual_information
 
-from conftest import REPO_ROOT, chain3, collider3, random_binary_net
+from conftest import NETWORKS_DIR, REPO_ROOT, chain3, collider3, random_binary_net
 from oracles import cmi_by_four_bincounts, conditional_mi_of, markov_blanket_of
 
 
@@ -80,6 +81,22 @@ def tables_counted(monkeypatch):
 
 
 class TestEntropyMemo:
+    def test_every_cmi_of_an_alarm_run_equals_a_fresh_computation(self, monkeypatch):
+        real, seen = bnsl.blankets.conditional_mutual_information, []
+
+        def recording(data, x, y, z=(), *args):
+            value = real(data, x, y, z, *args)
+            seen.append((x, y, tuple(z), value))
+            return value
+
+        monkeypatch.setattr(bnsl.blankets, "conditional_mutual_information", recording)
+        network = NETWORKS_DIR / "alarm.net"
+        run_pipeline(PipelineConfig(network=str(network), n_samples=20000, seed=0))
+        assert len(seen) > len({(x, y, tuple(sorted(z))) for x, y, z, _ in seen})
+        fresh = forward_sample(load_network(network), 20000, seed=0)
+        for x, y, z, value in seen:
+            assert value == cmi_by_four_bincounts(fresh, x, y, z), (x, y, z)
+
     def test_a_repeated_call_counts_no_table(self, tables_counted):
         data = random_dataset(np.random.default_rng(5), 200, [2, 3, 2, 3])
         first = conditional_mutual_information(data, 0, 1, [2, 3])
