@@ -73,7 +73,8 @@ def partition_diagnostics(p: Partition, g: WeightedGraph) -> dict:
 
     Shortest paths are hop counts inside each community's induced
     subgraph; disconnected pairs are excluded and communities without any
-    connected pair (singletons included) contribute 0.
+    connected pair (singletons included) contribute 0.  The empty partition
+    of no nodes has no community, and every mean of it is 0.
     """
     if p.n != g.n:
         raise InvalidInput("partition and graph must share one node universe")
@@ -101,13 +102,14 @@ def partition_diagnostics(p: Partition, g: WeightedGraph) -> dict:
     hist = {f"{lo}-{hi}": sum(1 for s in sizes if lo <= s <= hi)
             for lo, hi in _HIST_BINS}
     hist[">50"] = sum(1 for s in sizes if s > 50)
+    k = len(sizes) or 1  # the empty partition's sums are 0
     return {
         "communities": len(sizes),
         "sizes": sizes,
-        "avg_size": sum(sizes) / len(sizes),
+        "avg_size": sum(sizes) / k,
         "size_histogram": hist,
-        "avg_shortest_path": ordered_sum(avg_paths) / len(avg_paths),
-        "avg_diameter": sum(diameters) / len(diameters),
+        "avg_shortest_path": ordered_sum(avg_paths) / k,
+        "avg_diameter": sum(diameters) / k,
         "per_community_avg_path": avg_paths,
         "per_community_diameter": diameters,
     }

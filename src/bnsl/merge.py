@@ -10,19 +10,24 @@ largest node-set Jaccard similarity.  A merge round combines the pair's
 edges once; when the two node sets overlap, it hands the result to one
 :func:`resolve` on the weight subgraph of the overlap and its neighbours
 in the combined edges, so triangles are re-learned there and every other
-edge passes through.  Each pair's rank is computed once, when the later of its two
-structures enters the pool, so a pool of n structures costs (n - 1)^2
-Jaccard evaluations.  An entry's node set is built once, as it enters, so
-each evaluation is one set intersection; the union's size follows from
-the two set sizes.  The ranks live in a binary heap, so finding each
-round's pair costs O(log n) per rank pushed or skipped, O(n^2 log n) in
-all, where rescanning and refiltering every live pair each round costs
-O(n^3).
+edge passes through.  Each pair is decided once, when the later of its
+two structures enters the pool, so a pool of n structures counts (n - 1)^2
+Jaccard evaluations.  A map from each node to the live entries holding it
+yields the entries a new one overlaps; only those pairs are ranked, each
+by one intersection of node sets built once as they enter (the union's
+size follows from the two set sizes), and a disjoint pair is decided at 0
+through the map.  The ranks live in a binary heap, so the ranking costs
+O(log n) per overlapping pair pushed or skipped, where a heap of every
+pair costs that for all n^2 pairs and rescanning every live pair each
+round costs O(n^3).  Once no overlapping pair is live, every live pair is
+disjoint and stays so, and the remaining rounds follow from one sort of
+the live entries by size.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Sequence
@@ -159,12 +164,17 @@ def merge_all(pool: Sequence[LocalStructure], g: WeightedGraph,
     lexicographically smallest pair of node sets, then the smallest pair
     of pool positions, merged entries numbered on from ``len(pool)``); the
     pair's edges are combined and resolved on the overlap neighborhood.
-    A pair is ranked once, when its later structure enters the pool, so a
-    pool of n structures spends (n - 1)^2 Jaccard evaluations; the count
-    is returned.  Each entry's node set is built once, when it enters, and
-    an evaluation intersects two of them: |a | b| = |a| + |b| - |a & b|.
-    The ranks are kept in a heap, so the ranking work is O(n^2 log n)
-    rather than the O(n^3) of rescanning every live pair each round.
+
+    Each entry's node set is built once, when it enters, and a map from
+    each node to the live entries holding it yields the entries it
+    overlaps; only those pairs are ranked, by intersecting two node sets
+    (|a | b| = |a| + |b| - |a & b|), and kept in a heap.  A pair is decided
+    once, when its later structure enters, a disjoint one at 0 through the
+    map, so a pool of n structures spends (n - 1)^2 Jaccard evaluations;
+    the count is returned.  The heap work is O(log n) per overlapping pair.
+    Once no overlapping pair is live, every live pair is disjoint and stays
+    so, and the rest of the rounds take the largest size sum: one sort of
+    the live entries by size, not a scan of their pairs.
     """
     if not pool:
         raise InvalidInput("empty pool")
@@ -173,50 +183,84 @@ def merge_all(pool: Sequence[LocalStructure], g: WeightedGraph,
     sequence: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     # each live entry with its node set and that set's size, built once as it enters
     entries: dict[int, tuple[LocalStructure, frozenset[int], int]] = {}
-    # min-heap of (-jaccard, -union, lo nodes, hi nodes, i, j), unique by (i, j).
-    # A merge leaves the ranks of its two entries in place (lazy deletion);
-    # a pop skips them, and once they outnumber the live pairs the heap is
-    # filtered and rebuilt, so after each round it holds at most twice the live pairs.
+    # each node's live entries, by id, as in ``entries``
+    holders: dict[int, dict[int, tuple]] = defaultdict(dict)
+    # min-heap of (-jaccard, -union, lo nodes, hi nodes, i, j) over the
+    # overlapping pairs, unique by (i, j), of which ``live`` have two live
+    # entries.  A merge leaves the ranks of its two entries in place (lazy
+    # deletion); a pop skips them, and once they outnumber the live ranks
+    # the heap is filtered and rebuilt.
     ranks: list[tuple] = []
+    live = 0
     ids = itertools.count()
 
-    def enter(s: LocalStructure) -> None:
-        nonlocal evals
+    def enter(s: LocalStructure, near: dict[int, tuple]) -> None:
+        nonlocal evals, live
         k = next(ids)
         key = s.nodes
         nodes = frozenset(key)
         size = len(nodes)
-        for i, (other, other_nodes, other_size) in entries.items():
+        for i, (other, other_nodes, other_size) in near.items():
             inter = len(other_nodes & nodes)
             union = other_size + size - inter
             lo, hi = (other.nodes, key) if other.nodes <= key else (key, other.nodes)
             heappush(ranks, (-(inter / union), -union, lo, hi, i, k))
         evals += len(entries)
-        entries[k] = (s, nodes, size)
+        live += len(near)
+        entries[k] = entry = (s, nodes, size)
+        for v in nodes:
+            holders[v][k] = entry
+
+    def leave(k: int) -> tuple[tuple, dict[int, tuple]]:
+        """Remove entry k; return it and the live entries that overlap it."""
+        entry = entries.pop(k)
+        near: dict[int, tuple] = {}
+        for v in entry[1]:
+            held = holders[v]
+            del held[k]
+            near.update(held)
+        return entry, near
 
     for s in pool:
-        enter(s)
-    while len(entries) > 1:
+        near: dict[int, tuple] = {}
+        for v in s.nodes:
+            near.update(holders[v])
+        enter(s, near)
+    while live:
+        if len(ranks) > 2 * live:
+            ranks[:] = [r for r in ranks if r[4] in entries and r[5] in entries]
+            heapify(ranks)
         best = heappop(ranks)
         while best[4] not in entries or best[5] not in entries:
             best = heappop(ranks)
         i, j = best[4:]
         sequence.append(best[2:4])
-        (a, a_nodes, _), (b, b_nodes, _) = entries.pop(i), entries.pop(j)
+        (a, a_nodes, _), near_a = leave(i)
+        (b, b_nodes, _), near_b = leave(j)
+        live -= len(near_a) + len(near_b)  # j is in near_a: the ranks of i and j die
+        near_a.update(near_b)
+        del near_a[j]
 
         merged = combine_structures([a, b], conflicts)
         overlap = a_nodes & b_nodes
-        if overlap:
-            scope = set(overlap)
-            for x, y in merged.edges:
-                if x in overlap:
-                    scope.add(y)
-                if y in overlap:
-                    scope.add(x)
-            merged = resolve(merged, g.subgraph(scope), data, config)
-        enter(merged)
-        if len(ranks) > len(entries) * (len(entries) - 1):
-            ranks[:] = [r for r in ranks if r[4] in entries and r[5] in entries]
-            heapify(ranks)
+        scope = set(overlap)
+        for x, y in merged.edges:
+            if x in overlap:
+                scope.add(y)
+            if y in overlap:
+                scope.add(x)
+        enter(resolve(merged, g.subgraph(scope), data, config), near_a)
 
-    return MergeResult(entries.popitem()[1][0], tuple(sequence), evals, conflicts)
+    # Every live pair is disjoint and a merge keeps it so.  Each round takes
+    # the largest size sum, ties to the smallest pair of node tuples (never
+    # equal): the first two by (size descending, tuple), and then the merged
+    # entry, the largest alone, with the next.  Disjoint structures combine
+    # alike in either order.
+    rest = sorted((s for s, _, _ in entries.values()), key=lambda s: (-len(s.nodes), s.nodes))
+    merged = rest[0]
+    for s in rest[1:]:
+        sequence.append(tuple(sorted((merged.nodes, s.nodes))))
+        merged = combine_structures([merged, s], conflicts)
+    # the k-th of these merged entries enters beside len(rest) - 1 - k live ones
+    evals += (len(rest) - 1) * (len(rest) - 2) // 2
+    return MergeResult(merged, tuple(sequence), evals, conflicts)

@@ -110,6 +110,16 @@ class TestPartitionDiagnostics:
         assert out["avg_diameter"] == 0.0
         assert out["sizes"] == [1, 1]
 
+    def test_empty_partition_has_zero_statistics(self):
+        out = partition_diagnostics(Partition(0, ()), WeightedGraph(0))
+        hist = out.pop("size_histogram")
+        assert hist.keys() == partition_diagnostics(
+            Partition(1, ((0,),)), WeightedGraph(1))["size_histogram"].keys()
+        assert set(hist.values()) == {0}
+        assert out == {"communities": 0, "sizes": [], "avg_size": 0.0,
+                       "avg_shortest_path": 0.0, "avg_diameter": 0.0,
+                       "per_community_avg_path": [], "per_community_diameter": []}
+
     def test_size_histogram_bins(self):
         communities = (tuple(range(0, 3)), tuple(range(3, 10)),
                        tuple(range(10, 62)))

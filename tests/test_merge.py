@@ -191,20 +191,42 @@ class TestResolve:
         assert out.support[(3, 0)] == pytest.approx(0.42)
 
 
+def drawn_structure(draw, nodes) -> LocalStructure:
+    """A structure on ``nodes`` with each pair of them absent or an arc either way."""
+    nodes = sorted(nodes)
+    pairs = list(itertools.combinations(nodes, 2))
+    ways = draw(st.lists(st.sampled_from([None, 0, 1]), min_size=len(pairs),
+                         max_size=len(pairs)))
+    edges = [p if w == 0 else p[::-1] for p, w in zip(pairs, ways) if w is not None]
+    return LocalStructure(tuple(nodes), tuple(edges))
+
+
 @st.composite
 def tied_pools(draw):
-    """2-40 structures on 4-12 nodes, each pair of a structure's nodes
-    absent or an arc either way: small universes make ties common."""
+    """2-40 structures on 4-12 nodes: small universes make ties common."""
     n_universe = draw(st.integers(4, 12), label="universe")
-    pool = []
-    for _ in range(draw(st.integers(2, 40), label="pool size")):
-        nodes = sorted(draw(st.sets(st.integers(0, n_universe - 1), min_size=1)))
-        pairs = list(itertools.combinations(nodes, 2))
-        ways = draw(st.lists(st.sampled_from([None, 0, 1]), min_size=len(pairs),
-                             max_size=len(pairs)))
-        edges = [p if w == 0 else p[::-1] for p, w in zip(pairs, ways) if w is not None]
-        pool.append(LocalStructure(tuple(nodes), tuple(edges)))
+    pool = [drawn_structure(draw, draw(st.sets(st.integers(0, n_universe - 1), min_size=1)))
+            for _ in range(draw(st.integers(2, 40), label="pool size"))]
     return n_universe, pool
+
+
+@st.composite
+def grouped_pools(draw):
+    """Pools that split into 2-10 pairwise-disjoint groups of 1-3 nodes on
+    shuffled labels, in shuffled order.  A group's first structure holds all
+    its nodes and up to two more hold some of them, so once each group has
+    merged, every live pair is disjoint and many rounds pair entries of
+    tied sizes."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=2, max_size=10), label="group sizes")
+    labels = draw(st.permutations(range(sum(widths))), label="labels")
+    pool = []
+    for k, w in enumerate(widths):
+        group = labels[sum(widths[:k]):sum(widths[:k]) + w]
+        for nodes in [group] + draw(st.lists(st.sets(st.sampled_from(group), min_size=1),
+                                             max_size=2)):
+            pool.append(drawn_structure(draw, nodes))
+    order = draw(st.permutations(range(len(pool))), label="pool order")
+    return sum(widths), [pool[k] for k in order]
 
 
 class TestMergeAll:
@@ -230,10 +252,8 @@ class TestMergeAll:
                 assert list(result.merge_sequence) == want
                 assert result.jaccard_evaluations == (n_sets - 1) ** 2
 
-    @settings(max_examples=150, deadline=None)
-    @given(tied_pools())
-    def test_heap_matches_full_rescan_on_tied_pools(self, drawn):
-        n_universe, pool = drawn
+    @staticmethod
+    def _matches_full_rescan(n_universe, pool):
         result = merge_all(pool, WeightedGraph(n_universe), dummy_dataset(n_universe),
                            LearnerConfig(learner="greedy"))
         want, _ = naive_merge_sequence([s.nodes for s in pool])
@@ -242,23 +262,62 @@ class TestMergeAll:
         # an edgeless weight graph leaves resolve nothing to re-learn
         assert result.structure.skeleton() == set().union(*(s.skeleton() for s in pool))
 
+    @settings(max_examples=150, deadline=None)
+    @given(tied_pools())
+    def test_heap_matches_full_rescan_on_tied_pools(self, drawn):
+        self._matches_full_rescan(*drawn)
+
+    @settings(max_examples=150, deadline=None)
+    @given(grouped_pools())
+    def test_disjoint_rounds_match_full_rescan(self, drawn):
+        self._matches_full_rescan(*drawn)
+
+    def test_sparse_large_labels(self):
+        # the node map is keyed by label: an array over labels 0..10**6
+        # would take 8 MB; resolve never reads the 2-column dataset, since
+        # the weight graph has no edge
+        big = 10 ** 6
+        node_sets = [(0, 7), (7, big), (big,), (3,), (3, 10 ** 5), (11, 500_000)]
+        pool = [LocalStructure(ns, (ns[:2],) if len(ns) == 2 else ()) for ns in node_sets]
+        g, data, config = WeightedGraph(big + 1), dummy_dataset(2), LearnerConfig(learner="greedy")
+        tracemalloc.start()
+        try:
+            result = merge_all(pool, g, data, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert list(result.merge_sequence) == naive_merge_sequence(node_sets)[0]
+        assert result.jaccard_evaluations == 25
+        assert result.structure.nodes == (0, 3, 7, 11, 10 ** 5, 500_000, big)
+        assert result.structure.edges == ((0, 7), (3, 10 ** 5), (7, big), (11, 500_000))
+
     def test_dead_ranks_are_compacted(self, monkeypatch):
-        heaps = []
-        heapify = bnsl.merge.heapify
+        heaps, pushed = [], []
+        heapify, heappush = bnsl.merge.heapify, bnsl.merge.heappush
 
         def counting_heapify(ranks):
             heaps.append(len(ranks))
             heapify(ranks)
 
+        def recording_heappush(ranks, rank):
+            pushed.append(rank)
+            heappush(ranks, rank)
+
         monkeypatch.setattr(bnsl.merge, "heapify", counting_heapify)
+        monkeypatch.setattr(bnsl.merge, "heappush", recording_heappush)
         rng = np.random.default_rng(65)
         node_sets = [tuple(sorted(rng.choice(12, size=int(rng.integers(1, 6)), replace=False)))
                      for _ in range(20)]
         result = self._run(node_sets, 12)
         assert list(result.merge_sequence) == naive_merge_sequence(node_sets)[0]
-        # the live pairs of 16, 12, 9, 7, 5, 3 and 2 entries: the heap is
-        # rebuilt once it holds more than twice the live pairs
-        assert heaps == [120, 66, 36, 21, 10, 3, 1]
+        # only overlapping pairs are ranked: 180 of the 361 pairs decided
+        assert result.jaccard_evaluations == 361
+        assert len(pushed) == 180
+        assert all(-jac > 0 and set(lo) & set(hi) for jac, _, lo, hi, _, _ in pushed)
+        # the heap is rebuilt once its dead ranks outnumber the live ones, and
+        # then holds just the live ranked pairs
+        assert heaps == [49, 30, 17, 9, 5, 3, 1]
 
     def test_full_ties_merge_the_older_pair_first(self):
         # three structures on one node set tie in every rank component; the

@@ -1,6 +1,7 @@
 """The scripts under tools/ run as fresh processes and reproduce the files
 bundled with the repository or the figures the library computes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -100,12 +101,16 @@ def test_stack_run_scores_each_tile_of_the_pipeline_run(tmp_path, learner):
     assert across == f"arcs joining two tiles: {sum(a // v != b // v for a, b in got.edges)}"
 
 
-def test_pairs_summary_counts_wins_by_each_metrics_direction():
+def load_pairs():
     import importlib.util
     spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
     pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(pairs)
+    return pairs
 
+
+def test_pairs_summary_counts_wins_by_each_metrics_direction():
+    pairs = load_pairs()
     a = [{"wall_s": w, "skeleton_f": f} for w, f in ((1.0, 80.0), (1.2, 80.0), (1.1, 80.0),
                                                       (1.3, 80.0), (1.0, 80.0))]
     b = [{"wall_s": w, "skeleton_f": f} for w, f in ((0.9, 81.0), (1.0, 80.0), (1.1, 79.0),
@@ -130,3 +135,24 @@ def test_pairs_summary_counts_wins_by_each_metrics_direction():
                                                "120", "[120,", "121]"]
     with pytest.raises(ValueError):
         pairs.summarize(a, b[:2], {"wall_s": "lower"})
+
+
+@pytest.mark.parametrize("given,seed", [((), "0"), (("--seed", "7"), "7")])
+def test_pairs_passes_its_seed_to_every_run(monkeypatch, capsys, given, seed):
+    pairs = load_pairs()
+    commands = []
+
+    def fake_run(cmd, **kwargs):
+        commands.append(cmd)
+        metrics = {"wall_s": 0.1, "setup_s": 0.2, "peak_rss_mb": 50.0, "skeleton_f": 100.0}
+        line = json.dumps({"correct": True, "failed": 0, "attempted": 3,
+                           "metrics": {k: {"value": v} for k, v in metrics.items()}})
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"progress\n{line}\n", stderr="")
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    assert pairs.main([str(ROOT), str(ROOT), "--workload", "merge-pool-200",
+                       "--pairs", "2", "--seconds", "1", *given]) == 0
+    # two pairs of runs, each told the seed; perfbench's own default is 0
+    assert len(commands) == 4
+    assert all(cmd[cmd.index("--seed") + 1] == seed for cmd in commands)
+    assert f"merge-pool-200 seed {seed}: 2 alternating pairs" in capsys.readouterr().out

@@ -13,9 +13,12 @@ pair line and the summary also give each run's count of operations
 attempted: perfbench keeps every operation's result, so a side that fits
 more operations into its runs peaks higher in ``peak_rss_mb``.
 
-Run from the repository root, for example:
+Every run gets the same ``--seed`` (perfbench's default, 0, unless given),
+and the summary prints it, so that a claim can be checked again on a seed
+that was not used while the change was written.  Run from the repository
+root, for example:
 
-    python3 tools/pairs.py ../parent . --workload alarm-modelavg --pairs 10 --seconds 30
+    python3 tools/pairs.py ../parent . --workload alarm-modelavg --pairs 10 --seconds 30 --seed 7
 
 It exits 1, at once, if a run exits nonzero or fails its output checks.
 """
@@ -81,10 +84,10 @@ def format_rows(rows: list[dict], units: dict[str, str],
     return "\n".join(out)
 
 
-def run_once(tree: Path, workload: str, seconds: float) -> tuple[dict, int]:
+def run_once(tree: Path, workload: str, seconds: float, seed: int) -> tuple[dict, int]:
     """The end-to-end metrics of one untraced run in ``tree`` and its count
     of operations attempted; exits 1 if the run fails."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, encoding="utf-8")
     lines = proc.stdout.strip().splitlines()
@@ -102,6 +105,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30.0, help="measuring time per run")
+    ap.add_argument("--seed", type=int, default=0, help="the workload seed of every run")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -114,15 +118,15 @@ def main(argv=None) -> int:
     for k in range(args.pairs):
         order = ("A", "B") if k % 2 == 0 else ("B", "A")
         for side in order:
-            metrics, attempted = run_once(trees[side], args.workload, args.seconds)
+            metrics, attempted = run_once(trees[side], args.workload, args.seconds, args.seed)
             runs[side].append(metrics)
             ops[side].append(attempted)
         print(f"pair {k + 1} ({order[0]} first): "
               + "  ".join(f"{name} A {runs['A'][-1][name]:.6g} B {runs['B'][-1][name]:.6g}"
                           for name in better)
               + f"  operations A {ops['A'][-1]} B {ops['B'][-1]}", flush=True)
-    print(f"{args.workload}: {args.pairs} alternating pairs of {args.seconds:g} s runs; "
-          f"A = {args.tree_a}, B = {args.tree_b}")
+    print(f"{args.workload} seed {args.seed}: {args.pairs} alternating pairs of "
+          f"{args.seconds:g} s runs; A = {args.tree_a}, B = {args.tree_b}")
     print(format_rows(summarize(runs["A"], runs["B"], better), units, (ops["A"], ops["B"])))
     return 0
 
